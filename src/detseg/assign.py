@@ -3,40 +3,31 @@
 Each anchor ends up in exactly one of three states: inactive (supervised
 background), don't-care (excluded from every loss), or active (supervised
 positive carrying class, regression delta and instance id). The rules are
-applied in a fixed precedence order; see :func:`assign_targets`.
+applied in a fixed precedence order; see :func:`assign_targets`. The result
+is one dense record with a row per anchor, :class:`AnchorTargetArrays`.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import AnchorGrid, BBox, BoxDelta, encode, iou_matrix
+from .geom import AnchorGrid, BBox, encode_array, iou_matrix
+from .losses import BACKGROUND, FOREGROUND, IGNORE
 
 __all__ = [
-    "TargetState",
     "AssignRule",
     "GroundTruthObject",
-    "AnchorTarget",
+    "AnchorTargetArrays",
     "AssignConfig",
     "TargetSummary",
     "assign_targets",
     "assign_targets_detailed",
     "summarize_targets",
 ]
-
-log = logging.getLogger(__name__)
-
-
-class TargetState(str, Enum):
-    INACTIVE = "inactive"
-    DONT_CARE = "dontcare"
-    ACTIVE = "active"
-
 
 class AssignRule(IntEnum):
     """Which rule produced an anchor's state (useful for tests and debugging)."""
@@ -47,6 +38,12 @@ class AssignRule(IntEnum):
     BEST = 4         # active via the IoU threshold
     BAND = 5         # don't-care: IoU in the band between the two thresholds
     FALLBACK = 6     # active: adopted by an otherwise unassigned ground truth
+
+
+# The objectness label of each rule, indexed by rule code (code 0 is unused).
+_LABEL_OF_RULE = np.array([BACKGROUND, BACKGROUND, IGNORE, BACKGROUND, FOREGROUND, IGNORE, FOREGROUND],
+                          dtype=np.int64)
+_STATE_OF_LABEL = {BACKGROUND: "inactive", IGNORE: "dontcare", FOREGROUND: "active"}
 
 
 @dataclass(frozen=True)
@@ -68,18 +65,22 @@ class GroundTruthObject:
             raise ValueError(f"ground truth box must have positive area: {self.bbox}")
 
 
-@dataclass(frozen=True)
-class AnchorTarget:
-    state: TargetState
-    class_id: Optional[int] = None
-    delta: Optional[BoxDelta] = None
-    instance_id: Optional[int] = None
+@dataclass
+class AnchorTargetArrays:
+    """Dense per-anchor training targets, one row per anchor of the grid."""
 
-    def __post_init__(self) -> None:
-        is_active = self.state is TargetState.ACTIVE
-        fields_set = (self.class_id is not None, self.delta is not None, self.instance_id is not None)
-        if fields_set != (is_active, is_active, is_active):
-            raise ValueError("class/delta/instance present iff the target is active")
+    labels: np.ndarray         # (A,) FOREGROUND (active) / BACKGROUND (inactive) / IGNORE (don't-care)
+    class_targets: np.ndarray  # (A,) class id for active anchors, else -1
+    deltas: np.ndarray         # (A, 4) regression targets, zero when not active
+    active: np.ndarray         # (A,) bool
+    instance_ids: np.ndarray   # (A,) instance id for active anchors, else -1
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def states(self) -> list[str]:
+        """Per-anchor state names as written by the CLI: inactive, dontcare or active."""
+        return [_STATE_OF_LABEL[label] for label in self.labels.tolist()]
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def assign_targets_detailed(
     image_w: int,
     image_h: int,
     cfg: AssignConfig = AssignConfig(),
-) -> tuple[list[AnchorTarget], np.ndarray]:
+) -> tuple[AnchorTargetArrays, np.ndarray]:
     """Like :func:`assign_targets` but also returns the per-anchor rule ids."""
     if grid.image_w != image_w or grid.image_h != image_h:
         raise ValueError(
@@ -125,8 +126,8 @@ def assign_targets_detailed(
 
     if n_gts > 0:
         overlaps = iou_matrix(grid.boxes, [g.bbox for g in gts])
-        best = overlaps.max(axis=1)
         best_gt = overlaps.argmax(axis=1)  # ties -> lowest gt index
+        best = np.take_along_axis(overlaps, best_gt[:, None], axis=1)[:, 0]  # = max, but cheaper
         if n_gts >= 2:
             second = np.partition(overlaps, n_gts - 2, axis=1)[:, n_gts - 2]
         else:
@@ -166,24 +167,18 @@ def assign_targets_detailed(
                 rules[a_star] = AssignRule.FALLBACK
                 assigned_gt[a_star] = g
 
-    targets: list[AnchorTarget] = []
-    for i in range(n_anchors):
-        rule = rules[i]
-        if rule in (AssignRule.BEST, AssignRule.FALLBACK):
-            gt = gts[assigned_gt[i]]
-            targets.append(
-                AnchorTarget(
-                    state=TargetState.ACTIVE,
-                    class_id=gt.class_id,
-                    delta=encode(grid.box(i), gt.bbox),
-                    instance_id=gt.instance_id,
-                )
-            )
-        elif rule in (AssignRule.BORDER, AssignRule.BAND):
-            targets.append(AnchorTarget(state=TargetState.DONT_CARE))
-        else:
-            targets.append(AnchorTarget(state=TargetState.INACTIVE))
-    return targets, rules
+    labels = _LABEL_OF_RULE[rules]
+    active = labels == FOREGROUND
+    idx = np.flatnonzero(active)
+    owner = assigned_gt[idx]
+    class_targets = np.full(n_anchors, -1, dtype=np.int64)
+    class_targets[idx] = np.array([g.class_id for g in gts], dtype=np.int64)[owner]
+    instance_ids = np.full(n_anchors, -1, dtype=np.int64)
+    instance_ids[idx] = np.array([g.instance_id for g in gts], dtype=np.int64)[owner]
+    gt_boxes = np.array([g.bbox.as_array() for g in gts], dtype=np.float64).reshape(-1, 4)
+    deltas = np.zeros((n_anchors, 4), dtype=np.float64)
+    deltas[idx] = encode_array(grid.boxes[idx], gt_boxes[owner])
+    return AnchorTargetArrays(labels, class_targets, deltas, active, instance_ids), rules
 
 
 def assign_targets(
@@ -192,7 +187,7 @@ def assign_targets(
     image_w: int,
     image_h: int,
     cfg: AssignConfig = AssignConfig(),
-) -> list[AnchorTarget]:
+) -> AnchorTargetArrays:
     """Assign a training state to every anchor of the grid.
 
     Per anchor, with ``b1``/``b2`` the best and second-best IoU over the
@@ -228,16 +223,12 @@ class TargetSummary:
         return self.inactive + self.dontcare + self.active
 
 
-def summarize_targets(targets: Sequence[AnchorTarget]) -> TargetSummary:
+def summarize_targets(targets: AnchorTargetArrays) -> TargetSummary:
     """Count anchors per state and active anchors per class."""
-    inactive = dontcare = active = 0
-    per_class: dict[int, int] = {}
-    for t in targets:
-        if t.state is TargetState.ACTIVE:
-            active += 1
-            per_class[t.class_id] = per_class.get(t.class_id, 0) + 1
-        elif t.state is TargetState.DONT_CARE:
-            dontcare += 1
-        else:
-            inactive += 1
-    return TargetSummary(inactive=inactive, dontcare=dontcare, active=active, active_per_class=per_class)
+    classes, counts = np.unique(targets.class_targets[targets.active], return_counts=True)
+    return TargetSummary(
+        inactive=int(np.count_nonzero(targets.labels == BACKGROUND)),
+        dontcare=int(np.count_nonzero(targets.labels == IGNORE)),
+        active=int(np.count_nonzero(targets.active)),
+        active_per_class=dict(zip(classes.tolist(), counts.tolist())),
+    )

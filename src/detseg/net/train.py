@@ -13,11 +13,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..assign import AnchorTarget, AssignConfig, GroundTruthObject, TargetState, assign_targets
+from ..assign import AnchorTargetArrays, AssignConfig, GroundTruthObject, assign_targets
 from ..geom import AnchorGrid
 from ..losses import (
-    BACKGROUND,
-    FOREGROUND,
     IGNORE,
     TASK_NAMES,
     FocalParams,
@@ -34,7 +32,7 @@ from .layers import Param
 from .model import DetSegModel, flatten_per_anchor, unflatten_per_anchor
 from .optim import AdamState, adam_step
 
-__all__ = ["TrainSample", "TrainResult", "AnchorTargetArrays", "prepare_targets", "train_toy"]
+__all__ = ["TrainSample", "TrainResult", "prepare_targets", "train_toy"]
 
 SEG_IGNORE = 255
 
@@ -48,34 +46,9 @@ class TrainSample:
     gts: list[GroundTruthObject]
 
 
-@dataclass
-class AnchorTargetArrays:
-    """Dense per-anchor training targets derived from the assignment."""
-
-    labels: np.ndarray         # (A,) FOREGROUND / BACKGROUND / IGNORE
-    class_targets: np.ndarray  # (A,) class id for active anchors, else -1
-    deltas: np.ndarray         # (A, 4) regression targets, zero when inactive
-    active: np.ndarray         # (A,) bool
-    instance_ids: np.ndarray   # (A,) instance id for active anchors, else -1
-
-
-def prepare_targets(targets: Sequence[AnchorTarget]) -> AnchorTargetArrays:
-    n = len(targets)
-    labels = np.full(n, BACKGROUND, dtype=np.int64)
-    class_targets = np.full(n, -1, dtype=np.int64)
-    deltas = np.zeros((n, 4), dtype=np.float64)
-    active = np.zeros(n, dtype=bool)
-    instance_ids = np.full(n, -1, dtype=np.int64)
-    for i, t in enumerate(targets):
-        if t.state is TargetState.ACTIVE:
-            labels[i] = FOREGROUND
-            class_targets[i] = t.class_id
-            deltas[i] = t.delta.as_array()
-            active[i] = True
-            instance_ids[i] = t.instance_id
-        elif t.state is TargetState.DONT_CARE:
-            labels[i] = IGNORE
-    return AnchorTargetArrays(labels, class_targets, deltas, active, instance_ids)
+def prepare_targets(targets: AnchorTargetArrays) -> AnchorTargetArrays:
+    """Return the targets unchanged: :func:`assign_targets` already builds the dense record."""
+    return targets
 
 
 @dataclass
@@ -134,11 +107,10 @@ def train_toy(
             f"{model.config.anchors_per_cell}"
         )
 
-    prepared = []
-    for sample in samples:
-        h, w = sample.label_map.shape
-        anchor_targets = assign_targets(grid, sample.gts, w, h, assign_cfg)
-        prepared.append(prepare_targets(anchor_targets))
+    prepared = [
+        assign_targets(grid, s.gts, s.label_map.shape[1], s.label_map.shape[0], assign_cfg)
+        for s in samples
+    ]
 
     uncertainty = TaskUncertainty()
     s_param = Param(uncertainty.s)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import selftest as selftest_module
-from ..assign import AssignConfig, TargetState, assign_targets, summarize_targets
+from ..assign import AssignConfig, assign_targets, summarize_targets
 from ..evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     cityscapes_adjusted_levels,
@@ -103,6 +103,17 @@ def _load_class_table(path: Optional[str]) -> ClassTable:
         raise CliError(f"cannot read class table: {exc}") from exc
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"malformed class table {path}: {exc}") from exc
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type for a threshold in [0, 1], the range the config schema allows."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
 
 
 def _add_anchor_args(parser: argparse.ArgumentParser) -> None:
@@ -188,13 +199,14 @@ def cmd_assign(args) -> int:
     targets = assign_targets(grid, gts, ann.image_width, ann.image_height, cfg)
 
     lines = []
-    for i, target in enumerate(targets):
-        record: dict = {"anchor_index": i, "state": target.state.value}
-        if target.state is TargetState.ACTIVE:
-            record["class_id"] = target.class_id
-            record["delta"] = {"tx": target.delta.tx, "ty": target.delta.ty,
-                               "tw": target.delta.tw, "th": target.delta.th}
-            record["instance_id"] = target.instance_id
+    rows = zip(targets.states(), targets.class_targets.tolist(), targets.deltas.tolist(),
+               targets.instance_ids.tolist())
+    for i, (state, class_id, delta, instance_id) in enumerate(rows):
+        record: dict = {"anchor_index": i, "state": state}
+        if state == "active":
+            record["class_id"] = class_id
+            record["delta"] = dict(zip(("tx", "ty", "tw", "th"), delta))
+            record["instance_id"] = instance_id
         lines.append(json.dumps(record))
     _write_text_atomic(args.output, "\n".join(lines) + "\n")
 
@@ -512,8 +524,8 @@ def build_parser() -> _Parser:
     p.add_argument("--images", required=True, help=".ppm file or directory")
     p.add_argument("--output", required=True, help="detections JSONL path")
     p.add_argument("--seg-output", help="directory for predicted label maps (.pgm)")
-    p.add_argument("--score-threshold", type=float)
-    p.add_argument("--nms-iou", type=float)
+    p.add_argument("--score-threshold", type=_unit_interval)
+    p.add_argument("--nms-iou", type=_unit_interval)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval-seg", help="segmentation IoU/iIoU from label maps")

@@ -15,6 +15,7 @@ from .geom import (
     AnchorTemplate,
     BBox,
     decode_array,
+    encode,
     encode_array,
     iou,
     make_anchor_grid,
@@ -190,8 +191,11 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
     return results
 
 
-def _assign_reference(grid, gts, image_w, image_h, cfg: AssignConfig) -> list[str]:
-    """Literal per-anchor application of the assignment rules, scalar IoU."""
+def _assign_reference(grid, gts, image_w, image_h, cfg: AssignConfig) -> list[tuple]:
+    """Literal per-anchor application of the assignment rules, scalar IoU and ``encode``.
+
+    Returns ``(state, class_id, instance_id, delta)`` per anchor; -1 ids and a zero delta if not active.
+    """
     n = len(grid)
     states = ["inactive"] * n
     reasons = ["default"] * n
@@ -227,11 +231,19 @@ def _assign_reference(grid, gts, image_w, image_h, cfg: AssignConfig) -> list[st
             if best_value > cfg.dontcare_iou and reasons[best_anchor] in ("default", "band"):
                 states[best_anchor], reasons[best_anchor] = "active", "fallback"
                 chosen[best_anchor] = j
-    return states
+    rows = []
+    for i in range(n):
+        if chosen[i] < 0:
+            rows.append((states[i], -1, -1, (0.0, 0.0, 0.0, 0.0)))
+        else:
+            g = gts[chosen[i]]
+            d = encode(grid.box(i), g.bbox)
+            rows.append((states[i], g.class_id, g.instance_id, (d.tx, d.ty, d.tw, d.th)))
+    return rows
 
 
 def check_assignment(scenes: int = 100, seed: int = 0) -> tuple[int, int]:
-    """Randomized scenes: implementation states must match the reference."""
+    """Randomized scenes: every anchor's state, ids and delta must equal the reference's."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(scenes):
@@ -247,16 +259,24 @@ def check_assignment(scenes: int = 100, seed: int = 0) -> tuple[int, int]:
         grid = make_anchor_grid(image_w, image_h, stride, templates)
         n_gts = int(rng.integers(0, 5))
         gts = []
+        inside = np.flatnonzero(~grid.outside)
         for k in range(n_gts):
-            w = float(rng.uniform(3, image_w))
-            h = float(rng.uniform(3, image_h))
-            x0 = float(rng.uniform(-5, image_w - w + 5))
-            y0 = float(rng.uniform(-5, image_h - h + 5))
+            if k % 2 == 0 and inside.size:  # a jittered anchor inside the image: likely active
+                anchor = grid.boxes[int(rng.choice(inside))]
+                size = anchor[2:] - anchor[:2]
+                x0, y0 = (anchor[:2] + size * rng.uniform(-0.3, 0.3, size=2)).tolist()
+                w, h = (size * rng.uniform(0.7, 1.3, size=2)).tolist()
+            else:
+                w = float(rng.uniform(3, image_w))
+                h = float(rng.uniform(3, image_h))
+                x0 = float(rng.uniform(-5, image_w - w + 5))
+                y0 = float(rng.uniform(-5, image_h - h + 5))
             gts.append(GroundTruthObject(class_id=int(rng.integers(0, 3)),
                                          bbox=BBox(x0, y0, x0 + w, y0 + h), instance_id=k))
         expected = _assign_reference(grid, gts, image_w, image_h, AssignConfig())
         actual = assign_targets(grid, gts, image_w, image_h, AssignConfig())
-        got = [t.state.value for t in actual]
+        got = list(zip(actual.states(), actual.class_targets.tolist(), actual.instance_ids.tolist(),
+                       map(tuple, actual.deltas.tolist())))
         if got != expected:
             mismatches += 1
     return scenes, mismatches

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from detseg.assign import AssignConfig, GroundTruthObject
-from detseg.geom import AnchorGrid, AnchorTemplate, BBox, iou, make_anchor_grid
+from detseg.geom import AnchorGrid, AnchorTemplate, BBox, encode, iou, make_anchor_grid
 
 
 def finite_difference(value_fn, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -41,17 +41,19 @@ def assign_oracle(
     image_w: float,
     image_h: float,
     cfg: AssignConfig,
-) -> list[str]:
+) -> tuple[list[str], list]:
     """Brute-force application of the assignment rule list, one anchor at a time.
 
-    Returns per-anchor states as strings; rule provenance is tracked so the
-    fallback can tell band don't-cares and default inactives from the rest.
+    Returns per-anchor states as strings and per-anchor owners: the index of
+    the ground truth an active anchor regresses to, None for the others.
+    Rule provenance is tracked so the fallback can tell band don't-cares and
+    default inactives from the rest.
     """
     states = ["inactive"] * len(grid)
     provenance = ["default"] * len(grid)
     owner = [None] * len(grid)
     if not gts:
-        return states
+        return states, owner
 
     all_overlaps = []
     for index in range(len(grid)):
@@ -92,7 +94,32 @@ def assign_oracle(
         if all_overlaps[best_anchor][j] > cfg.dontcare_iou and provenance[best_anchor] in ("default", "band"):
             states[best_anchor], provenance[best_anchor] = "active", "fallback"
             owner[best_anchor] = j
-    return states
+    return states, owner
+
+
+def assign_oracle_rows(grid, gts, image_w, image_h, cfg) -> list[tuple]:
+    """The oracle's target of every anchor as ``(state, class_id, instance_id, delta)``.
+
+    An active anchor carries its owner's class and instance id and the scalar
+    :func:`detseg.geom.encode` of its box against the owner's box; every
+    other anchor carries -1 ids and a zero delta.
+    """
+    states, owners = assign_oracle(grid, gts, image_w, image_h, cfg)
+    rows = []
+    for index, (state, owner) in enumerate(zip(states, owners)):
+        if owner is None:
+            rows.append((state, -1, -1, (0.0, 0.0, 0.0, 0.0)))
+        else:
+            gt = gts[owner]
+            delta = encode(grid.box(index), gt.bbox)
+            rows.append((state, gt.class_id, gt.instance_id, (delta.tx, delta.ty, delta.tw, delta.th)))
+    return rows
+
+
+def target_rows(targets) -> list[tuple]:
+    """The dense assignment record as per-anchor rows, comparable to :func:`assign_oracle_rows`."""
+    return list(zip(targets.states(), targets.class_targets.tolist(), targets.instance_ids.tolist(),
+                    map(tuple, targets.deltas.tolist())))
 
 
 def random_assignment_scene(rng: np.random.Generator):
@@ -117,6 +144,31 @@ def random_assignment_scene(rng: np.random.Generator):
             GroundTruthObject(
                 class_id=int(rng.integers(0, 3)),
                 bbox=BBox(x0, y0, x0 + w, y0 + h),
+                instance_id=k,
+            )
+        )
+    return grid, gts, image_w, image_h
+
+
+def anchor_aligned_scene(rng: np.random.Generator):
+    """A random grid whose objects are jittered copies of its anchors.
+
+    Objects placed at random rarely reach the active threshold on these
+    coarse grids; copies of anchors inside the image mostly do, so the
+    active payload gets checked.
+    """
+    inside = np.zeros(0, dtype=np.int64)
+    while inside.size == 0:
+        grid, _, image_w, image_h = random_assignment_scene(rng)
+        inside = np.flatnonzero(~grid.outside)
+    gts = []
+    for k in range(int(rng.integers(1, 5))):
+        x0, y0, x1, y1 = grid.boxes[int(rng.choice(inside))]
+        dx0, dy0, dx1, dy1 = rng.uniform(-0.3, 0.3, size=4) * [x1 - x0, y1 - y0, x1 - x0, y1 - y0]
+        gts.append(
+            GroundTruthObject(
+                class_id=int(rng.integers(0, 3)),
+                bbox=BBox(float(x0 + dx0), float(y0 + dy0), float(x1 + dx1), float(y1 + dy1)),
                 instance_id=k,
             )
         )

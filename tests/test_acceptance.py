@@ -32,7 +32,7 @@ from detseg.pipeline.synth import SceneSpec, make_dataset
 from detseg.post import decode_detections, nms
 from detseg.selftest import check_layer_gradients, check_loss_gradients
 
-from .oracles import assign_oracle, nms_oracle, random_assignment_scene
+from .oracles import assign_oracle_rows, nms_oracle, random_assignment_scene, target_rows
 from .test_post import random_detections
 
 
@@ -65,8 +65,8 @@ def test_assignment_oracle_1000_scenes_and_corner_fixtures():
         mismatches = 0
         for _ in range(1000):
             grid, gts, w, h = random_assignment_scene(rng)
-            expected = assign_oracle(grid, gts, w, h, AssignConfig())
-            actual = [t.state.value for t in assign_targets(grid, gts, w, h, AssignConfig())]
+            expected = assign_oracle_rows(grid, gts, w, h, AssignConfig())
+            actual = target_rows(assign_targets(grid, gts, w, h, AssignConfig()))
             if actual != expected:
                 mismatches += 1
         assert mismatches == 0

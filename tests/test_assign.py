@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from detseg.assign import (
-    AnchorTarget,
     AssignConfig,
     AssignRule,
     GroundTruthObject,
-    TargetState,
     assign_targets,
     assign_targets_detailed,
     summarize_targets,
 )
-from detseg.geom import AnchorTemplate, BBox, decode, iou, make_anchor_grid
+from detseg.geom import AnchorTemplate, BBox, BoxDelta, decode, iou, make_anchor_grid
+from detseg.losses import BACKGROUND, FOREGROUND, IGNORE
 
-from .oracles import assign_oracle, random_assignment_scene
+from .oracles import anchor_aligned_scene, assign_oracle_rows, random_assignment_scene, target_rows
 
 CFG = AssignConfig()
 
@@ -31,10 +30,10 @@ class TestCornerCases:
         # one 8x8 anchor per cell; the gt equals the anchor at cell (0, 0)
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         targets = assign_targets(grid, [gt(0, 0, 8, 8)], 16, 16, CFG)
-        assert targets[0].state is TargetState.ACTIVE
-        assert targets[0].class_id == 0
-        assert targets[0].delta.as_array() == pytest.approx(np.zeros(4), abs=1e-12)
-        assert all(t.state is TargetState.INACTIVE for t in targets[1:])
+        assert targets.labels[0] == FOREGROUND
+        assert targets.class_targets[0] == 0
+        assert targets.deltas[0] == pytest.approx(np.zeros(4), abs=1e-12)
+        assert np.all(targets.labels[1:] == BACKGROUND)
 
     def test_small_object_adopts_best_anchor(self):
         # best IoU anywhere is ~0.4545 < 0.5, so the gt falls back to its
@@ -42,9 +41,9 @@ class TestCornerCases:
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         targets, rules = assign_targets_detailed(grid, [gt(3, 0, 11, 8)], 16, 16, CFG)
         assert iou(grid.box(0), BBox(3, 0, 11, 8)) == pytest.approx(40 / 88)
-        assert targets[0].state is TargetState.ACTIVE
+        assert targets.labels[0] == FOREGROUND
         assert rules[0] == AssignRule.FALLBACK
-        assert all(t.state is TargetState.INACTIVE for t in targets[1:])
+        assert np.all(targets.labels[1:] == BACKGROUND)
 
     def test_ambiguous_anchor_is_inactive(self):
         # the single anchor overlaps object A at 0.55 and object B at 0.45:
@@ -55,7 +54,7 @@ class TestCornerCases:
         assert iou(grid.box(0), objects[0].bbox) == pytest.approx(0.55)
         assert iou(grid.box(0), objects[1].bbox) == pytest.approx(0.45)
         targets, rules = assign_targets_detailed(grid, objects, 8, 8, CFG)
-        assert targets[0].state is TargetState.INACTIVE
+        assert targets.labels[0] == BACKGROUND
         assert rules[0] == AssignRule.AMBIGUOUS
 
     def test_border_anchor_is_dont_care(self):
@@ -65,7 +64,7 @@ class TestCornerCases:
         assert grid.outside[0]
         assert iou(grid.box(0), obj.bbox) == pytest.approx(0.6)
         targets, rules = assign_targets_detailed(grid, [obj], 8, 8, CFG)
-        assert targets[0].state is TargetState.DONT_CARE
+        assert targets.labels[0] == IGNORE
         assert rules[0] == AssignRule.BORDER
 
     def test_band_anchor_is_dont_care(self):
@@ -85,7 +84,7 @@ class TestCornerCases:
         b2 = iou(probe, objects[1].bbox)
         assert 0.4 < b1 <= 0.5 and b2 < 0.4
         targets, rules = assign_targets_detailed(grid, objects, 32, 32, CFG)
-        assert targets[probe_index].state is TargetState.DONT_CARE
+        assert targets.labels[probe_index] == IGNORE
         assert rules[probe_index] == AssignRule.BAND
         # both objects found an active anchor, so no fallback touched the probe
         summary = summarize_targets(targets)
@@ -98,21 +97,20 @@ class TestMechanics:
         objects = [gt(8, 8, 16, 16, class_id=1, instance_id=5)]
         targets = assign_targets(grid, objects, 32, 32, CFG)
         assert len(targets) == len(grid)
-        active = [t for t in targets if t.state is TargetState.ACTIVE]
+        active = np.flatnonzero(targets.active)
         assert len(active) == 1
-        assert active[0].class_id == 1
-        assert active[0].instance_id == 5
+        assert targets.class_targets[active[0]] == 1
+        assert targets.instance_ids[active[0]] == 5
 
     def test_active_delta_decodes_to_gt(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             grid, gts, w, h = random_assignment_scene(rng)
             targets = assign_targets(grid, gts, w, h, CFG)
-            for i, t in enumerate(targets):
-                if t.state is TargetState.ACTIVE:
-                    matched = next(g for g in gts if g.instance_id == t.instance_id)
-                    back = decode(grid.box(i), t.delta)
-                    assert back.as_array() == pytest.approx(matched.bbox.as_array(), abs=1e-6)
+            for i in np.flatnonzero(targets.active):
+                matched = next(g for g in gts if g.instance_id == targets.instance_ids[i])
+                back = decode(grid.box(i), BoxDelta(*targets.deltas[i].tolist()))
+                assert back.as_array() == pytest.approx(matched.bbox.as_array(), abs=1e-6)
 
     def test_grid_image_mismatch_rejected(self):
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
@@ -128,7 +126,8 @@ class TestMechanics:
     def test_no_objects_all_inactive(self):
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         targets = assign_targets(grid, [], 16, 16, CFG)
-        assert all(t.state is TargetState.INACTIVE for t in targets)
+        assert np.all(targets.labels == BACKGROUND)
+        assert not targets.active.any()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -137,10 +136,20 @@ class TestMechanics:
             AssignConfig(ambiguity_gap=0.0)
 
     def test_target_payload_consistency(self):
-        with pytest.raises(ValueError):
-            AnchorTarget(state=TargetState.ACTIVE)
-        with pytest.raises(ValueError):
-            AnchorTarget(state=TargetState.INACTIVE, class_id=0)
+        # class, instance id and delta are set exactly on the active rows
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            grid, gts, w, h = anchor_aligned_scene(rng)
+            targets = assign_targets(grid, gts, w, h, CFG)
+            n = len(grid)
+            assert targets.labels.shape == targets.class_targets.shape == (n,)
+            assert targets.active.shape == targets.instance_ids.shape == (n,)
+            assert targets.deltas.shape == (n, 4)
+            assert set(targets.labels.tolist()) <= {BACKGROUND, FOREGROUND, IGNORE}
+            assert np.array_equal(targets.active, targets.labels == FOREGROUND)
+            assert np.array_equal(targets.class_targets >= 0, targets.active)
+            assert np.array_equal(targets.instance_ids >= 0, targets.active)
+            assert np.all(targets.deltas[~targets.active] == 0.0)
 
 
 class TestRulePrecedence:
@@ -154,9 +163,7 @@ class TestRulePrecedence:
             from detseg.geom import iou_matrix
 
             m = iou_matrix(grid.boxes, [g.bbox for g in gts])
-            for i, t in enumerate(targets):
-                if t.state is not TargetState.ACTIVE:
-                    continue
+            for i in np.flatnonzero(targets.active):
                 row = np.sort(m[i])[::-1]
                 b1, b2 = row[0], row[1]
                 if b1 >= CFG.dontcare_iou and b2 >= CFG.dontcare_iou:
@@ -189,9 +196,21 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(17)
         for _ in range(200):
             grid, gts, w, h = random_assignment_scene(rng)
-            expected = assign_oracle(grid, gts, w, h, CFG)
-            actual = [t.state.value for t in assign_targets(grid, gts, w, h, CFG)]
-            assert actual == expected
+            # state, class id, instance id and (exactly) delta of every anchor
+            expected = assign_oracle_rows(grid, gts, w, h, CFG)
+            assert target_rows(assign_targets(grid, gts, w, h, CFG)) == expected
+
+    def test_anchor_aligned_scenes_match_reference(self):
+        # most of these scenes have active anchors, so class, instance id and
+        # delta are compared on many rows, not only the state
+        rng = np.random.default_rng(29)
+        active = 0
+        for _ in range(200):
+            grid, gts, w, h = anchor_aligned_scene(rng)
+            expected = assign_oracle_rows(grid, gts, w, h, CFG)
+            assert target_rows(assign_targets(grid, gts, w, h, CFG)) == expected
+            active += sum(row[0] == "active" for row in expected)
+        assert active >= 100
 
 
 class TestSummarize:
@@ -202,9 +221,14 @@ class TestSummarize:
             targets = assign_targets(grid, gts, w, h, CFG)
             summary = summarize_targets(targets)
             assert summary.total == len(grid)
-            # independent recount
-            states = [t.state for t in targets]
-            assert summary.active == states.count(TargetState.ACTIVE)
-            assert summary.dontcare == states.count(TargetState.DONT_CARE)
-            assert summary.inactive == states.count(TargetState.INACTIVE)
+            # independent recount, one anchor at a time
+            labels = targets.labels.tolist()
+            assert summary.active == labels.count(FOREGROUND)
+            assert summary.dontcare == labels.count(IGNORE)
+            assert summary.inactive == labels.count(BACKGROUND)
+            per_class: dict[int, int] = {}
+            for label, class_id in zip(labels, targets.class_targets.tolist()):
+                if label == FOREGROUND:
+                    per_class[class_id] = per_class.get(class_id, 0) + 1
+            assert summary.active_per_class == per_class
             assert sum(summary.active_per_class.values()) == summary.active

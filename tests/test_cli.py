@@ -3,9 +3,13 @@ import os
 
 import numpy as np
 
+from detseg.assign import AssignConfig, AssignRule, GroundTruthObject, assign_targets_detailed
+from detseg.geom import BBox, anchor_preset, make_anchor_grid
 from detseg.pipeline.cli import main
 from detseg.pipeline.config import default_config_dict
 from detseg.pipeline.netpbm import write_pgm
+
+from .oracles import assign_oracle_rows
 
 
 def run(capsys, *argv):
@@ -112,6 +116,77 @@ class TestAssignCommand:
         assert code == 1
         assert err.startswith("error:")
         assert not os.path.exists(os.path.join(tmp_path, "t.jsonl"))
+
+    def test_jsonl_matches_oracle_byte_for_byte(self, capsys, tmp_path):
+        # three rectangles on 32x24 with the toy preset: every assignment
+        # rule fires at least once and both detection classes own anchors
+        boxes = [("rect", 1, (5, 0, 26, 16)), ("ellipse", 2, (-1, -3, 9, 1)),
+                 ("ellipse", 3, (17, 6, 24, 26))]
+        annotation = {"image_width": 32, "image_height": 24, "objects": [
+            {"label": label, "instance_id": iid,
+             "polygon": [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]}
+            for label, iid, (x0, y0, x1, y1) in boxes]}
+        ann_path = os.path.join(tmp_path, "three.json")
+        with open(ann_path, "w") as fh:
+            json.dump(annotation, fh)
+        out_path = os.path.join(tmp_path, "targets.jsonl")
+        code, out, _ = run(capsys, "assign", "--annotation", ann_path, "--preset", "toy",
+                           "--output", out_path)
+        assert code == 0
+
+        grid = make_anchor_grid(32, 24, 8, anchor_preset("toy"))
+        gts = [GroundTruthObject(class_id=0 if label == "rect" else 1, bbox=BBox(*box), instance_id=iid)
+               for label, iid, box in boxes]
+        _, rules = assign_targets_detailed(grid, gts, 32, 24, AssignConfig())
+        assert set(rules.tolist()) == set(AssignRule)
+        lines = []
+        rows = assign_oracle_rows(grid, gts, 32, 24, AssignConfig())
+        for index, (state, class_id, instance_id, delta) in enumerate(rows):
+            record = {"anchor_index": index, "state": state}
+            if state == "active":
+                record["class_id"] = class_id
+                record["delta"] = dict(zip(("tx", "ty", "tw", "th"), delta))
+                record["instance_id"] = instance_id
+            lines.append(json.dumps(record))
+        with open(out_path, "rb") as fh:
+            assert fh.read() == ("\n".join(lines) + "\n").encode("utf-8")
+
+        states = [row[0] for row in rows]
+        per_class: dict[str, int] = {}
+        for state, class_id, _, _ in rows:
+            if state == "active":
+                per_class[str(class_id)] = per_class.get(str(class_id), 0) + 1
+        assert json.loads(out) == {
+            "anchors": 180, "inactive": states.count("inactive"), "dontcare": states.count("dontcare"),
+            "active": states.count("active"), "active_per_class": per_class, "objects": 3,
+        }
+        assert per_class == {"0": 1, "1": 1}
+
+
+class TestDetectCommand:
+    # The flags are checked while parsing, before the checkpoint is read:
+    # out-of-range values are usage errors (exit 2), in-range values get as
+    # far as the missing checkpoint (exit 1).
+    def check_flag(self, capsys, tmp_path, flag):
+        out_path = os.path.join(tmp_path, "dets.jsonl")
+        base = ["detect", "--checkpoint", os.path.join(tmp_path, "none.nnad"),
+                "--images", str(tmp_path), "--output", out_path]
+        for bad in ("2", "-1", "1.0001", "nan", "high"):
+            code, out, err = run(capsys, *base, flag, bad)
+            assert code == 2, bad
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert flag in err and "[0, 1]" in err
+            assert out == ""
+        for good in ("0", "1", "0.5"):
+            code, _, err = run(capsys, *base, flag, good)
+            assert code == 1 and "cannot read checkpoint" in err, good
+        assert not os.path.exists(out_path)
+
+    def test_score_threshold_bounded(self, capsys, tmp_path):
+        self.check_flag(capsys, tmp_path, "--score-threshold")
+
+    def test_nms_iou_bounded(self, capsys, tmp_path):
+        self.check_flag(capsys, tmp_path, "--nms-iou")
 
 
 class TestSynthCommand:

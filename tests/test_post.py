@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detseg.assign import AssignConfig, GroundTruthObject, TargetState, assign_targets
+from detseg.assign import AssignConfig, GroundTruthObject, assign_targets
 from detseg.geom import AnchorTemplate, BBox, anchor_preset, encode, iou, make_anchor_grid
 from detseg.net.model import unflatten_per_anchor
 from detseg.post import Detection, decode_detections, detections_from_jsonl, detections_to_jsonl, nms
@@ -199,15 +199,13 @@ class TestEndToEndWithAssignment:
         targets = assign_targets(grid, objects, 40, 40, AssignConfig())
         obj = np.zeros((len(grid), 2))
         cls = np.zeros((len(grid), 2))
-        deltas = np.zeros((len(grid), 4))
         emb = np.zeros((len(grid), 3))
         obj[:, 0] = 4.0
-        for i, t in enumerate(targets):
-            if t.state is TargetState.ACTIVE:
-                obj[i] = (0.0, 6.0)
-                cls[i, t.class_id] = 5.0
-                deltas[i] = t.delta.as_array()
-        detections = nms(decode_detections(build_outputs(grid, obj, cls, deltas, emb), grid, 0.5), 0.5)
+        active = np.flatnonzero(targets.active)
+        obj[active] = (0.0, 6.0)
+        cls[active, targets.class_targets[active]] = 5.0
+        outputs = build_outputs(grid, obj, cls, targets.deltas, emb)
+        detections = nms(decode_detections(outputs, grid, 0.5), 0.5)
         assert len(detections) == 2
         for det, source in zip(sorted(detections, key=lambda d: d.bbox.x_min), objects):
             assert det.class_id == source.class_id

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from detseg.assign import AnchorTarget, AssignConfig, TargetState, assign_targets
+from detseg.assign import AssignConfig, GroundTruthObject, assign_targets
 from detseg.evaluation import pixel_accuracy
-from detseg.geom import AnchorTemplate, BoxDelta, make_anchor_grid
-from detseg.losses import IGNORE, LrSchedule, TASK_NAMES, cross_entropy
+from detseg.geom import AnchorTemplate, BBox, make_anchor_grid
+from detseg.losses import LrSchedule, TASK_NAMES, cross_entropy
 from detseg.net.model import DetSegModel, ModelConfig
 from detseg.net.optim import AdamState, adam_step
 from detseg.net.train import TrainSample, prepare_targets, train_toy
@@ -26,18 +26,21 @@ def tiny_sample(seed=0):
 
 class TestPrepareTargets:
     def test_dense_arrays(self):
-        targets = [
-            AnchorTarget(state=TargetState.INACTIVE),
-            AnchorTarget(state=TargetState.ACTIVE, class_id=1,
-                         delta=BoxDelta(0.1, -0.2, 0.0, 0.3), instance_id=4),
-            AnchorTarget(state=TargetState.DONT_CARE),
-        ]
+        # two templates per cell on 16x8: the object is the 8x8 anchor of
+        # cell 0 shifted by 0.8 (IoU 0.82, active); the 16x8 anchor of cell 0
+        # crosses the border at IoU 0.5 (don't-care); both anchors of cell 1
+        # stay below 0.4 (inactive)
+        grid = make_anchor_grid(16, 8, 8, [AnchorTemplate(1.0, 64), AnchorTemplate(2.0, 128)])
+        obj = GroundTruthObject(class_id=1, bbox=BBox(0.8, 0.0, 8.8, 8.0), instance_id=4)
+        targets = assign_targets(grid, [obj], 16, 8, AssignConfig())
         arrays = prepare_targets(targets)
-        assert arrays.labels.tolist() == [0, 1, IGNORE]
-        assert arrays.class_targets.tolist() == [-1, 1, -1]
-        assert arrays.active.tolist() == [False, True, False]
-        assert arrays.instance_ids.tolist() == [-1, 4, -1]
-        assert arrays.deltas[1] == pytest.approx([0.1, -0.2, 0.0, 0.3])
+        assert arrays is targets
+        assert arrays.labels.tolist() == [1, -1, 0, 0]
+        assert arrays.class_targets.tolist() == [1, -1, -1, -1]
+        assert arrays.active.tolist() == [True, False, False, False]
+        assert arrays.instance_ids.tolist() == [4, -1, -1, -1]
+        assert arrays.deltas[0] == pytest.approx([0.1, 0.0, 0.0, 0.0])
+        assert np.all(arrays.deltas[1:] == 0.0)
 
 
 class TestTrainToy:
