@@ -17,8 +17,8 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .assign import GroundTruthObject
-from .geom import iou_matrix
-from .post import Detection
+from .geom import boxes_to_array, iou_matrix
+from .post import Detections
 
 __all__ = [
     "IGNORE_ID",
@@ -282,7 +282,7 @@ TP, FP, IGNORED = "tp", "fp", "ignored"
 
 @dataclass(frozen=True)
 class MatchResult:
-    flags: list[str]            # aligned with the input detections
+    flags: np.ndarray           # "tp" / "fp" / "ignored", aligned with the input rows
     counted: dict[int, int]     # per class, ground truths passing the level
 
 
@@ -293,7 +293,7 @@ def _resolve_threshold(thresholds: Union[float, Mapping[int, float]], class_id: 
 
 
 def match_detections(
-    dets: Sequence[Detection],
+    dets: Detections,
     gts: Sequence[GroundTruthObject],
     iou_thresholds: Union[float, Mapping[int, float]],
     level: DifficultyLevel,
@@ -302,40 +302,41 @@ def match_detections(
 
     Detections are processed per class in descending score order. Each may
     claim at most one still-unmatched counted ground truth (highest IoU at or
-    above the class threshold); otherwise, if it overlaps a don't-care ground
-    truth at the threshold it is ignored; otherwise it is a false positive.
+    above the class threshold, the earliest on ties); otherwise, if it
+    overlaps a don't-care ground truth at the threshold it is ignored;
+    otherwise it is a false positive. Detections without any counted ground
+    truth at the threshold are settled at once; only the rest are matched
+    one by one.
     """
-    flags = [FP] * len(dets)
+    flags = np.full(len(dets), FP, dtype="<U7")
+    gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
+    gt_counts = np.array([level.counts(g) for g in gts], dtype=bool)
+    gt_boxes = boxes_to_array([g.bbox for g in gts])
     counted_totals: dict[int, int] = {}
-    class_ids = sorted({g.class_id for g in gts} | {d.class_id for d in dets})
-    for class_id in class_ids:
-        det_idx = [i for i, d in enumerate(dets) if d.class_id == class_id]
-        det_idx.sort(key=lambda i: -dets[i].objectness)
-        class_gts = [g for g in gts if g.class_id == class_id]
-        counted = [g for g in class_gts if level.counts(g)]
-        dont_care = [g for g in class_gts if not level.counts(g)]
-        counted_totals[class_id] = len(counted)
+    for class_id in sorted(set(gt_classes.tolist()) | set(dets.class_ids.tolist())):
+        det_idx = np.flatnonzero(dets.class_ids == class_id)
+        det_idx = det_idx[np.argsort(-dets.scores[det_idx], kind="stable")]
+        of_class = gt_classes == class_id
+        counted = int(np.count_nonzero(of_class & gt_counts))
+        counted_totals[class_id] = counted
+        if not det_idx.size:
+            continue
 
         threshold = _resolve_threshold(iou_thresholds, class_id)
-        if det_idx:
-            det_boxes = np.stack([dets[i].bbox.as_array() for i in det_idx])
-            counted_iou = iou_matrix(det_boxes, [g.bbox for g in counted])
-            dc_iou = iou_matrix(det_boxes, [g.bbox for g in dont_care])
-            matched = np.zeros(len(counted), dtype=bool)
-            for row, i in enumerate(det_idx):
-                best_gt = -1
-                best_iou = threshold
-                for j in range(len(counted)):
-                    if not matched[j] and counted_iou[row, j] >= best_iou and (
-                        best_gt < 0 or counted_iou[row, j] > counted_iou[row, best_gt]
-                    ):
-                        best_gt = j
-                        best_iou = counted_iou[row, j]
-                if best_gt >= 0:
-                    matched[best_gt] = True
-                    flags[i] = TP
-                elif dc_iou.shape[1] and dc_iou[row].max() >= threshold:
-                    flags[i] = IGNORED
+        # counted ground truths first, then the don't-care ones
+        columns = np.concatenate([np.flatnonzero(of_class & gt_counts), np.flatnonzero(of_class & ~gt_counts)])
+        overlaps = iou_matrix(dets.boxes[det_idx], gt_boxes[columns])
+        near = overlaps >= threshold
+        contested = near[:, :counted].any(axis=1)
+        ignored = near[:, counted:].any(axis=1)
+        flags[det_idx[ignored]] = IGNORED
+        matched = np.zeros(counted, dtype=bool)
+        for row in np.flatnonzero(contested).tolist():
+            candidates = np.where(matched, -np.inf, overlaps[row, :counted])
+            best = int(candidates.argmax())
+            if candidates[best] >= threshold:
+                matched[best] = True
+                flags[det_idx[row]] = TP
     return MatchResult(flags=flags, counted=counted_totals)
 
 
@@ -358,33 +359,29 @@ def average_precision(
     ignored entries do not enter the curve). With no counted ground truths
     the AP is undefined and reported as None.
     """
+    flags = np.asarray(flags, dtype=str)
+    scores = np.asarray(scores, dtype=np.float64)
     if len(flags) != len(scores):
         raise ValueError("flags and scores must have equal length")
     if gt_count == 0:
         return PRCurve(points=[], ap=None)
 
-    order = sorted(range(len(flags)), key=lambda i: -scores[i])
-    points: list[tuple[float, float]] = []
-    tp = fp = 0
-    for i in order:
-        if flags[i] == IGNORED:
-            continue
-        if flags[i] == TP:
-            tp += 1
-        else:
-            fp += 1
-        points.append((tp / gt_count, tp / (tp + fp)))
-
+    ranked = flags[np.argsort(-scores, kind="stable")]
+    ranked = ranked[ranked != IGNORED]
+    tp = np.cumsum(ranked == TP)
+    recall = tp / gt_count
+    precision = tp / np.arange(1, len(ranked) + 1)
+    # best precision at or after each cut; recall never decreases along the sweep
+    best_after = np.maximum.accumulate(precision[::-1])[::-1]
     ap = 0.0
     for k in range(11):
-        r = k / 10.0
-        precisions = [p for rec, p in points if rec >= r]
-        ap += max(precisions) if precisions else 0.0
-    return PRCurve(points=points, ap=ap / 11.0)
+        first = int(np.searchsorted(recall, k / 10.0, side="left"))
+        ap += float(best_after[first]) if first < len(ranked) else 0.0
+    return PRCurve(points=list(zip(recall.tolist(), precision.tolist())), ap=ap / 11.0)
 
 
 def evaluate_detections(
-    dets_by_image: Mapping[str, Sequence[Detection]],
+    dets_by_image: Mapping[str, Detections],
     gts_by_image: Mapping[str, Sequence[GroundTruthObject]],
     iou_thresholds: Union[float, Mapping[int, float]],
     levels: Sequence[DifficultyLevel],
@@ -393,26 +390,23 @@ def evaluate_detections(
     (class, difficulty level)."""
     image_ids = sorted(set(dets_by_image) | set(gts_by_image))
     class_ids = sorted(
-        {d.class_id for dets in dets_by_image.values() for d in dets}
+        {c for dets in dets_by_image.values() for c in dets.class_ids.tolist()}
         | {g.class_id for gts in gts_by_image.values() for g in gts}
     )
     out: dict[int, dict[str, PRCurve]] = {c: {} for c in class_ids}
     for level in levels:
-        pooled: dict[int, tuple[list[str], list[float], int]] = {
-            c: ([], [], 0) for c in class_ids
-        }
+        flags: dict[int, list[np.ndarray]] = {c: [np.zeros(0, dtype=str)] for c in class_ids}
+        scores: dict[int, list[np.ndarray]] = {c: [np.zeros(0)] for c in class_ids}
+        counts = dict.fromkeys(class_ids, 0)
         for image_id in image_ids:
-            dets = list(dets_by_image.get(image_id, []))
-            gts = list(gts_by_image.get(image_id, []))
-            result = match_detections(dets, gts, iou_thresholds, level)
+            dets = dets_by_image.get(image_id, Detections.empty())
+            result = match_detections(dets, gts_by_image.get(image_id, []), iou_thresholds, level)
             for c in class_ids:
-                flags, scores, count = pooled[c]
-                for det, flag in zip(dets, result.flags):
-                    if det.class_id == c:
-                        flags.append(flag)
-                        scores.append(det.objectness)
-                pooled[c] = (flags, scores, count + result.counted.get(c, 0))
+                rows = dets.class_ids == c
+                flags[c].append(result.flags[rows])
+                scores[c].append(dets.scores[rows])
+                counts[c] += result.counted.get(c, 0)
         for c in class_ids:
-            flags, scores, count = pooled[c]
-            out[c][level.name] = average_precision(flags, scores, count)
+            out[c][level.name] = average_precision(np.concatenate(flags[c]), np.concatenate(scores[c]),
+                                                   counts[c])
     return out

@@ -38,7 +38,7 @@ from ..geom import (
     templates_to_json,
 )
 from ..net.checkpoint import load_checkpoint, save_checkpoint
-from ..net.model import DetSegModel, ModelConfig
+from ..net.model import DOWNSAMPLE, DetSegModel, ModelConfig
 from ..net.train import TrainSample, train_toy
 from ..post import decode_detections, detections_from_jsonl, detections_to_jsonl, nms
 from .annotations import boxes_from_polygons, load_annotation, save_annotation
@@ -321,6 +321,12 @@ def cmd_detect(args) -> int:
     model.load_state(tensors)
     templates = templates_from_json(ckpt_config["templates"])
     stride = int(ckpt_config["stride"])
+    if len(templates) != model_config.anchors_per_cell:
+        raise CliError(f"checkpoint {args.checkpoint}: {len(templates)} anchor templates, but its "
+                       f"model predicts {model_config.anchors_per_cell} anchors per cell")
+    if stride != DOWNSAMPLE:
+        raise CliError(f"checkpoint {args.checkpoint}: anchor stride {stride}, but the model "
+                       f"downsamples by {DOWNSAMPLE}")
     score_threshold = args.score_threshold
     if score_threshold is None:
         score_threshold = float(ckpt_config.get("thresholds", {}).get("score", 0.5))
@@ -350,14 +356,19 @@ def cmd_detect(args) -> int:
         grid = grids[(w, h)]
         outputs = model.forward(image[None], training=False)
         per_image = {name: tensor.data[0] for name, tensor in outputs.items()}
-        detections = nms(decode_detections(per_image, grid, score_threshold), nms_iou)
-        records.extend((image_id, det) for det in detections)
+        try:
+            if not np.isfinite(per_image["seg_logits"]).all():
+                raise ValueError("seg_logits has non-finite values")
+            records.append((image_id, nms(decode_detections(per_image, grid, score_threshold), nms_iou)))
+        except ValueError as exc:
+            raise CliError(f"image {path}: {exc}") from exc
         if args.seg_output:
             predicted = per_image["seg_logits"].argmax(axis=0).astype(np.uint8)
             write_pgm(os.path.join(args.seg_output, image_id + ".pgm"), predicted)
 
     _write_text_atomic(args.output, detections_to_jsonl(records))
-    print(json.dumps({"images": len(files), "detections": len(records), "output": args.output}))
+    count = sum(len(dets) for _, dets in records)
+    print(json.dumps({"images": len(files), "detections": count, "output": args.output}))
     return 0
 
 
@@ -439,7 +450,8 @@ def cmd_eval_det(args) -> int:
     if unknown:
         raise CliError(f"detections reference unknown image ids: {sorted(unknown)[:5]}")
 
-    max_class = max((d.class_id for dets in dets_by_image.values() for d in dets), default=-1)
+    max_class = max((int(dets.class_ids.max()) for dets in dets_by_image.values() if len(dets)),
+                    default=-1)
     if max_class >= table.num_detection_classes:
         raise CliError(f"detection class id {max_class} exceeds the class table "
                        f"({table.num_detection_classes} detection classes)")

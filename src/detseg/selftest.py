@@ -32,7 +32,7 @@ from .net.layers import (
     Softmax,
     TransposedConv2d,
 )
-from .post import Detection, nms
+from .post import Detections, nms
 
 __all__ = ["run_selftest", "check_layer_gradients", "check_loss_gradients",
            "check_assignment", "check_nms", "check_codec"]
@@ -282,39 +282,81 @@ def check_assignment(scenes: int = 100, seed: int = 0) -> tuple[int, int]:
     return scenes, mismatches
 
 
-def _nms_reference(dets: list[Detection], threshold: float) -> list[int]:
-    remaining = sorted(range(len(dets)), key=lambda i: -dets[i].objectness)
+def _nms_reference(boxes: list[BBox], scores: list[float], classes: list[int], threshold: float) -> list[int]:
+    remaining = sorted(range(len(boxes)), key=lambda i: -scores[i])
     kept = []
     while remaining:
         best = remaining.pop(0)
         kept.append(best)
         remaining = [
             i for i in remaining
-            if dets[i].class_id != dets[best].class_id
-            or iou(dets[i].bbox, dets[best].bbox) <= threshold
+            if classes[i] != classes[best] or iou(boxes[i], boxes[best]) <= threshold
         ]
     return kept
 
 
+def _sparse_nms_instance(rng: np.random.Generator, count: int) -> tuple[list, list, list]:
+    boxes, classes, scores = [], [], []
+    for _ in range(count):
+        x0 = float(rng.uniform(0, 80))
+        y0 = float(rng.uniform(0, 80))
+        w = float(rng.uniform(4, 30))
+        h = float(rng.uniform(4, 30))
+        boxes.append((x0, y0, x0 + w, y0 + h))
+        classes.append(int(rng.integers(0, 3)))
+        scores.append(float(rng.random()))
+    return boxes, classes, scores
+
+
+def _dense_nms_instance(rng: np.random.Generator, count: int) -> tuple[list, list, list]:
+    """Integer boxes crowded on a 64x64 canvas, two classes and 16 score levels.
+
+    Every other box comes with a twin of the same class and score shifted by
+    a third of its width, at IoU exactly 0.5, so ties and IoUs at the
+    threshold both occur many times.
+    """
+    boxes, classes, scores = [], [], []
+    while len(boxes) < count:
+        s = int(rng.integers(2, 7))
+        h = int(rng.integers(4, 20))
+        x0 = int(rng.integers(0, 64 - 4 * s))
+        y0 = int(rng.integers(0, 64 - h))
+        group = [(x0, y0, x0 + 3 * s, y0 + h)]
+        if len(boxes) % 2 == 0:
+            group.append((x0 + s, y0, x0 + 4 * s, y0 + h))
+        boxes += group
+        classes += [int(rng.integers(0, 2))] * len(group)
+        scores += [int(rng.integers(0, 16)) / 15.0] * len(group)
+    return boxes[:count], classes[:count], scores[:count]
+
+
+# Crowded scenes checked after the sparse ones: large enough that NMS works
+# through several blocks per class.
+DENSE_NMS_INSTANCES = 3
+DENSE_NMS_BOXES = 1200
+
+
 def check_nms(instances: int = 100, boxes_per_instance: int = 50, seed: int = 0) -> tuple[int, int]:
+    """NMS keep-sets against the quadratic reference.
+
+    ``instances`` sparse scenes of ``boxes_per_instance`` boxes, then
+    ``DENSE_NMS_INSTANCES`` crowded scenes of ``DENSE_NMS_BOXES`` boxes.
+    """
     rng = np.random.default_rng(seed)
     mismatches = 0
-    for _ in range(instances):
-        dets = []
-        for _ in range(boxes_per_instance):
-            x0 = float(rng.uniform(0, 80))
-            y0 = float(rng.uniform(0, 80))
-            w = float(rng.uniform(4, 30))
-            h = float(rng.uniform(4, 30))
-            dets.append(Detection(
-                bbox=BBox(x0, y0, x0 + w, y0 + h),
-                class_id=int(rng.integers(0, 3)),
-                objectness=float(rng.random()),
-            ))
-        expected = [dets[i] for i in _nms_reference(dets, 0.5)]
-        if nms(dets, 0.5) != expected:
+    for k in range(instances + DENSE_NMS_INSTANCES):
+        if k < instances:
+            boxes, classes, scores = _sparse_nms_instance(rng, boxes_per_instance)
+        else:
+            boxes, classes, scores = _dense_nms_instance(rng, DENSE_NMS_BOXES)
+        dets = Detections(np.array(boxes, dtype=np.float64), np.array(classes),
+                          np.array(scores), np.zeros((len(boxes), 0)))
+        expected = dets.take(_nms_reference([BBox(*b) for b in boxes], scores, classes, 0.5))
+        kept = nms(dets, 0.5)
+        if not (np.array_equal(kept.boxes, expected.boxes) and np.array_equal(kept.scores, expected.scores)
+                and np.array_equal(kept.class_ids, expected.class_ids)):
             mismatches += 1
-    return instances, mismatches
+    return instances + DENSE_NMS_INSTANCES, mismatches
 
 
 def check_codec(pairs: int = 2000, seed: int = 0) -> float:

@@ -192,6 +192,56 @@ def nms_oracle(boxes: list[BBox], scores: list[float], classes: list[int],
     return kept
 
 
+def detection_rows(dets) -> list[tuple]:
+    """A detection record as per-row ``(class_id, score, box)`` tuples."""
+    return list(zip(dets.class_ids.tolist(), dets.scores.tolist(), map(tuple, dets.boxes.tolist())))
+
+
+def match_oracle(rows: list[tuple], gts: list[GroundTruthObject], thresholds: dict[int, float],
+                 counts) -> list[str]:
+    """Greedy detection matching, one detection and one ground truth at a time.
+
+    ``rows`` are ``(class_id, score, box)`` tuples; ``counts(gt)`` tells
+    whether a ground truth counts at the difficulty level. Per class, in
+    descending score order (stable), a detection takes the unmatched counted
+    ground truth of highest IoU at or above the class threshold (the first
+    such on ties); failing that it is "ignored" if it reaches the threshold
+    with a don't-care ground truth, else "fp".
+    """
+    flags = ["fp"] * len(rows)
+    matched: set[int] = set()
+    for i in sorted(range(len(rows)), key=lambda i: -rows[i][1]):
+        class_id, _, box = rows[i]
+        threshold = thresholds[class_id]
+        best = None
+        for j, gt in enumerate(gts):
+            if gt.class_id != class_id or not counts(gt) or j in matched:
+                continue
+            overlap = iou(BBox(*box), gt.bbox)
+            if overlap >= threshold and (best is None or overlap > best[0]):
+                best = (overlap, j)
+        if best is not None:
+            matched.add(best[1])
+            flags[i] = "tp"
+        elif any(gt.class_id == class_id and not counts(gt) and iou(BBox(*box), gt.bbox) >= threshold
+                 for gt in gts):
+            flags[i] = "ignored"
+    return flags
+
+
+def pr_points_oracle(flags: list[str], scores: list[float], gt_count: int) -> list[tuple[float, float]]:
+    """(recall, precision) after each non-ignored detection, in descending score order (stable)."""
+    points = []
+    tp = fp = 0
+    for i in sorted(range(len(flags)), key=lambda i: -scores[i]):
+        if flags[i] == "ignored":
+            continue
+        tp += flags[i] == "tp"
+        fp += flags[i] == "fp"
+        points.append((tp / gt_count, tp / (tp + fp)))
+    return points
+
+
 def eleven_point_ap(recalls: list[float], precisions: list[float]) -> float:
     """Hand-rolled 11-point interpolation over a finished PR sweep."""
     total = 0.0

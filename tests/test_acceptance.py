@@ -17,6 +17,7 @@ import numpy as np
 from detseg.assign import AssignConfig, assign_targets
 from detseg.evaluation import average_precision, pixel_accuracy, seg_metrics
 from detseg.geom import (
+    BBox,
     anchor_preset,
     decode_array,
     encode_array,
@@ -32,8 +33,14 @@ from detseg.pipeline.synth import SceneSpec, make_dataset
 from detseg.post import decode_detections, nms
 from detseg.selftest import check_layer_gradients, check_loss_gradients
 
-from .oracles import assign_oracle_rows, nms_oracle, random_assignment_scene, target_rows
-from .test_post import random_detections
+from .oracles import (
+    anchor_aligned_scene,
+    assign_oracle_rows,
+    detection_rows,
+    random_assignment_scene,
+    target_rows,
+)
+from .test_post import oracle_nms, random_detections
 
 
 class _Criterion:
@@ -61,15 +68,20 @@ def test_gradient_suite_20_instances_under_two_minutes():
 
 def test_assignment_oracle_1000_scenes_and_corner_fixtures():
     with _Criterion("assignment-oracle"):
+        # every other scene copies anchors as objects, so that active anchors
+        # (and with them class, instance id and delta) are checked at scale
         rng = np.random.default_rng(7_000)
         mismatches = 0
-        for _ in range(1000):
-            grid, gts, w, h = random_assignment_scene(rng)
+        with_active = 0
+        for k in range(1000):
+            grid, gts, w, h = (anchor_aligned_scene if k % 2 else random_assignment_scene)(rng)
             expected = assign_oracle_rows(grid, gts, w, h, AssignConfig())
             actual = target_rows(assign_targets(grid, gts, w, h, AssignConfig()))
             if actual != expected:
                 mismatches += 1
+            with_active += any(row[0] == "active" for row in expected)
         assert mismatches == 0
+        assert with_active >= 300
 
         # the five corner-case fixtures live in test_assign.py; re-run them
         # here so the acceptance suite is self-contained
@@ -88,9 +100,7 @@ def test_nms_oracle_1000_instances():
         rng = np.random.default_rng(8_000)
         for _ in range(1000):
             dets = random_detections(rng, count=50)
-            expected = nms_oracle([d.bbox for d in dets], [d.objectness for d in dets],
-                                  [d.class_id for d in dets], 0.5)
-            assert nms(dets, 0.5) == [dets[i] for i in expected]
+            assert detection_rows(nms(dets, 0.5)) == detection_rows(oracle_nms(dets, 0.5))
 
 
 def test_codec_round_trip_10000_pairs():
@@ -174,11 +184,11 @@ def _detection_quality(model, grid, samples, score_threshold=0.5, nms_iou=0.5):
         detections = nms(decode_detections(predictions, grid, score_threshold), nms_iou)
         matched = set()
         false_positives = 0
-        for det in detections:
-            candidates = [(iou(det.bbox, g.bbox), j) for j, g in enumerate(sample.gts)]
+        for box, class_id in zip(detections.boxes.tolist(), detections.class_ids.tolist()):
+            candidates = [(iou(BBox(*box), g.bbox), j) for j, g in enumerate(sample.gts)]
             best, best_j = max(candidates, default=(0.0, -1))
             if (best >= 0.5 and best_j not in matched
-                    and det.class_id == sample.gts[best_j].class_id):
+                    and class_id == sample.gts[best_j].class_id):
                 matched.add(best_j)
             else:
                 false_positives += 1

@@ -4,10 +4,12 @@ import os
 import numpy as np
 
 from detseg.assign import AssignConfig, AssignRule, GroundTruthObject, assign_targets_detailed
-from detseg.geom import BBox, anchor_preset, make_anchor_grid
+from detseg.geom import BBox, anchor_preset, make_anchor_grid, templates_to_json
+from detseg.net.checkpoint import save_checkpoint
+from detseg.net.model import DetSegModel, ModelConfig
 from detseg.pipeline.cli import main
 from detseg.pipeline.config import default_config_dict
-from detseg.pipeline.netpbm import write_pgm
+from detseg.pipeline.netpbm import write_pgm, write_ppm
 
 from .oracles import assign_oracle_rows
 
@@ -163,7 +165,60 @@ class TestAssignCommand:
         assert per_class == {"0": 1, "1": 1}
 
 
+def write_checkpoint(tmp_path, templates=None, stride=8, poison=None):
+    """A freshly initialised toy-preset checkpoint plus one 16x16 image.
+
+    ``poison`` names a parameter whose values are all set to NaN.
+    """
+    config = ModelConfig(anchors_per_cell=15)
+    tensors = dict(DetSegModel(config, seed=0).state_tensors())
+    if poison is not None:
+        tensors[poison] = np.full_like(tensors[poison], np.nan)
+    path = os.path.join(tmp_path, "model.nnad")
+    save_checkpoint(path, {
+        "model": config.to_dict(),
+        "templates": templates_to_json(templates or anchor_preset("toy")),
+        "stride": stride,
+        "thresholds": {"score": 0.5, "nms_iou": 0.5},
+    }, tensors)
+    image = os.path.join(tmp_path, "img.ppm")
+    write_ppm(image, np.random.default_rng(0).random((3, 16, 16)))
+    return path, image
+
+
 class TestDetectCommand:
+    def detect(self, capsys, tmp_path, checkpoint, image):
+        out_path = os.path.join(tmp_path, "dets.jsonl")
+        code, out, err = run(capsys, "detect", "--checkpoint", checkpoint, "--images", image,
+                             "--output", out_path)
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert out == ""
+            assert not os.path.exists(out_path)
+        return code, err
+
+    def test_fresh_checkpoint_runs(self, capsys, tmp_path):
+        code, err = self.detect(capsys, tmp_path, *write_checkpoint(tmp_path))
+        assert code == 0, err
+
+    def test_non_finite_head_output_rejected(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(tmp_path, poison="head_objectness.4.weight")
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert image in err and "objectness has non-finite values" in err
+
+    def test_template_count_mismatch_rejected_at_load(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(tmp_path, templates=anchor_preset("toy")[:14])
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert checkpoint in err and "14 anchor templates" in err and "15 anchors per cell" in err
+
+    def test_stride_mismatch_rejected_at_load(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(tmp_path, stride=4)
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert checkpoint in err and "stride 4" in err and "downsamples by 8" in err
+
     # The flags are checked while parsing, before the checkpoint is read:
     # out-of-range values are usage errors (exit 2), in-range values get as
     # far as the missing checkpoint (exit 1).

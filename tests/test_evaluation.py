@@ -16,9 +16,9 @@ from detseg.evaluation import (
     seg_metrics,
 )
 from detseg.geom import BBox
-from detseg.post import Detection
+from detseg.post import Detections
 
-from .oracles import eleven_point_ap
+from .oracles import eleven_point_ap, match_oracle, pr_points_oracle
 
 
 def gt(x0, y0, x1, y1, class_id=0, instance_id=0, occlusion=None, truncation=None):
@@ -27,7 +27,14 @@ def gt(x0, y0, x1, y1, class_id=0, instance_id=0, occlusion=None, truncation=Non
 
 
 def det(x0, y0, x1, y1, class_id=0, score=0.9):
-    return Detection(bbox=BBox(x0, y0, x1, y1), class_id=class_id, objectness=score)
+    return (x0, y0, x1, y1), class_id, score
+
+
+def dets_of(rows):
+    """One image's detection record from det() rows."""
+    boxes, class_ids, scores = zip(*rows) if rows else ((), (), ())
+    return Detections(np.array(boxes, dtype=np.float64).reshape(-1, 4), np.array(class_ids, dtype=np.int64),
+                      np.array(scores, dtype=np.float64), np.zeros((len(rows), 0)))
 
 
 class TestSegConfusion:
@@ -172,37 +179,71 @@ class TestMatching:
     def test_all_true_positives(self):
         gts = [gt(0, 0, 20, 20), gt(40, 40, 60, 60)]
         dets = [det(0, 0, 20, 20, score=0.9), det(40, 40, 60, 60, score=0.8)]
-        result = match_detections(dets, gts, 0.5, self.LEVEL)
-        assert result.flags == ["tp", "tp"]
+        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        assert result.flags.tolist() == ["tp", "tp"]
         assert result.counted == {0: 2}
 
     def test_dont_care_matches_are_ignored(self):
         # the only overlap is with a gt below the size threshold
         gts = [gt(0, 0, 8, 8)]
         dets = [det(0, 0, 8, 8)]
-        result = match_detections(dets, gts, 0.5, self.LEVEL)
-        assert result.flags == ["ignored"]
+        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        assert result.flags.tolist() == ["ignored"]
         assert result.counted == {0: 0}
 
     def test_duplicate_detection_is_fp(self):
         gts = [gt(0, 0, 20, 20)]
         dets = [det(0, 0, 20, 20, score=0.9), det(1, 1, 21, 21, score=0.8)]
-        result = match_detections(dets, gts, 0.5, self.LEVEL)
-        assert sorted(result.flags) == ["fp", "tp"]
+        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        assert sorted(result.flags.tolist()) == ["fp", "tp"]
         assert result.flags[0] == "tp"  # higher score wins the gt
 
     def test_class_specific_thresholds(self):
         gts = [gt(0, 0, 20, 20, class_id=0), gt(0, 0, 20, 20, class_id=1)]
         overlapping = BBox(0, 5, 20, 25)  # IoU 15/25 = 0.6 with both
         dets = [det(0, 5, 20, 25, class_id=0), det(0, 5, 20, 25, class_id=1)]
-        result = match_detections(dets, gts, {0: 0.7, 1: 0.5}, self.LEVEL)
-        assert result.flags == ["fp", "tp"]
+        result = match_detections(dets_of(dets), gts, {0: 0.7, 1: 0.5}, self.LEVEL)
+        assert result.flags.tolist() == ["fp", "tp"]
+
+    def test_iou_tie_goes_to_first_ground_truth(self):
+        # the first detection overlaps both gts at 2/3; taking the first one
+        # leaves the second detection without a gt above 0.5
+        gts = [gt(0, 0, 10, 10), gt(4, 0, 14, 10, instance_id=1)]
+        dets = [det(2, 0, 12, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
+        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        assert result.flags.tolist() == ["tp", "fp"]
+        rows = [(c, score, box) for box, c, score in dets]
+        assert match_oracle(rows, gts, {0: 0.5}, self.LEVEL.counts) == ["tp", "fp"]
+
+    def test_matches_oracle_on_random_images(self):
+        # crowded integer boxes with tied scores, gts on both sides of the
+        # size cut, and per-class thresholds that exact IoUs can hit
+        rng = np.random.default_rng(6)
+        thresholds = {0: 0.5, 1: 0.7}
+        for _ in range(300):
+            gts = [gt(x, y, x + int(rng.integers(4, 20)), y + int(rng.integers(4, 20)),
+                      class_id=int(rng.integers(0, 2)), instance_id=k)
+                   for k, (x, y) in enumerate(rng.integers(0, 30, size=(int(rng.integers(0, 6)), 2)).tolist())]
+            rows = []
+            for _ in range(int(rng.integers(0, 40))):
+                if gts and rng.random() < 0.6:
+                    x0, y0, x1, y1 = gts[int(rng.integers(0, len(gts)))].bbox.as_array().tolist()
+                    x0, y0, x1, y1 = (v + int(rng.integers(-2, 3)) for v in (x0, y0, x1, y1))
+                    x0, y0 = min(x0, x1), min(y0, y1)
+                else:
+                    x0, y0 = (int(v) for v in rng.integers(0, 30, size=2))
+                    x1, y1 = x0 + int(rng.integers(1, 20)), y0 + int(rng.integers(1, 20))
+                rows.append(det(x0, y0, x1, y1, class_id=int(rng.integers(0, 2)),
+                                score=int(rng.integers(0, 5)) / 4))
+            result = match_detections(dets_of(rows), gts, thresholds, self.LEVEL)
+            oracle_rows = [(c, score, box) for box, c, score in rows]
+            assert result.flags.tolist() == match_oracle(oracle_rows, gts, thresholds, self.LEVEL.counts)
 
     def test_score_order_decides_assignment(self):
         gts = [gt(0, 0, 20, 20)]
         dets = [det(2, 2, 22, 22, score=0.5), det(0, 0, 20, 20, score=0.9)]
-        result = match_detections(dets, gts, 0.5, self.LEVEL)
-        assert result.flags == ["fp", "tp"]
+        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        assert result.flags.tolist() == ["fp", "tp"]
 
 
 class TestAveragePrecision:
@@ -255,6 +296,20 @@ class TestAveragePrecision:
             precisions = [p for _, p in curve.points]
             assert curve.ap == pytest.approx(eleven_point_ap(recalls, precisions), abs=1e-12)
 
+    def test_points_and_ap_match_plain_sweep_exactly(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(0, 60))
+            flags = rng.choice(["tp", "fp", "ignored"], size=n, p=[0.4, 0.4, 0.2]).tolist()
+            scores = (rng.integers(0, 8, size=n) / 7).tolist()  # many ties
+            count = flags.count("tp") + int(rng.integers(0, 4))
+            if count == 0:
+                continue
+            curve = average_precision(flags, scores, count)
+            points = pr_points_oracle(flags, scores, count)
+            assert curve.points == points
+            assert curve.ap == eleven_point_ap([r for r, _ in points], [p for _, p in points])
+
     def test_rank_only_dependence(self):
         flags = ["tp", "fp", "tp", "fp", "tp"]
         scores = [0.9, 0.8, 0.7, 0.6, 0.5]
@@ -295,7 +350,7 @@ class TestEvaluateDetections:
             "a": [det(0, 0, 30, 30, score=0.95)],
             "b": [det(0, 0, 30, 30, score=0.9), det(50, 50, 80, 80, score=0.85)],
         }
-        curves = evaluate_detections(dets_by_image, gts_by_image, 0.5,
+        curves = evaluate_detections({k: dets_of(v) for k, v in dets_by_image.items()}, gts_by_image, 0.5,
                                      cityscapes_adjusted_levels())
         assert curves[0]["hard"].ap == pytest.approx(1.0)
         assert curves[0]["moderate"].ap is None  # 30 px objects are below 50
@@ -304,7 +359,7 @@ class TestEvaluateDetections:
     def test_perfect_ap_with_levels(self):
         gts_by_image = {"a": [gt(0, 0, 120, 120)]}
         dets_by_image = {"a": [det(0, 0, 120, 120)]}
-        curves = evaluate_detections(dets_by_image, gts_by_image, 0.5,
+        curves = evaluate_detections({k: dets_of(v) for k, v in dets_by_image.items()}, gts_by_image, 0.5,
                                      cityscapes_adjusted_levels())
         for level in ("easy", "moderate", "hard"):
             assert curves[0][level].ap == pytest.approx(1.0)

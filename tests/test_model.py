@@ -50,7 +50,7 @@ class TestForwardShapes:
         out = model.forward(np.zeros((1, 3, 16, 16)))
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)] * SMALL.anchors_per_cell)
         per_image = {k: v.data[0] for k, v in out.items()}
-        assert decode_detections(per_image, grid, score_threshold=0.6) == []
+        assert len(decode_detections(per_image, grid, score_threshold=0.6)) == 0
 
     def test_doubling_height_doubles_outputs(self):
         model = small_model()
