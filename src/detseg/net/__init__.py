@@ -12,7 +12,6 @@ from .layers import (
     ReLU,
     ResidualBlock,
     Sequential,
-    Softmax,
     TransposedConv2d,
 )
 from .model import DetSegModel, ModelConfig, flatten_per_anchor, unflatten_per_anchor
@@ -32,7 +31,6 @@ __all__ = [
     "MaxPool2x2",
     "ReLU",
     "BatchNorm2d",
-    "Softmax",
     "ResidualBlock",
     "Sequential",
     "ModelConfig",

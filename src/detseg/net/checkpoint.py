@@ -88,6 +88,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         shape = tuple(reader.u64() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(reader.take(count * 8), dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint {path}: tensor {name!r} has non-finite values")
         tensors[name] = arr.astype(np.float64)
     if reader.pos != len(reader.data):
         raise ValueError(f"trailing bytes after checkpoint payload: {path}")

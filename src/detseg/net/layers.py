@@ -24,7 +24,6 @@ __all__ = [
     "MaxPool2x2",
     "ReLU",
     "BatchNorm2d",
-    "Softmax",
     "ResidualBlock",
     "Sequential",
 ]
@@ -150,18 +149,6 @@ class _ConvGeometry:
         return xp
 
 
-_GEOMETRY_CACHE: dict[tuple[int, int, int, int, int], _ConvGeometry] = {}
-
-
-def conv_geometry(in_h: int, in_w: int, kernel: int, stride: int, dilation: int) -> _ConvGeometry:
-    key = (in_h, in_w, kernel, stride, dilation)
-    geo = _GEOMETRY_CACHE.get(key)
-    if geo is None:
-        geo = _ConvGeometry(in_h, in_w, kernel, stride, dilation)
-        _GEOMETRY_CACHE[key] = geo
-    return geo
-
-
 class Conv2d(Layer):
     """Standard convolution, optionally strided and/or dilated."""
 
@@ -189,7 +176,7 @@ class Conv2d(Layer):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
-        geo = conv_geometry(h, w, self.kernel, self.stride, self.dilation)
+        geo = _ConvGeometry(h, w, self.kernel, self.stride, self.dilation)
         cols = geo.im2col(geo.pad(x))
         w2 = self.weight.data.reshape(self.out_channels, -1)
         y = np.matmul(w2[None], cols)
@@ -234,7 +221,7 @@ class DepthwiseConv2d(Layer):
         n, c, h, w = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} input channels, got {c}")
-        geo = conv_geometry(h, w, self.kernel, self.stride, self.dilation)
+        geo = _ConvGeometry(h, w, self.kernel, self.stride, self.dilation)
         cols4 = geo.im2col(geo.pad(x)).reshape(n, c, self.kernel * self.kernel, -1)
         w2 = self.weight.data.reshape(c, -1)
         y = np.einsum("ck,nckl->ncl", w2, cols4)
@@ -306,7 +293,7 @@ class TransposedConv2d(Layer):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
-        geo = conv_geometry(h * self.stride, w * self.stride, self.kernel, self.stride, 1)
+        geo = _ConvGeometry(h * self.stride, w * self.stride, self.kernel, self.stride, 1)
         xm = x.reshape(n, c, h * w)
         w2 = self.weight.data.reshape(self.in_channels, -1)
         cols = np.matmul(w2.T[None], xm)
@@ -428,23 +415,6 @@ class BatchNorm2d(Layer):
         sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
         return (ivar[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-
-
-class Softmax(Layer):
-    """Softmax over the channel axis."""
-
-    def __init__(self):
-        self._y = None
-
-    def forward(self, x, training=False):
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        self._y = e / e.sum(axis=1, keepdims=True)
-        return self._y
-
-    def backward(self, dy):
-        y = self._y
-        return y * (dy - (dy * y).sum(axis=1, keepdims=True))
 
 
 class ResidualBlock(Layer):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -12,17 +11,12 @@ __all__ = ["Tensor", "as_data"]
 
 @dataclass
 class Tensor:
-    """A float64 N x C x H x W array with an optional gradient slot."""
+    """A float64 N x C x H x W array."""
 
     data: np.ndarray
-    grad: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.grad is not None:
-            self.grad = np.asarray(self.grad, dtype=np.float64)
-            if self.grad.shape != self.data.shape:
-                raise ValueError(f"grad shape {self.grad.shape} does not match data {self.data.shape}")
 
     @property
     def shape(self) -> tuple[int, ...]:

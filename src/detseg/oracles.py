@@ -1,19 +1,26 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations and the scenes they are checked on.
 
-Everything here is deliberately written as plain per-element Python against
-the documented rules, sharing no code path with the vectorized
-implementations it checks.
+The tests and the ``selftest`` command both compare against these. Everything
+here is deliberately plain per-element Python against the documented rules,
+built on the scalar :func:`detseg.geom.iou` and :func:`detseg.geom.encode`,
+and calls none of the vectorized functions it checks. (The scalar ``encode``
+itself wraps :func:`detseg.geom.encode_array`, so the expected deltas are
+not independent of that function.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from detseg.assign import AssignConfig, GroundTruthObject
-from detseg.geom import AnchorGrid, AnchorTemplate, BBox, encode, iou, make_anchor_grid
+from .assign import AssignConfig, GroundTruthObject
+from .geom import AnchorGrid, AnchorTemplate, BBox, encode, iou, make_anchor_grid
+from .post import Detections
+
+FD_STEP = 1e-5
+FD_TOLERANCE = 1e-4
 
 
-def finite_difference(value_fn, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def finite_difference(value_fn, array: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of a scalar function in the array entries."""
     grad = np.zeros_like(array)
     flat = array.reshape(-1)
@@ -29,10 +36,15 @@ def finite_difference(value_fn, array: np.ndarray, step: float = 1e-5) -> np.nda
     return grad
 
 
-def gradients_close(analytic: np.ndarray, reference: np.ndarray, tol: float = 1e-4) -> bool:
+def relative_error(analytic: np.ndarray, reference: np.ndarray) -> float:
+    """Largest absolute difference over the larger of the two magnitudes (at least 1e-3)."""
     scale = max(float(np.abs(reference).max(initial=0.0)),
                 float(np.abs(analytic).max(initial=0.0)), 1e-3)
-    return float(np.abs(analytic - reference).max(initial=0.0)) <= tol * scale
+    return float(np.abs(analytic - reference).max(initial=0.0)) / scale
+
+
+def gradients_close(analytic: np.ndarray, reference: np.ndarray, tol: float = FD_TOLERANCE) -> bool:
+    return relative_error(analytic, reference) <= tol
 
 
 def assign_oracle(
@@ -175,9 +187,52 @@ def anchor_aligned_scene(rng: np.random.Generator):
     return grid, gts, image_w, image_h
 
 
-def nms_oracle(boxes: list[BBox], scores: list[float], classes: list[int],
-               threshold: float) -> list[int]:
-    """Textbook greedy NMS on index lists; returns kept indices in keep order."""
+def _record(boxes, classes, scores) -> Detections:
+    return Detections(np.array(boxes, dtype=np.float64).reshape(-1, 4), np.array(classes, dtype=np.int64),
+                      np.array(scores, dtype=np.float64), np.zeros((len(boxes), 0)))
+
+
+def sparse_nms_instance(rng: np.random.Generator, count: int = 50) -> Detections:
+    """Boxes of 4 to 30 pixels scattered over a 110x110 canvas, three classes, uniform scores."""
+    boxes, class_ids, scores = [], [], []
+    for _ in range(count):
+        x0 = float(rng.uniform(0, 80))
+        y0 = float(rng.uniform(0, 80))
+        w = float(rng.uniform(4, 30))
+        h = float(rng.uniform(4, 30))
+        boxes.append((x0, y0, x0 + w, y0 + h))
+        class_ids.append(int(rng.integers(0, 3)))
+        scores.append(float(rng.random()))
+    return _record(boxes, class_ids, scores)
+
+
+def dense_nms_instance(rng: np.random.Generator, count: int) -> Detections:
+    """Integer boxes crowded on a 64x64 canvas, two classes and 16 score levels.
+
+    Every other box comes with a twin of the same class and score shifted by
+    a third of its width, at IoU exactly 0.5, so ties and IoUs at the
+    threshold both occur many times.
+    """
+    boxes, classes, scores = [], [], []
+    while len(boxes) < count:
+        s = int(rng.integers(2, 7))
+        h = int(rng.integers(4, 20))
+        x0 = int(rng.integers(0, 64 - 4 * s))
+        y0 = int(rng.integers(0, 64 - h))
+        group = [(x0, y0, x0 + 3 * s, y0 + h)]
+        if len(boxes) % 2 == 0:
+            group.append((x0 + s, y0, x0 + 4 * s, y0 + h))
+        boxes += group
+        classes += [int(rng.integers(0, 2))] * len(group)
+        scores += [int(rng.integers(0, 16)) / 15.0] * len(group)
+    return _record(boxes[:count], classes[:count], scores[:count])
+
+
+def nms_oracle(dets: Detections, threshold: float) -> Detections:
+    """Textbook greedy NMS on index lists; returns the kept rows in keep order."""
+    boxes = [BBox(*b) for b in dets.boxes.tolist()]
+    scores = dets.scores.tolist()
+    classes = dets.class_ids.tolist()
     remaining = sorted(range(len(boxes)), key=lambda i: -scores[i])
     kept: list[int] = []
     while remaining:
@@ -189,7 +244,7 @@ def nms_oracle(boxes: list[BBox], scores: list[float], classes: list[int],
                 continue
             survivors.append(i)
         remaining = survivors
-    return kept
+    return dets.take(np.array(kept, dtype=np.int64))
 
 
 def detection_rows(dets) -> list[tuple]:

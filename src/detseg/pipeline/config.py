@@ -12,7 +12,7 @@ import jsonschema
 from ..assign import AssignConfig
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
 from ..losses import TASK_NAMES, LrSchedule
-from ..net.model import ModelConfig
+from ..net.model import DOWNSAMPLE, ModelConfig
 from .synth import SceneSpec
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "load_run_config", "run_config_from_dict", "default_config_dict"]
@@ -182,7 +182,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
         templates = anchor_preset(anchors["preset"])
     else:
         templates = templates_from_json(anchors["templates"])
-    stride = int(anchors.get("stride", 8))
+    stride = int(anchors.get("stride", DOWNSAMPLE))
+    if stride != DOWNSAMPLE:
+        raise ValueError(f"anchors.stride must be {DOWNSAMPLE}, the model's downsampling factor, got {stride}")
 
     model = ModelConfig.from_dict({
         "num_classes": data["model"].get("num_classes", 3),

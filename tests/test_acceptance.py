@@ -14,16 +14,8 @@ import time
 import jsonschema
 import numpy as np
 
-from detseg.assign import AssignConfig, assign_targets
 from detseg.evaluation import average_precision, pixel_accuracy, seg_metrics
-from detseg.geom import (
-    BBox,
-    anchor_preset,
-    decode_array,
-    encode_array,
-    iou,
-    make_anchor_grid,
-)
+from detseg.geom import BBox, anchor_preset, iou, make_anchor_grid
 from detseg.losses import LrSchedule, poly_lr
 from detseg.net.model import DetSegModel, ModelConfig
 from detseg.net.train import TrainSample, train_toy
@@ -31,16 +23,13 @@ from detseg.pipeline.classtable import synthetic_table
 from detseg.pipeline.config import default_config_dict
 from detseg.pipeline.synth import SceneSpec, make_dataset
 from detseg.post import decode_detections, nms
-from detseg.selftest import check_layer_gradients, check_loss_gradients
-
-from .oracles import (
-    anchor_aligned_scene,
-    assign_oracle_rows,
-    detection_rows,
-    random_assignment_scene,
-    target_rows,
+from detseg.selftest import (
+    check_assignment,
+    check_codec,
+    check_layer_gradients,
+    check_loss_gradients,
+    check_nms,
 )
-from .test_post import oracle_nms, random_detections
 
 
 class _Criterion:
@@ -70,16 +59,7 @@ def test_assignment_oracle_1000_scenes_and_corner_fixtures():
     with _Criterion("assignment-oracle"):
         # every other scene copies anchors as objects, so that active anchors
         # (and with them class, instance id and delta) are checked at scale
-        rng = np.random.default_rng(7_000)
-        mismatches = 0
-        with_active = 0
-        for k in range(1000):
-            grid, gts, w, h = (anchor_aligned_scene if k % 2 else random_assignment_scene)(rng)
-            expected = assign_oracle_rows(grid, gts, w, h, AssignConfig())
-            actual = target_rows(assign_targets(grid, gts, w, h, AssignConfig()))
-            if actual != expected:
-                mismatches += 1
-            with_active += any(row[0] == "active" for row in expected)
+        _, mismatches, with_active = check_assignment(1000, seed=7_000)
         assert mismatches == 0
         assert with_active >= 300
 
@@ -97,27 +77,13 @@ def test_assignment_oracle_1000_scenes_and_corner_fixtures():
 
 def test_nms_oracle_1000_instances():
     with _Criterion("nms-oracle"):
-        rng = np.random.default_rng(8_000)
-        for _ in range(1000):
-            dets = random_detections(rng, count=50)
-            assert detection_rows(nms(dets, 0.5)) == detection_rows(oracle_nms(dets, 0.5))
+        _, mismatches = check_nms(1000, seed=8_000)
+        assert mismatches == 0
 
 
 def test_codec_round_trip_10000_pairs():
     with _Criterion("codec-round-trip"):
-        rng = np.random.default_rng(9_000)
-        n = 10_000
-        def boxes():
-            x = rng.uniform(-100, 500, n)
-            y = rng.uniform(-100, 500, n)
-            w = rng.uniform(0.5, 400, n)
-            h = rng.uniform(0.5, 400, n)
-            return np.stack([x, y, x + w, y + h], axis=1)
-        anchors = boxes()
-        gts = boxes()
-        back = decode_array(anchors, encode_array(anchors, gts))
-        err = np.abs(back - gts) / np.maximum(np.abs(gts), 1.0)
-        assert err.max() <= 1e-9
+        assert check_codec(10_000, seed=9_000) <= 1e-9
 
 
 def test_anchor_preset():

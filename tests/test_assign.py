@@ -11,8 +11,7 @@ from detseg.assign import (
 )
 from detseg.geom import AnchorTemplate, BBox, BoxDelta, decode, iou, make_anchor_grid
 from detseg.losses import BACKGROUND, FOREGROUND, IGNORE
-
-from .oracles import anchor_aligned_scene, assign_oracle_rows, random_assignment_scene, target_rows
+from detseg.oracles import anchor_aligned_scene, assign_oracle_rows, random_assignment_scene, target_rows
 
 CFG = AssignConfig()
 

@@ -7,11 +7,10 @@ from detseg.assign import AssignConfig, AssignRule, GroundTruthObject, assign_ta
 from detseg.geom import BBox, anchor_preset, make_anchor_grid, templates_to_json
 from detseg.net.checkpoint import save_checkpoint
 from detseg.net.model import DetSegModel, ModelConfig
+from detseg.oracles import assign_oracle_rows
 from detseg.pipeline.cli import main
 from detseg.pipeline.config import default_config_dict
 from detseg.pipeline.netpbm import write_pgm, write_ppm
-
-from .oracles import assign_oracle_rows
 
 
 def run(capsys, *argv):
@@ -165,15 +164,15 @@ class TestAssignCommand:
         assert per_class == {"0": 1, "1": 1}
 
 
-def write_checkpoint(tmp_path, templates=None, stride=8, poison=None):
+def write_checkpoint(tmp_path, templates=None, stride=8, edit=None):
     """A freshly initialised toy-preset checkpoint plus one 16x16 image.
 
-    ``poison`` names a parameter whose values are all set to NaN.
+    ``edit`` may change the state tensors in place before they are saved.
     """
     config = ModelConfig(anchors_per_cell=15)
     tensors = dict(DetSegModel(config, seed=0).state_tensors())
-    if poison is not None:
-        tensors[poison] = np.full_like(tensors[poison], np.nan)
+    if edit is not None:
+        edit(tensors)
     path = os.path.join(tmp_path, "model.nnad")
     save_checkpoint(path, {
         "model": config.to_dict(),
@@ -202,10 +201,23 @@ class TestDetectCommand:
         assert code == 0, err
 
     def test_non_finite_head_output_rejected(self, capsys, tmp_path):
-        checkpoint, image = write_checkpoint(tmp_path, poison="head_objectness.4.weight")
-        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        # finite weights, large enough that the objectness head overflows
+        checkpoint, image = write_checkpoint(
+            tmp_path, edit=lambda tensors: tensors["head_objectness.4.weight"].fill(1e308))
+        with np.errstate(over="ignore"):
+            code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
         assert image in err and "objectness has non-finite values" in err
+
+    def test_non_finite_tensor_rejected_at_load(self, capsys, tmp_path):
+        # a NaN in front of a ReLU is mapped to 0 and would leave every head finite
+        def poison(tensors):
+            tensors["backbone.0.weight"].flat[0] = np.nan
+
+        checkpoint, image = write_checkpoint(tmp_path, edit=poison)
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert checkpoint in err and "'backbone.0.weight' has non-finite values" in err
 
     def test_template_count_mismatch_rejected_at_load(self, capsys, tmp_path):
         checkpoint, image = write_checkpoint(tmp_path, templates=anchor_preset("toy")[:14])

@@ -16,9 +16,8 @@ from detseg.evaluation import (
     seg_metrics,
 )
 from detseg.geom import BBox
+from detseg.oracles import eleven_point_ap, match_oracle, pr_points_oracle
 from detseg.post import Detections
-
-from .oracles import eleven_point_ap, match_oracle, pr_points_oracle
 
 
 def gt(x0, y0, x1, y1, class_id=0, instance_id=0, occlusion=None, truncation=None):

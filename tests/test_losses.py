@@ -17,8 +17,7 @@ from detseg.losses import (
     poly_lr,
     smooth_l1,
 )
-
-from .oracles import finite_difference, gradients_close
+from detseg.oracles import finite_difference, gradients_close
 
 
 class TestFocalLoss:

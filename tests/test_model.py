@@ -109,7 +109,7 @@ class TestBackward:
             model.backward({"seg_logits": np.zeros((1, 3, 8, 8))})
 
     def test_finite_difference_through_whole_model(self):
-        from .oracles import finite_difference, gradients_close
+        from detseg.oracles import finite_difference, gradients_close
 
         config = ModelConfig(
             num_classes=2, num_object_classes=1, embedding_dim=1, anchors_per_cell=1,

@@ -270,6 +270,15 @@ class TestRunConfig:
         config = run_config_from_dict(data)
         assert config.model.anchors_per_cell == 1
 
+    def test_stride_must_be_the_model_downsampling(self):
+        # the model's feature map is always 1/8 of the image, so any other
+        # anchor stride gives a lattice the heads do not predict
+        data = default_config_dict()
+        for stride in (4, 16):
+            data["anchors"]["stride"] = stride
+            with pytest.raises(ValueError, match=r"anchors\.stride must be 8.*got %d" % stride):
+                run_config_from_dict(data)
+
     def test_schedule_must_cover_iterations(self):
         data = default_config_dict()
         data["schedule"]["max_iter"] = 10

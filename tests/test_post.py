@@ -6,6 +6,7 @@ import pytest
 from detseg.assign import AssignConfig, GroundTruthObject, assign_targets
 from detseg.geom import AnchorTemplate, BBox, anchor_preset, encode, iou, iou_matrix, make_anchor_grid
 from detseg.net.model import unflatten_per_anchor
+from detseg.oracles import dense_nms_instance, detection_rows, nms_oracle, sparse_nms_instance
 from detseg.post import (
     NMS_BLOCK,
     Detections,
@@ -14,9 +15,6 @@ from detseg.post import (
     detections_to_jsonl,
     nms,
 )
-from detseg.selftest import _dense_nms_instance
-
-from .oracles import detection_rows, nms_oracle
 
 
 def build_outputs(grid, objectness_rows, class_rows, delta_rows, embedding_rows):
@@ -116,29 +114,6 @@ def record(boxes, class_ids, scores, embeddings=None):
                       np.asarray(embeddings, dtype=np.float64))
 
 
-def random_detections(rng, count=50, classes=3):
-    boxes, class_ids, scores = [], [], []
-    for _ in range(count):
-        x0 = float(rng.uniform(0, 80))
-        y0 = float(rng.uniform(0, 80))
-        boxes.append((x0, y0, x0 + float(rng.uniform(4, 30)), y0 + float(rng.uniform(4, 30))))
-        class_ids.append(int(rng.integers(0, classes)))
-        scores.append(float(rng.random()))
-    return record(boxes, class_ids, scores)
-
-
-def dense_detections(rng, count):
-    """Crowded two-class instance with tied scores and IoUs exactly at 0.5."""
-    return record(*_dense_nms_instance(rng, count))
-
-
-def oracle_nms(dets, threshold):
-    """The record of the rows the quadratic oracle keeps, in its keep order."""
-    keep = nms_oracle([BBox(*b) for b in dets.boxes.tolist()], dets.scores.tolist(),
-                      dets.class_ids.tolist(), threshold)
-    return dets.take(np.array(keep, dtype=np.int64))
-
-
 def check_same_rows(actual, expected):
     assert detection_rows(actual) == detection_rows(expected)
 
@@ -186,15 +161,15 @@ class TestNms:
     def test_matches_reference_on_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            dets = random_detections(rng)
-            check_same_rows(nms(dets, 0.5), oracle_nms(dets, 0.5))
+            dets = sparse_nms_instance(rng)
+            check_same_rows(nms(dets, 0.5), nms_oracle(dets, 0.5))
 
     def test_matches_reference_on_dense_instances(self):
         # more boxes per class than one NMS block holds, ties everywhere and
         # many pairs at IoU exactly 0.5
         rng = np.random.default_rng(4)
         for count in (1000, 1200, 1500):
-            dets = dense_detections(rng, count)
+            dets = dense_nms_instance(rng, count)
             assert np.bincount(dets.class_ids).min() > NMS_BLOCK
             assert len(np.unique(dets.scores)) <= 16
             overlaps = iou_matrix(dets.boxes, dets.boxes)
@@ -202,12 +177,12 @@ class TestNms:
             for threshold in (0.5, 0.3):
                 kept = nms(dets, threshold)
                 assert 0 < len(kept) < len(dets)
-                check_same_rows(kept, oracle_nms(dets, threshold))
+                check_same_rows(kept, nms_oracle(dets, threshold))
 
     def test_output_subset_and_separated(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            dets = random_detections(rng, count=30)
+            dets = sparse_nms_instance(rng, count=30)
             kept = nms(dets, 0.5)
             rows = detection_rows(dets)
             kept_rows = detection_rows(kept)
@@ -224,7 +199,7 @@ class TestNms:
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            once = nms(random_detections(rng), 0.5)
+            once = nms(sparse_nms_instance(rng), 0.5)
             check_same_rows(nms(once, 0.5), once)
 
     def test_empty(self):
@@ -246,7 +221,7 @@ class TestJsonl:
 
     def test_lines_equal_json_dumps(self):
         rng = np.random.default_rng(5)
-        dets = random_detections(rng, count=20)
+        dets = sparse_nms_instance(rng, count=20)
         dets = record(dets.boxes, dets.class_ids, dets.scores, rng.normal(size=(20, 3)))
         lines = detections_to_jsonl([('im "1"', dets)]).splitlines()
         assert lines == [
