@@ -15,10 +15,27 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
+__all__ = ["MAGIC", "VERSION", "write_atomic", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"NNAD"
 VERSION = 1
+
+
+def write_atomic(path: str, payload: bytes) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    The file appears complete or not at all, and an existing file stays as
+    it was until the rename.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(path: str, config: Mapping, tensors: Mapping[str, np.ndarray]) -> None:
@@ -39,17 +56,7 @@ def save_checkpoint(path: str, config: Mapping, tensors: Mapping[str, np.ndarray
         for dim in arr.shape:
             blob += struct.pack("<Q", dim)
         blob += arr.tobytes()
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, blob)
 
 
 class _Reader:

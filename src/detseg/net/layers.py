@@ -10,7 +10,7 @@ the most recent ``forward`` and accumulates parameter gradients in place.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,11 +44,9 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _rng_or_default(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    return rng if rng is not None else np.random.default_rng()
-
-
 class Layer:
+    """A node of the network tree: its own parameters and buffers, then its children."""
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
@@ -64,20 +62,24 @@ class Layer:
     def children(self) -> list[tuple[str, "Layer"]]:
         return []
 
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Param]]:
-        for name, p in self.local_params():
-            yield prefix + name, p
-        for cname, child in self.children():
-            yield from child.named_params(prefix + cname + ".")
+    def walk(self, prefix: str = "") -> Iterator[tuple[str, "Layer"]]:
+        """This layer and every descendant, depth first, each with its dotted name prefix."""
+        yield prefix, self
+        for name, child in self.children():
+            yield from child.walk(prefix + name + ".")
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, b in self.local_buffers():
-            yield prefix + name, b
-        for cname, child in self.children():
-            yield from child.named_buffers(prefix + cname + ".")
+    def named_params(self) -> Iterator[tuple[str, Param]]:
+        for prefix, layer in self.walk():
+            for name, p in layer.local_params():
+                yield prefix + name, p
 
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        raise KeyError(f"{type(self).__name__} has no buffer {name!r}")
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        for prefix, layer in self.walk():
+            for name, b in layer.local_buffers():
+                yield prefix + name, b
+
+    def parameters(self) -> list[Param]:
+        return [p for _, p in self.named_params()]
 
 
 def _same_pad(size: int, kernel: int, stride: int, dilation: int) -> tuple[int, int, int]:
@@ -153,9 +155,8 @@ class Conv2d(Layer):
     """Standard convolution, optionally strided and/or dilated."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, dilation: int = 1, bias: bool = True,
-                 rng: Optional[np.random.Generator] = None):
-        rng = _rng_or_default(rng)
+                 stride: int = 1, dilation: int = 1, bias: bool = True, *,
+                 rng: np.random.Generator):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -198,35 +199,26 @@ class Conv2d(Layer):
 
 
 class DepthwiseConv2d(Layer):
-    """Per-channel spatial convolution (no channel mixing)."""
+    """Per-channel spatial convolution (no channel mixing), stride 1, no bias."""
 
-    def __init__(self, channels: int, kernel: int, stride: int = 1, dilation: int = 1,
-                 bias: bool = False, rng: Optional[np.random.Generator] = None):
-        rng = _rng_or_default(rng)
+    def __init__(self, channels: int, kernel: int, dilation: int = 1, *, rng: np.random.Generator):
         self.channels = channels
         self.kernel = kernel
-        self.stride = stride
         self.dilation = dilation
         self.weight = Param(_he_uniform(rng, (channels, kernel, kernel), kernel * kernel))
-        self.bias = Param(np.zeros(channels)) if bias else None
         self._cache = None
 
     def local_params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
+        return [("weight", self.weight)]
 
     def forward(self, x, training=False):
         n, c, h, w = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} input channels, got {c}")
-        geo = _ConvGeometry(h, w, self.kernel, self.stride, self.dilation)
+        geo = _ConvGeometry(h, w, self.kernel, 1, self.dilation)
         cols4 = geo.im2col(geo.pad(x)).reshape(n, c, self.kernel * self.kernel, -1)
         w2 = self.weight.data.reshape(c, -1)
         y = np.einsum("ck,nckl->ncl", w2, cols4)
-        if self.bias is not None:
-            y += self.bias.data[None, :, None]
         self._cache = (geo, cols4)
         return y.reshape(n, c, geo.out_h, geo.out_w)
 
@@ -235,8 +227,6 @@ class DepthwiseConv2d(Layer):
         n, c = dy.shape[:2]
         dym = dy.reshape(n, c, -1)
         self.weight.grad += np.einsum("ncl,nckl->ck", dym, cols4).reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += dym.sum(axis=(0, 2))
         w2 = self.weight.data.reshape(c, -1)
         dcols = (w2[None, :, :, None] * dym[:, :, None, :]).reshape(n, c * self.kernel * self.kernel, -1)
         return geo.unpad(geo.col2im(dcols, c))
@@ -245,11 +235,9 @@ class DepthwiseConv2d(Layer):
 class DepthwiseSeparableConv2d(Layer):
     """Depthwise spatial convolution followed by a 1x1 pointwise convolution."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, dilation: int = 1,
-                 rng: Optional[np.random.Generator] = None):
-        rng = _rng_or_default(rng)
-        self.depthwise = DepthwiseConv2d(in_channels, kernel, stride, dilation, bias=False, rng=rng)
+    def __init__(self, in_channels: int, out_channels: int, kernel: int, dilation: int = 1, *,
+                 rng: np.random.Generator):
+        self.depthwise = DepthwiseConv2d(in_channels, kernel, dilation, rng=rng)
         self.pointwise = Conv2d(in_channels, out_channels, 1, rng=rng)
 
     def children(self):
@@ -270,24 +258,19 @@ class TransposedConv2d(Layer):
     ``<conv(x), y> == <x, transposed(y)>``.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
-                 stride: int = 2, bias: bool = True,
-                 rng: Optional[np.random.Generator] = None):
-        rng = _rng_or_default(rng)
+    def __init__(self, in_channels: int, out_channels: int, kernel: int = 3, stride: int = 2, *,
+                 rng: np.random.Generator):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         fan_in = in_channels * kernel * kernel
         self.weight = Param(_he_uniform(rng, (in_channels, out_channels, kernel, kernel), fan_in))
-        self.bias = Param(np.zeros(out_channels)) if bias else None
+        self.bias = Param(np.zeros(out_channels))
         self._cache = None
 
     def local_params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
+        return [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, x, training=False):
         n, c, h, w = x.shape
@@ -298,8 +281,7 @@ class TransposedConv2d(Layer):
         w2 = self.weight.data.reshape(self.in_channels, -1)
         cols = np.matmul(w2.T[None], xm)
         y = geo.unpad(geo.col2im(cols, self.out_channels))
-        if self.bias is not None:
-            y += self.bias.data[None, :, None, None]
+        y += self.bias.data[None, :, None, None]
         self._cache = (geo, xm)
         return y
 
@@ -308,8 +290,7 @@ class TransposedConv2d(Layer):
         n = dy.shape[0]
         dcols = geo.im2col(geo.pad(dy))
         self.weight.grad += np.tensordot(xm, dcols, axes=([0, 2], [0, 2])).reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += dy.sum(axis=(0, 2, 3))
+        self.bias.grad += dy.sum(axis=(0, 2, 3))
         w2 = self.weight.data.reshape(self.in_channels, -1)
         dx = np.matmul(w2[None], dcols)
         return dx.reshape(n, self.in_channels, geo.out_h, geo.out_w)
@@ -357,13 +338,15 @@ class BatchNorm2d(Layer):
     averages; eval mode applies the frozen running averages. Setting
     ``frozen`` makes training mode use the running averages too (so further
     training adapts to exactly the statistics inference will see, important
-    when batches hold a single image).
+    when batches hold a single image). The running averages are updated in
+    place, so the arrays :meth:`Layer.named_buffers` yields stay live.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.frozen = False
         self.gamma = Param(np.ones(channels))
         self.beta = Param(np.zeros(channels))
@@ -377,15 +360,6 @@ class BatchNorm2d(Layer):
     def local_buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
-    def set_buffer(self, name, value):
-        value = np.asarray(value, dtype=np.float64)
-        if name == "running_mean":
-            self.running_mean = value
-        elif name == "running_var":
-            self.running_var = value
-        else:
-            raise KeyError(f"BatchNorm2d has no buffer {name!r}")
-
     def forward(self, x, training=False):
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
@@ -393,8 +367,8 @@ class BatchNorm2d(Layer):
         if use_batch_stats:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
+            self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             mean = self.running_mean
             var = self.running_var
@@ -426,8 +400,7 @@ class ResidualBlock(Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, dilation: int = 1,
-                 conv_kind: str = "separable", rng: Optional[np.random.Generator] = None):
-        rng = _rng_or_default(rng)
+                 conv_kind: str = "separable", *, rng: np.random.Generator):
         if conv_kind == "separable":
             make = lambda ci, co: DepthwiseSeparableConv2d(ci, co, 3, dilation=dilation, rng=rng)
         elif conv_kind == "full":

@@ -17,7 +17,7 @@ the two orderings. Objectness channel pairs are (background, foreground).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .layers import (
     Conv2d,
     Layer,
     MaxPool2x2,
-    Param,
     ReLU,
     ResidualBlock,
     Sequential,
@@ -45,6 +44,7 @@ __all__ = [
 
 HEAD_NAMES = ("objectness", "class_scores", "box_deltas", "embeddings")
 DOWNSAMPLE = 8
+_SIZE_FIELDS = ("num_classes", "num_object_classes", "embedding_dim", "anchors_per_cell")
 
 
 @dataclass(frozen=True)
@@ -83,35 +83,22 @@ class ModelConfig:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "num_object_classes": self.num_object_classes,
-            "embedding_dim": self.embedding_dim,
-            "anchors_per_cell": self.anchors_per_cell,
-            "stem_channels": self.stem_channels,
-            "stage_channels": list(self.stage_channels),
-            "stage_blocks": list(self.stage_blocks),
-            "dilation": self.dilation,
-            "seg_head_channels": list(self.seg_head_channels),
-            "det_channels": self.det_channels,
-            "conv_kind": self.conv_kind,
-        }
+        """Every field by name, tuples as lists (the JSON form)."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        return cls(
-            num_classes=int(data["num_classes"]),
-            num_object_classes=int(data["num_object_classes"]),
-            embedding_dim=int(data["embedding_dim"]),
-            anchors_per_cell=int(data["anchors_per_cell"]),
-            stem_channels=int(data.get("stem_channels", 16)),
-            stage_channels=tuple(data.get("stage_channels", (16, 24, 32))),
-            stage_blocks=tuple(data.get("stage_blocks", (1, 1, 2))),
-            dilation=int(data.get("dilation", 2)),
-            seg_head_channels=tuple(data.get("seg_head_channels", (24, 16, 12))),
-            det_channels=int(data.get("det_channels", 32)),
-            conv_kind=str(data.get("conv_kind", "separable")),
-        )
+        """Inverse of :meth:`to_dict`; the size fields are required, the others default.
+
+        Each value is converted to the type of its field's default (int, tuple
+        or str); a missing size field raises KeyError.
+        """
+        return cls(**{f.name: type(f.default)(data[f.name]) for f in fields(cls)
+                      if f.name in _SIZE_FIELDS or f.name in data})
 
 
 def flatten_per_anchor(head: np.ndarray, templates: int) -> np.ndarray:
@@ -142,8 +129,14 @@ def _blocks(in_ch: int, out_ch: int, count: int, dilation: int, kind: str,
     return layers
 
 
-class DetSegModel:
-    """Backbone plus segmentation and detection heads, with reverse-mode grads."""
+class DetSegModel(Layer):
+    """Backbone plus segmentation and detection heads, with reverse-mode grads.
+
+    The model is the root of the layer tree: its children are ``backbone``,
+    ``seg_head``, ``det_trunk`` and ``head_<name>`` per detection head, so
+    parameter, buffer and checkpoint names are the dotted paths of
+    :meth:`Layer.walk`, for example ``backbone.1.bn1.running_var``.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -184,32 +177,13 @@ class DetSegModel:
         }
         self._out_shapes: Optional[dict[str, tuple[int, ...]]] = None
 
-    # -- parameter / state access ------------------------------------------
-
-    def _named_children(self) -> list[tuple[str, Layer]]:
-        out = [("backbone", self.backbone), ("seg_head", self.seg_head), ("det_trunk", self.det_trunk)]
-        out += [(f"head_{name}", seq) for name, seq in self.det_heads.items()]
-        return out
-
-    def named_parameters(self) -> list[tuple[str, Param]]:
-        out: list[tuple[str, Param]] = []
-        for name, child in self._named_children():
-            out.extend(child.named_params(name + "."))
-        return out
-
-    def parameters(self) -> list[Param]:
-        return [p for _, p in self.named_parameters()]
+    def children(self):
+        heads = [(f"head_{name}", seq) for name, seq in self.det_heads.items()]
+        return [("backbone", self.backbone), ("seg_head", self.seg_head), ("det_trunk", self.det_trunk)] + heads
 
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad[...] = 0.0
-
-    def _walk_layers(self):
-        stack = [child for _, child in self._named_children()]
-        while stack:
-            layer = stack.pop()
-            yield layer
-            stack.extend(child for _, child in layer.children())
 
     def freeze_batchnorm_stats(self) -> None:
         """Make every BatchNorm use its running averages from now on.
@@ -217,38 +191,25 @@ class DetSegModel:
         Training after the freeze adapts the network to exactly the
         statistics inference will see; essential for single-image batches.
         """
-        for layer in self._walk_layers():
+        for _, layer in self.walk():
             if isinstance(layer, BatchNorm2d):
                 layer.frozen = True
 
     def state_tensors(self) -> dict[str, np.ndarray]:
-        state = {name: p.data for name, p in self.named_parameters()}
-        for cname, child in self._named_children():
-            for bname, buf in child.named_buffers(cname + "."):
-                state[bname] = buf
+        """The live parameter and buffer arrays by name, parameters first."""
+        state = {name: p.data for name, p in self.named_params()}
+        state.update(self.named_buffers())
         return state
 
     def load_state(self, tensors: Mapping[str, np.ndarray]) -> None:
-        """Load parameters and buffers by name; extra entries are ignored."""
-        for name, p in self.named_parameters():
+        """Copy every parameter and buffer in by name; extra entries are ignored."""
+        for name, target in self.state_tensors().items():
             if name not in tensors:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise KeyError(f"missing tensor {name!r}")
             value = np.asarray(tensors[name], dtype=np.float64)
-            if value.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {value.shape} vs {p.data.shape}")
-            p.data[...] = value
-        for cname, child in self._named_children():
-            self._load_buffers(child, cname, tensors)
-
-    @staticmethod
-    def _load_buffers(layer: Layer, prefix: str, tensors: Mapping[str, np.ndarray]) -> None:
-        for bname, buf in layer.local_buffers():
-            full = f"{prefix}.{bname}"
-            if full not in tensors:
-                raise KeyError(f"checkpoint is missing buffer {full!r}")
-            layer.set_buffer(bname, np.asarray(tensors[full], dtype=np.float64))
-        for cname, child in layer.children():
-            DetSegModel._load_buffers(child, f"{prefix}.{cname}", tensors)
+            if value.shape != target.shape:
+                raise ValueError(f"tensor {name!r} has shape {value.shape}, expected {target.shape}")
+            target[...] = value
 
     # -- forward / backward -------------------------------------------------
 
@@ -269,7 +230,6 @@ class DetSegModel:
             outputs[name] = head.forward(trunk, training)
         self._out_shapes = {k: v.shape for k, v in outputs.items()}
         self._trunk_shape = trunk.shape
-        self._features_shape = features.shape
         return {k: Tensor(v) for k, v in outputs.items()}
 
     def backward(self, upstream: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 The tests and the ``selftest`` command both compare against these. Everything
 here is deliberately plain per-element Python against the documented rules,
-built on the scalar :func:`detseg.geom.iou` and :func:`detseg.geom.encode`,
-and calls none of the vectorized functions it checks. (The scalar ``encode``
-itself wraps :func:`detseg.geom.encode_array`, so the expected deltas are
-not independent of that function.)
+built on the scalar :func:`detseg.geom.iou`, and calls none of the vectorized
+functions it checks; the expected box deltas are written out per element
+(:func:`encode_oracle`), because the scalar :func:`detseg.geom.encode` wraps
+:func:`detseg.geom.encode_array`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assign import AssignConfig, GroundTruthObject
-from .geom import AnchorGrid, AnchorTemplate, BBox, encode, iou, make_anchor_grid
+from .geom import AnchorGrid, AnchorTemplate, BBox, iou, make_anchor_grid
 from .post import Detections
 
 FD_STEP = 1e-5
@@ -112,8 +112,8 @@ def assign_oracle(
 def assign_oracle_rows(grid, gts, image_w, image_h, cfg) -> list[tuple]:
     """The oracle's target of every anchor as ``(state, class_id, instance_id, delta)``.
 
-    An active anchor carries its owner's class and instance id and the scalar
-    :func:`detseg.geom.encode` of its box against the owner's box; every
+    An active anchor carries its owner's class and instance id and the
+    :func:`encode_oracle` delta of its box against the owner's box; every
     other anchor carries -1 ids and a zero delta.
     """
     states, owners = assign_oracle(grid, gts, image_w, image_h, cfg)
@@ -123,9 +123,21 @@ def assign_oracle_rows(grid, gts, image_w, image_h, cfg) -> list[tuple]:
             rows.append((state, -1, -1, (0.0, 0.0, 0.0, 0.0)))
         else:
             gt = gts[owner]
-            delta = encode(grid.box(index), gt.bbox)
-            rows.append((state, gt.class_id, gt.instance_id, (delta.tx, delta.ty, delta.tw, delta.th)))
+            rows.append((state, gt.class_id, gt.instance_id, encode_oracle(grid.box(index), gt.bbox)))
     return rows
+
+
+def encode_oracle(anchor: BBox, gt: BBox) -> tuple[float, float, float, float]:
+    """The documented box delta ``(tx, ty, tw, th)`` of ``gt`` against ``anchor``, one float at a time.
+
+    The logs are scalar ``np.log``, which rounds as the vectorised encoder
+    does (``math.log`` can differ in the last bit).
+    """
+    wa, ha = anchor.x_max - anchor.x_min, anchor.y_max - anchor.y_min
+    wg, hg = gt.x_max - gt.x_min, gt.y_max - gt.y_min
+    tx = (0.5 * (gt.x_min + gt.x_max) - 0.5 * (anchor.x_min + anchor.x_max)) / wa
+    ty = (0.5 * (gt.y_min + gt.y_max) - 0.5 * (anchor.y_min + anchor.y_max)) / ha
+    return tx, ty, float(np.log(wg / wa)), float(np.log(hg / ha))
 
 
 def target_rows(targets) -> list[tuple]:

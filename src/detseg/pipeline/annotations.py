@@ -14,6 +14,7 @@ from typing import Optional
 
 from ..assign import GroundTruthObject
 from ..geom import BBox
+from ..net.checkpoint import write_atomic
 from .classtable import ClassTable
 
 __all__ = ["PolygonObject", "AnnotationFile", "load_annotation", "save_annotation", "boxes_from_polygons"]
@@ -98,9 +99,8 @@ def load_annotation(path: str) -> AnnotationFile:
 
 
 def save_annotation(path: str, ann: AnnotationFile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ann.to_json(), fh, indent=1)
-        fh.write("\n")
+    """Serialise first, then write atomically: a failure leaves any existing file as it was."""
+    write_atomic(path, (json.dumps(ann.to_json(), indent=1) + "\n").encode("utf-8"))
 
 
 def boxes_from_polygons(ann: AnnotationFile, table: ClassTable) -> list[GroundTruthObject]:

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ from ..geom import (
     templates_from_json,
     templates_to_json,
 )
-from ..net.checkpoint import load_checkpoint, save_checkpoint
+from ..net.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from ..net.model import DOWNSAMPLE, DetSegModel, ModelConfig
 from ..net.train import TrainSample, train_toy
 from ..post import decode_detections, detections_from_jsonl, detections_to_jsonl, nms
@@ -62,17 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -318,7 +308,10 @@ def cmd_detect(args) -> int:
         raise CliError(f"cannot read checkpoint: {exc}") from exc
     model_config = ModelConfig.from_dict(ckpt_config["model"])
     model = DetSegModel(model_config, seed=0)
-    model.load_state(tensors)
+    try:
+        model.load_state(tensors)
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"checkpoint {args.checkpoint}: {exc.args[0]}") from exc
     templates = templates_from_json(ckpt_config["templates"])
     stride = int(ckpt_config["stride"])
     if len(templates) != model_config.anchors_per_cell:
@@ -354,7 +347,9 @@ def cmd_detect(args) -> int:
         if (w, h) not in grids:
             grids[(w, h)] = make_anchor_grid(w, h, stride, templates)
         grid = grids[(w, h)]
-        outputs = model.forward(image[None], training=False)
+        # the finiteness checks below report an overflowing head; numpy's warning would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs = model.forward(image[None], training=False)
         per_image = {name: tensor.data[0] for name, tensor in outputs.items()}
         try:
             if not np.isfinite(per_image["seg_logits"]).all():

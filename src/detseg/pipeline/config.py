@@ -186,14 +186,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if stride != DOWNSAMPLE:
         raise ValueError(f"anchors.stride must be {DOWNSAMPLE}, the model's downsampling factor, got {stride}")
 
-    model = ModelConfig.from_dict({
-        "num_classes": data["model"].get("num_classes", 3),
-        "num_object_classes": data["model"].get("num_object_classes", 2),
-        "embedding_dim": data["model"].get("embedding_dim", 4),
-        "anchors_per_cell": len(templates),
-        **{k: v for k, v in data["model"].items()
-           if k not in ("num_classes", "num_object_classes", "embedding_dim")},
-    })
+    model = ModelConfig.from_dict({**ModelConfig().to_dict(), **data["model"], "anchors_per_cell": len(templates)})
 
     assign_cfg = AssignConfig(**data.get("assign", {}))
     training = data["training"]

@@ -7,25 +7,11 @@ header, per the format family conventions.
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
+from ..net.checkpoint import write_atomic
+
 __all__ = ["write_ppm", "read_ppm", "write_pgm", "read_pgm"]
-
-
-def _write_atomic(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _to_bytes_image(arr: np.ndarray) -> np.ndarray:
@@ -43,7 +29,7 @@ def write_ppm(path: str, image: np.ndarray) -> None:
         raise ValueError(f"expected (3, H, W) image, got shape {img.shape}")
     _, h, w = img.shape
     raster = img.transpose(1, 2, 0).tobytes()
-    _write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + raster)
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + raster)
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
@@ -56,7 +42,7 @@ def write_pgm(path: str, image: np.ndarray) -> None:
             raise ValueError("PGM values must fit in 8 bits")
         img = img.astype(np.uint8)
     h, w = img.shape
-    _write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
 def _read_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:

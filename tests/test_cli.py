@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 
+import detseg
 from detseg.assign import AssignConfig, AssignRule, GroundTruthObject, assign_targets_detailed
 from detseg.geom import BBox, anchor_preset, make_anchor_grid, templates_to_json
 from detseg.net.checkpoint import save_checkpoint
@@ -204,10 +207,40 @@ class TestDetectCommand:
         # finite weights, large enough that the objectness head overflows
         checkpoint, image = write_checkpoint(
             tmp_path, edit=lambda tensors: tensors["head_objectness.4.weight"].fill(1e308))
-        with np.errstate(over="ignore"):
-            code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
         assert image in err and "objectness has non-finite values" in err
+
+    def test_head_overflow_prints_one_error_line(self, tmp_path):
+        # in a child process, because pytest captures numpy's warnings
+        checkpoint, image = write_checkpoint(
+            tmp_path, edit=lambda tensors: tensors["head_objectness.4.weight"].fill(1e308))
+        src = os.path.dirname(os.path.dirname(detseg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out_path = os.path.join(tmp_path, "dets.jsonl")
+        done = subprocess.run(
+            [sys.executable, "-m", "detseg.pipeline.cli", "detect", "--checkpoint", checkpoint,
+             "--images", image, "--output", out_path],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == "" and not os.path.exists(out_path)
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+        assert "objectness has non-finite values" in done.stderr
+
+    def test_buffer_shape_mismatch_rejected_at_load(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(
+            tmp_path, edit=lambda tensors: tensors.update({"backbone.1.bn1.running_var": np.ones(1)}))
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == (f"error: checkpoint {checkpoint}: tensor 'backbone.1.bn1.running_var' "
+                       "has shape (1,), expected (16,)\n")
+
+    def test_missing_tensor_rejected_at_load(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(
+            tmp_path, edit=lambda tensors: tensors.pop("head_embeddings.2.running_mean"))
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: checkpoint {checkpoint}: missing tensor 'head_embeddings.2.running_mean'\n"
 
     def test_non_finite_tensor_rejected_at_load(self, capsys, tmp_path):
         # a NaN in front of a ReLU is mapped to 0 and would leave every head finite

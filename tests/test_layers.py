@@ -75,7 +75,7 @@ class TestAlgebraicIdentities:
         # <conv(x), y> == <x, transposed(y)> for shared weights, zero bias
         rng = rng_for(7)
         conv = Conv2d(4, 3, 3, stride=2, bias=False, rng=rng_for(8))
-        up = TransposedConv2d(3, 4, 3, stride=2, bias=False, rng=rng_for(9))
+        up = TransposedConv2d(3, 4, 3, stride=2, rng=rng_for(9))  # its bias starts at zero
         up.weight.data[...] = conv.weight.data
         x = rng.standard_normal((2, 4, 10, 10))
         y = rng.standard_normal((2, 3, 5, 5))
@@ -141,11 +141,17 @@ class TestBatchNorm:
         assert np.array_equal(bn.forward(x, training=True), bn.forward(x, training=False))
 
     def test_buffers_roundtrip(self):
+        # the named buffers are the live running averages, updated in place
         bn = BatchNorm2d(2)
-        bn.set_buffer("running_mean", np.array([1.0, 2.0]))
-        assert dict(bn.named_buffers())["running_mean"] == pytest.approx([1.0, 2.0])
-        with pytest.raises(KeyError):
-            bn.set_buffer("nope", np.zeros(2))
+        buffers = dict(bn.named_buffers())
+        assert sorted(buffers) == ["running_mean", "running_var"]
+        buffers["running_mean"][...] = [1.0, 2.0]
+        assert bn.running_mean.tolist() == [1.0, 2.0]
+        x = rng_for(21).standard_normal((2, 2, 3, 3))
+        bn.forward(x, training=True)
+        expected = (1 - 0.1) * np.array([1.0, 2.0]) + 0.1 * x.mean(axis=(0, 2, 3))
+        assert buffers["running_mean"] is bn.running_mean
+        assert np.array_equal(buffers["running_mean"], expected)
 
 
 class TestGradients:

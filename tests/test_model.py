@@ -131,7 +131,7 @@ class TestBackward:
         dx = model.backward(weights)
         fd = finite_difference(value, x)
         assert gradients_close(dx, fd)
-        params = model.named_parameters()
+        params = list(model.named_params())
         probe = [name for name, _ in params][:3]
         for name, p in params:
             if name in probe:

@@ -4,11 +4,14 @@ import inspect
 from detseg import assign, evaluation, geom, oracles, post
 
 # The vectorised code the oracles check; an oracle that called any of it
-# would agree with it by construction.
+# would agree with it by construction. The scalar encode/decode wrap the
+# vectorised codec, so they count as it.
 CHECKED = {
     geom.iou_matrix,
     geom.encode_array,
     geom.decode_array,
+    geom.encode,
+    geom.decode,
     assign.assign_targets,
     assign.assign_targets_detailed,
     post.nms,

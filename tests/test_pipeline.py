@@ -104,6 +104,17 @@ class TestBoxesFromPolygons:
         again = load_annotation(path)
         assert again == ann
 
+    def test_failed_save_leaves_existing_file_intact(self, tmp_path):
+        path = os.path.join(tmp_path, "a.json")
+        save_annotation(path, annotation([PolygonObject("rect", ((0.5, 1.5), (8.0, 9.0)), 1)]))
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(ValueError):
+            save_annotation(path, annotation([PolygonObject("rect", ((0.5, "x"), (8.0, 9.0)), 1)]))
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["a.json"]
+
     def test_malformed_annotation(self, tmp_path):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:
