@@ -3,8 +3,11 @@
 All layers operate on float64 N x C x H x W arrays. Convolutions use "same"
 padding so spatial sizes follow ``out = ceil(in / stride)``; the transposed
 convolution is the exact adjoint of the matching strided convolution and
-therefore upsamples by its stride. Each ``backward`` consumes the caches of
-the most recent ``forward`` and accumulates parameter gradients in place.
+therefore upsamples by its stride. Each ``backward`` consumes the cache of
+the most recent *training* forward (``training=True``) and accumulates
+parameter gradients in place. An eval forward keeps no cache and clears the
+one an earlier training forward left, so inference holds no backward state
+and a ``backward`` after it raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,14 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
 
 class Layer:
     """A node of the network tree: its own parameters and buffers, then its children."""
+
+    _cache = None  # what ``backward`` needs from the last training forward
+
+    def _saved(self):
+        """The cache of the last forward, which must have been a training forward."""
+        if self._cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a forward with training=True first")
+        return self._cache
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -165,7 +176,6 @@ class Conv2d(Layer):
         fan_in = in_channels * kernel * kernel
         self.weight = Param(_he_uniform(rng, (out_channels, in_channels, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(out_channels)) if bias else None
-        self._cache = None
 
     def local_params(self):
         out = [("weight", self.weight)]
@@ -183,11 +193,11 @@ class Conv2d(Layer):
         y = np.matmul(w2[None], cols)
         if self.bias is not None:
             y += self.bias.data[None, :, None]
-        self._cache = (geo, cols)
+        self._cache = (geo, cols) if training else None
         return y.reshape(n, self.out_channels, geo.out_h, geo.out_w)
 
     def backward(self, dy):
-        geo, cols = self._cache
+        geo, cols = self._saved()
         n = dy.shape[0]
         dym = dy.reshape(n, self.out_channels, -1)
         self.weight.grad += np.tensordot(dym, cols, axes=([0, 2], [0, 2])).reshape(self.weight.data.shape)
@@ -206,7 +216,6 @@ class DepthwiseConv2d(Layer):
         self.kernel = kernel
         self.dilation = dilation
         self.weight = Param(_he_uniform(rng, (channels, kernel, kernel), kernel * kernel))
-        self._cache = None
 
     def local_params(self):
         return [("weight", self.weight)]
@@ -219,11 +228,11 @@ class DepthwiseConv2d(Layer):
         cols4 = geo.im2col(geo.pad(x)).reshape(n, c, self.kernel * self.kernel, -1)
         w2 = self.weight.data.reshape(c, -1)
         y = np.einsum("ck,nckl->ncl", w2, cols4)
-        self._cache = (geo, cols4)
+        self._cache = (geo, cols4) if training else None
         return y.reshape(n, c, geo.out_h, geo.out_w)
 
     def backward(self, dy):
-        geo, cols4 = self._cache
+        geo, cols4 = self._saved()
         n, c = dy.shape[:2]
         dym = dy.reshape(n, c, -1)
         self.weight.grad += np.einsum("ncl,nckl->ck", dym, cols4).reshape(self.weight.data.shape)
@@ -267,7 +276,6 @@ class TransposedConv2d(Layer):
         fan_in = in_channels * kernel * kernel
         self.weight = Param(_he_uniform(rng, (in_channels, out_channels, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(out_channels))
-        self._cache = None
 
     def local_params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -282,11 +290,11 @@ class TransposedConv2d(Layer):
         cols = np.matmul(w2.T[None], xm)
         y = geo.unpad(geo.col2im(cols, self.out_channels))
         y += self.bias.data[None, :, None, None]
-        self._cache = (geo, xm)
+        self._cache = (geo, xm) if training else None
         return y
 
     def backward(self, dy):
-        geo, xm = self._cache
+        geo, xm = self._saved()
         n = dy.shape[0]
         dcols = geo.im2col(geo.pad(dy))
         self.weight.grad += np.tensordot(xm, dcols, axes=([0, 2], [0, 2])).reshape(self.weight.data.shape)
@@ -299,9 +307,6 @@ class TransposedConv2d(Layer):
 class MaxPool2x2(Layer):
     """2x2 max pooling with stride 2; ties route the gradient to the first max."""
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, training=False):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
@@ -309,26 +314,24 @@ class MaxPool2x2(Layer):
         windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
         idx = windows.argmax(axis=-1)
         y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        self._cache = (x.shape, idx) if training else None
         return y
 
     def backward(self, dy):
-        (n, c, h, w), idx = self._cache
+        (n, c, h, w), idx = self._saved()
         dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=np.float64)
         np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
         return dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x, training=False):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._cache = mask if training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, dy):
-        return np.where(self._mask, dy, 0.0)
+        return np.where(self._saved(), dy, 0.0)
 
 
 class BatchNorm2d(Layer):
@@ -352,7 +355,6 @@ class BatchNorm2d(Layer):
         self.beta = Param(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self._cache = None
 
     def local_params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -374,11 +376,11 @@ class BatchNorm2d(Layer):
             var = self.running_var
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
-        self._cache = (xhat, ivar, use_batch_stats, x.shape)
+        self._cache = (xhat, ivar, use_batch_stats, x.shape) if training else None
         return self.gamma.data[None, :, None, None] * xhat + self.beta.data[None, :, None, None]
 
     def backward(self, dy):
-        xhat, ivar, used_batch_stats, shape = self._cache
+        xhat, ivar, used_batch_stats, shape = self._saved()
         n, _, h, w = shape
         self.gamma.grad += (dy * xhat).sum(axis=(0, 2, 3))
         self.beta.grad += dy.sum(axis=(0, 2, 3))
@@ -423,8 +425,8 @@ class ResidualBlock(Layer):
         return out
 
     def forward(self, x, training=False):
-        h = self.conv1.forward(self.relu1.forward(self.bn1.forward(x, training)), training)
-        h = self.conv2.forward(self.relu2.forward(self.bn2.forward(h, training)), training)
+        h = self.conv1.forward(self.relu1.forward(self.bn1.forward(x, training), training), training)
+        h = self.conv2.forward(self.relu2.forward(self.bn2.forward(h, training), training), training)
         skip = x if self.project is None else self.project.forward(x, training)
         return h + skip
 

@@ -18,7 +18,7 @@ the two orderings. Objectness channel pairs are (background, foreground).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -175,7 +175,6 @@ class DetSegModel(Layer):
             )
             for name, width in config.head_widths().items()
         }
-        self._out_shapes: Optional[dict[str, tuple[int, ...]]] = None
 
     def children(self):
         heads = [(f"head_{name}", seq) for name, seq in self.det_heads.items()]
@@ -228,28 +227,27 @@ class DetSegModel(Layer):
         outputs = {"seg_logits": seg}
         for name, head in self.det_heads.items():
             outputs[name] = head.forward(trunk, training)
-        self._out_shapes = {k: v.shape for k, v in outputs.items()}
-        self._trunk_shape = trunk.shape
+        self._cache = ({k: v.shape for k, v in outputs.items()}, trunk.shape) if training else None
         return {k: Tensor(v) for k, v in outputs.items()}
 
     def backward(self, upstream: Mapping[str, np.ndarray]) -> np.ndarray:
         """Propagate loss gradients on the head outputs back to every parameter.
 
         Missing heads are treated as zero upstream gradient. Returns the
-        gradient with respect to the input images.
+        gradient with respect to the input images. Needs a preceding forward
+        with ``training=True``.
         """
-        if self._out_shapes is None:
-            raise RuntimeError("backward called before forward")
+        out_shapes, trunk_shape = self._saved()
         for key, g in upstream.items():
-            if key not in self._out_shapes:
+            if key not in out_shapes:
                 raise KeyError(f"unknown head {key!r}")
-            if np.shape(as_data(g)) != self._out_shapes[key]:
+            if np.shape(as_data(g)) != out_shapes[key]:
                 raise ValueError(
                     f"upstream gradient for {key!r} has shape {np.shape(as_data(g))}, "
-                    f"expected {self._out_shapes[key]}"
+                    f"expected {out_shapes[key]}"
                 )
 
-        dtrunk = np.zeros(self._trunk_shape, dtype=np.float64)
+        dtrunk = np.zeros(trunk_shape, dtype=np.float64)
         for name, head in self.det_heads.items():
             if name in upstream:
                 dtrunk += head.backward(as_data(upstream[name]))

@@ -10,6 +10,8 @@ functions it checks; the expected box deltas are written out per element
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .assign import AssignConfig, GroundTruthObject
@@ -20,20 +22,25 @@ FD_STEP = 1e-5
 FD_TOLERANCE = 1e-4
 
 
-def finite_difference(value_fn, array: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function in the array entries."""
-    grad = np.zeros_like(array)
+def finite_difference(value_fn, array: np.ndarray, step: float = FD_STEP,
+                      indices: Optional[np.ndarray] = None) -> np.ndarray:
+    """Central-difference gradient of a scalar function in the array entries.
+
+    With ``indices`` (flat positions in ``array``) only those entries are
+    probed, and the result is the 1-D gradient at them, in that order.
+    """
     flat = array.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for i in range(flat.size):
+    probe = range(flat.size) if indices is None else indices
+    grad = np.zeros(len(probe))
+    for out, i in enumerate(probe):
         original = flat[i]
         flat[i] = original + step
         hi = value_fn()
         flat[i] = original - step
         lo = value_fn()
         flat[i] = original
-        grad_flat[i] = (hi - lo) / (2.0 * step)
-    return grad
+        grad[out] = (hi - lo) / (2.0 * step)
+    return grad.reshape(array.shape) if indices is None else grad
 
 
 def relative_error(analytic: np.ndarray, reference: np.ndarray) -> float:

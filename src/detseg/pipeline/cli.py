@@ -301,19 +301,31 @@ def cmd_train_toy(args) -> int:
 
 # -- detect -------------------------------------------------------------------
 
+def _checkpoint_entry(config, key: str, parse):
+    """``parse(config[key])``; a missing key, or a value ``parse`` rejects, is a ValueError naming the key."""
+    if not isinstance(config, dict) or key not in config:
+        raise ValueError(f"config has no {key!r}")
+    try:
+        return parse(config[key])
+    except KeyError as exc:
+        raise ValueError(f"config {key!r} has no {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {key!r}: {exc}") from exc
+
+
 def cmd_detect(args) -> int:
     try:
         ckpt_config, tensors = load_checkpoint(args.checkpoint)
     except OSError as exc:
         raise CliError(f"cannot read checkpoint: {exc}") from exc
-    model_config = ModelConfig.from_dict(ckpt_config["model"])
-    model = DetSegModel(model_config, seed=0)
     try:
+        model_config = _checkpoint_entry(ckpt_config, "model", ModelConfig.from_dict)
+        templates = _checkpoint_entry(ckpt_config, "templates", templates_from_json)
+        stride = _checkpoint_entry(ckpt_config, "stride", int)
+        model = DetSegModel(model_config, seed=0)
         model.load_state(tensors)
     except (KeyError, ValueError) as exc:
         raise CliError(f"checkpoint {args.checkpoint}: {exc.args[0]}") from exc
-    templates = templates_from_json(ckpt_config["templates"])
-    stride = int(ckpt_config["stride"])
     if len(templates) != model_config.anchors_per_cell:
         raise CliError(f"checkpoint {args.checkpoint}: {len(templates)} anchor templates, but its "
                        f"model predicts {model_config.anchors_per_cell} anchors per cell")
@@ -347,11 +359,11 @@ def cmd_detect(args) -> int:
         if (w, h) not in grids:
             grids[(w, h)] = make_anchor_grid(w, h, stride, templates)
         grid = grids[(w, h)]
-        # the finiteness checks below report an overflowing head; numpy's warning would repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            outputs = model.forward(image[None], training=False)
-        per_image = {name: tensor.data[0] for name, tensor in outputs.items()}
         try:
+            # the finiteness checks below report an overflowing head; numpy's warning would repeat it
+            with np.errstate(over="ignore", invalid="ignore"):
+                outputs = model.forward(image[None], training=False)
+            per_image = {name: tensor.data[0] for name, tensor in outputs.items()}
             if not np.isfinite(per_image["seg_logits"]).all():
                 raise ValueError("seg_logits has non-finite values")
             records.append((image_id, nms(decode_detections(per_image, grid, score_threshold), nms_iou)))

@@ -4,7 +4,9 @@ Each suite checks an implementation against an independent route from
 :mod:`detseg.oracles`: layers and losses against central finite differences,
 target assignment against a literal per-anchor re-application of the rule
 list, NMS against a quadratic reference. The box codec is checked against its
-round-trip identity. The acceptance tests run the same suites at full size.
+round-trip identity, and the inference forward against a training forward
+with frozen batch-norm statistics. The acceptance tests run the same suites
+at full size.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .net.layers import (
     ResidualBlock,
     TransposedConv2d,
 )
+from .net.model import DetSegModel, ModelConfig
 from .oracles import (
     FD_TOLERANCE,
     anchor_aligned_scene,
@@ -40,7 +43,7 @@ from .oracles import (
 from .post import nms
 
 __all__ = ["run_selftest", "check_layer_gradients", "check_loss_gradients",
-           "check_assignment", "check_nms", "check_codec"]
+           "check_assignment", "check_nms", "check_codec", "check_inference_path"]
 
 
 def _fd_results(cases, instances: int) -> list[tuple[str, float, bool]]:
@@ -233,6 +236,32 @@ def check_codec(pairs: int = 2000, seed: int = 0) -> float:
     return float((np.abs(recovered - gts) / np.maximum(np.abs(gts), 1.0)).max())
 
 
+def check_inference_path(seed: int = 0) -> tuple[bool, list[str]]:
+    """Eval forward of a small model against a training forward with frozen BN statistics.
+
+    Unfrozen training forwards first move the running statistics and leave
+    every layer's backward cache behind. The eval forward that follows must
+    clear those caches and equal, bit for bit on every head, a training
+    forward after :meth:`DetSegModel.freeze_batchnorm_stats`. Returns (all
+    heads equal, the names of the layers still holding a cache after the
+    eval forward).
+    """
+    config = ModelConfig(num_classes=3, num_object_classes=2, embedding_dim=2, anchors_per_cell=3,
+                         stem_channels=4, stage_channels=(4, 6, 8), stage_blocks=(1, 1, 1),
+                         seg_head_channels=(6, 5, 4), det_channels=8)
+    model = DetSegModel(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        model.forward(rng.normal(2.0, 3.0, (2, 3, 16, 16)), training=True)
+    x = rng.random((1, 3, 16, 16))
+    inferred = model.forward(x, training=False)
+    cached = [name.rstrip(".") or "model" for name, layer in model.walk() if layer._cache is not None]
+    model.freeze_batchnorm_stats()
+    reference = model.forward(x, training=True)
+    equal = all(np.array_equal(inferred[k].data, reference[k].data) for k in reference)
+    return equal, cached
+
+
 def run_selftest() -> tuple[bool, list[str]]:
     """Run every suite at reduced size; returns (all passed, report lines)."""
     lines = []
@@ -256,4 +285,11 @@ def run_selftest() -> tuple[bool, list[str]]:
     codec_ok = codec_err <= 1e-9
     ok &= codec_ok
     lines.append(f"codec round trip: max rel err {codec_err:.2e} -> {'ok' if codec_ok else 'FAIL'}")
+
+    heads_equal, cached = check_inference_path()
+    inference_ok = heads_equal and not cached
+    ok &= inference_ok
+    heads = "match" if heads_equal else "DIFFER FROM"
+    lines.append(f"inference path: eval heads {heads} a frozen-BN training forward, "
+                 f"{len(cached)} layers keep a cache -> {'ok' if inference_ok else 'FAIL'}")
     return ok, lines

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import detseg
 from detseg.assign import AssignConfig, AssignRule, GroundTruthObject, assign_targets_detailed
@@ -167,25 +168,41 @@ class TestAssignCommand:
         assert per_class == {"0": 1, "1": 1}
 
 
-def write_checkpoint(tmp_path, templates=None, stride=8, edit=None):
-    """A freshly initialised toy-preset checkpoint plus one 16x16 image.
+def write_checkpoint(tmp_path, templates=None, stride=8, edit=None, edit_config=None, image_hw=(16, 16)):
+    """A freshly initialised toy-preset checkpoint plus one image (16x16 by default).
 
-    ``edit`` may change the state tensors in place before they are saved.
+    ``edit`` may change the state tensors, and ``edit_config`` the config
+    dict, in place before they are saved.
     """
     config = ModelConfig(anchors_per_cell=15)
     tensors = dict(DetSegModel(config, seed=0).state_tensors())
     if edit is not None:
         edit(tensors)
-    path = os.path.join(tmp_path, "model.nnad")
-    save_checkpoint(path, {
+    ckpt_config = {
         "model": config.to_dict(),
         "templates": templates_to_json(templates or anchor_preset("toy")),
         "stride": stride,
         "thresholds": {"score": 0.5, "nms_iou": 0.5},
-    }, tensors)
+    }
+    if edit_config is not None:
+        edit_config(ckpt_config)
+    path = os.path.join(tmp_path, "model.nnad")
+    save_checkpoint(path, ckpt_config, tensors)
     image = os.path.join(tmp_path, "img.ppm")
-    write_ppm(image, np.random.default_rng(0).random((3, 16, 16)))
+    write_ppm(image, np.random.default_rng(0).random((3, *image_hw)))
     return path, image
+
+
+MALFORMED_CONFIGS = {
+    "no_num_classes": (lambda c: c["model"].pop("num_classes"), "config 'model' has no 'num_classes'"),
+    "no_model": (lambda c: c.pop("model"), "config has no 'model'"),
+    "no_templates": (lambda c: c.pop("templates"), "config has no 'templates'"),
+    "no_stride": (lambda c: c.pop("stride"), "config has no 'stride'"),
+    "unknown_conv_kind": (lambda c: c["model"].update(conv_kind="fancy"),
+                          "config 'model': unknown conv_kind 'fancy'"),
+    "templates_not_json": (lambda c: c.update(templates="zz"),
+                           "config 'templates': Expecting value: line 1 column 1 (char 0)"),
+}
 
 
 class TestDetectCommand:
@@ -251,6 +268,20 @@ class TestDetectCommand:
         code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
         assert checkpoint in err and "'backbone.0.weight' has non-finite values" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_rejected_naming_checkpoint_and_key(self, capsys, tmp_path, case):
+        edit_config, message = MALFORMED_CONFIGS[case]
+        checkpoint, image = write_checkpoint(tmp_path, edit_config=edit_config)
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: checkpoint {checkpoint}: {message}\n"
+
+    def test_indivisible_image_size_names_the_image(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(tmp_path, image_hw=(16, 20))
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: image {image}: input spatial dims must be divisible by 8, got 16x20\n"
 
     def test_template_count_mismatch_rejected_at_load(self, capsys, tmp_path):
         checkpoint, image = write_checkpoint(tmp_path, templates=anchor_preset("toy")[:14])

@@ -86,7 +86,7 @@ class TestAlgebraicIdentities:
     def test_maxpool_routes_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         pool = MaxPool2x2()
-        y = pool.forward(x)
+        y = pool.forward(x, training=True)
         assert y[0, 0, 0, 0] == 4.0
         dx = pool.backward(np.ones_like(y))
         expected = np.zeros_like(x)
@@ -96,7 +96,7 @@ class TestAlgebraicIdentities:
     def test_relu_masks(self):
         x = np.array([[[[-1.0, 2.0], [0.5, -3.0]]]])
         relu = ReLU()
-        y = relu.forward(x)
+        y = relu.forward(x, training=True)
         assert np.array_equal(y, np.array([[[[0.0, 2.0], [0.5, 0.0]]]]))
         dx = relu.backward(np.ones_like(x))
         assert np.array_equal(dx, np.array([[[[0.0, 1.0], [1.0, 0.0]]]]))
@@ -108,7 +108,7 @@ class TestAlgebraicIdentities:
         conv.weight.data[...] = np.eye(2).reshape(2, 2, 1, 1)
         conv.bias.data[...] = 0.0
         x = rng_for(31).standard_normal((1, 2, 4, 4))
-        y = conv.forward(x)
+        y = conv.forward(x, training=True)
         assert np.array_equal(y, x)
         dx = conv.backward(np.ones_like(y))
         assert np.array_equal(dx, np.ones_like(x))
@@ -189,6 +189,34 @@ class TestGradients:
     def test_residual_identity_path(self):
         block = ResidualBlock(3, 3, rng=rng_for(19))
         assert block.project is None
+
+
+LEAVES = {
+    "conv": lambda: Conv2d(2, 3, 3, rng=rng_for(40)),
+    "depthwise": lambda: DepthwiseConv2d(2, 3, rng=rng_for(41)),
+    "transposed": lambda: TransposedConv2d(2, 3, 3, stride=2, rng=rng_for(42)),
+    "maxpool": MaxPool2x2,
+    "relu": ReLU,
+    "batchnorm": lambda: BatchNorm2d(2),
+}
+
+
+class TestInferenceKeepsNoCache:
+    @pytest.mark.parametrize("kind", sorted(LEAVES))
+    def test_backward_needs_the_last_forward_to_be_training(self, kind):
+        layer = LEAVES[kind]()
+        x = rng_for(43).standard_normal((1, 2, 4, 4))
+        y = layer.forward(x)
+        needs_training = f"{type(layer).__name__}.backward needs a forward with training=True"
+        with pytest.raises(RuntimeError, match=needs_training):
+            layer.backward(np.ones_like(y))
+        layer.forward(x, training=True)
+        layer.backward(np.ones_like(y))
+        # an eval forward clears the training forward's cache, so it cannot go stale
+        layer.forward(x)
+        assert layer._cache is None
+        with pytest.raises(RuntimeError, match="training=True"):
+            layer.backward(np.ones_like(y))
 
 
 class TestParamNaming:

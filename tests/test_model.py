@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             small_model().backward({})
 
+    def test_backward_after_eval_forward_rejected(self):
+        model = small_model()
+        x = np.random.default_rng(3).random((1, 3, 16, 16))
+        out = model.forward(x)
+        upstream = {k: np.ones(v.shape) for k, v in out.items()}
+        with pytest.raises(RuntimeError, match="DetSegModel.backward needs a forward with training=True"):
+            model.backward(upstream)
+        # a training forward's caches do not survive a later eval forward
+        model.forward(x, training=True)
+        model.backward(upstream)
+        model.forward(x)
+        with pytest.raises(RuntimeError, match="training=True"):
+            model.backward(upstream)
+
     def test_unknown_or_misshaped_upstream_rejected(self):
         model = small_model()
         out = model.forward(np.zeros((1, 3, 16, 16)), training=True)
@@ -118,7 +133,9 @@ class TestBackward:
         )
         model = DetSegModel(config, seed=3)
         rng = np.random.default_rng(4)
-        x = rng.random((1, 3, 8, 8))
+        # 16x16 leaves a 2x2 final map; at 1x1 training-mode BN outputs beta and
+        # every head is constant in the input
+        x = rng.random((1, 3, 16, 16))
         out = model.forward(x, training=True)
         weights = {k: rng.standard_normal(v.shape) for k, v in out.items()}
 
@@ -129,14 +146,41 @@ class TestBackward:
         model.forward(x, training=True)
         model.zero_grad()
         dx = model.backward(weights)
-        fd = finite_difference(value, x)
-        assert gradients_close(dx, fd)
-        params = list(model.named_params())
-        probe = [name for name, _ in params][:3]
-        for name, p in params:
-            if name in probe:
-                fd_p = finite_difference(value, p.data)
-                assert gradients_close(p.grad, fd_p), name
+        assert np.abs(dx).max() > 0
+        sample = rng.choice(x.size, size=64, replace=False)
+        fd = finite_difference(value, x, indices=sample)
+        assert gradients_close(dx.reshape(-1)[sample], fd)
+        params = dict(model.named_params())
+        for name in list(params)[:3] + ["backbone.1.conv1.pointwise.weight"]:
+            p = params[name]
+            fd_p = finite_difference(value, p.data)
+            assert np.abs(p.grad).max() > 0, name
+            assert gradients_close(p.grad, fd_p), name
+
+
+class TestInferencePath:
+    def test_eval_forward_equals_frozen_training_forward_and_keeps_no_cache(self):
+        from detseg.selftest import check_inference_path
+
+        heads_equal, cached = check_inference_path(seed=1)
+        assert heads_equal
+        assert cached == []
+
+    def test_eval_forward_leaves_only_its_outputs_allocated(self):
+        model = DetSegModel(ModelConfig(), seed=0)
+        x = np.random.default_rng(6).random((1, 3, 128, 256))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = model.forward(x)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(v.data.nbytes for v in out.values())
+        mib = 1 << 20
+        assert after - before <= outputs + mib, (after - before) / mib
+        assert peak - before < 40 * mib, (peak - before) / mib
 
 
 class TestAnchorLayout:
