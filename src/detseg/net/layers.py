@@ -8,6 +8,14 @@ the most recent *training* forward (``training=True``) and accumulates
 parameter gradients in place. An eval forward keeps no cache and clears the
 one an earlier training forward left, so inference holds no backward state
 and a ``backward`` after it raises ``RuntimeError``.
+
+No layer writes into its input, and callers must not write into an array
+they passed to a training forward before the matching ``backward``: a cache
+may be a view of the input (a 1x1 convolution keeps its input as its column
+matrix). A layer may write into arrays it allocated itself.
+
+``ReLU`` is ``max(x, 0)``: negatives and -0.0 give +0.0, and a NaN passes
+through, so a NaN weight is not hidden by a later ReLU but reaches the heads.
 """
 
 from __future__ import annotations
@@ -117,10 +125,14 @@ class _ConvGeometry:
         self.out_w, self.pad_left, self.pad_right = _same_pad(in_w, kernel, stride, dilation)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
-        if self.pad_top or self.pad_bottom or self.pad_left or self.pad_right:
-            return np.pad(x, ((0, 0), (0, 0), (self.pad_top, self.pad_bottom),
-                              (self.pad_left, self.pad_right)))
-        return x
+        """``x`` zero-padded to the padded shape; ``x`` itself when there is no padding."""
+        if not (self.pad_top or self.pad_bottom or self.pad_left or self.pad_right):
+            return x
+        n, c = x.shape[:2]
+        xp = np.zeros((n, c, self.in_h + self.pad_top + self.pad_bottom,
+                       self.in_w + self.pad_left + self.pad_right), dtype=np.float64)
+        self.unpad(xp)[...] = x
+        return xp
 
     def unpad(self, xp: np.ndarray) -> np.ndarray:
         h = slice(self.pad_top, self.pad_top + self.in_h)
@@ -136,15 +148,21 @@ class _ConvGeometry:
         )
 
     def im2col(self, xp: np.ndarray) -> np.ndarray:
-        """Padded (N, C, PH, PW) -> (N, C * k * k, out_h * out_w)."""
+        """Padded (N, C, PH, PW) -> (N, C * k * k, out_h * out_w).
+
+        A 1x1 stride-1 kernel needs no gather: the result is then ``xp`` reshaped,
+        a view of it when ``xp`` is contiguous.
+        """
         n, c = xp.shape[:2]
         k = self.kernel
         length = self.out_h * self.out_w
-        cols = np.empty((n, c, k * k, length), dtype=np.float64)
+        if k == 1 and self.stride == 1:
+            return xp.reshape(n, c, length)
+        cols = np.empty((n, c, k * k, self.out_h, self.out_w), dtype=np.float64)
         for ki in range(k):
             for kj in range(k):
                 hs, ws = self._tap(ki, kj)
-                cols[:, :, ki * k + kj, :] = xp[:, :, hs, ws].reshape(n, c, length)
+                cols[:, :, ki * k + kj] = xp[:, :, hs, ws]
         return cols.reshape(n, c * k * k, length)
 
     def col2im(self, cols: np.ndarray, channels: int) -> np.ndarray:
@@ -311,10 +329,16 @@ class MaxPool2x2(Layer):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"max pooling needs even spatial dims, got {h}x{w}")
-        windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-        idx = windows.argmax(axis=-1)
-        y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx) if training else None
+        # the window maximum, folded in argmax's order; np.maximum keeps its
+        # second argument on a tie, so a tie keeps the first maximum, as argmax does
+        y = x[:, :, 0::2, 0::2]
+        for di, dj in ((0, 1), (1, 0), (1, 1)):
+            y = np.maximum(x[:, :, di::2, dj::2], y)
+        if training:
+            windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+            self._cache = (x.shape, windows.argmax(axis=-1))
+        else:
+            self._cache = None
         return y
 
     def backward(self, dy):
@@ -326,9 +350,8 @@ class MaxPool2x2(Layer):
 
 class ReLU(Layer):
     def forward(self, x, training=False):
-        mask = x > 0
-        self._cache = mask if training else None
-        return np.where(mask, x, 0.0)
+        self._cache = x > 0 if training else None
+        return np.maximum(x, 0.0)
 
     def backward(self, dy):
         return np.where(self._saved(), dy, 0.0)
@@ -375,9 +398,16 @@ class BatchNorm2d(Layer):
             mean = self.running_mean
             var = self.running_var
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
-        self._cache = (xhat, ivar, use_batch_stats, x.shape) if training else None
-        return self.gamma.data[None, :, None, None] * xhat + self.beta.data[None, :, None, None]
+        y = x - mean[None, :, None, None]
+        y *= ivar[None, :, None, None]
+        if training:
+            self._cache = (y, ivar, use_batch_stats, x.shape)  # y is xhat
+            y = y * self.gamma.data[None, :, None, None]
+        else:
+            self._cache = None
+            y *= self.gamma.data[None, :, None, None]
+        y += self.beta.data[None, :, None, None]
+        return y
 
     def backward(self, dy):
         xhat, ivar, used_batch_stats, shape = self._saved()
@@ -427,8 +457,8 @@ class ResidualBlock(Layer):
     def forward(self, x, training=False):
         h = self.conv1.forward(self.relu1.forward(self.bn1.forward(x, training), training), training)
         h = self.conv2.forward(self.relu2.forward(self.bn2.forward(h, training), training), training)
-        skip = x if self.project is None else self.project.forward(x, training)
-        return h + skip
+        h += x if self.project is None else self.project.forward(x, training)
+        return h
 
     def backward(self, dy):
         dmain = self.bn1.backward(self.relu1.backward(self.conv1.backward(

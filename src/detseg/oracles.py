@@ -10,6 +10,7 @@ functions it checks; the expected box deltas are written out per element
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -52,6 +53,46 @@ def relative_error(analytic: np.ndarray, reference: np.ndarray) -> float:
 
 def gradients_close(analytic: np.ndarray, reference: np.ndarray, tol: float = FD_TOLERANCE) -> bool:
     return relative_error(analytic, reference) <= tol
+
+
+def conv2d_oracle(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None,
+                  stride: int = 1, dilation: int = 1) -> np.ndarray:
+    """Direct-loop "same" convolution of (N, Ci, H, W) by (Co, Ci, k, k) weights.
+
+    Output sizes are ``ceil(in / stride)``; the input is zero-padded by the
+    total the last tap needs, the smaller half before the first row/column.
+    """
+    n, c_in, h, w = x.shape
+    c_out, _, k, _ = weight.shape
+    out_h, out_w = math.ceil(h / stride), math.ceil(w / stride)
+    span = dilation * (k - 1) + 1
+    pad_h = max((out_h - 1) * stride + span - h, 0)
+    pad_w = max((out_w - 1) * stride + span - w, 0)
+    padded = np.zeros((n, c_in, h + pad_h, w + pad_w))
+    for b in range(n):
+        for c in range(c_in):
+            for i in range(h):
+                for j in range(w):
+                    padded[b, c, pad_h // 2 + i, pad_w // 2 + j] = x[b, c, i, j]
+    y = np.zeros((n, c_out, out_h, out_w))
+    for b in range(n):
+        for o in range(c_out):
+            for i in range(out_h):
+                for j in range(out_w):
+                    total = 0.0 if bias is None else float(bias[o])
+                    for c in range(c_in):
+                        for ki in range(k):
+                            for kj in range(k):
+                                total += (weight[o, c, ki, kj]
+                                          * padded[b, c, i * stride + ki * dilation, j * stride + kj * dilation])
+                    y[b, o, i, j] = total
+    return y
+
+
+def depthwise_oracle(x: np.ndarray, weight: np.ndarray, dilation: int = 1) -> np.ndarray:
+    """Per-channel "same" convolution, stride 1: output channel c is input channel c by ``weight[c]``."""
+    return np.concatenate([conv2d_oracle(x[:, c:c + 1], weight[c][None, None], dilation=dilation)
+                           for c in range(x.shape[1])], axis=1)
 
 
 def assign_oracle(

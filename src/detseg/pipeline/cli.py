@@ -95,15 +95,19 @@ def _load_class_table(path: Optional[str]) -> ClassTable:
         raise CliError(f"malformed class table {path}: {exc}") from exc
 
 
+def _in_unit_interval(value) -> float:
+    """``value`` as a float if it is a number in [0, 1], the range the config schema allows."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0:
+        return float(value)
+    raise ValueError(f"expected a number in [0, 1], got {value!r}")
+
+
 def _unit_interval(text: str) -> float:
-    """argparse type for a threshold in [0, 1], the range the config schema allows."""
+    """argparse type for a threshold in [0, 1]."""
     try:
-        value = float(text)
+        return _in_unit_interval(float(text))
     except ValueError:
-        value = float("nan")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}") from None
 
 
 def _add_anchor_args(parser: argparse.ArgumentParser) -> None:
@@ -313,6 +317,22 @@ def _checkpoint_entry(config, key: str, parse):
         raise ValueError(f"config {key!r}: {exc}") from exc
 
 
+def _thresholds_from_json(thresholds) -> dict[str, float]:
+    """A checkpoint's ``thresholds``: ``score`` and ``nms_iou``, each optional and in [0, 1]."""
+    if not isinstance(thresholds, dict):
+        raise ValueError(f"expected an object, got {thresholds!r}")
+    unknown = sorted(set(thresholds) - {"score", "nms_iou"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    parsed = {}
+    for key, value in thresholds.items():
+        try:
+            parsed[key] = _in_unit_interval(value)
+        except ValueError as exc:
+            raise ValueError(f"{key!r}: {exc}") from None
+    return parsed
+
+
 def cmd_detect(args) -> int:
     try:
         ckpt_config, tensors = load_checkpoint(args.checkpoint)
@@ -322,6 +342,8 @@ def cmd_detect(args) -> int:
         model_config = _checkpoint_entry(ckpt_config, "model", ModelConfig.from_dict)
         templates = _checkpoint_entry(ckpt_config, "templates", templates_from_json)
         stride = _checkpoint_entry(ckpt_config, "stride", int)
+        thresholds = (_checkpoint_entry(ckpt_config, "thresholds", _thresholds_from_json)
+                      if "thresholds" in ckpt_config else {})
         model = DetSegModel(model_config, seed=0)
         model.load_state(tensors)
     except (KeyError, ValueError) as exc:
@@ -334,10 +356,10 @@ def cmd_detect(args) -> int:
                        f"downsamples by {DOWNSAMPLE}")
     score_threshold = args.score_threshold
     if score_threshold is None:
-        score_threshold = float(ckpt_config.get("thresholds", {}).get("score", 0.5))
+        score_threshold = thresholds.get("score", 0.5)
     nms_iou = args.nms_iou
     if nms_iou is None:
-        nms_iou = float(ckpt_config.get("thresholds", {}).get("nms_iou", 0.5))
+        nms_iou = thresholds.get("nms_iou", 0.5)
 
     if os.path.isdir(args.images):
         files = sorted(

@@ -202,6 +202,16 @@ MALFORMED_CONFIGS = {
                           "config 'model': unknown conv_kind 'fancy'"),
     "templates_not_json": (lambda c: c.update(templates="zz"),
                            "config 'templates': Expecting value: line 1 column 1 (char 0)"),
+    "thresholds_not_object": (lambda c: c.update(thresholds=[]),
+                              "config 'thresholds': expected an object, got []"),
+    "threshold_null": (lambda c: c["thresholds"].update(nms_iou=None),
+                       "config 'thresholds': 'nms_iou': expected a number in [0, 1], got None"),
+    "threshold_string": (lambda c: c["thresholds"].update(score="x"),
+                         "config 'thresholds': 'score': expected a number in [0, 1], got 'x'"),
+    "threshold_above_one": (lambda c: c["thresholds"].update(score=7.0),
+                            "config 'thresholds': 'score': expected a number in [0, 1], got 7.0"),
+    "threshold_unknown_key": (lambda c: c["thresholds"].update(nms=0.3),
+                              "config 'thresholds': unknown key 'nms'"),
 }
 
 
@@ -218,6 +228,10 @@ class TestDetectCommand:
 
     def test_fresh_checkpoint_runs(self, capsys, tmp_path):
         code, err = self.detect(capsys, tmp_path, *write_checkpoint(tmp_path))
+        assert code == 0, err
+
+    def test_thresholds_are_optional(self, capsys, tmp_path):
+        code, err = self.detect(capsys, tmp_path, *write_checkpoint(tmp_path, edit_config=lambda c: c.pop("thresholds")))
         assert code == 0, err
 
     def test_non_finite_head_output_rejected(self, capsys, tmp_path):
@@ -260,7 +274,7 @@ class TestDetectCommand:
         assert err == f"error: checkpoint {checkpoint}: missing tensor 'head_embeddings.2.running_mean'\n"
 
     def test_non_finite_tensor_rejected_at_load(self, capsys, tmp_path):
-        # a NaN in front of a ReLU is mapped to 0 and would leave every head finite
+        # rejected at load and named, before a forward carries the NaN to the heads
         def poison(tensors):
             tensors["backbone.0.weight"].flat[0] = np.nan
 

@@ -12,12 +12,24 @@ from detseg.net.layers import (
     Sequential,
     TransposedConv2d,
 )
-from detseg.oracles import finite_difference, gradients_close
+from detseg.oracles import conv2d_oracle, depthwise_oracle, finite_difference, gradients_close
 from detseg.selftest import check_layer_gradients
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def tied_input():
+    """A (1, 2, 4, 4) input on a half-unit grid, so with ties and -0.0 entries.
+
+    Its first pooling window of channel 0 is a four-way tie, and that of
+    channel 1 ties -0.0 (first) with +0.0.
+    """
+    x = np.round(2.0 * rng_for(43).standard_normal((1, 2, 4, 4))) / 2.0
+    x[0, 0, :2, :2] = 1.5
+    x[0, 1, :2, :2] = [[-0.0, 0.0], [-1.0, -2.0]]
+    return x
 
 
 class TestShapes:
@@ -47,6 +59,38 @@ class TestShapes:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Conv2d(2, 4, 3, rng=rng_for(0)).forward(np.zeros((1, 3, 8, 8)))
+
+
+# (in_channels, out_channels, kernel, stride, dilation, height, width)
+CONV_CASES = [
+    (2, 3, 3, 1, 1, 7, 5),    # odd sizes
+    (2, 3, 3, 2, 1, 8, 6),    # stride 2: one row/column of padding, after the input
+    (3, 2, 3, 2, 1, 7, 9),    # stride 2, odd sizes
+    (2, 2, 3, 1, 2, 6, 7),    # dilation 2
+    (1, 2, 3, 1, 3, 9, 8),    # dilation 3, wider than the padding on each side
+    (3, 4, 1, 1, 1, 5, 3),    # 1x1: the column matrix is the input itself
+    (3, 2, 1, 2, 1, 5, 6),    # 1x1, stride 2
+]
+
+
+class TestConvolutionOracle:
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_conv_matches_direct_loop(self, case, training):
+        c_in, c_out, k, stride, dilation, h, w = case
+        conv = Conv2d(c_in, c_out, k, stride=stride, dilation=dilation, rng=rng_for(50))
+        conv.bias.data[...] = rng_for(51).standard_normal(c_out)
+        x = rng_for(52).standard_normal((2, c_in, h, w))
+        expected = conv2d_oracle(x, conv.weight.data, conv.bias.data, stride, dilation)
+        np.testing.assert_allclose(conv.forward(x, training), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("dilation, h, w", [(1, 5, 7), (2, 6, 5), (3, 8, 9)])
+    def test_depthwise_matches_direct_loop(self, dilation, h, w, training):
+        depthwise = DepthwiseConv2d(3, 3, dilation=dilation, rng=rng_for(53))
+        x = rng_for(54).standard_normal((2, 3, h, w))
+        expected = depthwise_oracle(x, depthwise.weight.data, dilation)
+        np.testing.assert_allclose(depthwise.forward(x, training), expected, rtol=0, atol=1e-12)
 
 
 class TestAlgebraicIdentities:
@@ -93,6 +137,18 @@ class TestAlgebraicIdentities:
         expected[0, 0, 1, 1] = 1.0
         assert np.array_equal(dx, expected)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_maxpool_ties_take_the_first_maximum(self, training):
+        x = tied_input()
+        y = MaxPool2x2().forward(x, training)
+        assert y[0, 0, 0, 0] == 1.5
+        assert y[0, 1, 0, 0] == 0.0 and np.signbit(y[0, 1, 0, 0])  # the -0.0 that comes first
+        pool = MaxPool2x2()
+        pool.forward(x, training=True)
+        dx = pool.backward(np.ones_like(y))
+        assert np.flatnonzero(dx[0, 0, :2, :2]).tolist() == [0]
+        assert np.flatnonzero(dx[0, 1, :2, :2]).tolist() == [0]
+
     def test_relu_masks(self):
         x = np.array([[[[-1.0, 2.0], [0.5, -3.0]]]])
         relu = ReLU()
@@ -100,6 +156,15 @@ class TestAlgebraicIdentities:
         assert np.array_equal(y, np.array([[[[0.0, 2.0], [0.5, 0.0]]]]))
         dx = relu.backward(np.ones_like(x))
         assert np.array_equal(dx, np.array([[[[0.0, 1.0], [1.0, 0.0]]]]))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_relu_values(self, training):
+        # negatives and -0.0 give +0.0, +inf stays, and a NaN is passed on, not zeroed
+        x = np.array([-1.0, -0.0, 0.0, 2.0, np.inf, -np.inf, np.nan]).reshape(1, 1, 1, 7)
+        y = ReLU().forward(x, training)
+        expected = np.array([0.0, 0.0, 0.0, 2.0, np.inf, 0.0, np.nan]).reshape(1, 1, 1, 7)
+        assert np.array_equal(y, expected, equal_nan=True)
+        assert not np.signbit(y[~np.isnan(y)]).any()
 
     def test_identity_conv_backward_of_sum_is_ones(self):
         # a 1x1 convolution with identity weights passes the all-ones
@@ -193,6 +258,7 @@ class TestGradients:
 
 LEAVES = {
     "conv": lambda: Conv2d(2, 3, 3, rng=rng_for(40)),
+    "conv1x1": lambda: Conv2d(2, 3, 1, rng=rng_for(44)),
     "depthwise": lambda: DepthwiseConv2d(2, 3, rng=rng_for(41)),
     "transposed": lambda: TransposedConv2d(2, 3, 3, stride=2, rng=rng_for(42)),
     "maxpool": MaxPool2x2,
@@ -205,7 +271,7 @@ class TestInferenceKeepsNoCache:
     @pytest.mark.parametrize("kind", sorted(LEAVES))
     def test_backward_needs_the_last_forward_to_be_training(self, kind):
         layer = LEAVES[kind]()
-        x = rng_for(43).standard_normal((1, 2, 4, 4))
+        x = tied_input()
         y = layer.forward(x)
         needs_training = f"{type(layer).__name__}.backward needs a forward with training=True"
         with pytest.raises(RuntimeError, match=needs_training):
@@ -217,6 +283,36 @@ class TestInferenceKeepsNoCache:
         assert layer._cache is None
         with pytest.raises(RuntimeError, match="training=True"):
             layer.backward(np.ones_like(y))
+        # the two modes compute the same values, bit for bit (signed zeros
+        # included), once batch norm is frozen to its running statistics
+        if isinstance(layer, BatchNorm2d):
+            layer.frozen = True
+        assert layer.forward(x).tobytes() == layer.forward(x, training=True).tobytes()
+
+
+LAYERS = {
+    **LEAVES,
+    "residual": lambda: ResidualBlock(2, 2, rng=rng_for(45)),
+    "residual_projection": lambda: ResidualBlock(2, 3, conv_kind="full", rng=rng_for(46)),
+}
+
+
+class TestInputsAreNotWritten:
+    # a 1x1 convolution caches a view of its input, so an in-place write into
+    # a layer's input would corrupt the weight gradient of the layer before it
+    @pytest.mark.parametrize("kind", sorted(LAYERS))
+    def test_forward_and_backward_leave_their_inputs(self, kind):
+        layer = LAYERS[kind]()
+        x = tied_input()
+        x_before = x.copy()
+        y = layer.forward(x, training=True)
+        dy = rng_for(47).standard_normal(y.shape)
+        dy_before = dy.copy()
+        layer.backward(dy)
+        assert x.tobytes() == x_before.tobytes()
+        assert dy.tobytes() == dy_before.tobytes()
+        layer.forward(x)
+        assert x.tobytes() == x_before.tobytes()
 
 
 class TestParamNaming:
