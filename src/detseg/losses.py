@@ -10,7 +10,7 @@ labels, inactive anchors) contribute neither to the value nor the gradient.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ __all__ = [
     "IGNORE",
     "FocalParams",
     "LrSchedule",
-    "TaskUncertainty",
     "TASK_NAMES",
     "focal_loss",
     "cross_entropy",
@@ -60,24 +59,6 @@ class LrSchedule:
     def __post_init__(self) -> None:
         if self.base_lr <= 0 or self.max_iter <= 0:
             raise ValueError(f"need positive base_lr and max_iter, got {self}")
-
-
-@dataclass
-class TaskUncertainty:
-    """One learnable log-variance scalar per task, initialized to zero."""
-
-    tasks: tuple[str, ...] = TASK_NAMES
-    s: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.s is None:
-            self.s = np.zeros(len(self.tasks), dtype=np.float64)
-        self.s = np.asarray(self.s, dtype=np.float64)
-        if self.s.shape != (len(self.tasks),):
-            raise ValueError(f"need one scalar per task, got shape {self.s.shape}")
-
-    def weight(self, task: str) -> float:
-        return float(np.exp(-self.s[self.tasks.index(task)]))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from .layers import (
 from .model import DetSegModel, ModelConfig, flatten_per_anchor, unflatten_per_anchor
 from .optim import AdamState, adam_step
 from .tensor import Tensor, as_data
-from .train import TrainResult, TrainSample, prepare_targets, train_toy
+from .train import TrainResult, TrainSample, objective, prepare_targets, train_toy
 
 __all__ = [
     "Tensor",
@@ -44,5 +44,6 @@ __all__ = [
     "TrainSample",
     "TrainResult",
     "prepare_targets",
+    "objective",
     "train_toy",
 ]

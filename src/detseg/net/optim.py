@@ -11,6 +11,10 @@ from .layers import Param
 
 __all__ = ["AdamState", "adam_step"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -19,20 +23,10 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: Sequence[Param], beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_params(cls, params: Sequence[Param]) -> "AdamState":
+        return cls(m=[np.zeros_like(p.data) for p in params], v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params: Sequence[Param], state: AdamState, lr: float) -> None:
@@ -40,14 +34,14 @@ def adam_step(params: Sequence[Param], state: AdamState, lr: float) -> None:
     if len(params) != len(state.m):
         raise ValueError(f"state tracks {len(state.m)} params, got {len(params)}")
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
+    c1 = 1.0 - BETA1**state.step
+    c2 = 1.0 - BETA2**state.step
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad
         if g.shape != m.shape:
             raise ValueError(f"gradient shape {g.shape} does not match state {m.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)

@@ -1,15 +1,15 @@
-"""Desk-scale multi-task training loop.
+"""Desk-scale multi-task training loop and its objective.
 
 Each iteration takes one sample (cycling through the dataset), runs the
-forward pass, evaluates the per-task losses against precomputed anchor
-targets, combines them with learned uncertainty weights, back-propagates,
-and applies one Adam step under the polynomial LR schedule.
+forward pass, evaluates :func:`objective` (the per-task losses against
+precomputed anchor targets, combined with learned uncertainty weights),
+back-propagates, and applies one Adam step under the polynomial LR schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,9 +18,7 @@ from ..geom import AnchorGrid
 from ..losses import (
     IGNORE,
     TASK_NAMES,
-    FocalParams,
     LrSchedule,
-    TaskUncertainty,
     contrastive_loss,
     cross_entropy,
     focal_loss,
@@ -32,7 +30,7 @@ from .layers import Param
 from .model import DetSegModel, flatten_per_anchor, unflatten_per_anchor
 from .optim import AdamState, adam_step
 
-__all__ = ["TrainSample", "TrainResult", "prepare_targets", "train_toy"]
+__all__ = ["TrainSample", "TrainResult", "prepare_targets", "objective", "train_toy"]
 
 SEG_IGNORE = 255
 
@@ -54,8 +52,7 @@ def prepare_targets(targets: AnchorTargetArrays) -> AnchorTargetArrays:
 @dataclass
 class TrainResult:
     history: list[dict]
-    model: DetSegModel
-    uncertainty: TaskUncertainty
+    s: np.ndarray              # learned log-variance per task, in TASK_NAMES order
     iterations_run: int
 
 
@@ -68,6 +65,77 @@ _HEAD_OF_TASK = {
 }
 
 
+def objective(
+    outputs: Mapping[str, np.ndarray],
+    targets: AnchorTargetArrays,
+    label_map: np.ndarray,
+    s: np.ndarray,
+    tasks: Sequence[str] = TASK_NAMES,
+    margin: float = 1.0,
+) -> tuple[float, dict[str, float], dict[str, np.ndarray], np.ndarray]:
+    """One image's multi-task loss ``sum_k exp(-s_k) L_k + s_k / 2`` and its gradients.
+
+    ``outputs`` maps each head to the image's (C, H, W) output, from whose
+    shapes the templates per cell and the grid size are read; ``s`` holds a
+    log-variance per task in ``TASK_NAMES`` order. A task in ``tasks``
+    applies when it has something to learn: objectness an anchor that is not
+    don't-care, class and box an active anchor, embedding two, segmentation
+    a labelled pixel. Returns ``(total, values, upstream, ds)``: the total
+    over the applicable tasks, their losses by name, the gradient in each
+    head they read (other heads are absent), and the gradient in all of
+    ``s`` (zero where a task does not apply). A non-finite loss raises
+    RuntimeError naming the task.
+    """
+    templates, grid_rows, grid_cols = outputs["objectness"].shape
+    templates //= 2
+    active = targets.active
+    n_active = int(active.sum())
+
+    def anchor_rows(head: str) -> np.ndarray:
+        return flatten_per_anchor(outputs[head], templates)
+
+    values: dict[str, float] = {}
+    task_grads: dict[str, np.ndarray] = {}
+    if "objectness" in tasks and np.any(targets.labels != IGNORE):
+        values["objectness"], task_grads["objectness"] = focal_loss(anchor_rows("objectness"), targets.labels)
+    if "class" in tasks and n_active > 0:
+        values["class"], task_grads["class"] = cross_entropy(
+            anchor_rows("class_scores"), targets.class_targets, ignore=-1)
+    if "box" in tasks and n_active > 0:
+        values["box"], task_grads["box"] = smooth_l1(anchor_rows("box_deltas"), targets.deltas, active)
+    if "embedding" in tasks and n_active >= 2:
+        emb_rows = anchor_rows("embeddings")
+        values["embedding"], grad_active = contrastive_loss(
+            emb_rows[active], targets.instance_ids[active], margin)
+        task_grads["embedding"] = np.zeros_like(emb_rows)
+        task_grads["embedding"][active] = grad_active
+    seg = outputs["seg_logits"]
+    if "segmentation" in tasks and np.any(label_map != SEG_IGNORE):
+        seg_rows = seg.transpose(1, 2, 0).reshape(-1, seg.shape[0])
+        values["segmentation"], task_grads["segmentation"] = cross_entropy(
+            seg_rows, label_map.reshape(-1), ignore=SEG_IGNORE)
+
+    for task, value in values.items():
+        if not np.isfinite(value):
+            raise RuntimeError(f"non-finite {task} loss")
+    idx = np.array([TASK_NAMES.index(t) for t in values], dtype=np.int64)
+    total, weights, ds_applicable = kendall_total(list(values.values()), s[idx])
+    if not np.isfinite(total):
+        raise RuntimeError("non-finite total loss")
+    ds = np.zeros(len(TASK_NAMES))
+    ds[idx] = ds_applicable
+
+    upstream: dict[str, np.ndarray] = {}
+    for weight, task in zip(weights, values):
+        grad = task_grads[task] * weight
+        head = _HEAD_OF_TASK[task]
+        if head == "seg_logits":
+            upstream[head] = grad.reshape(seg.shape[1], seg.shape[2], seg.shape[0]).transpose(2, 0, 1)
+        else:
+            upstream[head] = unflatten_per_anchor(grad, templates, grid_rows, grid_cols)
+    return total, values, upstream, ds
+
+
 def train_toy(
     samples: Sequence[TrainSample],
     model: DetSegModel,
@@ -76,7 +144,6 @@ def train_toy(
     iterations: int,
     assign_cfg: AssignConfig = AssignConfig(),
     tasks: Sequence[str] = TASK_NAMES,
-    focal: FocalParams = FocalParams(),
     margin: float = 1.0,
     freeze_stats_after: Optional[int] = None,
     stop_check: Optional[Callable[[int, DetSegModel], bool]] = None,
@@ -90,7 +157,8 @@ def train_toy(
     steps (default: half the budget) so that the rest of the run trains
     against the statistics inference will use. ``stop_check`` may end
     training early (checked every ``stop_check_every`` steps); the schedule
-    always spans ``iterations``.
+    always spans ``iterations``. A non-finite loss raises RuntimeError
+    naming the task and the iteration.
     """
     if not samples:
         raise ValueError("need at least one training sample")
@@ -112,12 +180,9 @@ def train_toy(
         for s in samples
     ]
 
-    uncertainty = TaskUncertainty()
-    s_param = Param(uncertainty.s)
-    uncertainty.s = s_param.data  # share storage so updates are visible
+    s_param = Param(np.zeros(len(TASK_NAMES)))
     opt_params = model.parameters() + [s_param]
     opt_state = AdamState.for_params(opt_params)
-    enabled = tuple(t for t in TASK_NAMES if t in tasks)
 
     if freeze_stats_after is None:
         freeze_stats_after = iterations // 2
@@ -128,77 +193,26 @@ def train_toy(
         if it == freeze_stats_after:
             model.freeze_batchnorm_stats()
         sample = samples[it % len(samples)]
-        arrays = prepared[it % len(samples)]
         outputs = model.forward(sample.image[None], training=True)
-
-        n_classes = model.config.num_classes
-        seg = outputs["seg_logits"].data[0]
-        seg_rows = seg.transpose(1, 2, 0).reshape(-1, n_classes)
-        obj_rows = flatten_per_anchor(outputs["objectness"].data[0], n_templates)
-        cls_rows = flatten_per_anchor(outputs["class_scores"].data[0], n_templates)
-        box_rows = flatten_per_anchor(outputs["box_deltas"].data[0], n_templates)
-        emb_rows = flatten_per_anchor(outputs["embeddings"].data[0], n_templates)
-
-        n_active = int(arrays.active.sum())
-        task_values: dict[str, float] = {}
-        task_grads: dict[str, np.ndarray] = {}
-
-        if "objectness" in enabled and np.any(arrays.labels != IGNORE):
-            value, grad = focal_loss(obj_rows, arrays.labels, focal)
-            task_values["objectness"], task_grads["objectness"] = value, grad
-        if "class" in enabled and n_active > 0:
-            value, grad = cross_entropy(cls_rows, arrays.class_targets, ignore=-1)
-            task_values["class"], task_grads["class"] = value, grad
-        if "box" in enabled and n_active > 0:
-            value, grad = smooth_l1(box_rows, arrays.deltas, arrays.active)
-            task_values["box"], task_grads["box"] = value, grad
-        if "embedding" in enabled and n_active >= 2:
-            value, grad_active = contrastive_loss(
-                emb_rows[arrays.active], arrays.instance_ids[arrays.active], margin
-            )
-            grad = np.zeros_like(emb_rows)
-            grad[arrays.active] = grad_active
-            task_values["embedding"], task_grads["embedding"] = value, grad
-        if "segmentation" in enabled and np.any(sample.label_map != SEG_IGNORE):
-            value, grad = cross_entropy(seg_rows, sample.label_map.reshape(-1), ignore=SEG_IGNORE)
-            task_values["segmentation"], task_grads["segmentation"] = value, grad
-
-        applicable = [t for t in TASK_NAMES if t in task_values]
-        for t in applicable:
-            if not np.isfinite(task_values[t]):
-                raise RuntimeError(f"non-finite {t} loss at iteration {it}: {task_values[t]}")
-
-        idx = np.array([TASK_NAMES.index(t) for t in applicable], dtype=np.int64)
-        total, weights, ds = kendall_total(
-            [task_values[t] for t in applicable], s_param.data[idx]
-        )
-        if not np.isfinite(total):
-            raise RuntimeError(f"non-finite total loss at iteration {it}")
-
-        upstream: dict[str, np.ndarray] = {}
-        grid_rows, grid_cols = grid.rows, grid.cols
-        for weight, task in zip(weights, applicable):
-            grad = task_grads[task] * weight
-            head = _HEAD_OF_TASK[task]
-            if task == "segmentation":
-                upstream[head] = grad.reshape(seg.shape[1], seg.shape[2], n_classes).transpose(2, 0, 1)[None]
-            else:
-                upstream[head] = unflatten_per_anchor(grad, n_templates, grid_rows, grid_cols)[None]
+        try:
+            total, values, upstream, ds = objective(
+                {head: out.data[0] for head, out in outputs.items()}, prepared[it % len(samples)],
+                sample.label_map, s_param.data, tasks, margin)
+        except RuntimeError as exc:
+            raise RuntimeError(f"{exc} at iteration {it}") from None
 
         model.zero_grad()
-        s_param.grad[...] = 0.0
-        s_param.grad[idx] = ds
-        model.backward(upstream)
-        adam_step(opt_params, opt_state, poly_lr(it, schedule))
+        s_param.grad[...] = ds
+        model.backward({head: grad[None] for head, grad in upstream.items()})
+        lr = poly_lr(it, schedule)
+        adam_step(opt_params, opt_state, lr)
 
-        entry = {"iteration": it, "lr": poly_lr(it, schedule), "total": total}
-        for t in TASK_NAMES:
-            entry[t] = task_values.get(t)
-        history.append(entry)
+        history.append({"iteration": it, "lr": lr, "total": total,
+                        **{t: values.get(t) for t in TASK_NAMES}})
         iterations_run = it + 1
 
         if stop_check is not None and stop_check_every > 0 and (it + 1) % stop_check_every == 0:
             if stop_check(it + 1, model):
                 break
 
-    return TrainResult(history=history, model=model, uncertainty=uncertainty, iterations_run=iterations_run)
+    return TrainResult(history=history, s=s_param.data, iterations_run=iterations_run)

@@ -36,6 +36,7 @@ from ..geom import (
     templates_from_json,
     templates_to_json,
 )
+from ..losses import TASK_NAMES
 from ..net.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from ..net.model import DOWNSAMPLE, DetSegModel, ModelConfig
 from ..net.train import TrainSample, train_toy
@@ -281,14 +282,14 @@ def cmd_train_toy(args) -> int:
     out = args.output_dir
     os.makedirs(out, exist_ok=True)
     tensors = dict(model.state_tensors())
-    tensors["uncertainty.s"] = result.uncertainty.s
+    tensors["uncertainty.s"] = result.s
     checkpoint_path = os.path.join(out, "checkpoint.nnad")
     save_checkpoint(checkpoint_path, _checkpoint_config(config), tensors)
 
     history_path = os.path.join(out, "loss_history.csv")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    columns = ["iteration", "lr", "total", "objectness", "class", "box", "embedding", "segmentation"]
+    columns = ["iteration", "lr", "total", *TASK_NAMES]
     writer.writerow(columns)
     for entry in result.history:
         writer.writerow(["" if entry.get(c) is None else entry.get(c) for c in columns])

@@ -120,7 +120,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "dataset_dir": {"type": "string"},
-                "out_dir": {"type": "string"},
             },
         },
     },
@@ -144,7 +143,6 @@ class RunConfig:
     num_images: int
     scene: SceneSpec
     dataset_dir: Optional[str]
-    out_dir: Optional[str]
     raw: dict
 
 
@@ -239,7 +237,6 @@ def run_config_from_dict(data: dict) -> RunConfig:
         num_images=int(dataset["num_images"]),
         scene=scene,
         dataset_dir=paths.get("dataset_dir"),
-        out_dir=paths.get("out_dir"),
         raw=data,
     )
 

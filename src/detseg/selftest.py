@@ -1,12 +1,12 @@
 """Built-in verification suites backing the ``selftest`` CLI command.
 
 Each suite checks an implementation against an independent route from
-:mod:`detseg.oracles`: layers and losses against central finite differences,
-target assignment against a literal per-anchor re-application of the rule
-list, NMS against a quadratic reference. The box codec is checked against its
-round-trip identity, and the inference forward against a training forward
-with frozen batch-norm statistics. The acceptance tests run the same suites
-at full size.
+:mod:`detseg.oracles`: layers, losses and the training objective against
+central finite differences, target assignment against a literal per-anchor
+re-application of the rule list, NMS against a quadratic reference. The box
+codec is checked against its round-trip identity, and the inference forward
+against a training forward with frozen batch-norm statistics. The acceptance
+tests run the same suites at full size.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .assign import AssignConfig, assign_targets
 from .geom import decode_array, encode_array
-from .losses import contrastive_loss, cross_entropy, focal_loss, smooth_l1
+from .losses import TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
 from .net.layers import (
     BatchNorm2d,
     Conv2d,
@@ -26,7 +26,8 @@ from .net.layers import (
     ResidualBlock,
     TransposedConv2d,
 )
-from .net.model import DetSegModel, ModelConfig
+from .net.model import DetSegModel, ModelConfig, flatten_per_anchor
+from .net.train import SEG_IGNORE, objective
 from .oracles import (
     FD_TOLERANCE,
     anchor_aligned_scene,
@@ -46,11 +47,17 @@ __all__ = ["run_selftest", "check_layer_gradients", "check_loss_gradients",
            "check_assignment", "check_nms", "check_codec", "check_inference_path"]
 
 
+# A central difference costs two evaluations per entry; this caps the cost of
+# the objective case, whose segmentation head has an entry per pixel and class.
+FD_PROBES = 256
+
+
 def _fd_results(cases, instances: int) -> list[tuple[str, float, bool]]:
     """Worst relative error of analytic gradients against central differences, per case.
 
     Each case is ``(name, draw)``; ``draw()`` returns a fresh instance as
     ``(value_fn, arrays, analytic gradients of value_fn in those arrays)``.
+    Every entry of an array is probed, up to ``FD_PROBES`` evenly spaced ones.
     """
     results = []
     for name, draw in cases:
@@ -58,7 +65,9 @@ def _fd_results(cases, instances: int) -> list[tuple[str, float, bool]]:
         for _ in range(instances):
             value_fn, arrays, grads = draw()
             for arr, grad in zip(arrays, grads):
-                worst = max(worst, relative_error(grad, finite_difference(value_fn, arr)))
+                probe = np.unique(np.linspace(0, arr.size - 1, min(arr.size, FD_PROBES)).astype(np.int64))
+                fd = finite_difference(value_fn, arr, indices=probe)
+                worst = max(worst, relative_error(grad.reshape(-1)[probe], fd))
         results.append((name, worst, worst <= FD_TOLERANCE))
     return results
 
@@ -136,7 +145,7 @@ def check_layer_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, 
 
 
 def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, float, bool]]:
-    """Finite-difference check of every loss gradient."""
+    """Finite-difference check of every loss gradient, and of :func:`objective` in its head outputs and ``s``."""
     rng = np.random.default_rng(seed)
 
     def focal_case():
@@ -176,8 +185,41 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
         _, grad = contrastive_loss(emb, ids, margin=1.0)
         return (lambda: contrastive_loss(emb, ids, margin=1.0)[0]), [emb], [grad]
 
+    def objective_case():
+        # Random heads on an anchor-aligned scene where every task applies;
+        # redrawn until the box residuals and embedding distances of the
+        # active anchors clear their kinks.
+        while True:
+            grid, gts, w, h = anchor_aligned_scene(rng)
+            targets = assign_targets(grid, gts, w, h, AssignConfig())
+            if len(np.unique(targets.instance_ids[targets.active])) >= 2:
+                break
+        t, rows, cols = len(grid.templates), grid.rows, grid.cols
+        label_map = rng.integers(0, 3, size=(h, w))
+        label_map[rng.random((h, w)) < 0.2] = SEG_IGNORE
+        label_map[0, 0] = 0
+        for _ in range(50):
+            outputs = {"objectness": rng.standard_normal((2 * t, rows, cols)),
+                       "class_scores": rng.standard_normal((3 * t, rows, cols)),
+                       "box_deltas": rng.standard_normal((4 * t, rows, cols)),
+                       "embeddings": rng.standard_normal((2 * t, rows, cols)),
+                       "seg_logits": rng.standard_normal((3, h, w))}
+            box = flatten_per_anchor(outputs["box_deltas"], t)[targets.active] - targets.deltas[targets.active]
+            emb = flatten_per_anchor(outputs["embeddings"], t)[targets.active]
+            d = np.sqrt(((emb[:, None] - emb[None]) ** 2).sum(-1))[np.triu_indices(len(emb), k=1)]
+            if min(np.abs(np.abs(box) - 1.0).min(), d.min(), np.abs(d - 1.0).min()) > _KINK_MARGIN:
+                break
+        else:
+            raise RuntimeError("could not draw a kink-free instance for objective")
+        s = rng.uniform(-0.5, 0.5, size=len(TASK_NAMES))
+        _, _, upstream, ds = objective(outputs, targets, label_map, s)
+        arrays = list(outputs.values()) + [s]
+        grads = [upstream[head] for head in outputs] + [ds]
+        return (lambda: objective(outputs, targets, label_map, s)[0]), arrays, grads
+
     return _fd_results([("focal_loss", focal_case), ("cross_entropy", ce_case),
-                        ("smooth_l1", sl1_case), ("contrastive_loss", contrastive_case)], instances)
+                        ("smooth_l1", sl1_case), ("contrastive_loss", contrastive_case),
+                        ("objective", objective_case)], instances)
 
 
 def check_assignment(scenes: int = 100, seed: int = 0) -> tuple[int, int, int]:

@@ -9,7 +9,6 @@ from detseg.losses import (
     IGNORE,
     FocalParams,
     LrSchedule,
-    TaskUncertainty,
     contrastive_loss,
     cross_entropy,
     focal_loss,
@@ -255,11 +254,6 @@ class TestKendall:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             kendall_total([float("inf")], np.zeros(1))
-
-    def test_uncertainty_container(self):
-        u = TaskUncertainty()
-        assert u.s == pytest.approx(np.zeros(5))
-        assert u.weight("box") == 1.0
 
 
 class TestPolySchedule:

@@ -326,6 +326,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="dataset_dir"):
             run_config_from_dict(data)
 
+    def test_unread_paths_key_rejected(self):
+        data = default_config_dict()
+        data["paths"] = {"out_dir": "runs"}
+        with pytest.raises(ValueError, match="invalid config at paths"):
+            run_config_from_dict(data)
+
     def test_schema_is_self_consistent(self):
         import jsonschema
 

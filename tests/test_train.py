@@ -7,7 +7,7 @@ from detseg.geom import AnchorTemplate, BBox, make_anchor_grid
 from detseg.losses import LrSchedule, TASK_NAMES, cross_entropy
 from detseg.net.model import DetSegModel, ModelConfig
 from detseg.net.optim import AdamState, adam_step
-from detseg.net.train import TrainSample, prepare_targets, train_toy
+from detseg.net.train import TrainSample, objective, prepare_targets, train_toy
 from detseg.pipeline.synth import SceneSpec, synth_scene
 
 TINY = ModelConfig(
@@ -139,6 +139,51 @@ class TestTrainToy:
         model = DetSegModel(TINY, seed=7)
         result = train_toy([sample], model, grid, schedule=LrSchedule(max_iter=50),
                            iterations=50)
-        assert result.uncertainty.s.shape == (5,)
-        assert np.any(result.uncertainty.s != 0.0)
-        assert np.isfinite(result.uncertainty.s).all()
+        assert result.s.shape == (5,)
+        assert np.any(result.s != 0.0)
+        assert np.isfinite(result.s).all()
+
+    def test_non_finite_loss_names_task_and_iteration(self):
+        sample = tiny_sample(3)
+        grid = make_anchor_grid(40, 40, 8, TEMPLATES)
+        model = DetSegModel(TINY, seed=1)
+        model.state_tensors()["head_box_deltas.4.weight"][0, 0, 0, 0] = np.nan
+        with pytest.raises(RuntimeError, match="^non-finite box loss at iteration 0$"):
+            train_toy([sample], model, grid, schedule=LrSchedule(max_iter=5), iterations=5)
+
+
+def random_heads(rng):
+    """Random head outputs of TINY for one 40x40 image (a 5x5 anchor grid)."""
+    heads = {name: rng.standard_normal((width, 5, 5)) for name, width in TINY.head_widths().items()}
+    heads["seg_logits"] = rng.standard_normal((TINY.num_classes, 40, 40))
+    return heads
+
+
+class TestObjective:
+    def test_no_active_anchor_trains_objectness_and_segmentation_only(self):
+        rng = np.random.default_rng(0)
+        grid = make_anchor_grid(40, 40, 8, TEMPLATES)
+        targets = assign_targets(grid, [], 40, 40, AssignConfig())
+        label_map = rng.integers(0, TINY.num_classes, size=(40, 40))
+        s = rng.uniform(-0.5, 0.5, size=5)
+        total, values, upstream, ds = objective(random_heads(rng), targets, label_map, s)
+        assert list(values) == ["objectness", "segmentation"]
+        assert set(upstream) == {"objectness", "seg_logits"}
+        assert ds[1:4].tolist() == [0.0, 0.0, 0.0]
+        assert np.all(ds[[0, 4]] != 0.0)
+        expected = sum(np.exp(-s[i]) * values[t] + s[i] / 2 for i, t in ((0, "objectness"), (4, "segmentation")))
+        assert total == pytest.approx(expected, rel=1e-12)
+
+    def test_segmentation_task_touches_only_the_segmentation_head(self):
+        rng = np.random.default_rng(1)
+        sample = tiny_sample(3)
+        grid = make_anchor_grid(40, 40, 8, TEMPLATES)
+        targets = assign_targets(grid, sample.gts, 40, 40, AssignConfig())
+        assert targets.active.sum() >= 2
+        heads = random_heads(rng)
+        s = rng.uniform(-0.5, 0.5, size=5)
+        _, values, upstream, ds = objective(heads, targets, sample.label_map, s, tasks=("segmentation",))
+        assert list(values) == ["segmentation"]
+        assert list(upstream) == ["seg_logits"]
+        assert upstream["seg_logits"].shape == heads["seg_logits"].shape
+        assert np.flatnonzero(ds).tolist() == [4]
