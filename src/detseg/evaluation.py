@@ -237,7 +237,6 @@ class DifficultyLevel:
     """
 
     name: str
-    mode: str  # "kitti" or "cityscapes-adjusted"
     min_height: float
     min_width: Optional[float] = None
     max_occlusion: Optional[int] = None
@@ -262,18 +261,18 @@ class DifficultyLevel:
 def cityscapes_adjusted_levels() -> tuple[DifficultyLevel, ...]:
     """Size-only difficulty levels for datasets without occlusion labels."""
     return (
-        DifficultyLevel("easy", "cityscapes-adjusted", min_height=100, min_width=100),
-        DifficultyLevel("moderate", "cityscapes-adjusted", min_height=50, min_width=50),
-        DifficultyLevel("hard", "cityscapes-adjusted", min_height=10, min_width=10),
+        DifficultyLevel("easy", min_height=100, min_width=100),
+        DifficultyLevel("moderate", min_height=50, min_width=50),
+        DifficultyLevel("hard", min_height=10, min_width=10),
     )
 
 
 def kitti_levels() -> tuple[DifficultyLevel, ...]:
     """The official height / occlusion / truncation difficulty presets."""
     return (
-        DifficultyLevel("easy", "kitti", min_height=40, max_occlusion=0, max_truncation=0.15),
-        DifficultyLevel("moderate", "kitti", min_height=25, max_occlusion=1, max_truncation=0.30),
-        DifficultyLevel("hard", "kitti", min_height=25, max_occlusion=2, max_truncation=0.50),
+        DifficultyLevel("easy", min_height=40, max_occlusion=0, max_truncation=0.15),
+        DifficultyLevel("moderate", min_height=25, max_occlusion=1, max_truncation=0.30),
+        DifficultyLevel("hard", min_height=25, max_occlusion=2, max_truncation=0.50),
     )
 
 

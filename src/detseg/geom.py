@@ -7,10 +7,9 @@ and ``area = width * height`` are exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -314,18 +313,12 @@ def anchor_preset(name: str) -> tuple[AnchorTemplate, ...]:
         raise ValueError(f"unknown anchor preset {name!r}; choose from {sorted(_PRESETS)}") from None
 
 
-def templates_from_json(data: Union[str, Sequence[dict]]) -> tuple[AnchorTemplate, ...]:
-    """Parse templates from a JSON array of {"ratio": r, "area": a} objects."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, (list, tuple)) or not data:
-        raise ValueError("template JSON must be a non-empty array")
-    out = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or "ratio" not in entry or "area" not in entry:
-            raise ValueError(f"template entry {i} must be an object with 'ratio' and 'area'")
-        out.append(AnchorTemplate(ratio=float(entry["ratio"]), area=float(entry["area"])))
-    return tuple(out)
+def templates_from_json(data: Sequence[Mapping]) -> tuple[AnchorTemplate, ...]:
+    """Templates from their JSON form, a list of ``{"ratio": r, "area": a}``.
+
+    ``data`` must already satisfy ``pipeline.config.TEMPLATES_SCHEMA``.
+    """
+    return tuple(AnchorTemplate(ratio=float(e["ratio"]), area=float(e["area"])) for e in data)
 
 
 def templates_to_json(templates: Sequence[AnchorTemplate]) -> list[dict]:

@@ -87,7 +87,11 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     version = reader.u32()
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version} (expected {VERSION}): {path}")
-    config = json.loads(reader.take(reader.u64()).decode("utf-8"))
+    config_bytes = reader.take(reader.u64())
+    try:
+        config = json.loads(config_bytes.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"checkpoint {path}: malformed config JSON: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u64()):
         name = reader.take(reader.u32()).decode("utf-8")

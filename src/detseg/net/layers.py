@@ -427,24 +427,16 @@ class ResidualBlock(Layer):
     """Pre-activation residual block: BN - ReLU - conv, twice, plus skip.
 
     The skip is the identity when channel counts match, otherwise a 1x1
-    projection. ``conv_kind`` selects depthwise-separable or full
-    convolutions for the two 3x3 stages.
+    projection. Both 3x3 stages are depthwise-separable convolutions.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, dilation: int = 1,
-                 conv_kind: str = "separable", *, rng: np.random.Generator):
-        if conv_kind == "separable":
-            make = lambda ci, co: DepthwiseSeparableConv2d(ci, co, 3, dilation=dilation, rng=rng)
-        elif conv_kind == "full":
-            make = lambda ci, co: Conv2d(ci, co, 3, dilation=dilation, rng=rng)
-        else:
-            raise ValueError(f"unknown conv_kind {conv_kind!r}")
+    def __init__(self, in_channels: int, out_channels: int, dilation: int = 1, *, rng: np.random.Generator):
         self.bn1 = BatchNorm2d(in_channels)
         self.relu1 = ReLU()
-        self.conv1 = make(in_channels, out_channels)
+        self.conv1 = DepthwiseSeparableConv2d(in_channels, out_channels, 3, dilation=dilation, rng=rng)
         self.bn2 = BatchNorm2d(out_channels)
         self.relu2 = ReLU()
-        self.conv2 = make(out_channels, out_channels)
+        self.conv2 = DepthwiseSeparableConv2d(out_channels, out_channels, 3, dilation=dilation, rng=rng)
         self.project = None if in_channels == out_channels else Conv2d(in_channels, out_channels, 1, bias=False, rng=rng)
 
     def children(self):

@@ -44,12 +44,14 @@ __all__ = [
 
 HEAD_NAMES = ("objectness", "class_scores", "box_deltas", "embeddings")
 DOWNSAMPLE = 8
-_SIZE_FIELDS = ("num_classes", "num_object_classes", "embedding_dim", "anchors_per_cell")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Channel widths and block counts; small defaults train in minutes on CPU."""
+    """Channel widths and block counts; small defaults train in minutes on CPU.
+
+    Settings read from a file are checked by ``detseg.pipeline.config.MODEL_SCHEMA``.
+    """
 
     num_classes: int = 3
     num_object_classes: int = 2
@@ -61,17 +63,6 @@ class ModelConfig:
     dilation: int = 2
     seg_head_channels: tuple[int, int, int] = (24, 16, 12)
     det_channels: int = 32
-    conv_kind: str = "separable"
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 2 or self.num_object_classes < 1:
-            raise ValueError("need at least 2 segmentation classes and 1 object class")
-        if self.embedding_dim < 1 or self.anchors_per_cell < 1:
-            raise ValueError("embedding_dim and anchors_per_cell must be positive")
-        if len(self.stage_channels) != 3 or len(self.stage_blocks) != 3 or len(self.seg_head_channels) != 3:
-            raise ValueError("stage_channels, stage_blocks and seg_head_channels must have length 3")
-        if self.conv_kind not in ("separable", "full"):
-            raise ValueError(f"unknown conv_kind {self.conv_kind!r}")
 
     def head_widths(self) -> dict[str, int]:
         t = self.anchors_per_cell
@@ -92,13 +83,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        """Inverse of :meth:`to_dict`; the size fields are required, the others default.
+        """Inverse of :meth:`to_dict`; a missing field takes its default.
 
-        Each value is converted to the type of its field's default (int, tuple
-        or str); a missing size field raises KeyError.
+        Each value is converted to the type of its field's default (int or
+        tuple).
         """
-        return cls(**{f.name: type(f.default)(data[f.name]) for f in fields(cls)
-                      if f.name in _SIZE_FIELDS or f.name in data})
+        return cls(**{f.name: type(f.default)(data[f.name]) for f in fields(cls) if f.name in data})
 
 
 def flatten_per_anchor(head: np.ndarray, templates: int) -> np.ndarray:
@@ -120,13 +110,8 @@ def unflatten_per_anchor(rows: np.ndarray, templates: int, grid_rows: int, grid_
     )
 
 
-def _blocks(in_ch: int, out_ch: int, count: int, dilation: int, kind: str,
-            rng: np.random.Generator) -> list[Layer]:
-    layers: list[Layer] = []
-    for i in range(count):
-        layers.append(ResidualBlock(in_ch if i == 0 else out_ch, out_ch,
-                                    dilation=dilation, conv_kind=kind, rng=rng))
-    return layers
+def _blocks(in_ch: int, out_ch: int, count: int, dilation: int, rng: np.random.Generator) -> list[Layer]:
+    return [ResidualBlock(in_ch if i == 0 else out_ch, out_ch, dilation=dilation, rng=rng) for i in range(count)]
 
 
 class DetSegModel(Layer):
@@ -143,21 +128,20 @@ class DetSegModel(Layer):
         rng = np.random.default_rng(seed)
         c1, c2, c3 = config.stage_channels
         n1, n2, n3 = config.stage_blocks
-        kind = config.conv_kind
 
         self.backbone = Sequential(
             [Conv2d(3, config.stem_channels, 3, stride=2, rng=rng)]
-            + _blocks(config.stem_channels, c1, n1, 1, kind, rng)
+            + _blocks(config.stem_channels, c1, n1, 1, rng)
             + [MaxPool2x2()]
-            + _blocks(c1, c2, n2, 1, kind, rng)
+            + _blocks(c1, c2, n2, 1, rng)
             + [MaxPool2x2()]
-            + _blocks(c2, c3, n3, config.dilation, kind, rng)
+            + _blocks(c2, c3, n3, config.dilation, rng)
             + [BatchNorm2d(c3), ReLU()]
         )
 
         s1, s2, s3 = config.seg_head_channels
         self.seg_head = Sequential(
-            _blocks(c3, c3, 3, config.dilation, kind, rng)
+            _blocks(c3, c3, 3, config.dilation, rng)
             + [
                 TransposedConv2d(c3, s1, 3, stride=2, rng=rng), BatchNorm2d(s1), ReLU(),
                 TransposedConv2d(s1, s2, 3, stride=2, rng=rng), BatchNorm2d(s2), ReLU(),
@@ -166,11 +150,11 @@ class DetSegModel(Layer):
             ]
         )
 
-        self.det_trunk = Sequential(_blocks(c3, c3, 3, config.dilation, kind, rng))
+        self.det_trunk = Sequential(_blocks(c3, c3, 3, config.dilation, rng))
         dc = config.det_channels
         self.det_heads = {
             name: Sequential(
-                _blocks(c3, dc, 2, config.dilation, kind, rng)
+                _blocks(c3, dc, 2, config.dilation, rng)
                 + [BatchNorm2d(dc), ReLU(), Conv2d(dc, width, 1, rng=rng)]
             )
             for name, width in config.head_widths().items()

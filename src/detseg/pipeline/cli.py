@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -29,21 +30,15 @@ from ..evaluation import (
     seg_confusion,
     seg_metrics,
 )
-from ..geom import (
-    anchor_preset,
-    make_anchor_grid,
-    preset_names,
-    templates_from_json,
-    templates_to_json,
-)
+from ..geom import anchor_preset, make_anchor_grid, preset_names, templates_to_json
 from ..losses import TASK_NAMES
 from ..net.checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from ..net.model import DOWNSAMPLE, DetSegModel, ModelConfig
+from ..net.model import DOWNSAMPLE, DetSegModel
 from ..net.train import TrainSample, train_toy
 from ..post import decode_detections, detections_from_jsonl, detections_to_jsonl, nms
 from .annotations import boxes_from_polygons, load_annotation, save_annotation
 from .classtable import ClassTable, synthetic_table
-from .config import RunConfig, load_run_config
+from .config import RunConfig, checkpoint_settings, load_run_config, load_templates
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from .synth import make_dataset
 
@@ -77,8 +72,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 def _load_templates(args) -> tuple:
     if args.templates_file:
         try:
-            with open(args.templates_file, "r", encoding="utf-8") as fh:
-                return templates_from_json(fh.read())
+            return load_templates(args.templates_file)
         except OSError as exc:
             raise CliError(f"cannot read templates: {exc}") from exc
     return anchor_preset(args.preset)
@@ -96,23 +90,25 @@ def _load_class_table(path: Optional[str]) -> ClassTable:
         raise CliError(f"malformed class table {path}: {exc}") from exc
 
 
-def _in_unit_interval(value) -> float:
-    """``value`` as a float if it is a number in [0, 1], the range the config schema allows."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0:
-        return float(value)
-    raise ValueError(f"expected a number in [0, 1], got {value!r}")
+def _bounded(convert, low, high, expected: str):
+    """argparse type: ``convert(text)`` within [low, high], else a usage error naming ``expected``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _unit_interval(text: str) -> float:
-    """argparse type for a threshold in [0, 1]."""
-    try:
-        return _in_unit_interval(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}") from None
+# the ranges the config schema allows for thresholds and for dataset.num_images
+_unit_interval = _bounded(float, 0.0, 1.0, "a number in [0, 1]")
+_positive_int = _bounded(int, 1, math.inf, "an integer >= 1")
 
 
 def _add_anchor_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--stride", type=int, default=8)
     parser.add_argument("--preset", default="paper-table1", choices=preset_names())
     parser.add_argument("--templates-file", help="JSON array of {ratio, area} (overrides --preset)")
 
@@ -122,7 +118,7 @@ def _add_anchor_args(parser: argparse.ArgumentParser) -> None:
 def cmd_anchors(args) -> int:
     image_w, image_h = _parse_size(args.image)
     templates = _load_templates(args)
-    grid = make_anchor_grid(image_w, image_h, args.stride, templates)
+    grid = make_anchor_grid(image_w, image_h, DOWNSAMPLE, templates)
     summary = {
         "image": {"width": image_w, "height": image_h},
         "stride": grid.stride,
@@ -188,7 +184,7 @@ def cmd_assign(args) -> int:
         raise CliError(f"cannot read annotation: {exc}") from exc
     gts = boxes_from_polygons(ann, table)
     templates = _load_templates(args)
-    grid = make_anchor_grid(ann.image_width, ann.image_height, args.stride, templates)
+    grid = make_anchor_grid(ann.image_width, ann.image_height, DOWNSAMPLE, templates)
     cfg = AssignConfig(active_iou=args.active_iou, dontcare_iou=args.dontcare_iou,
                        ambiguity_gap=args.ambiguity_gap)
     targets = assign_targets(grid, gts, ann.image_width, ann.image_height, cfg)
@@ -255,8 +251,8 @@ def _checkpoint_config(config: RunConfig) -> dict:
     return {
         "model": config.model.to_dict(),
         "templates": templates_to_json(config.templates),
-        "stride": config.stride,
-        "thresholds": {"score": config.score_threshold, "nms_iou": config.nms_iou},
+        "stride": DOWNSAMPLE,
+        "thresholds": config.thresholds,
         "seed": config.seed,
         "run_config": config.raw,
     }
@@ -266,7 +262,7 @@ def cmd_train_toy(args) -> int:
     config = load_run_config(args.config)
     samples = _build_samples(config, args.dataset)
     h, w = samples[0].label_map.shape
-    grid = make_anchor_grid(w, h, config.stride, config.templates)
+    grid = make_anchor_grid(w, h, DOWNSAMPLE, config.templates)
     model = DetSegModel(config.model, seed=config.seed)
 
     result = train_toy(
@@ -306,61 +302,19 @@ def cmd_train_toy(args) -> int:
 
 # -- detect -------------------------------------------------------------------
 
-def _checkpoint_entry(config, key: str, parse):
-    """``parse(config[key])``; a missing key, or a value ``parse`` rejects, is a ValueError naming the key."""
-    if not isinstance(config, dict) or key not in config:
-        raise ValueError(f"config has no {key!r}")
-    try:
-        return parse(config[key])
-    except KeyError as exc:
-        raise ValueError(f"config {key!r} has no {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config {key!r}: {exc}") from exc
-
-
-def _thresholds_from_json(thresholds) -> dict[str, float]:
-    """A checkpoint's ``thresholds``: ``score`` and ``nms_iou``, each optional and in [0, 1]."""
-    if not isinstance(thresholds, dict):
-        raise ValueError(f"expected an object, got {thresholds!r}")
-    unknown = sorted(set(thresholds) - {"score", "nms_iou"})
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
-    parsed = {}
-    for key, value in thresholds.items():
-        try:
-            parsed[key] = _in_unit_interval(value)
-        except ValueError as exc:
-            raise ValueError(f"{key!r}: {exc}") from None
-    return parsed
-
-
 def cmd_detect(args) -> int:
     try:
         ckpt_config, tensors = load_checkpoint(args.checkpoint)
     except OSError as exc:
         raise CliError(f"cannot read checkpoint: {exc}") from exc
     try:
-        model_config = _checkpoint_entry(ckpt_config, "model", ModelConfig.from_dict)
-        templates = _checkpoint_entry(ckpt_config, "templates", templates_from_json)
-        stride = _checkpoint_entry(ckpt_config, "stride", int)
-        thresholds = (_checkpoint_entry(ckpt_config, "thresholds", _thresholds_from_json)
-                      if "thresholds" in ckpt_config else {})
+        model_config, templates, thresholds = checkpoint_settings(ckpt_config)
         model = DetSegModel(model_config, seed=0)
         model.load_state(tensors)
     except (KeyError, ValueError) as exc:
         raise CliError(f"checkpoint {args.checkpoint}: {exc.args[0]}") from exc
-    if len(templates) != model_config.anchors_per_cell:
-        raise CliError(f"checkpoint {args.checkpoint}: {len(templates)} anchor templates, but its "
-                       f"model predicts {model_config.anchors_per_cell} anchors per cell")
-    if stride != DOWNSAMPLE:
-        raise CliError(f"checkpoint {args.checkpoint}: anchor stride {stride}, but the model "
-                       f"downsamples by {DOWNSAMPLE}")
-    score_threshold = args.score_threshold
-    if score_threshold is None:
-        score_threshold = thresholds.get("score", 0.5)
-    nms_iou = args.nms_iou
-    if nms_iou is None:
-        nms_iou = thresholds.get("nms_iou", 0.5)
+    score_threshold = thresholds["score"] if args.score_threshold is None else args.score_threshold
+    nms_iou = thresholds["nms_iou"] if args.nms_iou is None else args.nms_iou
 
     if os.path.isdir(args.images):
         files = sorted(
@@ -380,7 +334,7 @@ def cmd_detect(args) -> int:
         image_id = os.path.splitext(os.path.basename(path))[0]
         _, h, w = image.shape
         if (w, h) not in grids:
-            grids[(w, h)] = make_anchor_grid(w, h, stride, templates)
+            grids[(w, h)] = make_anchor_grid(w, h, DOWNSAMPLE, templates)
         grid = grids[(w, h)]
         try:
             # the finiteness checks below report an overflowing head; numpy's warning would repeat it
@@ -542,7 +496,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="write a synthetic dataset to disk")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--count", type=int, help="override dataset.num_images")
+    p.add_argument("--count", type=_positive_int, help="override dataset.num_images")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("assign", help="assign anchor targets for one annotation")

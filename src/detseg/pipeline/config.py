@@ -1,13 +1,22 @@
-"""Run configuration: one JSON document, schema-validated at load time."""
+"""The settings documents: a run config, a checkpoint's config and a templates file.
+
+Each is checked by a JSON schema built from the shared ``model``,
+``templates`` and ``thresholds`` fragments, through validators built once.
+Python's ``json`` reads ``NaN`` and ``Infinity``, which ``minimum`` and
+``maximum`` let through, so the validators count no non-finite float as a number.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
+from jsonschema.validators import extend
 
 from ..assign import AssignConfig
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
@@ -15,9 +24,56 @@ from ..losses import TASK_NAMES, LrSchedule
 from ..net.model import DOWNSAMPLE, ModelConfig
 from .synth import SceneSpec
 
-__all__ = ["RunConfig", "CONFIG_SCHEMA", "load_run_config", "run_config_from_dict", "default_config_dict"]
+__all__ = ["RunConfig", "CONFIG_SCHEMA", "CHECKPOINT_SCHEMA", "MODEL_SCHEMA", "TEMPLATES_SCHEMA",
+           "load_run_config", "run_config_from_dict", "default_config_dict", "checkpoint_settings",
+           "load_templates"]
 
-SEED_ENV_VAR = "NNAD_SEED"
+_POSITIVE_INT = {"type": "integer", "minimum": 1}
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+# the model's feature map is always 1/8 of the image, so any other anchor
+# stride gives a lattice the heads do not predict
+_STRIDE = {"const": DOWNSAMPLE}
+
+
+def _triple(item: dict) -> dict:
+    return {"type": "array", "items": item, "minItems": 3, "maxItems": 3}
+
+
+MODEL_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "num_classes": {"type": "integer", "minimum": 2},
+        "num_object_classes": _POSITIVE_INT,
+        "embedding_dim": _POSITIVE_INT,
+        "stem_channels": _POSITIVE_INT,
+        "stage_channels": _triple(_POSITIVE_INT),
+        "stage_blocks": _triple(_POSITIVE_INT),
+        "dilation": _POSITIVE_INT,
+        "seg_head_channels": _triple(_POSITIVE_INT),
+        "det_channels": _POSITIVE_INT,
+    },
+}
+
+TEMPLATES_SCHEMA = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "object",
+        "required": ["ratio", "area"],
+        "additionalProperties": False,
+        "properties": {
+            "ratio": {"type": "number", "exclusiveMinimum": 0},
+            "area": {"type": "number", "exclusiveMinimum": 0},
+        },
+    },
+}
+
+THRESHOLDS_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {"score": _UNIT, "nms_iou": _UNIT},
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -25,43 +81,14 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "seed": {"type": "integer", "minimum": 0},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "num_classes": {"type": "integer", "minimum": 2},
-                "num_object_classes": {"type": "integer", "minimum": 1},
-                "embedding_dim": {"type": "integer", "minimum": 1},
-                "stem_channels": {"type": "integer", "minimum": 1},
-                "stage_channels": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                                   "minItems": 3, "maxItems": 3},
-                "stage_blocks": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                                 "minItems": 3, "maxItems": 3},
-                "dilation": {"type": "integer", "minimum": 1},
-                "seg_head_channels": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                                      "minItems": 3, "maxItems": 3},
-                "det_channels": {"type": "integer", "minimum": 1},
-                "conv_kind": {"enum": ["separable", "full"]},
-            },
-        },
+        "model": MODEL_SCHEMA,
         "anchors": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "stride": {"type": "integer", "minimum": 1},
-                "preset": {"type": "string"},
-                "templates": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["ratio", "area"],
-                        "properties": {
-                            "ratio": {"type": "number", "exclusiveMinimum": 0},
-                            "area": {"type": "number", "exclusiveMinimum": 0},
-                        },
-                    },
-                },
+                "stride": _STRIDE,
+                "preset": {"enum": list(preset_names())},
+                "templates": TEMPLATES_SCHEMA,
             },
         },
         "assign": {
@@ -78,24 +105,17 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "base_lr": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
+                "max_iter": _POSITIVE_INT,
                 "power": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "thresholds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "score": {"type": "number", "minimum": 0, "maximum": 1},
-                "nms_iou": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
+        "thresholds": THRESHOLDS_SCHEMA,
         "training": {
             "type": "object",
             "required": ["iterations"],
             "additionalProperties": False,
             "properties": {
-                "iterations": {"type": "integer", "minimum": 1},
+                "iterations": _POSITIVE_INT,
                 "tasks": {"type": "array", "items": {"enum": list(TASK_NAMES)}, "minItems": 1},
                 "margin": {"type": "number", "exclusiveMinimum": 0},
                 "freeze_stats_after": {"type": "integer", "minimum": 0},
@@ -106,11 +126,12 @@ CONFIG_SCHEMA = {
             "required": ["num_images", "width", "height"],
             "additionalProperties": False,
             "properties": {
-                "num_images": {"type": "integer", "minimum": 1},
-                "width": {"type": "integer", "minimum": 8},
-                "height": {"type": "integer", "minimum": 8},
+                "num_images": _POSITIVE_INT,
+                # train-toy feeds whole images to the network, which needs multiples of 8
+                "width": {"type": "integer", "minimum": DOWNSAMPLE, "multipleOf": DOWNSAMPLE},
+                "height": {"type": "integer", "minimum": DOWNSAMPLE, "multipleOf": DOWNSAMPLE},
                 "min_objects": {"type": "integer", "minimum": 0},
-                "max_objects": {"type": "integer", "minimum": 1},
+                "max_objects": _POSITIVE_INT,
                 "min_size": {"type": "integer", "minimum": 2},
                 "max_size": {"type": "integer", "minimum": 2},
             },
@@ -125,17 +146,68 @@ CONFIG_SCHEMA = {
     },
 }
 
+# What ``train-toy`` writes into a checkpoint and ``detect`` rebuilds the network from.
+CHECKPOINT_SCHEMA = {
+    "type": "object",
+    "required": ["model", "templates", "stride"],
+    "additionalProperties": False,
+    "properties": {
+        "model": {
+            **MODEL_SCHEMA,
+            "required": ["num_classes", "num_object_classes", "embedding_dim", "anchors_per_cell"],
+            "properties": {**MODEL_SCHEMA["properties"], "anchors_per_cell": _POSITIVE_INT},
+        },
+        "templates": TEMPLATES_SCHEMA,
+        "stride": _STRIDE,
+        "thresholds": THRESHOLDS_SCHEMA,
+        "seed": {"type": "integer", "minimum": 0},
+        "run_config": {"type": "object"},
+    },
+}
+
+
+def _is_finite_number(checker, instance) -> bool:
+    return (Draft202012Validator.TYPE_CHECKER.is_type(instance, "number")
+            and (isinstance(instance, int) or math.isfinite(instance)))
+
+
+_Validator = extend(Draft202012Validator,
+                    type_checker=Draft202012Validator.TYPE_CHECKER.redefine("number", _is_finite_number))
+_CONFIG = _Validator(CONFIG_SCHEMA)
+_CHECKPOINT = _Validator(CHECKPOINT_SCHEMA)
+_TEMPLATES = _Validator(TEMPLATES_SCHEMA)
+
+
+def _check(validator, data) -> None:
+    """Raise ValueError naming the key path of the most relevant schema violation."""
+    error = best_match(validator.iter_errors(data))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ValueError(f"invalid config at {path}: {error.message}")
+
+
+def _thresholds(data: Mapping) -> dict[str, float]:
+    """A document's ``thresholds``, each 0.5 when absent."""
+    given = data.get("thresholds", {})
+    return {key: float(given.get(key, 0.5)) for key in ("score", "nms_iou")}
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON: {exc}") from exc
+
 
 @dataclass
 class RunConfig:
     seed: int
     model: ModelConfig
     templates: tuple[AnchorTemplate, ...]
-    stride: int
     assign: AssignConfig
     schedule: LrSchedule
-    score_threshold: float
-    nms_iou: float
+    thresholds: dict[str, float]
     iterations: int
     tasks: tuple[str, ...]
     margin: float
@@ -150,11 +222,7 @@ def default_config_dict() -> dict:
     """A complete config for the built-in synthetic overfit run."""
     return {
         "seed": 7,
-        "model": {
-            "num_classes": 3,
-            "num_object_classes": 2,
-            "embedding_dim": 4,
-        },
+        "model": {"num_classes": 3, "num_object_classes": 2, "embedding_dim": 4},
         "anchors": {"stride": 8, "preset": "toy"},
         "assign": {},
         "schedule": {"base_lr": 0.001, "power": 0.9},
@@ -165,26 +233,17 @@ def default_config_dict() -> dict:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValueError(f"invalid config at {path}: {exc.message}") from exc
+    _check(_CONFIG, data)
 
     anchors = data["anchors"]
     if ("preset" in anchors) == ("templates" in anchors):
         raise ValueError("anchors must specify exactly one of 'preset' or 'templates'")
     if "preset" in anchors:
-        if anchors["preset"] not in preset_names():
-            raise ValueError(f"unknown anchor preset {anchors['preset']!r}")
         templates = anchor_preset(anchors["preset"])
     else:
         templates = templates_from_json(anchors["templates"])
-    stride = int(anchors.get("stride", DOWNSAMPLE))
-    if stride != DOWNSAMPLE:
-        raise ValueError(f"anchors.stride must be {DOWNSAMPLE}, the model's downsampling factor, got {stride}")
 
-    model = ModelConfig.from_dict({**ModelConfig().to_dict(), **data["model"], "anchors_per_cell": len(templates)})
+    model = ModelConfig.from_dict({**data["model"], "anchors_per_cell": len(templates)})
 
     assign_cfg = AssignConfig(**data.get("assign", {}))
     training = data["training"]
@@ -193,11 +252,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
     schedule_data.setdefault("max_iter", iterations)
     schedule = LrSchedule(**schedule_data)
     if schedule.max_iter < iterations:
-        raise ValueError(
-            f"schedule.max_iter={schedule.max_iter} must cover training.iterations={iterations}"
-        )
+        raise ValueError(f"schedule.max_iter={schedule.max_iter} must cover training.iterations={iterations}")
 
-    thresholds = data.get("thresholds", {})
     dataset = data["dataset"]
     scene = SceneSpec(
         width=int(dataset["width"]),
@@ -208,43 +264,55 @@ def run_config_from_dict(data: dict) -> RunConfig:
         max_size=int(dataset.get("max_size", 22)),
     )
 
-    paths = data.get("paths", {})
-    for key in ("dataset_dir",):
-        if key in paths and not os.path.isdir(paths[key]):
-            raise ValueError(f"paths.{key} does not exist: {paths[key]}")
-
-    seed = int(data["seed"])
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+    dataset_dir = data.get("paths", {}).get("dataset_dir")
+    if dataset_dir is not None and not os.path.isdir(dataset_dir):
+        raise ValueError(f"paths.dataset_dir does not exist: {dataset_dir}")
 
     return RunConfig(
-        seed=seed,
+        seed=int(data["seed"]),
         model=model,
         templates=templates,
-        stride=stride,
         assign=assign_cfg,
         schedule=schedule,
-        score_threshold=float(thresholds.get("score", 0.5)),
-        nms_iou=float(thresholds.get("nms_iou", 0.5)),
+        thresholds=_thresholds(data),
         iterations=iterations,
         tasks=tuple(training.get("tasks", TASK_NAMES)),
         margin=float(training.get("margin", 1.0)),
         freeze_stats_after=int(training.get("freeze_stats_after", iterations // 2)),
         num_images=int(dataset["num_images"]),
         scene=scene,
-        dataset_dir=paths.get("dataset_dir"),
+        dataset_dir=dataset_dir,
         raw=data,
     )
 
 
 def load_run_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config JSON in {path}: {exc}") from exc
-    return run_config_from_dict(data)
+    """The run config in the JSON file at ``path``; every error names the file."""
+    try:
+        return run_config_from_dict(_load_json(path))
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
+
+
+def checkpoint_settings(config: Mapping) -> tuple[ModelConfig, tuple[AnchorTemplate, ...], dict[str, float]]:
+    """The network, anchor templates and thresholds (defaults filled in) a checkpoint's config describes.
+
+    A setting that cannot work with the model is a ValueError naming its key path.
+    """
+    _check(_CHECKPOINT, config)
+    model = ModelConfig.from_dict(config["model"])
+    templates = templates_from_json(config["templates"])
+    if len(templates) != model.anchors_per_cell:
+        raise ValueError(f"invalid config at templates: {len(templates)} anchor templates, but "
+                         f"the model predicts {model.anchors_per_cell} anchors per cell")
+    return model, templates, _thresholds(config)
+
+
+def load_templates(path: str) -> tuple[AnchorTemplate, ...]:
+    """The templates file at ``path``, a JSON array of ``{"ratio", "area"}``; every error names the file."""
+    try:
+        data = _load_json(path)
+        _check(_TEMPLATES, data)
+    except ValueError as exc:
+        raise ValueError(f"templates file {path}: {exc}") from exc
+    return templates_from_json(data)

@@ -72,7 +72,8 @@ class SceneSample:
 
 def _textured_background(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     base = rng.uniform(0.35, 0.55, size=3)
-    coarse = rng.uniform(-0.06, 0.06, size=(3, max(h // 8, 1), max(w // 8, 1)))
+    # 8x8 texture cells, the last row and column cut at the image edge
+    coarse = rng.uniform(-0.06, 0.06, size=(3, -(-h // 8), -(-w // 8)))
     texture = np.kron(coarse, np.ones((8, 8)))[:, :h, :w]
     ramp = np.linspace(-0.05, 0.05, w)[None, None, :]
     return np.clip(base[:, None, None] + texture + ramp, 0.0, 1.0)

@@ -9,11 +9,11 @@ import pytest
 import detseg
 from detseg.assign import AssignConfig, AssignRule, GroundTruthObject, assign_targets_detailed
 from detseg.geom import BBox, anchor_preset, make_anchor_grid, templates_to_json
-from detseg.net.checkpoint import save_checkpoint
+from detseg.net.checkpoint import load_checkpoint, save_checkpoint
 from detseg.net.model import DetSegModel, ModelConfig
 from detseg.oracles import assign_oracle_rows
 from detseg.pipeline.cli import main
-from detseg.pipeline.config import default_config_dict
+from detseg.pipeline.config import checkpoint_settings, default_config_dict
 from detseg.pipeline.netpbm import write_pgm, write_ppm
 
 
@@ -59,6 +59,15 @@ class TestAnchorsCommand:
         code, _, err = run(capsys, "anchors", "--image", "64x64", "--bogus")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_non_finite_template_is_one_error_line_naming_the_file(self, capsys, tmp_path):
+        templates_path = os.path.join(tmp_path, "templates.json")
+        with open(templates_path, "w") as fh:
+            fh.write('[{"ratio": 1.0, "area": NaN}]')
+        code, out, err = run(capsys, "anchors", "--image", "64x64", "--templates-file", templates_path)
+        assert code == 1 and out == ""
+        assert err == (f"error: templates file {templates_path}: invalid config at 0/area: "
+                       "nan is not of type 'number'\n")
 
 
 class TestAssignCommand:
@@ -194,24 +203,33 @@ def write_checkpoint(tmp_path, templates=None, stride=8, edit=None, edit_config=
 
 
 MALFORMED_CONFIGS = {
-    "no_num_classes": (lambda c: c["model"].pop("num_classes"), "config 'model' has no 'num_classes'"),
-    "no_model": (lambda c: c.pop("model"), "config has no 'model'"),
-    "no_templates": (lambda c: c.pop("templates"), "config has no 'templates'"),
-    "no_stride": (lambda c: c.pop("stride"), "config has no 'stride'"),
-    "unknown_conv_kind": (lambda c: c["model"].update(conv_kind="fancy"),
-                          "config 'model': unknown conv_kind 'fancy'"),
+    "no_num_classes": (lambda c: c["model"].pop("num_classes"),
+                       "invalid config at model: 'num_classes' is a required property"),
+    "no_model": (lambda c: c.pop("model"), "invalid config at <root>: 'model' is a required property"),
+    "no_templates": (lambda c: c.pop("templates"), "invalid config at <root>: 'templates' is a required property"),
+    "no_stride": (lambda c: c.pop("stride"), "invalid config at <root>: 'stride' is a required property"),
+    # checkpoints written while the model had a conv_kind setting carry "separable"
+    "unknown_conv_kind": (lambda c: c["model"].update(conv_kind="separable"),
+                          "invalid config at model: Additional properties are not allowed "
+                          "('conv_kind' was unexpected)"),
     "templates_not_json": (lambda c: c.update(templates="zz"),
-                           "config 'templates': Expecting value: line 1 column 1 (char 0)"),
+                           "invalid config at templates: 'zz' is not of type 'array'"),
+    "template_unknown_key": (lambda c: c["templates"][3].update(bogus=3),
+                             "invalid config at templates/3: Additional properties are not allowed "
+                             "('bogus' was unexpected)"),
     "thresholds_not_object": (lambda c: c.update(thresholds=[]),
-                              "config 'thresholds': expected an object, got []"),
+                              "invalid config at thresholds: [] is not of type 'object'"),
     "threshold_null": (lambda c: c["thresholds"].update(nms_iou=None),
-                       "config 'thresholds': 'nms_iou': expected a number in [0, 1], got None"),
+                       "invalid config at thresholds/nms_iou: None is not of type 'number'"),
     "threshold_string": (lambda c: c["thresholds"].update(score="x"),
-                         "config 'thresholds': 'score': expected a number in [0, 1], got 'x'"),
+                         "invalid config at thresholds/score: 'x' is not of type 'number'"),
     "threshold_above_one": (lambda c: c["thresholds"].update(score=7.0),
-                            "config 'thresholds': 'score': expected a number in [0, 1], got 7.0"),
+                            "invalid config at thresholds/score: 7.0 is greater than the maximum of 1"),
+    "threshold_nan": (lambda c: c["thresholds"].update(score=float("nan")),
+                      "invalid config at thresholds/score: nan is not of type 'number'"),
     "threshold_unknown_key": (lambda c: c["thresholds"].update(nms=0.3),
-                              "config 'thresholds': unknown key 'nms'"),
+                              "invalid config at thresholds: Additional properties are not allowed "
+                              "('nms' was unexpected)"),
 }
 
 
@@ -291,6 +309,15 @@ class TestDetectCommand:
         assert code == 1
         assert err == f"error: checkpoint {checkpoint}: {message}\n"
 
+    def test_malformed_config_json_names_the_checkpoint(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(tmp_path)
+        with open(checkpoint, "r+b") as fh:
+            fh.seek(16)  # past the magic, the version and the config length
+            fh.write(b"x")
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err.startswith(f"error: checkpoint {checkpoint}: malformed config JSON: Expecting value")
+
     def test_indivisible_image_size_names_the_image(self, capsys, tmp_path):
         checkpoint, image = write_checkpoint(tmp_path, image_hw=(16, 20))
         code, err = self.detect(capsys, tmp_path, checkpoint, image)
@@ -307,7 +334,7 @@ class TestDetectCommand:
         checkpoint, image = write_checkpoint(tmp_path, stride=4)
         code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
-        assert checkpoint in err and "stride 4" in err and "downsamples by 8" in err
+        assert err == f"error: checkpoint {checkpoint}: invalid config at stride: 8 was expected\n"
 
     # The flags are checked while parsing, before the checkpoint is read:
     # out-of-range values are usage errors (exit 2), in-range values get as
@@ -347,6 +374,36 @@ class TestSynthCommand:
         manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
         assert manifest["count"] == 2
         assert os.path.exists(os.path.join(out_dir, "class_table.json"))
+
+    @pytest.mark.parametrize("count", ["0", "-2", "two"])
+    def test_count_must_be_positive(self, capsys, tmp_path, count):
+        out_dir = os.path.join(tmp_path, "data")
+        code, out, err = run(capsys, "synth", "--config", write_config(tmp_path), "--output-dir", out_dir,
+                             "--count", count)
+        assert code == 2 and out == "" and not os.path.exists(out_dir)
+        assert err == f"error: detseg synth: argument --count: expected an integer >= 1, got '{count}'\n"
+
+
+class TestTrainToyCommand:
+    def test_checkpoint_config_passes_the_checkpoint_schema(self, capsys, tmp_path):
+        # checkpoint_settings is the schema check detect runs
+        config = write_config(tmp_path, training={"iterations": 2},
+                              dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16})
+        out_dir = os.path.join(tmp_path, "run")
+        code, _, err = run(capsys, "train-toy", "--config", config, "--output-dir", out_dir)
+        assert code == 0, err
+        ckpt_config, _ = load_checkpoint(os.path.join(out_dir, "checkpoint.nnad"))
+        model, templates, thresholds = checkpoint_settings(ckpt_config)
+        assert model.anchors_per_cell == len(templates) == 15
+        assert thresholds == {"score": 0.5, "nms_iou": 0.5}
+        assert ckpt_config["seed"] == ckpt_config["run_config"]["seed"] == 7
+
+    def test_non_finite_number_is_one_error_line_naming_the_file(self, capsys, tmp_path):
+        config = write_config(tmp_path, training={"iterations": 2, "margin": float("inf")})
+        code, out, err = run(capsys, "train-toy", "--config", config, "--output-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == (f"error: config {config}: invalid config at training/margin: "
+                       "inf is not of type 'number'\n")
 
 
 class TestEvalSegCommand:

@@ -173,7 +173,7 @@ class TestDifficultyLevels:
 
 
 class TestMatching:
-    LEVEL = DifficultyLevel("hard", "cityscapes-adjusted", min_height=10, min_width=10)
+    LEVEL = DifficultyLevel("hard", min_height=10, min_width=10)
 
     def test_all_true_positives(self):
         gts = [gt(0, 0, 20, 20), gt(40, 40, 60, 60)]

@@ -115,12 +115,6 @@ class TestTemplates:
         again = templates_from_json(templates_to_json(templates))
         assert again == templates
 
-    def test_json_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            templates_from_json([{"ratio": 1.0}])
-        with pytest.raises(ValueError):
-            templates_from_json([])
-
 
 class TestAnchorGrid:
     def test_full_preset_count(self):

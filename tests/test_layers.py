@@ -245,7 +245,7 @@ class TestGradients:
 
     def test_residual_projection_path(self):
         rng = rng_for(17)
-        block = ResidualBlock(2, 4, conv_kind="full", rng=rng_for(18))
+        block = ResidualBlock(2, 4, rng=rng_for(18))
         x = rng.standard_normal((1, 2, 4, 4))
         y = block.forward(x, training=True)
         assert y.shape == (1, 4, 4, 4)
@@ -293,7 +293,7 @@ class TestInferenceKeepsNoCache:
 LAYERS = {
     **LEAVES,
     "residual": lambda: ResidualBlock(2, 2, rng=rng_for(45)),
-    "residual_projection": lambda: ResidualBlock(2, 3, conv_kind="full", rng=rng_for(46)),
+    "residual_projection": lambda: ResidualBlock(2, 3, rng=rng_for(46)),
 }
 
 

@@ -1,10 +1,14 @@
 import json
 import os
+import re
+from dataclasses import fields
 
+import jsonschema
 import numpy as np
 import pytest
 
 from detseg.geom import BBox
+from detseg.net.model import ModelConfig
 from detseg.pipeline.annotations import (
     AnnotationFile,
     PolygonObject,
@@ -14,9 +18,13 @@ from detseg.pipeline.annotations import (
 )
 from detseg.pipeline.classtable import ClassTable, cityscapes_table, synthetic_table
 from detseg.pipeline.config import (
+    CHECKPOINT_SCHEMA,
     CONFIG_SCHEMA,
+    MODEL_SCHEMA,
+    TEMPLATES_SCHEMA,
     default_config_dict,
     load_run_config,
+    load_templates,
     run_config_from_dict,
 )
 from detseg.pipeline.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
@@ -198,6 +206,12 @@ class TestSynthScenes:
         assert sample.image.data.max() <= 1.0
         assert sample.image.data.shape == (3, 64, 64)
 
+    def test_size_not_a_multiple_of_8(self):
+        # the background's 8x8 texture cells are cut at the right and bottom edges
+        sample = synth_scene(0, SceneSpec(width=60, height=44))
+        assert sample.image.data.shape == (3, 44, 60)
+        assert sample.label_map.data.shape == sample.instance_map.shape == (44, 60)
+
 
 class TestNetpbm:
     def test_ppm_round_trip(self, tmp_path):
@@ -287,24 +301,33 @@ class TestRunConfig:
         data = default_config_dict()
         for stride in (4, 16):
             data["anchors"]["stride"] = stride
-            with pytest.raises(ValueError, match=r"anchors\.stride must be 8.*got %d" % stride):
+            with pytest.raises(ValueError, match="invalid config at anchors/stride: 8 was expected"):
                 run_config_from_dict(data)
+
+    def test_image_size_must_be_a_multiple_of_8(self):
+        data = default_config_dict()
+        data["dataset"]["width"] = 60
+        with pytest.raises(ValueError, match="invalid config at dataset/width: 60 is not a multiple of 8"):
+            run_config_from_dict(data)
+
+    @pytest.mark.parametrize("section, key", [("schedule", "base_lr"), ("training", "margin"),
+                                              ("thresholds", "score"), ("assign", "active_iou")])
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_rejected_naming_the_file(self, tmp_path, section, key, number):
+        data = default_config_dict()
+        data[section][key] = float(number)
+        path = os.path.join(tmp_path, "config.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)  # writes NaN, Infinity and -Infinity as Python's json reads them
+        with pytest.raises(ValueError, match=f"config {re.escape(path)}: invalid config at {section}/{key}: "
+                                             f"-?(nan|inf) is not of type 'number'"):
+            load_run_config(path)
 
     def test_schedule_must_cover_iterations(self):
         data = default_config_dict()
         data["schedule"]["max_iter"] = 10
         with pytest.raises(ValueError, match="max_iter"):
             run_config_from_dict(data)
-
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv("NNAD_SEED", "99")
-        config = run_config_from_dict(default_config_dict())
-        assert config.seed == 99
-
-    def test_env_seed_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("NNAD_SEED", "abc")
-        with pytest.raises(ValueError, match="NNAD_SEED"):
-            run_config_from_dict(default_config_dict())
 
     def test_load_from_file(self, tmp_path):
         path = os.path.join(tmp_path, "config.json")
@@ -333,6 +356,35 @@ class TestRunConfig:
             run_config_from_dict(data)
 
     def test_schema_is_self_consistent(self):
-        import jsonschema
+        for schema in (CONFIG_SCHEMA, CHECKPOINT_SCHEMA, TEMPLATES_SCHEMA):
+            jsonschema.Draft202012Validator.check_schema(schema)
 
-        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    def test_model_fragment_covers_every_model_setting(self):
+        # anchors_per_cell is not a run-config setting: it is the number of templates
+        names = {f.name for f in fields(ModelConfig)} - {"anchors_per_cell"}
+        assert set(MODEL_SCHEMA["properties"]) == names
+
+
+class TestTemplatesFile:
+    def write(self, tmp_path, text):
+        path = os.path.join(tmp_path, "templates.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return path
+
+    MALFORMED = {
+        "missing_area": ('[{"ratio": 1.0}]', "0", "'area' is a required property"),
+        "empty": ("[]", "<root>", "should be non-empty"),
+        "not_an_array": ('{"ratio": 1, "area": 64}', "<root>", "is not of type 'array'"),
+        "unknown_key": ('[{"ratio": 1, "area": 64, "bogus": 3}]', "0", r"\('bogus' was unexpected\)"),
+        "zero_ratio": ('[{"ratio": 0, "area": 64}]', "0/ratio", "less than or equal to the minimum of 0"),
+        "nan": ('[{"ratio": NaN, "area": 64}]', "0/ratio", "nan is not of type 'number'"),
+        "infinity": ('[{"ratio": 1, "area": Infinity}]', "0/area", "inf is not of type 'number'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_rejected_naming_the_file(self, tmp_path, case):
+        text, where, message = self.MALFORMED[case]
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=f"templates file {re.escape(path)}: invalid config at {where}: .*{message}"):
+            load_templates(path)
