@@ -8,6 +8,7 @@ UTF-8 name, u32 ndim, u64 dims, and raw float64 data. See docs/FORMATS.md.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -61,15 +62,16 @@ def save_checkpoint(path: str, config: Mapping, tensors: Mapping[str, np.ndarray
 
 class _Reader:
     def __init__(self, data: bytes, path: str):
-        self.data = data
+        self.view = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
+    def take(self, count: int) -> memoryview:
+        end = self.pos + count
+        if end > len(self.view):
             raise ValueError(f"truncated checkpoint file: {self.path}")
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
+        out = self.view[self.pos : end]
+        self.pos = end
         return out
 
     def u32(self) -> int:
@@ -89,19 +91,18 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValueError(f"unsupported checkpoint version {version} (expected {VERSION}): {path}")
     config_bytes = reader.take(reader.u64())
     try:
-        config = json.loads(config_bytes.decode("utf-8"))
+        config = json.loads(str(config_bytes, "utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"checkpoint {path}: malformed config JSON: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u64()):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = str(reader.take(reader.u32()), "utf-8")
         ndim = reader.u32()
-        shape = tuple(reader.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(reader.take(count * 8), dtype="<f8").reshape(shape)
+        shape = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim))
+        arr = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint {path}: tensor {name!r} has non-finite values")
         tensors[name] = arr.astype(np.float64)
-    if reader.pos != len(reader.data):
+    if reader.pos != len(reader.view):
         raise ValueError(f"trailing bytes after checkpoint payload: {path}")
     return config, tensors

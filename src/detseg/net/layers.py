@@ -12,7 +12,15 @@ and a ``backward`` after it raises ``RuntimeError``.
 No layer writes into its input, and callers must not write into an array
 they passed to a training forward before the matching ``backward``: a cache
 may be a view of the input (a 1x1 convolution keeps its input as its column
-matrix). A layer may write into arrays it allocated itself.
+matrix). A layer may write into arrays it allocated itself. A 1x1 stride-1
+convolution needs no gather either way: ``im2col`` returns its input
+reshaped and ``col2im`` its columns reshaped, with no copy and no zero-fill.
+
+A ``Param``'s ``data`` and ``grad`` may be views of one buffer shared by a
+whole model (:func:`pack_params`), which the optimizer updates and
+``zero_grad`` clears in one pass. Write into them in place (``p.data[...] =
+v``, ``p.grad += g``), never rebind them, and do not hold one of those arrays
+across the packing.
 
 ``ReLU`` is ``max(x, 0)``: negatives and -0.0 give +0.0, and a NaN passes
 through, so a NaN weight is not hidden by a later ReLU but reaches the heads.
@@ -27,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "Param",
+    "pack_params",
     "Layer",
     "Conv2d",
     "DepthwiseConv2d",
@@ -48,6 +57,24 @@ class Param:
     def __init__(self, data: np.ndarray):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
+
+
+def pack_params(params: Sequence[Param]) -> Param:
+    """Move ``params`` into one contiguous ``data`` buffer and one ``grad`` buffer.
+
+    Each param keeps its values, and its ``data`` and ``grad`` become
+    reshaped views of its slice of the buffers, in the order given. Returns
+    one ``Param`` over the whole buffers.
+    """
+    flat = Param(np.concatenate([p.data.reshape(-1) for p in params]))
+    np.concatenate([p.grad.reshape(-1) for p in params], out=flat.grad)
+    offset = 0
+    for p in params:
+        end = offset + p.data.size
+        p.data = flat.data[offset:end].reshape(p.data.shape)
+        p.grad = flat.grad[offset:end].reshape(p.grad.shape)
+        offset = end
+    return flat
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -124,13 +151,16 @@ class _ConvGeometry:
         self.out_h, self.pad_top, self.pad_bottom = _same_pad(in_h, kernel, stride, dilation)
         self.out_w, self.pad_left, self.pad_right = _same_pad(in_w, kernel, stride, dilation)
 
+    def zeros(self, n: int, channels: int) -> np.ndarray:
+        """A zero array of the padded shape."""
+        return np.zeros((n, channels, self.in_h + self.pad_top + self.pad_bottom,
+                         self.in_w + self.pad_left + self.pad_right), dtype=np.float64)
+
     def pad(self, x: np.ndarray) -> np.ndarray:
         """``x`` zero-padded to the padded shape; ``x`` itself when there is no padding."""
         if not (self.pad_top or self.pad_bottom or self.pad_left or self.pad_right):
             return x
-        n, c = x.shape[:2]
-        xp = np.zeros((n, c, self.in_h + self.pad_top + self.pad_bottom,
-                       self.in_w + self.pad_left + self.pad_right), dtype=np.float64)
+        xp = self.zeros(*x.shape[:2])
         self.unpad(xp)[...] = x
         return xp
 
@@ -166,13 +196,17 @@ class _ConvGeometry:
         return cols.reshape(n, c * k * k, length)
 
     def col2im(self, cols: np.ndarray, channels: int) -> np.ndarray:
-        """Adjoint of :meth:`im2col`; returns the padded-shape array."""
+        """Adjoint of :meth:`im2col`; returns the padded-shape array.
+
+        A 1x1 stride-1 kernel needs no scatter: the result is then ``cols``
+        reshaped, as :meth:`im2col` returns its input reshaped.
+        """
         n = cols.shape[0]
         k = self.kernel
-        ph = self.in_h + self.pad_top + self.pad_bottom
-        pw = self.in_w + self.pad_left + self.pad_right
+        if k == 1 and self.stride == 1:
+            return cols.reshape(n, channels, self.out_h, self.out_w)
         cols4 = cols.reshape(n, channels, k * k, self.out_h, self.out_w)
-        xp = np.zeros((n, channels, ph, pw), dtype=np.float64)
+        xp = self.zeros(n, channels)
         for ki in range(k):
             for kj in range(k):
                 hs, ws = self._tap(ki, kj)
@@ -254,9 +288,13 @@ class DepthwiseConv2d(Layer):
         n, c = dy.shape[:2]
         dym = dy.reshape(n, c, -1)
         self.weight.grad += np.einsum("ncl,nckl->ck", dym, cols4).reshape(self.weight.data.shape)
-        w2 = self.weight.data.reshape(c, -1)
-        dcols = (w2[None, :, :, None] * dym[:, :, None, :]).reshape(n, c * self.kernel * self.kernel, -1)
-        return geo.unpad(geo.col2im(dcols, c))
+        # col2im of the columns w[c, tap] * dy, tap by tap, without building them
+        dxp = geo.zeros(n, c)
+        for ki in range(self.kernel):
+            for kj in range(self.kernel):
+                hs, ws = geo._tap(ki, kj)
+                dxp[:, :, hs, ws] += self.weight.data[:, ki, kj, None, None] * dy
+        return geo.unpad(dxp)
 
 
 class DepthwiseSeparableConv2d(Layer):
@@ -390,15 +428,17 @@ class BatchNorm2d(Layer):
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         use_batch_stats = training and not self.frozen
         if use_batch_stats:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # x.mean and x.var, bit for bit (numpy's own recipe), with x - mean taken once
+            m = x.size // self.channels
+            mean = x.sum(axis=(0, 2, 3)) / m
+            y = x - mean[None, :, None, None]
+            var = (y * y).sum(axis=(0, 2, 3)) / m
             self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
-            mean = self.running_mean
             var = self.running_var
+            y = x - self.running_mean[None, :, None, None]
         ivar = 1.0 / np.sqrt(var + self.eps)
-        y = x - mean[None, :, None, None]
         y *= ivar[None, :, None, None]
         if training:
             self._cache = (y, ivar, use_batch_stats, x.shape)  # y is xhat

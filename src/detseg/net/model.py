@@ -27,10 +27,12 @@ from .layers import (
     Conv2d,
     Layer,
     MaxPool2x2,
+    Param,
     ReLU,
     ResidualBlock,
     Sequential,
     TransposedConv2d,
+    pack_params,
 )
 from .tensor import Tensor, as_data
 
@@ -123,6 +125,8 @@ class DetSegModel(Layer):
     :meth:`Layer.walk`, for example ``backbone.1.bn1.running_var``.
     """
 
+    _flat: Param | None = None
+
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
@@ -164,9 +168,21 @@ class DetSegModel(Layer):
         heads = [(f"head_{name}", seq) for name, seq in self.det_heads.items()]
         return [("backbone", self.backbone), ("seg_head", self.seg_head), ("det_trunk", self.det_trunk)] + heads
 
+    def flat_params(self) -> Param:
+        """Every parameter as one ``Param`` over contiguous buffers.
+
+        The first call packs :meth:`Layer.parameters` with
+        :func:`~detseg.net.layers.pack_params`, so that each parameter's
+        ``data`` and ``grad`` become views of the buffers in ``walk()``
+        order; later calls return the same ``Param``. Only training calls it,
+        so a model that only infers is never packed.
+        """
+        if self._flat is None:
+            self._flat = pack_params(self.parameters())
+        return self._flat
+
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad[...] = 0.0
+        self.flat_params().grad[...] = 0.0
 
     def freeze_batchnorm_stats(self) -> None:
         """Make every BatchNorm use its running averages from now on.

@@ -181,7 +181,7 @@ def train_toy(
     ]
 
     s_param = Param(np.zeros(len(TASK_NAMES)))
-    opt_params = model.parameters() + [s_param]
+    opt_params = [model.flat_params(), s_param]
     opt_state = AdamState.for_params(opt_params)
 
     if freeze_stats_after is None:

@@ -97,7 +97,9 @@ def _layer_cases(rng: np.random.Generator):
         ("conv", lambda: Conv2d(2, 3, 3, rng=rng), (1, 2, 5, 5)),
         ("conv_stride2", lambda: Conv2d(2, 3, 3, stride=2, rng=rng), (1, 2, 6, 6)),
         ("conv_dilated", lambda: Conv2d(2, 2, 3, dilation=2, rng=rng), (1, 2, 6, 6)),
+        ("conv1x1", lambda: Conv2d(3, 4, 1, rng=rng), (2, 3, 5, 3)),
         ("depthwise_conv", lambda: DepthwiseConv2d(3, 3, rng=rng), (1, 3, 5, 5)),
+        ("depthwise_dilated", lambda: DepthwiseConv2d(3, 3, dilation=2, rng=rng), (1, 3, 7, 5)),
         ("depthwise_separable_conv", lambda: DepthwiseSeparableConv2d(2, 3, 3, rng=rng), (1, 2, 5, 5)),
         ("transposed_conv", lambda: TransposedConv2d(2, 3, 3, stride=2, rng=rng), (1, 2, 3, 3)),
         ("maxpool", MaxPool2x2, (2, 2, 4, 4)),

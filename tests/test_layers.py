@@ -218,6 +218,19 @@ class TestBatchNorm:
         assert buffers["running_mean"] is bn.running_mean
         assert np.array_equal(buffers["running_mean"], expected)
 
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 7), (2, 2, 4, 4), (3, 4, 1, 9)])
+    def test_batch_statistics_equal_numpy_mean_and_var(self, shape):
+        # one pass over x - mean gives x.mean and x.var bit for bit, so the
+        # running averages and the output are those of the two-call formula
+        bn = BatchNorm2d(shape[1])
+        x = rng_for(22).standard_normal(shape) * 3.0 + 1.5
+        y = bn.forward(x, training=True)
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        assert np.array_equal(bn.running_mean, 0.9 * np.zeros(shape[1]) + 0.1 * mean)
+        assert np.array_equal(bn.running_var, 0.9 * np.ones(shape[1]) + 0.1 * var)
+        xhat = (x - mean[None, :, None, None]) * (1.0 / np.sqrt(var + bn.eps))[None, :, None, None]
+        assert y.tobytes() == (xhat * 1.0 + 0.0).tobytes()
+
 
 class TestGradients:
     def test_every_layer_matches_finite_differences(self):
@@ -254,6 +267,39 @@ class TestGradients:
     def test_residual_identity_path(self):
         block = ResidualBlock(3, 3, rng=rng_for(19))
         assert block.project is None
+
+
+def inner(a, b):
+    return float(np.dot(a.reshape(-1), b.reshape(-1)))
+
+
+def assert_adjoint(layer, x):
+    """``<L(x), dy> == <x, dL/dx> == <w, dL/dw>`` for a linear layer L with no bias."""
+    y = layer.forward(x, training=True)
+    dy = rng_for(60).standard_normal(y.shape)
+    layer.weight.grad[...] = 0.0
+    dx = layer.backward(dy)
+    out = inner(y, dy)
+    assert inner(x, dx) == pytest.approx(out, rel=1e-12)
+    assert inner(layer.weight.data, layer.weight.grad) == pytest.approx(out, rel=1e-12)
+
+
+class TestAdjoints:
+    # exact up to rounding for a linear layer, where finite differences only reach 1e-4
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_conv(self, case):
+        c_in, c_out, k, stride, dilation, h, w = case
+        conv = Conv2d(c_in, c_out, k, stride=stride, dilation=dilation, bias=False, rng=rng_for(61))
+        assert_adjoint(conv, rng_for(62).standard_normal((2, c_in, h, w)))
+
+    @pytest.mark.parametrize("dilation, h, w", [(1, 5, 7), (2, 7, 5), (3, 9, 7)])
+    def test_depthwise(self, dilation, h, w):
+        depthwise = DepthwiseConv2d(3, 3, dilation=dilation, rng=rng_for(63))
+        assert_adjoint(depthwise, rng_for(64).standard_normal((2, 3, h, w)))
+
+    def test_transposed(self):
+        up = TransposedConv2d(3, 2, 3, stride=2, rng=rng_for(65))  # its bias starts at zero
+        assert_adjoint(up, rng_for(66).standard_normal((2, 3, 3, 5)))
 
 
 LEAVES = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from detseg.net.checkpoint import load_checkpoint, save_checkpoint
+from detseg.net import model as model_module
 from detseg.net.layers import Param
 from detseg.net.model import DetSegModel, ModelConfig, flatten_per_anchor, unflatten_per_anchor
 from detseg.net.optim import AdamState, adam_step
@@ -239,6 +240,65 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step([p, Param(np.zeros(2))], state, lr=0.1)
 
+    def test_flat_buffer_equals_per_param_bit_for_bit(self):
+        # Adam is elementwise, so one update of the packed buffer is the
+        # per-parameter update, bit for bit
+        per_param, packed = small_model(seed=4), small_model(seed=4)
+        params = per_param.parameters()
+        flat = packed.flat_params()
+        states = AdamState.for_params(params), AdamState.for_params([flat])
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            for p, q in zip(params, packed.parameters()):
+                p.grad[...] = q.grad[...] = rng.standard_normal(p.grad.shape)
+            adam_step(params, states[0], lr=0.01)
+            adam_step([flat], states[1], lr=0.01)
+        assert np.concatenate([p.data.reshape(-1) for p in params]).tobytes() == flat.data.tobytes()
+
+
+class TestFlatParams:
+    def test_params_become_views_of_one_buffer_in_walk_order(self):
+        model = small_model(seed=2)
+        params = model.parameters()
+        for i, p in enumerate(params):
+            p.grad[...] = i
+        before = [(p.data.copy(), p.grad.copy()) for p in params]
+        flat = model.flat_params()
+        assert model.flat_params() is flat
+        assert flat.data.flags.c_contiguous and flat.grad.flags.c_contiguous
+        item = flat.data.itemsize
+        offset = 0
+        for p, (data, grad) in zip(params, before):
+            for arr, buffer in ((p.data, flat.data), (p.grad, flat.grad)):
+                assert np.shares_memory(arr, buffer)
+                start = arr.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+                assert start == offset * item  # in walk order, each right after the last
+            assert p.data.tobytes() == data.tobytes() and p.grad.tobytes() == grad.tobytes()
+            offset += p.data.size
+        assert offset == flat.data.size == flat.grad.size
+
+    def test_load_state_and_zero_grad_act_through_the_buffer(self):
+        model = small_model(seed=2)
+        flat = model.flat_params()
+        source = small_model(seed=3)
+        model.load_state(source.state_tensors())
+        assert flat.data.tobytes() == np.concatenate([p.data.reshape(-1) for p in source.parameters()]).tobytes()
+        for p in model.parameters():
+            p.grad[...] = 2.0
+        assert np.all(flat.grad == 2.0)
+        model.zero_grad()
+        assert not flat.grad.any()
+        assert all(not p.grad.any() for p in model.parameters())
+
+    def test_inference_never_packs(self, monkeypatch):
+        def fail(params):
+            raise AssertionError("an inference path packed the parameters")
+
+        monkeypatch.setattr(model_module, "pack_params", fail)
+        model = small_model()
+        model.load_state(small_model(seed=1).state_tensors())
+        model.forward(np.random.default_rng(9).random((1, 3, 16, 16)))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -278,6 +338,20 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             fh.write(blob[:-6])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = os.path.join(tmp_path, "model.nnad")
+        save_checkpoint(path, {}, {"w": np.arange(8, dtype=np.float64)})
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_rejects_non_finite_tensor_by_name(self, tmp_path):
+        path = os.path.join(tmp_path, "model.nnad")
+        save_checkpoint(path, {}, {"w": np.zeros(3), "b": np.array([[1.0, np.inf]])})
+        with pytest.raises(ValueError, match="tensor 'b' has non-finite values"):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
