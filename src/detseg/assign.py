@@ -123,9 +123,10 @@ def assign_targets_detailed(
     rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int64)
     assigned_gt = np.full(n_anchors, -1, dtype=np.int64)
     n_gts = len(gts)
+    gt_boxes = np.array([g.bbox.as_array() for g in gts], dtype=np.float64).reshape(-1, 4)
 
     if n_gts > 0:
-        overlaps = iou_matrix(grid.boxes, [g.bbox for g in gts])
+        overlaps = iou_matrix(grid.boxes, gt_boxes)
         best_gt = overlaps.argmax(axis=1)  # ties -> lowest gt index
         best = np.take_along_axis(overlaps, best_gt[:, None], axis=1)[:, 0]  # = max, but cheaper
         if n_gts >= 2:
@@ -175,7 +176,6 @@ def assign_targets_detailed(
     class_targets[idx] = np.array([g.class_id for g in gts], dtype=np.int64)[owner]
     instance_ids = np.full(n_anchors, -1, dtype=np.int64)
     instance_ids[idx] = np.array([g.instance_id for g in gts], dtype=np.int64)[owner]
-    gt_boxes = np.array([g.bbox.as_array() for g in gts], dtype=np.float64).reshape(-1, 4)
     deltas = np.zeros((n_anchors, 4), dtype=np.float64)
     deltas[idx] = encode_array(grid.boxes[idx], gt_boxes[owner])
     return AnchorTargetArrays(labels, class_targets, deltas, active, instance_ids), rules

@@ -12,17 +12,16 @@ interpolated average precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .assign import GroundTruthObject
-from .geom import boxes_to_array, iou_matrix
+from .geom import iou_matrix
+from .losses import SEG_IGNORE
 from .post import Detections
 
 __all__ = [
-    "IGNORE_ID",
-    "LabelMap",
     "SegMetrics",
     "seg_confusion",
     "collect_instance_stats",
@@ -39,51 +38,21 @@ __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
 ]
 
-IGNORE_ID = 255
-
 # Matching thresholds of the classic benchmark tool; everything else
 # defaults to 0.5.
 DEFAULT_IOU_THRESHOLDS = {"car": 0.7, "pedestrian": 0.5, "person": 0.5}
 
 
-@dataclass(frozen=True)
-class LabelMap:
-    """Dense per-pixel class ids; 255 marks ignored pixels."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data)
-        if arr.ndim != 2:
-            raise ValueError(f"label map must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-
-def _map_data(m: Union[LabelMap, np.ndarray]) -> np.ndarray:
-    return m.data if isinstance(m, LabelMap) else np.asarray(m)
-
-
-def seg_confusion(pred: Union[LabelMap, np.ndarray], gt: Union[LabelMap, np.ndarray],
-                  num_classes: int) -> np.ndarray:
+def seg_confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """Count matrix with entry (g, p) = pixels of gt class g predicted as p.
 
     Pixels whose ground truth is the ignore id are excluded entirely.
     """
-    p = _map_data(pred)
-    g = _map_data(gt)
-    if p.shape != g.shape:
-        raise ValueError(f"prediction {p.shape} and ground truth {g.shape} differ in size")
-    valid = g != IGNORE_ID
-    g_valid = g[valid].astype(np.int64)
-    p_valid = p[valid].astype(np.int64)
+    if pred.shape != gt.shape:
+        raise ValueError(f"prediction {pred.shape} and ground truth {gt.shape} differ in size")
+    valid = gt != SEG_IGNORE
+    g_valid = gt[valid].astype(np.int64)
+    p_valid = pred[valid].astype(np.int64)
     if g_valid.size and (g_valid.min() < 0 or g_valid.max() >= num_classes):
         raise ValueError(f"ground truth ids outside [0, {num_classes})")
     if p_valid.size and (p_valid.min() < 0 or p_valid.max() >= num_classes):
@@ -92,15 +61,13 @@ def seg_confusion(pred: Union[LabelMap, np.ndarray], gt: Union[LabelMap, np.ndar
     return counts.reshape(num_classes, num_classes)
 
 
-def pixel_accuracy(pred: Union[LabelMap, np.ndarray], gt: Union[LabelMap, np.ndarray]) -> float:
+def pixel_accuracy(pred: np.ndarray, gt: np.ndarray) -> float:
     """Fraction of non-ignored pixels predicted correctly."""
-    p = _map_data(pred)
-    g = _map_data(gt)
-    valid = g != IGNORE_ID
+    valid = gt != SEG_IGNORE
     total = int(valid.sum())
     if total == 0:
         return 1.0
-    return float((p[valid] == g[valid]).sum() / total)
+    return float((pred[valid] == gt[valid]).sum() / total)
 
 
 # instance stats: class id -> list of (instance size, correctly predicted pixels)
@@ -108,8 +75,8 @@ InstanceStats = Mapping[int, Sequence[tuple[int, int]]]
 
 
 def collect_instance_stats(
-    pred: Union[LabelMap, np.ndarray],
-    gt: Union[LabelMap, np.ndarray],
+    pred: np.ndarray,
+    gt: np.ndarray,
     gt_instances: np.ndarray,
     class_ids: Sequence[int],
 ) -> dict[int, list[tuple[int, int]]]:
@@ -118,25 +85,22 @@ def collect_instance_stats(
     ``gt_instances`` assigns a positive instance id to every instance pixel
     and 0 elsewhere.
     """
-    p = _map_data(pred)
-    g = _map_data(gt)
-    inst = np.asarray(gt_instances)
-    if p.shape != g.shape or inst.shape != g.shape:
+    if pred.shape != gt.shape or gt_instances.shape != gt.shape:
         raise ValueError("prediction, ground truth and instance map sizes differ")
     wanted = set(int(c) for c in class_ids)
     stats: dict[int, list[tuple[int, int]]] = {c: [] for c in wanted}
-    for instance_id in np.unique(inst):
+    for instance_id in np.unique(gt_instances):
         if instance_id == 0:
             continue
-        region = inst == instance_id
-        classes = np.unique(g[region])
+        region = gt_instances == instance_id
+        classes = np.unique(gt[region])
         if len(classes) != 1:
             raise ValueError(f"instance {instance_id} spans multiple classes: {classes.tolist()}")
         class_id = int(classes[0])
         if class_id not in wanted:
             continue
         size = int(region.sum())
-        matched = int((p[region] == class_id).sum())
+        matched = int((pred[region] == class_id).sum())
         stats[class_id].append((size, matched))
     return stats
 
@@ -285,21 +249,16 @@ class MatchResult:
     counted: dict[int, int]     # per class, ground truths passing the level
 
 
-def _resolve_threshold(thresholds: Union[float, Mapping[int, float]], class_id: int) -> float:
-    if isinstance(thresholds, Mapping):
-        return float(thresholds.get(class_id, 0.5))
-    return float(thresholds)
-
-
 def match_detections(
     dets: Detections,
     gts: Sequence[GroundTruthObject],
-    iou_thresholds: Union[float, Mapping[int, float]],
+    iou_thresholds: Mapping[int, float],
     level: DifficultyLevel,
 ) -> MatchResult:
     """Greedily match one image's detections against its ground truths.
 
-    Detections are processed per class in descending score order. Each may
+    ``iou_thresholds`` maps every class id of the detections and ground
+    truths to its matching threshold. Detections are processed per class in descending score order. Each may
     claim at most one still-unmatched counted ground truth (highest IoU at or
     above the class threshold, the earliest on ties); otherwise, if it
     overlaps a don't-care ground truth at the threshold it is ignored;
@@ -310,7 +269,7 @@ def match_detections(
     flags = np.full(len(dets), FP, dtype="<U7")
     gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
     gt_counts = np.array([level.counts(g) for g in gts], dtype=bool)
-    gt_boxes = boxes_to_array([g.bbox for g in gts])
+    gt_boxes = np.array([g.bbox.as_array() for g in gts], dtype=np.float64).reshape(-1, 4)
     counted_totals: dict[int, int] = {}
     for class_id in sorted(set(gt_classes.tolist()) | set(dets.class_ids.tolist())):
         det_idx = np.flatnonzero(dets.class_ids == class_id)
@@ -321,7 +280,7 @@ def match_detections(
         if not det_idx.size:
             continue
 
-        threshold = _resolve_threshold(iou_thresholds, class_id)
+        threshold = iou_thresholds[class_id]
         # counted ground truths first, then the don't-care ones
         columns = np.concatenate([np.flatnonzero(of_class & gt_counts), np.flatnonzero(of_class & ~gt_counts)])
         overlaps = iou_matrix(dets.boxes[det_idx], gt_boxes[columns])
@@ -382,7 +341,7 @@ def average_precision(
 def evaluate_detections(
     dets_by_image: Mapping[str, Detections],
     gts_by_image: Mapping[str, Sequence[GroundTruthObject]],
-    iou_thresholds: Union[float, Mapping[int, float]],
+    iou_thresholds: Mapping[int, float],
     levels: Sequence[DifficultyLevel],
 ) -> dict[int, dict[str, PRCurve]]:
     """Match per image, pool the flags, and compute one PR curve per

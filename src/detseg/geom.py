@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "LOG_SIZE_CLAMP",
     "iou",
     "iou_matrix",
-    "boxes_to_array",
     "make_anchor_grid",
     "encode",
     "decode",
@@ -108,23 +107,6 @@ class AnchorTemplate:
         return math.sqrt(self.area / self.ratio)
 
 
-BoxesLike = Union[np.ndarray, Sequence[BBox]]
-
-
-def boxes_to_array(boxes: BoxesLike) -> np.ndarray:
-    """Convert a sequence of BBox (or a pre-built (N, 4) array) to float64 (N, 4)."""
-    if isinstance(boxes, np.ndarray):
-        arr = np.asarray(boxes, dtype=np.float64)
-        if arr.size == 0:
-            return arr.reshape(0, 4)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ValueError(f"expected (N, 4) box array, got shape {arr.shape}")
-        return arr
-    if len(boxes) == 0:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.stack([b.as_array() for b in boxes])
-
-
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when the union has zero area."""
     iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
@@ -136,12 +118,8 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def iou_matrix(anchors: BoxesLike, gts: BoxesLike) -> np.ndarray:
-    """Pairwise IoU matrix of shape (len(anchors), len(gts))."""
-    a = boxes_to_array(anchors)
-    g = boxes_to_array(gts)
-    if a.shape[0] == 0 or g.shape[0] == 0:
-        return np.zeros((a.shape[0], g.shape[0]), dtype=np.float64)
+def iou_matrix(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pairwise IoU matrix of float64 (N, 4) and (M, 4) box arrays, shape (N, M)."""
     iw = np.minimum(a[:, None, 2], g[None, :, 2]) - np.maximum(a[:, None, 0], g[None, :, 0])
     ih = np.minimum(a[:, None, 3], g[None, :, 3]) - np.maximum(a[:, None, 1], g[None, :, 1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)

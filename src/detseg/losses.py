@@ -19,6 +19,7 @@ __all__ = [
     "FOREGROUND",
     "BACKGROUND",
     "IGNORE",
+    "SEG_IGNORE",
     "FocalParams",
     "LrSchedule",
     "TASK_NAMES",
@@ -36,6 +37,8 @@ log = logging.getLogger(__name__)
 FOREGROUND = 1
 BACKGROUND = 0
 IGNORE = -1
+# The label-map id of unlabelled pixels, which no loss or metric counts.
+SEG_IGNORE = 255
 
 TASK_NAMES = ("objectness", "class", "box", "embedding", "segmentation")
 

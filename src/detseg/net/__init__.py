@@ -16,12 +16,11 @@ from .layers import (
 )
 from .model import DetSegModel, ModelConfig, flatten_per_anchor, unflatten_per_anchor
 from .optim import AdamState, adam_step
-from .tensor import Tensor, as_data
+from .tensor import Tensor
 from .train import TrainResult, TrainSample, objective, prepare_targets, train_toy
 
 __all__ = [
     "Tensor",
-    "as_data",
     "Param",
     "Layer",
     "Conv2d",

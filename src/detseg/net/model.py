@@ -34,7 +34,7 @@ from .layers import (
     TransposedConv2d,
     pack_params,
 )
-from .tensor import Tensor, as_data
+from .tensor import Tensor
 
 __all__ = [
     "ModelConfig",
@@ -213,7 +213,7 @@ class DetSegModel(Layer):
     # -- forward / backward -------------------------------------------------
 
     def forward(self, images, training: bool = False) -> dict[str, Tensor]:
-        x = as_data(images)
+        x = np.asarray(images, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != 3:
             raise ValueError(f"expected N x 3 x H x W input, got shape {x.shape}")
         n, _, h, w = x.shape
@@ -241,17 +241,14 @@ class DetSegModel(Layer):
         for key, g in upstream.items():
             if key not in out_shapes:
                 raise KeyError(f"unknown head {key!r}")
-            if np.shape(as_data(g)) != out_shapes[key]:
-                raise ValueError(
-                    f"upstream gradient for {key!r} has shape {np.shape(as_data(g))}, "
-                    f"expected {out_shapes[key]}"
-                )
+            if g.shape != out_shapes[key]:
+                raise ValueError(f"upstream gradient for {key!r} has shape {g.shape}, expected {out_shapes[key]}")
 
         dtrunk = np.zeros(trunk_shape, dtype=np.float64)
         for name, head in self.det_heads.items():
             if name in upstream:
-                dtrunk += head.backward(as_data(upstream[name]))
+                dtrunk += head.backward(upstream[name])
         dfeatures = self.det_trunk.backward(dtrunk)
         if "seg_logits" in upstream:
-            dfeatures = dfeatures + self.seg_head.backward(as_data(upstream["seg_logits"]))
+            dfeatures = dfeatures + self.seg_head.backward(upstream["seg_logits"])
         return self.backbone.backward(dfeatures)

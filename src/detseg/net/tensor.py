@@ -6,12 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Tensor", "as_data"]
+__all__ = ["Tensor"]
 
 
 @dataclass
 class Tensor:
-    """A float64 N x C x H x W array."""
+    """A float64 N x C x H x W array.
+
+    It survives only as the type of :meth:`DetSegModel.forward`'s outputs and
+    of ``SceneSample.image``, because the benchmark reads ``.data`` from
+    both; ROADMAP item 2 deletes it once the benchmark reads arrays.
+    """
 
     data: np.ndarray
 
@@ -21,10 +26,3 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-
-def as_data(x) -> np.ndarray:
-    """Accept a Tensor or anything array-like and return a float64 ndarray."""
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)

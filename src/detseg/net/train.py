@@ -17,6 +17,7 @@ from ..assign import AnchorTargetArrays, AssignConfig, GroundTruthObject, assign
 from ..geom import AnchorGrid
 from ..losses import (
     IGNORE,
+    SEG_IGNORE,
     TASK_NAMES,
     LrSchedule,
     contrastive_loss,
@@ -31,8 +32,6 @@ from .model import DetSegModel, flatten_per_anchor, unflatten_per_anchor
 from .optim import AdamState, adam_step
 
 __all__ = ["TrainSample", "TrainResult", "prepare_targets", "objective", "train_toy"]
-
-SEG_IGNORE = 255
 
 
 @dataclass

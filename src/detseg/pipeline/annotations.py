@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +21,9 @@ from .classtable import ClassTable
 __all__ = ["PolygonObject", "AnnotationFile", "load_annotation", "save_annotation", "boxes_from_polygons"]
 
 log = logging.getLogger(__name__)
+
+# the largest id or image size an int64 holds
+_MAX_INT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -68,34 +72,65 @@ class AnnotationFile:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "AnnotationFile":
-        try:
-            objects = tuple(
-                PolygonObject(
-                    label=str(entry["label"]),
-                    polygon=tuple((float(x), float(y)) for x, y in entry["polygon"]),
-                    instance_id=int(entry["instance_id"]),
-                    occlusion=int(entry["occlusion"]) if "occlusion" in entry else None,
-                    truncation=float(entry["truncation"]) if "truncation" in entry else None,
-                )
-                for entry in data["objects"]
-            )
-            return cls(
-                image_width=int(data["image_width"]),
-                image_height=int(data["image_height"]),
-                objects=objects,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed annotation: {exc}") from exc
+    def from_json(cls, data) -> "AnnotationFile":
+        """Check a parsed annotation document field by field and build it.
+
+        The rules are those of docs/FORMATS.md: sizes and ids are JSON
+        integers (``true`` is not 1), coordinates finite numbers, occlusion
+        an integer in [0, 3] and truncation a number in [0, 1]. A violation
+        is a ValueError naming the field.
+        """
+        if type(data) is not dict or type(data.get("objects")) is not list:
+            raise ValueError("expected an object with an 'objects' list")
+        objects = tuple(_polygon_object(entry, f"objects/{k}") for k, entry in enumerate(data["objects"]))
+        return cls(image_width=_integer(data.get("image_width"), "image_width", 1),
+                   image_height=_integer(data.get("image_height"), "image_height", 1),
+                   objects=objects)
+
+
+def _is_number(value) -> bool:
+    """A JSON number a float holds finitely; rejects booleans, NaN and infinities."""
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _integer(value, where: str, low: int, high: int = _MAX_INT) -> int:
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"{where} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _polygon_object(entry, where: str) -> PolygonObject:
+    if type(entry) is not dict:
+        raise ValueError(f"{where} must be an object, got {entry!r}")
+    label = entry.get("label")
+    if type(label) is not str:
+        raise ValueError(f"{where}/label must be a string, got {label!r}")
+    polygon = entry.get("polygon")
+    if type(polygon) is not list or not polygon or any(type(v) is not list or len(v) != 2 for v in polygon):
+        raise ValueError(f"{where}/polygon must be a non-empty list of [x, y] pairs")
+    if not all(_is_number(c) for vertex in polygon for c in vertex):
+        raise ValueError(f"{where}/polygon coordinates must be finite numbers")
+    truncation = entry.get("truncation")
+    if "truncation" in entry and not (_is_number(truncation) and 0 <= truncation <= 1):
+        raise ValueError(f"{where}/truncation must be a number in [0, 1], got {truncation!r}")
+    return PolygonObject(
+        label=label,
+        polygon=tuple((float(x), float(y)) for x, y in polygon),
+        instance_id=_integer(entry.get("instance_id"), f"{where}/instance_id", 0),
+        occlusion=_integer(entry["occlusion"], f"{where}/occlusion", 0, 3) if "occlusion" in entry else None,
+        truncation=None if truncation is None else float(truncation),
+    )
 
 
 def load_annotation(path: str) -> AnnotationFile:
+    """The annotation file at ``path``; every error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return AnnotationFile.from_json(json.load(fh))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed annotation JSON in {path}: {exc}") from exc
-    return AnnotationFile.from_json(data)
+            raise ValueError(f"annotation {path}: malformed JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"annotation {path}: {exc}") from exc
 
 
 def save_annotation(path: str, ann: AnnotationFile) -> None:

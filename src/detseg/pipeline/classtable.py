@@ -25,6 +25,8 @@ class ClassTable:
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
             raise ValueError("class names must be unique")
+        if len(set(self.detection)) != len(self.detection):
+            raise ValueError("detection classes must be unique")
         unknown = self.instanceable - set(self.names)
         if unknown:
             raise ValueError(f"instanceable classes not in table: {sorted(unknown)}")
@@ -86,6 +88,7 @@ class ClassTable:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ClassTable":
+        """``data`` must already satisfy ``pipeline.config.CLASS_TABLE_SCHEMA``."""
         return cls(
             names=tuple(data["names"]),
             instanceable=frozenset(data["instanceable"]),

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -38,7 +39,7 @@ from ..net.train import TrainSample, train_toy
 from ..post import decode_detections, detections_from_jsonl, detections_to_jsonl, nms
 from .annotations import boxes_from_polygons, load_annotation, save_annotation
 from .classtable import ClassTable, synthetic_table
-from .config import RunConfig, checkpoint_settings, load_run_config, load_templates
+from .config import RunConfig, checkpoint_settings, load_class_table, load_run_config, load_templates
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from .synth import make_dataset
 
@@ -82,12 +83,9 @@ def _load_class_table(path: Optional[str]) -> ClassTable:
     if path is None:
         return synthetic_table()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ClassTable.from_json(json.load(fh))
+        return load_class_table(path)
     except OSError as exc:
         raise CliError(f"cannot read class table: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CliError(f"malformed class table {path}: {exc}") from exc
 
 
 def _bounded(convert, low, high, expected: str):
@@ -547,8 +545,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _LevelPrefix(logging.Formatter):
+    def format(self, record: logging.LogRecord) -> str:
+        return f"{record.levelname.lower()}: {record.getMessage()}"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    # Log records of the package reach this call's stderr as "warning: ..."
+    # lines. The handler lives only as long as the call, so in-process
+    # callers neither collect handlers nor write to a stale stream.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LevelPrefix())
+    package_log = logging.getLogger("detseg")
+    package_log.addHandler(handler)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -558,6 +568,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(handler)
 
 
 if __name__ == "__main__":

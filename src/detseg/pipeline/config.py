@@ -1,7 +1,8 @@
-"""The settings documents: a run config, a checkpoint's config and a templates file.
+"""The settings documents: a run config, a checkpoint's config, a templates file and a class table.
 
-Each is checked by a JSON schema built from the shared ``model``,
-``templates`` and ``thresholds`` fragments, through validators built once.
+Each is checked by a JSON schema, the first three built from the shared
+``model``, ``templates`` and ``thresholds`` fragments, through validators
+built once.
 Python's ``json`` reads ``NaN`` and ``Infinity``, which ``minimum`` and
 ``maximum`` let through, so the validators count no non-finite float as a number.
 """
@@ -22,11 +23,12 @@ from ..assign import AssignConfig
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
 from ..losses import TASK_NAMES, LrSchedule
 from ..net.model import DOWNSAMPLE, ModelConfig
+from .classtable import ClassTable
 from .synth import SceneSpec
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "CHECKPOINT_SCHEMA", "MODEL_SCHEMA", "TEMPLATES_SCHEMA",
            "load_run_config", "run_config_from_dict", "default_config_dict", "checkpoint_settings",
-           "load_templates"]
+           "load_templates", "CLASS_TABLE_SCHEMA", "load_class_table"]
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}
@@ -166,6 +168,23 @@ CHECKPOINT_SCHEMA = {
 }
 
 
+_NAMES = {"type": "array", "items": {"type": "string"}}
+
+# What ``ClassTable.from_json`` reads; ``ClassTable`` itself checks that the
+# lists refer to each other consistently, which a schema cannot express.
+CLASS_TABLE_SCHEMA = {
+    "type": "object",
+    "required": ["names", "instanceable", "detection"],
+    "additionalProperties": False,
+    "properties": {
+        "names": {**_NAMES, "minItems": 1},
+        "instanceable": _NAMES,
+        "detection": _NAMES,
+        "categories": {"type": ["object", "null"], "additionalProperties": _NAMES},
+    },
+}
+
+
 def _is_finite_number(checker, instance) -> bool:
     return (Draft202012Validator.TYPE_CHECKER.is_type(instance, "number")
             and (isinstance(instance, int) or math.isfinite(instance)))
@@ -176,6 +195,7 @@ _Validator = extend(Draft202012Validator,
 _CONFIG = _Validator(CONFIG_SCHEMA)
 _CHECKPOINT = _Validator(CHECKPOINT_SCHEMA)
 _TEMPLATES = _Validator(TEMPLATES_SCHEMA)
+_CLASS_TABLE = _Validator(CLASS_TABLE_SCHEMA)
 
 
 def _check(validator, data) -> None:
@@ -316,3 +336,13 @@ def load_templates(path: str) -> tuple[AnchorTemplate, ...]:
     except ValueError as exc:
         raise ValueError(f"templates file {path}: {exc}") from exc
     return templates_from_json(data)
+
+
+def load_class_table(path: str) -> ClassTable:
+    """The class table file at ``path`` (docs/FORMATS.md); every error names the file."""
+    try:
+        data = _load_json(path)
+        _check(_CLASS_TABLE, data)
+        return ClassTable.from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"class table {path}: {exc}") from exc

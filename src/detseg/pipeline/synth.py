@@ -18,7 +18,6 @@ import numpy as np
 from ..assign import GroundTruthObject
 from ..geom import BBox
 from ..net.tensor import Tensor
-from ..evaluation import LabelMap
 from .annotations import AnnotationFile, PolygonObject
 from .classtable import ClassTable, synthetic_table
 
@@ -59,6 +58,18 @@ class SceneSpec:
             raise ValueError("need 2 <= min_size <= max_size")
         if self.max_size + 2 * self.margin >= min(self.width, self.height):
             raise ValueError("objects do not fit in the image")
+
+
+@dataclass(frozen=True)
+class LabelMap:
+    """Dense per-pixel class ids.
+
+    It survives only as the type of ``SceneSample.label_map``, because the
+    benchmark reads ``.data`` from it; ROADMAP item 2 deletes it once the
+    benchmark reads arrays.
+    """
+
+    data: np.ndarray
 
 
 @dataclass

@@ -18,7 +18,6 @@ import numpy as np
 
 from .geom import AnchorGrid, decode_array, iou_matrix
 from .net.model import flatten_per_anchor
-from .net.tensor import as_data
 
 __all__ = ["Detections", "decode_detections", "nms", "detections_to_jsonl", "detections_from_jsonl"]
 
@@ -84,7 +83,7 @@ def decode_detections(
 ) -> Detections:
     """Convert one image's head outputs into thresholded detections.
 
-    ``outputs`` maps head names to (C, H, W) arrays (or Tensors) for a single
+    ``outputs`` maps head names to (C, H, W) float64 arrays for a single
     image. Every anchor whose foreground probability reaches the threshold
     yields one row; rows are ordered by descending objectness with anchor
     index breaking ties. Non-finite head values are rejected.
@@ -94,7 +93,7 @@ def decode_detections(
     for name, per_anchor in (("objectness", 2), ("class_scores", None), ("box_deltas", 4), ("embeddings", None)):
         if name not in outputs:
             raise KeyError(f"missing head {name!r}")
-        arr = as_data(outputs[name])
+        arr = outputs[name]
         if arr.ndim != 3:
             raise ValueError(f"{name} must be (C, H, W) for one image, got shape {arr.shape}")
         if arr.shape[1] != grid.rows or arr.shape[2] != grid.cols:

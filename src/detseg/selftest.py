@@ -15,7 +15,7 @@ import numpy as np
 
 from .assign import AssignConfig, assign_targets
 from .geom import decode_array, encode_array
-from .losses import TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
+from .losses import SEG_IGNORE, TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
 from .net.layers import (
     BatchNorm2d,
     Conv2d,
@@ -27,7 +27,7 @@ from .net.layers import (
     TransposedConv2d,
 )
 from .net.model import DetSegModel, ModelConfig, flatten_per_anchor
-from .net.train import SEG_IGNORE, objective
+from .net.train import objective
 from .oracles import (
     FD_TOLERANCE,
     anchor_aligned_scene,

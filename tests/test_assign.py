@@ -161,7 +161,7 @@ class TestRulePrecedence:
             targets = assign_targets(grid, gts, w, h, CFG)
             from detseg.geom import iou_matrix
 
-            m = iou_matrix(grid.boxes, [g.bbox for g in gts])
+            m = iou_matrix(grid.boxes, np.stack([g.bbox.as_array() for g in gts]))
             for i in np.flatnonzero(targets.active):
                 row = np.sort(m[i])[::-1]
                 b1, b2 = row[0], row[1]

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from detseg.net.checkpoint import load_checkpoint, save_checkpoint
 from detseg.net.model import DetSegModel, ModelConfig
 from detseg.oracles import assign_oracle_rows
 from detseg.pipeline.cli import main
+from detseg.pipeline.classtable import synthetic_table
 from detseg.pipeline.config import checkpoint_settings, default_config_dict
 from detseg.pipeline.netpbm import write_pgm, write_ppm
 
@@ -21,6 +23,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ONE_RECT = {"label": "rect", "polygon": [[1, 1], [10, 1], [10, 10], [1, 10]], "instance_id": 1}
+
+
+def write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return str(path)
 
 
 def write_config(tmp_path, **overrides):
@@ -130,6 +141,42 @@ class TestAssignCommand:
         assert code == 1
         assert err.startswith("error:")
         assert not os.path.exists(os.path.join(tmp_path, "t.jsonl"))
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"detection": 5}, "invalid config at detection: 5 is not of type 'array'"),
+        ({"names": None}, "invalid config at names: None is not of type 'array'"),
+        ({"categories": [1]}, "invalid config at categories: [1] is not of type 'object', 'null'"),
+        ({"names": "abc"}, "invalid config at names: 'abc' is not of type 'array'"),
+    ])
+    def test_malformed_class_table_is_one_error_line_naming_the_file(self, capsys, tmp_path, change, reason):
+        ann_path = write_json(tmp_path / "ann.json",
+                              {"image_width": 16, "image_height": 16, "objects": [ONE_RECT]})
+        table_path = write_json(tmp_path / "table.json", {**synthetic_table().to_json(), **change})
+        out_path = os.path.join(tmp_path, "t.jsonl")
+        code, out, err = run(capsys, "assign", "--annotation", ann_path, "--class-table", table_path,
+                             "--preset", "toy", "--output", out_path)
+        assert code == 1 and out == ""
+        assert err == f"error: class table {table_path}: {reason}\n"
+        assert not os.path.exists(out_path)
+
+    @pytest.mark.parametrize("image_change, object_change, reason", [
+        ({"image_width": 32.9}, {}, "image_width must be an integer in [1, 9223372036854775807], got 32.9"),
+        ({}, {"instance_id": True},
+         "objects/0/instance_id must be an integer in [0, 9223372036854775807], got True"),
+        ({}, {"occlusion": 2.7}, "objects/0/occlusion must be an integer in [0, 3], got 2.7"),
+        ({}, {"occlusion": 7}, "objects/0/occlusion must be an integer in [0, 3], got 7"),
+        ({}, {"truncation": 5.0}, "objects/0/truncation must be a number in [0, 1], got 5.0"),
+        ({}, {"polygon": [[float("nan"), 1], [10, 10]]}, "objects/0/polygon coordinates must be finite numbers"),
+        ({}, {"label": 5}, "objects/0/label must be a string, got 5"),
+    ])
+    def test_malformed_annotation_is_one_error_line_naming_the_file(self, capsys, tmp_path, image_change,
+                                                                   object_change, reason):
+        ann_path = write_json(tmp_path / "ann.json", {"image_width": 16, "image_height": 16,
+                                                      "objects": [{**ONE_RECT, **object_change}], **image_change})
+        code, out, err = run(capsys, "assign", "--annotation", ann_path, "--preset", "toy",
+                             "--output", os.path.join(tmp_path, "t.jsonl"))
+        assert code == 1 and out == ""
+        assert err == f"error: annotation {ann_path}: {reason}\n"
 
     def test_jsonl_matches_oracle_byte_for_byte(self, capsys, tmp_path):
         # three rectangles on 32x24 with the toy preset: every assignment
@@ -437,6 +484,26 @@ class TestEvalSegCommand:
         assert code == 1
         assert err.startswith("error:")
         assert not os.path.exists(report_path)
+
+
+class TestEvalDetCommand:
+    def test_degenerate_polygon_is_one_warning_line(self, capsys, caplog, tmp_path):
+        os.makedirs(tmp_path / "annotations")
+        flat = {"label": "rect", "polygon": [[1, 1], [10, 1]], "instance_id": 2}
+        write_json(tmp_path / "annotations" / "000.json",
+                   {"image_width": 16, "image_height": 16, "objects": [ONE_RECT, flat]})
+        with open(tmp_path / "det.jsonl", "w") as fh:
+            fh.write(json.dumps({"image_id": "000", "class": 0, "score": 0.9, "x_min": 1, "y_min": 1,
+                                 "x_max": 10, "y_max": 10, "embedding": []}) + "\n")
+        handlers = list(logging.getLogger("detseg").handlers)
+        code, _, err = run(capsys, "eval-det", "--detections", str(tmp_path / "det.jsonl"),
+                           "--annotations", str(tmp_path / "annotations"),
+                           "--output", str(tmp_path / "report.json"))
+        assert code == 0
+        assert err == "warning: boxes_from_polygons: dropped 1 degenerate (zero-area) polygon(s)\n"
+        # the handler lives for one call, and records still propagate to other handlers
+        assert logging.getLogger("detseg").handlers == handlers
+        assert "dropped 1 degenerate" in caplog.text
 
 
 class TestSelftestCommand:

@@ -4,7 +4,6 @@ import pytest
 from detseg.assign import GroundTruthObject
 from detseg.evaluation import (
     DifficultyLevel,
-    LabelMap,
     average_precision,
     cityscapes_adjusted_levels,
     collect_instance_stats,
@@ -62,11 +61,6 @@ class TestSegConfusion:
     def test_out_of_range_ids(self):
         with pytest.raises(ValueError):
             seg_confusion(np.full((2, 2), 7), np.zeros((2, 2)), 3)
-
-    def test_label_map_wrapper(self):
-        m = LabelMap(np.zeros((3, 5), dtype=np.uint8))
-        assert m.width == 5 and m.height == 3
-        assert pixel_accuracy(m, m) == 1.0
 
 
 class TestSegMetrics:
@@ -132,6 +126,8 @@ class TestSegMetrics:
         gt_map = np.array([[0, 255], [1, 1]], dtype=np.uint8)
         pred = np.array([[0, 0], [1, 0]], dtype=np.uint8)
         assert pixel_accuracy(pred, gt_map) == pytest.approx(2 / 3)
+        zeros = np.zeros((3, 5), dtype=np.uint8)
+        assert pixel_accuracy(zeros, zeros) == 1.0
 
 
 class TestDifficultyLevels:
@@ -178,7 +174,7 @@ class TestMatching:
     def test_all_true_positives(self):
         gts = [gt(0, 0, 20, 20), gt(40, 40, 60, 60)]
         dets = [det(0, 0, 20, 20, score=0.9), det(40, 40, 60, 60, score=0.8)]
-        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
         assert result.flags.tolist() == ["tp", "tp"]
         assert result.counted == {0: 2}
 
@@ -186,14 +182,14 @@ class TestMatching:
         # the only overlap is with a gt below the size threshold
         gts = [gt(0, 0, 8, 8)]
         dets = [det(0, 0, 8, 8)]
-        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
         assert result.flags.tolist() == ["ignored"]
         assert result.counted == {0: 0}
 
     def test_duplicate_detection_is_fp(self):
         gts = [gt(0, 0, 20, 20)]
         dets = [det(0, 0, 20, 20, score=0.9), det(1, 1, 21, 21, score=0.8)]
-        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
         assert sorted(result.flags.tolist()) == ["fp", "tp"]
         assert result.flags[0] == "tp"  # higher score wins the gt
 
@@ -209,7 +205,7 @@ class TestMatching:
         # leaves the second detection without a gt above 0.5
         gts = [gt(0, 0, 10, 10), gt(4, 0, 14, 10, instance_id=1)]
         dets = [det(2, 0, 12, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
-        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
         assert result.flags.tolist() == ["tp", "fp"]
         rows = [(c, score, box) for box, c, score in dets]
         assert match_oracle(rows, gts, {0: 0.5}, self.LEVEL.counts) == ["tp", "fp"]
@@ -241,7 +237,7 @@ class TestMatching:
     def test_score_order_decides_assignment(self):
         gts = [gt(0, 0, 20, 20)]
         dets = [det(2, 2, 22, 22, score=0.5), det(0, 0, 20, 20, score=0.9)]
-        result = match_detections(dets_of(dets), gts, 0.5, self.LEVEL)
+        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
         assert result.flags.tolist() == ["fp", "tp"]
 
 
@@ -349,8 +345,8 @@ class TestEvaluateDetections:
             "a": [det(0, 0, 30, 30, score=0.95)],
             "b": [det(0, 0, 30, 30, score=0.9), det(50, 50, 80, 80, score=0.85)],
         }
-        curves = evaluate_detections({k: dets_of(v) for k, v in dets_by_image.items()}, gts_by_image, 0.5,
-                                     cityscapes_adjusted_levels())
+        curves = evaluate_detections({k: dets_of(v) for k, v in dets_by_image.items()}, gts_by_image,
+                                     {0: 0.5, 1: 0.5}, cityscapes_adjusted_levels())
         assert curves[0]["hard"].ap == pytest.approx(1.0)
         assert curves[0]["moderate"].ap is None  # 30 px objects are below 50
         assert curves[0]["easy"].ap is None
@@ -358,7 +354,7 @@ class TestEvaluateDetections:
     def test_perfect_ap_with_levels(self):
         gts_by_image = {"a": [gt(0, 0, 120, 120)]}
         dets_by_image = {"a": [det(0, 0, 120, 120)]}
-        curves = evaluate_detections({k: dets_of(v) for k, v in dets_by_image.items()}, gts_by_image, 0.5,
-                                     cityscapes_adjusted_levels())
+        curves = evaluate_detections({k: dets_of(v) for k, v in dets_by_image.items()}, gts_by_image,
+                                     {0: 0.5, 1: 0.5}, cityscapes_adjusted_levels())
         for level in ("easy", "moderate", "hard"):
             assert curves[0][level].ap == pytest.approx(1.0)

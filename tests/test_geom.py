@@ -68,18 +68,19 @@ class TestIouProperties:
 
 class TestIouMatrix:
     def test_empty_gts(self):
-        m = iou_matrix([box(0, 0, 1, 1)], [])
+        m = iou_matrix(box(0, 0, 1, 1).as_array()[None], np.zeros((0, 4)))
         assert m.shape == (1, 0)
+        assert iou_matrix(np.zeros((0, 4)), box(0, 0, 1, 1).as_array()[None]).shape == (0, 1)
 
     def test_identity_entry(self):
-        b = box(0, 0, 4, 4)
-        assert iou_matrix([b], [b]) == pytest.approx(np.array([[1.0]]))
+        b = box(0, 0, 4, 4).as_array()[None]
+        assert iou_matrix(b, b) == pytest.approx(np.array([[1.0]]))
 
     def test_matches_scalar(self):
         rng = np.random.default_rng(0)
         anchors = [BBox(x, y, x + w, y + h) for x, y, w, h in rng.uniform(1, 20, (5, 4))]
         gts = [BBox(x, y, x + w, y + h) for x, y, w, h in rng.uniform(1, 20, (3, 4))]
-        m = iou_matrix(anchors, gts)
+        m = iou_matrix(np.stack([a.as_array() for a in anchors]), np.stack([g.as_array() for g in gts]))
         for i, a in enumerate(anchors):
             for j, g in enumerate(gts):
                 assert m[i, j] == pytest.approx(iou(a, g), abs=1e-12)

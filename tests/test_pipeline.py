@@ -19,10 +19,12 @@ from detseg.pipeline.annotations import (
 from detseg.pipeline.classtable import ClassTable, cityscapes_table, synthetic_table
 from detseg.pipeline.config import (
     CHECKPOINT_SCHEMA,
+    CLASS_TABLE_SCHEMA,
     CONFIG_SCHEMA,
     MODEL_SCHEMA,
     TEMPLATES_SCHEMA,
     default_config_dict,
+    load_class_table,
     load_run_config,
     load_templates,
     run_config_from_dict,
@@ -55,9 +57,21 @@ class TestClassTable:
         with pytest.raises(ValueError):
             ClassTable(names=("a", "b"), instanceable=frozenset({"b"}), detection=("a",))
 
+    def test_detection_classes_must_be_unique(self):
+        # two detection ids of one name would share one key in eval-det's report
+        with pytest.raises(ValueError, match="detection classes must be unique"):
+            ClassTable(names=("a", "b"), instanceable=frozenset({"b"}), detection=("b", "b"))
+
     def test_json_round_trip(self):
         table = synthetic_table()
         assert ClassTable.from_json(table.to_json()) == table
+
+    def test_load_class_table_reads_what_to_json_writes(self, tmp_path):
+        for table in (synthetic_table(), cityscapes_table()):
+            path = os.path.join(tmp_path, "table.json")
+            with open(path, "w") as fh:
+                json.dump(table.to_json(), fh)
+            assert load_class_table(path) == table
 
 
 class TestBoxesFromPolygons:
@@ -356,7 +370,7 @@ class TestRunConfig:
             run_config_from_dict(data)
 
     def test_schema_is_self_consistent(self):
-        for schema in (CONFIG_SCHEMA, CHECKPOINT_SCHEMA, TEMPLATES_SCHEMA):
+        for schema in (CONFIG_SCHEMA, CHECKPOINT_SCHEMA, TEMPLATES_SCHEMA, CLASS_TABLE_SCHEMA):
             jsonschema.Draft202012Validator.check_schema(schema)
 
     def test_model_fragment_covers_every_model_setting(self):
