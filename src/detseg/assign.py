@@ -22,7 +22,9 @@ __all__ = [
     "AssignRule",
     "GroundTruthObject",
     "AnchorTargetArrays",
-    "AssignConfig",
+    "ACTIVE_IOU",
+    "DONTCARE_IOU",
+    "AMBIGUITY_GAP",
     "TargetSummary",
     "assign_targets",
     "assign_targets_detailed",
@@ -83,19 +85,10 @@ class AnchorTargetArrays:
         return [_STATE_OF_LABEL[label] for label in self.labels.tolist()]
 
 
-@dataclass(frozen=True)
-class AssignConfig:
-    """IoU thresholds of the assignment procedure."""
-
-    active_iou: float = 0.5
-    dontcare_iou: float = 0.4
-    ambiguity_gap: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.dontcare_iou < self.active_iou <= 1.0):
-            raise ValueError(f"need 0 <= dontcare_iou < active_iou <= 1, got {self}")
-        if self.ambiguity_gap <= 0:
-            raise ValueError(f"ambiguity_gap must be positive, got {self.ambiguity_gap}")
+# The IoU thresholds of the assignment rules (see :func:`assign_targets`).
+ACTIVE_IOU = 0.5
+DONTCARE_IOU = 0.4
+AMBIGUITY_GAP = 0.2
 
 
 def _check_unique_instances(gts: Sequence[GroundTruthObject]) -> None:
@@ -109,7 +102,6 @@ def assign_targets_detailed(
     gts: Sequence[GroundTruthObject],
     image_w: int,
     image_h: int,
-    cfg: AssignConfig = AssignConfig(),
 ) -> tuple[AnchorTargetArrays, np.ndarray]:
     """Like :func:`assign_targets` but also returns the per-anchor rule ids."""
     if grid.image_w != image_w or grid.image_h != image_h:
@@ -134,15 +126,15 @@ def assign_targets_detailed(
         else:
             second = np.zeros(n_anchors)
 
-        border = grid.outside & (best >= cfg.dontcare_iou)
+        border = grid.outside & (best >= DONTCARE_IOU)
         ambiguous = (
             ~border
-            & (best >= cfg.dontcare_iou)
-            & (second >= cfg.dontcare_iou)
-            & ((best - second) < cfg.ambiguity_gap)
+            & (best >= DONTCARE_IOU)
+            & (second >= DONTCARE_IOU)
+            & ((best - second) < AMBIGUITY_GAP)
         )
-        active = ~border & ~ambiguous & (best > cfg.active_iou)
-        band = ~border & ~ambiguous & ~active & (best > cfg.dontcare_iou)
+        active = ~border & ~ambiguous & (best > ACTIVE_IOU)
+        band = ~border & ~ambiguous & ~active & (best > DONTCARE_IOU)
 
         rules[border] = AssignRule.BORDER
         rules[ambiguous] = AssignRule.AMBIGUOUS
@@ -161,7 +153,7 @@ def assign_targets_detailed(
                 continue
             col = overlaps[:, g]
             a_star = int(col.argmax())  # ties -> lowest anchor index
-            if col[a_star] > cfg.dontcare_iou and rules[a_star] in (
+            if col[a_star] > DONTCARE_IOU and rules[a_star] in (
                 AssignRule.DEFAULT,
                 AssignRule.BAND,
             ):
@@ -186,7 +178,6 @@ def assign_targets(
     gts: Sequence[GroundTruthObject],
     image_w: int,
     image_h: int,
-    cfg: AssignConfig = AssignConfig(),
 ) -> AnchorTargetArrays:
     """Assign a training state to every anchor of the grid.
 
@@ -194,20 +185,20 @@ def assign_targets(
     ground truths, the first matching rule wins:
 
     1. default: inactive.
-    2. the anchor extends outside the image and ``b1 >= dontcare_iou``:
+    2. the anchor extends outside the image and ``b1 >= DONTCARE_IOU``:
        don't-care.
-    3. ``b1 >= dontcare_iou`` and ``b2 >= dontcare_iou`` and
-       ``b1 - b2 < ambiguity_gap``: inactive (two objects compete and the
+    3. ``b1 >= DONTCARE_IOU`` and ``b2 >= DONTCARE_IOU`` and
+       ``b1 - b2 < AMBIGUITY_GAP``: inactive (two objects compete and the
        regression target would average out between them).
-    4. ``b1 > active_iou``: active for the best ground truth (lowest index
+    4. ``b1 > ACTIVE_IOU``: active for the best ground truth (lowest index
        on ties).
-    5. ``dontcare_iou < b1 <= active_iou``: don't-care.
+    5. ``DONTCARE_IOU < b1 <= ACTIVE_IOU``: don't-care.
 
     Afterwards every ground truth without an active anchor adopts its
-    highest-IoU anchor if that IoU exceeds ``dontcare_iou`` and the anchor is
+    highest-IoU anchor if that IoU exceeds ``DONTCARE_IOU`` and the anchor is
     in state 1 or 5; this catches small objects falling between the lattice.
     """
-    targets, _ = assign_targets_detailed(grid, gts, image_w, image_h, cfg)
+    targets, _ = assign_targets_detailed(grid, gts, image_w, image_h)
     return targets
 
 

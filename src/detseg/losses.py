@@ -23,6 +23,7 @@ __all__ = [
     "FocalParams",
     "LrSchedule",
     "TASK_NAMES",
+    "MARGIN",
     "focal_loss",
     "cross_entropy",
     "smooth_l1",
@@ -41,6 +42,9 @@ IGNORE = -1
 SEG_IGNORE = 255
 
 TASK_NAMES = ("objectness", "class", "box", "embedding", "segmentation")
+
+# The embedding distance beyond which different-instance pairs cost nothing.
+MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -186,12 +190,11 @@ def smooth_l1(
 def contrastive_loss(
     embeddings: np.ndarray,
     instance_ids: np.ndarray,
-    margin: float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Pairwise embedding loss over all unordered pairs of active anchors.
 
     Same-instance pairs contribute the squared distance, different-instance
-    pairs the squared hinge ``max(0, margin - d)^2``; the result is the mean
+    pairs the squared hinge ``max(0, MARGIN - d)^2``; the result is the mean
     over pairs.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -211,7 +214,7 @@ def contrastive_loss(
     d2 = np.einsum("ije,ije->ij", diff, diff)
     d = np.sqrt(d2)
     same = ids[:, None] == ids[None, :]
-    hinge = np.clip(margin - d, 0.0, None)
+    hinge = np.clip(MARGIN - d, 0.0, None)
 
     iu, ju = np.triu_indices(n, k=1)
     pair_terms = np.where(same[iu, ju], d2[iu, ju], hinge[iu, ju] ** 2)
@@ -223,7 +226,7 @@ def contrastive_loss(
     # d == 0 is taken as zero (subgradient choice).
     coeff = np.zeros((n, n))
     coeff[same] = 2.0
-    neg = ~same & (d > 0.0) & (d < margin)
+    neg = ~same & (d > 0.0) & (d < MARGIN)
     coeff[neg] = -2.0 * hinge[neg] / d[neg]
     np.fill_diagonal(coeff, 0.0)
     grad = np.einsum("ij,ije->ie", coeff, diff) / n_pairs

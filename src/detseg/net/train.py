@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..assign import AnchorTargetArrays, AssignConfig, GroundTruthObject, assign_targets
+from ..assign import AnchorTargetArrays, GroundTruthObject, assign_targets
 from ..geom import AnchorGrid
 from ..losses import (
     IGNORE,
@@ -70,7 +70,6 @@ def objective(
     label_map: np.ndarray,
     s: np.ndarray,
     tasks: Sequence[str] = TASK_NAMES,
-    margin: float = 1.0,
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray], np.ndarray]:
     """One image's multi-task loss ``sum_k exp(-s_k) L_k + s_k / 2`` and its gradients.
 
@@ -105,7 +104,7 @@ def objective(
     if "embedding" in tasks and n_active >= 2:
         emb_rows = anchor_rows("embeddings")
         values["embedding"], grad_active = contrastive_loss(
-            emb_rows[active], targets.instance_ids[active], margin)
+            emb_rows[active], targets.instance_ids[active])
         task_grads["embedding"] = np.zeros_like(emb_rows)
         task_grads["embedding"][active] = grad_active
     seg = outputs["seg_logits"]
@@ -141,9 +140,7 @@ def train_toy(
     grid: AnchorGrid,
     schedule: LrSchedule,
     iterations: int,
-    assign_cfg: AssignConfig = AssignConfig(),
     tasks: Sequence[str] = TASK_NAMES,
-    margin: float = 1.0,
     freeze_stats_after: Optional[int] = None,
     stop_check: Optional[Callable[[int, DetSegModel], bool]] = None,
     stop_check_every: int = 0,
@@ -175,7 +172,7 @@ def train_toy(
         )
 
     prepared = [
-        assign_targets(grid, s.gts, s.label_map.shape[1], s.label_map.shape[0], assign_cfg)
+        assign_targets(grid, s.gts, s.label_map.shape[1], s.label_map.shape[0])
         for s in samples
     ]
 
@@ -196,7 +193,7 @@ def train_toy(
         try:
             total, values, upstream, ds = objective(
                 {head: out.data[0] for head, out in outputs.items()}, prepared[it % len(samples)],
-                sample.label_map, s_param.data, tasks, margin)
+                sample.label_map, s_param.data, tasks)
         except RuntimeError as exc:
             raise RuntimeError(f"{exc} at iteration {it}") from None
 

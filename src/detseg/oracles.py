@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assign import AssignConfig, GroundTruthObject
+from .assign import ACTIVE_IOU, AMBIGUITY_GAP, DONTCARE_IOU, GroundTruthObject
 from .geom import AnchorGrid, AnchorTemplate, BBox, iou, make_anchor_grid
 from .post import Detections
 
@@ -100,7 +100,6 @@ def assign_oracle(
     gts: list[GroundTruthObject],
     image_w: float,
     image_h: float,
-    cfg: AssignConfig,
 ) -> tuple[list[str], list]:
     """Brute-force application of the assignment rule list, one anchor at a time.
 
@@ -134,14 +133,14 @@ def assign_oracle(
             or anchor.x_max > image_w
             or anchor.y_max > image_h
         )
-        if crosses_border and b1 >= cfg.dontcare_iou:
+        if crosses_border and b1 >= DONTCARE_IOU:
             states[index], provenance[index] = "dontcare", "border"
-        elif b1 >= cfg.dontcare_iou and b2 >= cfg.dontcare_iou and (b1 - b2) < cfg.ambiguity_gap:
+        elif b1 >= DONTCARE_IOU and b2 >= DONTCARE_IOU and (b1 - b2) < AMBIGUITY_GAP:
             states[index], provenance[index] = "inactive", "ambiguous"
-        elif b1 > cfg.active_iou:
+        elif b1 > ACTIVE_IOU:
             states[index], provenance[index] = "active", "threshold"
             owner[index] = best_gt
-        elif b1 > cfg.dontcare_iou:
+        elif b1 > DONTCARE_IOU:
             states[index], provenance[index] = "dontcare", "band"
 
     for j in range(len(gts)):
@@ -151,20 +150,20 @@ def assign_oracle(
         for i in range(1, len(grid)):
             if all_overlaps[i][j] > all_overlaps[best_anchor][j]:
                 best_anchor = i
-        if all_overlaps[best_anchor][j] > cfg.dontcare_iou and provenance[best_anchor] in ("default", "band"):
+        if all_overlaps[best_anchor][j] > DONTCARE_IOU and provenance[best_anchor] in ("default", "band"):
             states[best_anchor], provenance[best_anchor] = "active", "fallback"
             owner[best_anchor] = j
     return states, owner
 
 
-def assign_oracle_rows(grid, gts, image_w, image_h, cfg) -> list[tuple]:
+def assign_oracle_rows(grid, gts, image_w, image_h) -> list[tuple]:
     """The oracle's target of every anchor as ``(state, class_id, instance_id, delta)``.
 
     An active anchor carries its owner's class and instance id and the
     :func:`encode_oracle` delta of its box against the owner's box; every
     other anchor carries -1 ids and a zero delta.
     """
-    states, owners = assign_oracle(grid, gts, image_w, image_h, cfg)
+    states, owners = assign_oracle(grid, gts, image_w, image_h)
     rows = []
     for index, (state, owner) in enumerate(zip(states, owners)):
         if owner is None:

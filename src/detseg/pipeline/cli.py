@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import selftest as selftest_module
-from ..assign import AssignConfig, assign_targets, summarize_targets
+from ..assign import assign_targets, summarize_targets
 from ..evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     cityscapes_adjusted_levels,
@@ -32,7 +32,7 @@ from ..evaluation import (
     seg_metrics,
 )
 from ..geom import anchor_preset, make_anchor_grid, preset_names, templates_to_json
-from ..losses import TASK_NAMES
+from ..losses import TASK_NAMES, LrSchedule
 from ..net.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from ..net.model import DOWNSAMPLE, DetSegModel
 from ..net.train import TrainSample, train_toy
@@ -88,22 +88,15 @@ def _load_class_table(path: Optional[str]) -> ClassTable:
         raise CliError(f"cannot read class table: {exc}") from exc
 
 
-def _bounded(convert, low, high, expected: str):
-    """argparse type: ``convert(text)`` within [low, high], else a usage error naming ``expected``."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = math.nan
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
-    return parse
-
-
-# the ranges the config schema allows for thresholds and for dataset.num_images
-_unit_interval = _bounded(float, 0.0, 1.0, "a number in [0, 1]")
-_positive_int = _bounded(int, 1, math.inf, "an integer >= 1")
+def _unit_interval(text: str) -> float:
+    """argparse type: a number in [0, 1], the range the config schema allows for thresholds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
 
 
 def _add_anchor_args(parser: argparse.ArgumentParser) -> None:
@@ -144,8 +137,7 @@ def cmd_anchors(args) -> int:
 def cmd_synth(args) -> int:
     config = load_run_config(args.config)
     table = synthetic_table()
-    count = args.count if args.count is not None else config.num_images
-    samples = make_dataset(config.seed, count, config.scene, table)
+    samples = make_dataset(config.seed, config.num_images, config.scene, table)
 
     out = args.output_dir
     for sub in ("images", "labels", "instances", "annotations"):
@@ -162,13 +154,13 @@ def cmd_synth(args) -> int:
                        json.dumps(table.to_json(), indent=1) + "\n")
     manifest = {
         "seed": config.seed,
-        "count": count,
+        "count": config.num_images,
         "width": config.scene.width,
         "height": config.scene.height,
         "image_ids": image_ids,
     }
     _write_text_atomic(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=1) + "\n")
-    print(json.dumps({"written": count, "output_dir": out}))
+    print(json.dumps({"written": config.num_images, "output_dir": out}))
     return 0
 
 
@@ -183,9 +175,7 @@ def cmd_assign(args) -> int:
     gts = boxes_from_polygons(ann, table)
     templates = _load_templates(args)
     grid = make_anchor_grid(ann.image_width, ann.image_height, DOWNSAMPLE, templates)
-    cfg = AssignConfig(active_iou=args.active_iou, dontcare_iou=args.dontcare_iou,
-                       ambiguity_gap=args.ambiguity_gap)
-    targets = assign_targets(grid, gts, ann.image_width, ann.image_height, cfg)
+    targets = assign_targets(grid, gts, ann.image_width, ann.image_height)
 
     lines = []
     rows = zip(targets.states(), targets.class_targets.tolist(), targets.deltas.tolist(),
@@ -213,9 +203,7 @@ def cmd_assign(args) -> int:
 
 # -- train-toy ----------------------------------------------------------------
 
-def _load_dataset_dir(path: str) -> tuple[list[TrainSample], ClassTable]:
-    table_path = os.path.join(path, "class_table.json")
-    table = _load_class_table(table_path if os.path.exists(table_path) else None)
+def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
     ann_dir = os.path.join(path, "annotations")
     img_dir = os.path.join(path, "images")
     label_dir = os.path.join(path, "labels")
@@ -233,15 +221,26 @@ def _load_dataset_dir(path: str) -> tuple[list[TrainSample], ClassTable]:
                                    gts=boxes_from_polygons(ann, table)))
     if not samples:
         raise CliError(f"no .ppm images found under {img_dir}")
-    return samples, table
+    return samples
 
 
-def _build_samples(config: RunConfig, dataset_dir: Optional[str]) -> list[TrainSample]:
-    directory = dataset_dir or config.dataset_dir
-    if directory:
-        samples, _ = _load_dataset_dir(directory)
-        return samples
-    scenes = make_dataset(config.seed, config.num_images, config.scene, synthetic_table())
+def _build_samples(config: RunConfig, dataset: Optional[str]) -> list[TrainSample]:
+    """The ``synth`` directory ``dataset``, else in-memory synthetic scenes, whose class table fits the model."""
+    if dataset:
+        table_path = os.path.join(dataset, "class_table.json")
+        table = _load_class_table(table_path if os.path.exists(table_path) else None)
+        name = f"dataset {dataset}"
+    else:
+        table = synthetic_table()
+        name = "in-memory synthetic dataset"
+    model = config.model
+    if (model.num_classes, model.num_object_classes) != (table.num_classes, table.num_detection_classes):
+        raise CliError(f"{name}: its class table has {table.num_classes} classes and "
+                       f"{table.num_detection_classes} detection classes, but model.num_classes is "
+                       f"{model.num_classes} and model.num_object_classes is {model.num_object_classes}")
+    if dataset:
+        return _load_dataset(dataset, table)
+    scenes = make_dataset(config.seed, config.num_images, config.scene, table)
     return [TrainSample(image=s.image.data, label_map=s.label_map.data, gts=s.gts) for s in scenes]
 
 
@@ -265,11 +264,9 @@ def cmd_train_toy(args) -> int:
 
     result = train_toy(
         samples, model, grid,
-        schedule=config.schedule,
+        schedule=LrSchedule(max_iter=config.iterations),
         iterations=config.iterations,
-        assign_cfg=config.assign,
         tasks=config.tasks,
-        margin=config.margin,
         freeze_stats_after=config.freeze_stats_after,
     )
 
@@ -494,16 +491,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="write a synthetic dataset to disk")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--count", type=_positive_int, help="override dataset.num_images")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("assign", help="assign anchor targets for one annotation")
     p.add_argument("--annotation", required=True)
     p.add_argument("--class-table")
     _add_anchor_args(p)
-    p.add_argument("--active-iou", type=float, default=0.5)
-    p.add_argument("--dontcare-iou", type=float, default=0.4)
-    p.add_argument("--ambiguity-gap", type=float, default=0.2)
     p.add_argument("--output", required=True, help="targets JSONL path")
     p.set_defaults(func=cmd_assign)
 

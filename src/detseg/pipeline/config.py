@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 from jsonschema.validators import extend
 
-from ..assign import AssignConfig
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
-from ..losses import TASK_NAMES, LrSchedule
+from ..losses import TASK_NAMES
 from ..net.model import DOWNSAMPLE, ModelConfig
 from .classtable import ClassTable
 from .synth import SceneSpec
@@ -46,7 +44,8 @@ MODEL_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "num_classes": {"type": "integer", "minimum": 2},
-        "num_object_classes": _POSITIVE_INT,
+        # the class head is a softmax over the detection classes, which needs two
+        "num_object_classes": {"type": "integer", "minimum": 2},
         "embedding_dim": _POSITIVE_INT,
         "stem_channels": _POSITIVE_INT,
         "stage_channels": _triple(_POSITIVE_INT),
@@ -93,24 +92,6 @@ CONFIG_SCHEMA = {
                 "templates": TEMPLATES_SCHEMA,
             },
         },
-        "assign": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "active_iou": {"type": "number"},
-                "dontcare_iou": {"type": "number"},
-                "ambiguity_gap": {"type": "number"},
-            },
-        },
-        "schedule": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "base_lr": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": _POSITIVE_INT,
-                "power": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
         "thresholds": THRESHOLDS_SCHEMA,
         "training": {
             "type": "object",
@@ -119,7 +100,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "iterations": _POSITIVE_INT,
                 "tasks": {"type": "array", "items": {"enum": list(TASK_NAMES)}, "minItems": 1},
-                "margin": {"type": "number", "exclusiveMinimum": 0},
                 "freeze_stats_after": {"type": "integer", "minimum": 0},
             },
         },
@@ -136,13 +116,6 @@ CONFIG_SCHEMA = {
                 "max_objects": _POSITIVE_INT,
                 "min_size": {"type": "integer", "minimum": 2},
                 "max_size": {"type": "integer", "minimum": 2},
-            },
-        },
-        "paths": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dataset_dir": {"type": "string"},
             },
         },
     },
@@ -225,16 +198,12 @@ class RunConfig:
     seed: int
     model: ModelConfig
     templates: tuple[AnchorTemplate, ...]
-    assign: AssignConfig
-    schedule: LrSchedule
     thresholds: dict[str, float]
     iterations: int
     tasks: tuple[str, ...]
-    margin: float
     freeze_stats_after: int
     num_images: int
     scene: SceneSpec
-    dataset_dir: Optional[str]
     raw: dict
 
 
@@ -244,8 +213,6 @@ def default_config_dict() -> dict:
         "seed": 7,
         "model": {"num_classes": 3, "num_object_classes": 2, "embedding_dim": 4},
         "anchors": {"stride": 8, "preset": "toy"},
-        "assign": {},
-        "schedule": {"base_lr": 0.001, "power": 0.9},
         "thresholds": {"score": 0.5, "nms_iou": 0.5},
         "training": {"iterations": 2000, "freeze_stats_after": 600},
         "dataset": {"num_images": 5, "width": 64, "height": 64},
@@ -265,14 +232,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
     model = ModelConfig.from_dict({**data["model"], "anchors_per_cell": len(templates)})
 
-    assign_cfg = AssignConfig(**data.get("assign", {}))
     training = data["training"]
     iterations = int(training["iterations"])
-    schedule_data = dict(data.get("schedule", {}))
-    schedule_data.setdefault("max_iter", iterations)
-    schedule = LrSchedule(**schedule_data)
-    if schedule.max_iter < iterations:
-        raise ValueError(f"schedule.max_iter={schedule.max_iter} must cover training.iterations={iterations}")
 
     dataset = data["dataset"]
     scene = SceneSpec(
@@ -284,24 +245,16 @@ def run_config_from_dict(data: dict) -> RunConfig:
         max_size=int(dataset.get("max_size", 22)),
     )
 
-    dataset_dir = data.get("paths", {}).get("dataset_dir")
-    if dataset_dir is not None and not os.path.isdir(dataset_dir):
-        raise ValueError(f"paths.dataset_dir does not exist: {dataset_dir}")
-
     return RunConfig(
         seed=int(data["seed"]),
         model=model,
         templates=templates,
-        assign=assign_cfg,
-        schedule=schedule,
         thresholds=_thresholds(data),
         iterations=iterations,
         tasks=tuple(training.get("tasks", TASK_NAMES)),
-        margin=float(training.get("margin", 1.0)),
         freeze_stats_after=int(training.get("freeze_stats_after", iterations // 2)),
         num_images=int(dataset["num_images"]),
         scene=scene,
-        dataset_dir=dataset_dir,
         raw=data,
     )
 

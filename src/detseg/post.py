@@ -177,25 +177,35 @@ def detections_to_jsonl(items: Iterable[tuple[str, Detections]]) -> str:
 
 
 _MAX_CLASS_ID = np.iinfo(np.int64).max
+# the Python types ``json`` reads a JSON number as; ``bool`` is not one of them
+_NUMBER_TYPES = {int, float}
 
 
 def _parse_row(record) -> tuple:
-    """One detection object as (image_id, class, score, box, embedding); raises on bad fields."""
+    """One detection object as (image_id, class, score, box, embedding); raises on bad fields.
+
+    Every field must already have its documented JSON type: none is converted.
+    """
+    image_id = record["image_id"]
+    if type(image_id) is not str:
+        raise ValueError(f"image_id must be a string, got {image_id!r}")
     class_id = record["class"]
     if type(class_id) is not int or not 0 <= class_id <= _MAX_CLASS_ID:
         raise ValueError(f"class must be a non-negative integer below 2**63, got {class_id!r}")
-    score = float(record["score"])
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must be in [0, 1], got {score!r}")
-    box = (float(record["x_min"]), float(record["y_min"]), float(record["x_max"]), float(record["y_max"]))
-    if not all(map(math.isfinite, box)):
-        raise ValueError(f"box coordinates must be finite, got {box}")
+    score = record["score"]
+    if type(score) not in _NUMBER_TYPES or not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be a number in [0, 1], got {score!r}")
+    box = (record["x_min"], record["y_min"], record["x_max"], record["y_max"])
+    if not {*map(type, box)} <= _NUMBER_TYPES or not all(map(math.isfinite, box)):
+        raise ValueError(f"box coordinates must be finite numbers, got {box}")
     if not (box[0] <= box[2] and box[1] <= box[3]):
         raise ValueError(f"box corners out of order: {box}")
-    embedding = list(map(float, record.get("embedding", [])))
+    embedding = record.get("embedding", [])
+    if type(embedding) is not list or not {*map(type, embedding)} <= _NUMBER_TYPES:
+        raise ValueError(f"embedding must be a list of numbers, got {embedding!r}")
     if not all(map(math.isfinite, embedding)):
         raise ValueError("embedding values must be finite")
-    return str(record["image_id"]), class_id, score, box, embedding
+    return image_id, class_id, score, box, embedding
 
 
 def detections_from_jsonl(text: str) -> dict[str, Detections]:
@@ -211,7 +221,7 @@ def detections_from_jsonl(text: str) -> dict[str, Detections]:
             continue
         try:
             image_id, *row = _parse_row(json.loads(line))
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed detection on line {lineno}: {exc}") from exc
         per_image = rows.setdefault(image_id, [])
         if per_image and len(row[3]) != len(per_image[0][3]):

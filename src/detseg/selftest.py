@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assign import AssignConfig, assign_targets
+from .assign import assign_targets
 from .geom import decode_array, encode_array
-from .losses import SEG_IGNORE, TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
+from .losses import MARGIN, SEG_IGNORE, TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
 from .net.layers import (
     BatchNorm2d,
     Conv2d,
@@ -181,11 +181,11 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
             diff = emb[:, None, :] - emb[None, :, :]
             d = np.sqrt(np.einsum("ije,ije->ij", diff, diff))
             off = d[~np.eye(5, dtype=bool)]
-            # stay clear of the hinge kink at d == margin and the d == 0 cusp
-            if off.min() > 1e-3 and np.abs(off - 1.0).min() > 1e-3:
+            # stay clear of the hinge kink at d == MARGIN and the d == 0 cusp
+            if off.min() > 1e-3 and np.abs(off - MARGIN).min() > 1e-3:
                 break
-        _, grad = contrastive_loss(emb, ids, margin=1.0)
-        return (lambda: contrastive_loss(emb, ids, margin=1.0)[0]), [emb], [grad]
+        _, grad = contrastive_loss(emb, ids)
+        return (lambda: contrastive_loss(emb, ids)[0]), [emb], [grad]
 
     def objective_case():
         # Random heads on an anchor-aligned scene where every task applies;
@@ -193,7 +193,7 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
         # active anchors clear their kinks.
         while True:
             grid, gts, w, h = anchor_aligned_scene(rng)
-            targets = assign_targets(grid, gts, w, h, AssignConfig())
+            targets = assign_targets(grid, gts, w, h)
             if len(np.unique(targets.instance_ids[targets.active])) >= 2:
                 break
         t, rows, cols = len(grid.templates), grid.rows, grid.cols
@@ -209,7 +209,7 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
             box = flatten_per_anchor(outputs["box_deltas"], t)[targets.active] - targets.deltas[targets.active]
             emb = flatten_per_anchor(outputs["embeddings"], t)[targets.active]
             d = np.sqrt(((emb[:, None] - emb[None]) ** 2).sum(-1))[np.triu_indices(len(emb), k=1)]
-            if min(np.abs(np.abs(box) - 1.0).min(), d.min(), np.abs(d - 1.0).min()) > _KINK_MARGIN:
+            if min(np.abs(np.abs(box) - 1.0).min(), d.min(), np.abs(d - MARGIN).min()) > _KINK_MARGIN:
                 break
         else:
             raise RuntimeError("could not draw a kink-free instance for objective")
@@ -230,12 +230,11 @@ def check_assignment(scenes: int = 100, seed: int = 0) -> tuple[int, int, int]:
     Returns ``(scenes, mismatching scenes, scenes with an active anchor)``.
     """
     rng = np.random.default_rng(seed)
-    cfg = AssignConfig()
     mismatches = with_active = 0
     for k in range(scenes):
         grid, gts, w, h = (anchor_aligned_scene if k % 2 else random_assignment_scene)(rng)
-        expected = assign_oracle_rows(grid, gts, w, h, cfg)
-        mismatches += target_rows(assign_targets(grid, gts, w, h, cfg)) != expected
+        expected = assign_oracle_rows(grid, gts, w, h)
+        mismatches += target_rows(assign_targets(grid, gts, w, h)) != expected
         with_active += any(row[0] == "active" for row in expected)
     return scenes, mismatches, with_active
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from detseg.assign import (
-    AssignConfig,
+    AMBIGUITY_GAP,
+    DONTCARE_IOU,
     AssignRule,
     GroundTruthObject,
     assign_targets,
@@ -12,8 +13,6 @@ from detseg.assign import (
 from detseg.geom import AnchorTemplate, BBox, BoxDelta, decode, iou, make_anchor_grid
 from detseg.losses import BACKGROUND, FOREGROUND, IGNORE
 from detseg.oracles import anchor_aligned_scene, assign_oracle_rows, random_assignment_scene, target_rows
-
-CFG = AssignConfig()
 
 
 def gt(x0, y0, x1, y1, class_id=0, instance_id=0):
@@ -28,7 +27,7 @@ class TestCornerCases:
     def test_identity_match_becomes_active(self):
         # one 8x8 anchor per cell; the gt equals the anchor at cell (0, 0)
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
-        targets = assign_targets(grid, [gt(0, 0, 8, 8)], 16, 16, CFG)
+        targets = assign_targets(grid, [gt(0, 0, 8, 8)], 16, 16)
         assert targets.labels[0] == FOREGROUND
         assert targets.class_targets[0] == 0
         assert targets.deltas[0] == pytest.approx(np.zeros(4), abs=1e-12)
@@ -38,7 +37,7 @@ class TestCornerCases:
         # best IoU anywhere is ~0.4545 < 0.5, so the gt falls back to its
         # best anchor, overriding that anchor's band don't-care state
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
-        targets, rules = assign_targets_detailed(grid, [gt(3, 0, 11, 8)], 16, 16, CFG)
+        targets, rules = assign_targets_detailed(grid, [gt(3, 0, 11, 8)], 16, 16)
         assert iou(grid.box(0), BBox(3, 0, 11, 8)) == pytest.approx(40 / 88)
         assert targets.labels[0] == FOREGROUND
         assert rules[0] == AssignRule.FALLBACK
@@ -52,7 +51,7 @@ class TestCornerCases:
                    gt(0, 4.4, 8, 8, class_id=1, instance_id=1)]
         assert iou(grid.box(0), objects[0].bbox) == pytest.approx(0.55)
         assert iou(grid.box(0), objects[1].bbox) == pytest.approx(0.45)
-        targets, rules = assign_targets_detailed(grid, objects, 8, 8, CFG)
+        targets, rules = assign_targets_detailed(grid, objects, 8, 8)
         assert targets.labels[0] == BACKGROUND
         assert rules[0] == AssignRule.AMBIGUOUS
 
@@ -62,7 +61,7 @@ class TestCornerCases:
         obj = gt(0, 0, 9.6, 8)
         assert grid.outside[0]
         assert iou(grid.box(0), obj.bbox) == pytest.approx(0.6)
-        targets, rules = assign_targets_detailed(grid, [obj], 8, 8, CFG)
+        targets, rules = assign_targets_detailed(grid, [obj], 8, 8)
         assert targets.labels[0] == IGNORE
         assert rules[0] == AssignRule.BORDER
 
@@ -82,7 +81,7 @@ class TestCornerCases:
         b1 = iou(probe, objects[0].bbox)
         b2 = iou(probe, objects[1].bbox)
         assert 0.4 < b1 <= 0.5 and b2 < 0.4
-        targets, rules = assign_targets_detailed(grid, objects, 32, 32, CFG)
+        targets, rules = assign_targets_detailed(grid, objects, 32, 32)
         assert targets.labels[probe_index] == IGNORE
         assert rules[probe_index] == AssignRule.BAND
         # both objects found an active anchor, so no fallback touched the probe
@@ -94,7 +93,7 @@ class TestMechanics:
     def test_output_length_and_payload(self):
         grid = make_anchor_grid(32, 32, 8, [AnchorTemplate(1.0, 64)])
         objects = [gt(8, 8, 16, 16, class_id=1, instance_id=5)]
-        targets = assign_targets(grid, objects, 32, 32, CFG)
+        targets = assign_targets(grid, objects, 32, 32)
         assert len(targets) == len(grid)
         active = np.flatnonzero(targets.active)
         assert len(active) == 1
@@ -105,7 +104,7 @@ class TestMechanics:
         rng = np.random.default_rng(5)
         for _ in range(50):
             grid, gts, w, h = random_assignment_scene(rng)
-            targets = assign_targets(grid, gts, w, h, CFG)
+            targets = assign_targets(grid, gts, w, h)
             for i in np.flatnonzero(targets.active):
                 matched = next(g for g in gts if g.instance_id == targets.instance_ids[i])
                 back = decode(grid.box(i), BoxDelta(*targets.deltas[i].tolist()))
@@ -114,32 +113,26 @@ class TestMechanics:
     def test_grid_image_mismatch_rejected(self):
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         with pytest.raises(ValueError):
-            assign_targets(grid, [], 32, 32, CFG)
+            assign_targets(grid, [], 32, 32)
 
     def test_duplicate_instance_ids_rejected(self):
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         objects = [gt(0, 0, 8, 8, instance_id=1), gt(8, 8, 16, 16, instance_id=1)]
         with pytest.raises(ValueError):
-            assign_targets(grid, objects, 16, 16, CFG)
+            assign_targets(grid, objects, 16, 16)
 
     def test_no_objects_all_inactive(self):
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
-        targets = assign_targets(grid, [], 16, 16, CFG)
+        targets = assign_targets(grid, [], 16, 16)
         assert np.all(targets.labels == BACKGROUND)
         assert not targets.active.any()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AssignConfig(active_iou=0.4, dontcare_iou=0.5)
-        with pytest.raises(ValueError):
-            AssignConfig(ambiguity_gap=0.0)
 
     def test_target_payload_consistency(self):
         # class, instance id and delta are set exactly on the active rows
         rng = np.random.default_rng(23)
         for _ in range(50):
             grid, gts, w, h = anchor_aligned_scene(rng)
-            targets = assign_targets(grid, gts, w, h, CFG)
+            targets = assign_targets(grid, gts, w, h)
             n = len(grid)
             assert targets.labels.shape == targets.class_targets.shape == (n,)
             assert targets.active.shape == targets.instance_ids.shape == (n,)
@@ -158,15 +151,15 @@ class TestRulePrecedence:
             grid, gts, w, h = random_assignment_scene(rng)
             if len(gts) < 2:
                 continue
-            targets = assign_targets(grid, gts, w, h, CFG)
+            targets = assign_targets(grid, gts, w, h)
             from detseg.geom import iou_matrix
 
             m = iou_matrix(grid.boxes, np.stack([g.bbox.as_array() for g in gts]))
             for i in np.flatnonzero(targets.active):
                 row = np.sort(m[i])[::-1]
                 b1, b2 = row[0], row[1]
-                if b1 >= CFG.dontcare_iou and b2 >= CFG.dontcare_iou:
-                    assert (b1 - b2) >= CFG.ambiguity_gap
+                if b1 >= DONTCARE_IOU and b2 >= DONTCARE_IOU:
+                    assert (b1 - b2) >= AMBIGUITY_GAP
 
     def test_removing_gt_never_creates_border_state(self):
         # the border rule depends on geometry alone, so an anchor that was
@@ -178,13 +171,13 @@ class TestRulePrecedence:
             grid, gts, w, h = random_assignment_scene(rng)
             if len(gts) < 2:
                 continue
-            _, rules = assign_targets_detailed(grid, gts, w, h, CFG)
+            _, rules = assign_targets_detailed(grid, gts, w, h)
             ambiguous = np.flatnonzero(rules == AssignRule.AMBIGUOUS)
             if ambiguous.size == 0:
                 continue
             for drop in range(len(gts)):
                 remaining = [g for j, g in enumerate(gts) if j != drop]
-                _, new_rules = assign_targets_detailed(grid, remaining, w, h, CFG)
+                _, new_rules = assign_targets_detailed(grid, remaining, w, h)
                 assert not np.any(new_rules[ambiguous] == AssignRule.BORDER)
                 checked += 1
         assert checked > 0
@@ -196,8 +189,8 @@ class TestOracleEquivalence:
         for _ in range(200):
             grid, gts, w, h = random_assignment_scene(rng)
             # state, class id, instance id and (exactly) delta of every anchor
-            expected = assign_oracle_rows(grid, gts, w, h, CFG)
-            assert target_rows(assign_targets(grid, gts, w, h, CFG)) == expected
+            expected = assign_oracle_rows(grid, gts, w, h)
+            assert target_rows(assign_targets(grid, gts, w, h)) == expected
 
     def test_anchor_aligned_scenes_match_reference(self):
         # most of these scenes have active anchors, so class, instance id and
@@ -206,8 +199,8 @@ class TestOracleEquivalence:
         active = 0
         for _ in range(200):
             grid, gts, w, h = anchor_aligned_scene(rng)
-            expected = assign_oracle_rows(grid, gts, w, h, CFG)
-            assert target_rows(assign_targets(grid, gts, w, h, CFG)) == expected
+            expected = assign_oracle_rows(grid, gts, w, h)
+            assert target_rows(assign_targets(grid, gts, w, h)) == expected
             active += sum(row[0] == "active" for row in expected)
         assert active >= 100
 
@@ -217,7 +210,7 @@ class TestSummarize:
         rng = np.random.default_rng(19)
         for _ in range(20):
             grid, gts, w, h = random_assignment_scene(rng)
-            targets = assign_targets(grid, gts, w, h, CFG)
+            targets = assign_targets(grid, gts, w, h)
             summary = summarize_targets(targets)
             assert summary.total == len(grid)
             # independent recount, one anchor at a time

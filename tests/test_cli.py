@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import detseg
-from detseg.assign import AssignConfig, AssignRule, GroundTruthObject, assign_targets_detailed
+from detseg.assign import AssignRule, GroundTruthObject, assign_targets_detailed
 from detseg.geom import BBox, anchor_preset, make_anchor_grid, templates_to_json
 from detseg.net.checkpoint import load_checkpoint, save_checkpoint
 from detseg.net.model import DetSegModel, ModelConfig
@@ -198,10 +198,10 @@ class TestAssignCommand:
         grid = make_anchor_grid(32, 24, 8, anchor_preset("toy"))
         gts = [GroundTruthObject(class_id=0 if label == "rect" else 1, bbox=BBox(*box), instance_id=iid)
                for label, iid, box in boxes]
-        _, rules = assign_targets_detailed(grid, gts, 32, 24, AssignConfig())
+        _, rules = assign_targets_detailed(grid, gts, 32, 24)
         assert set(rules.tolist()) == set(AssignRule)
         lines = []
-        rows = assign_oracle_rows(grid, gts, 32, 24, AssignConfig())
+        rows = assign_oracle_rows(grid, gts, 32, 24)
         for index, (state, class_id, instance_id, delta) in enumerate(rows):
             record = {"anchor_index": index, "state": state}
             if state == "active":
@@ -410,9 +410,9 @@ class TestDetectCommand:
 
 class TestSynthCommand:
     def test_writes_complete_dataset(self, capsys, tmp_path):
-        config = write_config(tmp_path)
+        config = write_config(tmp_path, dataset={"num_images": 2, "width": 64, "height": 64})
         out_dir = os.path.join(tmp_path, "data")
-        code, out, _ = run(capsys, "synth", "--config", config, "--output-dir", out_dir, "--count", "2")
+        code, out, _ = run(capsys, "synth", "--config", config, "--output-dir", out_dir)
         assert code == 0
         for sub, suffix in (("images", ".ppm"), ("labels", ".pgm"),
                             ("instances", ".pgm"), ("annotations", ".json")):
@@ -422,13 +422,15 @@ class TestSynthCommand:
         assert manifest["count"] == 2
         assert os.path.exists(os.path.join(out_dir, "class_table.json"))
 
-    @pytest.mark.parametrize("count", ["0", "-2", "two"])
-    def test_count_must_be_positive(self, capsys, tmp_path, count):
+    @pytest.mark.parametrize("count, reason", [(0, "0 is less than the minimum of 1"),
+                                               (-2, "-2 is less than the minimum of 1"),
+                                               ("two", "'two' is not of type 'integer'")])
+    def test_count_must_be_positive(self, capsys, tmp_path, count, reason):
         out_dir = os.path.join(tmp_path, "data")
-        code, out, err = run(capsys, "synth", "--config", write_config(tmp_path), "--output-dir", out_dir,
-                             "--count", count)
-        assert code == 2 and out == "" and not os.path.exists(out_dir)
-        assert err == f"error: detseg synth: argument --count: expected an integer >= 1, got '{count}'\n"
+        config = write_config(tmp_path, dataset={"num_images": count, "width": 64, "height": 64})
+        code, out, err = run(capsys, "synth", "--config", config, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err == f"error: config {config}: invalid config at dataset/num_images: {reason}\n"
 
 
 class TestTrainToyCommand:
@@ -446,11 +448,66 @@ class TestTrainToyCommand:
         assert ckpt_config["seed"] == ckpt_config["run_config"]["seed"] == 7
 
     def test_non_finite_number_is_one_error_line_naming_the_file(self, capsys, tmp_path):
-        config = write_config(tmp_path, training={"iterations": 2, "margin": float("inf")})
+        config = write_config(tmp_path, thresholds={"score": float("inf")})
         code, out, err = run(capsys, "train-toy", "--config", config, "--output-dir", str(tmp_path))
         assert code == 1 and out == ""
-        assert err == (f"error: config {config}: invalid config at training/margin: "
+        assert err == (f"error: config {config}: invalid config at thresholds/score: "
                        "inf is not of type 'number'\n")
+
+    @pytest.mark.parametrize("section, value, at, key", [
+        ("assign", {"active_iou": 0.5}, "<root>", "assign"),
+        ("schedule", {"base_lr": 0.001}, "<root>", "schedule"),
+        ("paths", {}, "<root>", "paths"),
+        ("training", {"iterations": 2, "margin": 1.0}, "training", "margin"),
+    ])
+    def test_removed_setting_is_one_error_line_naming_the_file(self, capsys, tmp_path, section, value, at, key):
+        config = write_config(tmp_path, **{section: value})
+        code, out, err = run(capsys, "train-toy", "--config", config, "--output-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == (f"error: config {config}: invalid config at {at}: "
+                       f"Additional properties are not allowed ('{key}' was unexpected)\n")
+
+    @staticmethod
+    def synth_dataset(capsys, tmp_path, names):
+        """A one-image ``synth`` dataset whose class table lists ``names``."""
+        data = os.path.join(tmp_path, "data")
+        config = write_config(tmp_path, dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16})
+        assert run(capsys, "synth", "--config", config, "--output-dir", data)[0] == 0
+        table = synthetic_table().to_json()
+        write_json(os.path.join(data, "class_table.json"), dict(table, names=names))
+        return data
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_model_classes_must_match_the_dataset_class_table(self, capsys, tmp_path, num_classes):
+        # the label maps hold no id that the model could not predict, so
+        # without the check training would run on a table it ignores
+        data = self.synth_dataset(capsys, tmp_path, ["background", "rect", "ellipse", "sky", "road"])
+        config = write_config(tmp_path, model={"num_classes": num_classes, "num_object_classes": 2},
+                              training={"iterations": 2},
+                              dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16})
+        out_dir = os.path.join(tmp_path, "run")
+        code, out, err = run(capsys, "train-toy", "--config", config, "--dataset", data, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err == (f"error: dataset {data}: its class table has 5 classes and 2 detection classes, "
+                       f"but model.num_classes is {num_classes} and model.num_object_classes is 2\n")
+
+    def test_model_detection_classes_must_match_the_synthetic_class_table(self, capsys, tmp_path):
+        config = write_config(tmp_path, model={"num_classes": 3, "num_object_classes": 3},
+                              training={"iterations": 2})
+        out_dir = os.path.join(tmp_path, "run")
+        code, out, err = run(capsys, "train-toy", "--config", config, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err == ("error: in-memory synthetic dataset: its class table has 3 classes and 2 detection "
+                       "classes, but model.num_classes is 3 and model.num_object_classes is 3\n")
+
+    def test_one_object_class_is_one_error_line_naming_the_key(self, capsys, tmp_path):
+        # the class head's softmax needs two classes; without the schema check this failed at step 0
+        config = write_config(tmp_path, model={"num_classes": 3, "num_object_classes": 1},
+                              training={"iterations": 2})
+        code, out, err = run(capsys, "train-toy", "--config", config, "--output-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == (f"error: config {config}: invalid config at model/num_object_classes: "
+                       "1 is less than the minimum of 2\n")
 
 
 class TestEvalSegCommand:

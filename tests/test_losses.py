@@ -189,18 +189,18 @@ class TestContrastive:
 
     def test_separated_negatives(self):
         emb = np.array([[0.0, 0.0], [5.0, 0.0]])
-        value, grad = contrastive_loss(emb, np.array([0, 1]), margin=1.0)
+        value, grad = contrastive_loss(emb, np.array([0, 1]))
         assert value == 0.0
         assert np.all(grad == 0.0)
 
     def test_hinge_value(self):
         emb = np.array([[0.0, 0.0], [0.5, 0.0]])
-        value, _ = contrastive_loss(emb, np.array([0, 1]), margin=1.0)
+        value, _ = contrastive_loss(emb, np.array([0, 1]))
         assert value == pytest.approx(0.25, abs=1e-12)
 
     def test_positive_pair_squared_distance(self):
         emb = np.array([[0.0, 0.0], [0.5, 0.0]])
-        value, _ = contrastive_loss(emb, np.array([3, 3]), margin=1.0)
+        value, _ = contrastive_loss(emb, np.array([3, 3]))
         assert value == pytest.approx(0.25, abs=1e-12)
 
     def test_single_anchor_flagged_zero(self, caplog):
@@ -213,7 +213,7 @@ class TestContrastive:
         emb = np.array([[0.0, 0.0], [0.5, 0.0], [10.0, 10.0]])
         ids = np.array([0, 0, 1])
         # pairs: (0,1) same d^2 = 0.25; (0,2), (1,2) negative with d > margin
-        value, _ = contrastive_loss(emb, ids, margin=1.0)
+        value, _ = contrastive_loss(emb, ids)
         assert value == pytest.approx(0.25 / 3.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):

@@ -283,7 +283,6 @@ class TestRunConfig:
         assert config.seed == 7
         assert len(config.templates) == 15
         assert config.model.anchors_per_cell == 15
-        assert config.schedule.max_iter == config.iterations
 
     def test_rejects_unknown_keys(self):
         data = default_config_dict()
@@ -324,8 +323,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="invalid config at dataset/width: 60 is not a multiple of 8"):
             run_config_from_dict(data)
 
-    @pytest.mark.parametrize("section, key", [("schedule", "base_lr"), ("training", "margin"),
-                                              ("thresholds", "score"), ("assign", "active_iou")])
+    @pytest.mark.parametrize("section, key", [("thresholds", "score"), ("thresholds", "nms_iou")])
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_numbers_rejected_naming_the_file(self, tmp_path, section, key, number):
         data = default_config_dict()
@@ -336,12 +334,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"config {re.escape(path)}: invalid config at {section}/{key}: "
                                              f"-?(nan|inf) is not of type 'number'"):
             load_run_config(path)
-
-    def test_schedule_must_cover_iterations(self):
-        data = default_config_dict()
-        data["schedule"]["max_iter"] = 10
-        with pytest.raises(ValueError, match="max_iter"):
-            run_config_from_dict(data)
 
     def test_load_from_file(self, tmp_path):
         path = os.path.join(tmp_path, "config.json")
@@ -357,17 +349,59 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="malformed"):
             load_run_config(path)
 
-    def test_missing_dataset_dir_rejected(self, tmp_path):
-        data = default_config_dict()
-        data["paths"] = {"dataset_dir": os.path.join(tmp_path, "absent")}
-        with pytest.raises(ValueError, match="dataset_dir"):
-            run_config_from_dict(data)
+    # A valid value other than the default for every run-config setting but
+    # anchors/stride, whose only legal value is 8.
+    NON_DEFAULT = {
+        "seed": 8,
+        "model/num_classes": 4,
+        "model/num_object_classes": 3,
+        "model/embedding_dim": 5,
+        "model/stem_channels": 8,
+        "model/stage_channels": [8, 8, 8],
+        "model/stage_blocks": [2, 2, 2],
+        "model/dilation": 3,
+        "model/seg_head_channels": [8, 8, 8],
+        "model/det_channels": 8,
+        "anchors/preset": "paper-table1",
+        "anchors/templates": [{"ratio": 1.0, "area": 64}],
+        "thresholds/score": 0.25,
+        "thresholds/nms_iou": 0.25,
+        "training/iterations": 3,
+        "training/tasks": ["segmentation"],
+        "training/freeze_stats_after": 1,
+        "dataset/num_images": 2,
+        "dataset/width": 72,
+        "dataset/height": 72,
+        "dataset/min_objects": 0,
+        "dataset/max_objects": 2,
+        "dataset/min_size": 4,
+        "dataset/max_size": 12,
+    }
 
-    def test_unread_paths_key_rejected(self):
-        data = default_config_dict()
-        data["paths"] = {"out_dir": "runs"}
-        with pytest.raises(ValueError, match="invalid config at paths"):
-            run_config_from_dict(data)
+    @staticmethod
+    def schema_leaves(schema: dict, prefix: str = "") -> set:
+        leaves = set()
+        for key, sub in schema["properties"].items():
+            leaves |= TestRunConfig.schema_leaves(sub, f"{prefix}{key}/") if "properties" in sub else {prefix + key}
+        return leaves
+
+    def test_every_setting_is_read(self):
+        # a setting that does not change the RunConfig changes nothing the commands do
+        assert set(self.NON_DEFAULT) == self.schema_leaves(CONFIG_SCHEMA) - {"anchors/stride"}
+
+        def settings(data):
+            config = run_config_from_dict(data)
+            return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "raw"}
+
+        default = settings(default_config_dict())
+        for path, value in self.NON_DEFAULT.items():
+            data = default_config_dict()
+            section, _, key = path.rpartition("/")
+            parent = data[section] if section else data
+            if path == "anchors/templates":
+                del parent["preset"]
+            parent[key] = value
+            assert settings(data) != default, path
 
     def test_schema_is_self_consistent(self):
         for schema in (CONFIG_SCHEMA, CHECKPOINT_SCHEMA, TEMPLATES_SCHEMA, CLASS_TABLE_SCHEMA):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from detseg.assign import AssignConfig, GroundTruthObject, assign_targets
+from detseg.assign import GroundTruthObject, assign_targets
 from detseg.geom import AnchorTemplate, BBox, anchor_preset, encode, iou, iou_matrix, make_anchor_grid
 from detseg.net.model import unflatten_per_anchor
 from detseg.oracles import dense_nms_instance, detection_rows, nms_oracle, sparse_nms_instance
@@ -246,6 +246,15 @@ class TestJsonl:
         ("score", 1.5, r"\[0, 1\]"),
         ("x_min", 20.0, "out of order"),
         ("embedding", [1.0], "embedding length"),
+        ("image_id", 0, "image_id must be a string"),
+        ("score", True, r"score must be a number in \[0, 1\]"),
+        ("score", "0.5", r"score must be a number in \[0, 1\]"),
+        ("x_min", "1", "box coordinates must be finite numbers"),
+        ("y_max", False, "box coordinates must be finite numbers"),
+        ("x_max", 10 ** 400, "int too large"),
+        ("embedding", ["0.5", 0.0], "embedding must be a list of numbers"),
+        ("embedding", [True, 0.0], "embedding must be a list of numbers"),
+        ("embedding", "ab", "embedding must be a list of numbers"),
     ])
     def test_bad_row_rejected_with_line_number(self, field, value, message):
         good = {"image_id": "x", "class": 0, "score": 0.5, "x_min": 0.0, "y_min": 0.0,
@@ -269,7 +278,7 @@ class TestEndToEndWithAssignment:
             GroundTruthObject(class_id=0, bbox=BBox(6, 6, 22, 18), instance_id=0),
             GroundTruthObject(class_id=1, bbox=BBox(20, 20, 36, 36), instance_id=1),
         ]
-        targets = assign_targets(grid, objects, 40, 40, AssignConfig())
+        targets = assign_targets(grid, objects, 40, 40)
         obj = np.zeros((len(grid), 2))
         cls = np.zeros((len(grid), 2))
         emb = np.zeros((len(grid), 3))

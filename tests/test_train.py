@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detseg.assign import AssignConfig, GroundTruthObject, assign_targets
+from detseg.assign import GroundTruthObject, assign_targets
 from detseg.evaluation import pixel_accuracy
 from detseg.geom import AnchorTemplate, BBox, make_anchor_grid
 from detseg.losses import LrSchedule, TASK_NAMES, cross_entropy
@@ -32,7 +32,7 @@ class TestPrepareTargets:
         # stay below 0.4 (inactive)
         grid = make_anchor_grid(16, 8, 8, [AnchorTemplate(1.0, 64), AnchorTemplate(2.0, 128)])
         obj = GroundTruthObject(class_id=1, bbox=BBox(0.8, 0.0, 8.8, 8.0), instance_id=4)
-        targets = assign_targets(grid, [obj], 16, 8, AssignConfig())
+        targets = assign_targets(grid, [obj], 16, 8)
         arrays = prepare_targets(targets)
         assert arrays is targets
         assert arrays.labels.tolist() == [1, -1, 0, 0]
@@ -75,7 +75,7 @@ class TestTrainToy:
         sample = tiny_sample(5)
         grid = make_anchor_grid(40, 40, 8, TEMPLATES)
         model = DetSegModel(TINY, seed=3)
-        targets = assign_targets(grid, sample.gts, 40, 40, AssignConfig())
+        targets = assign_targets(grid, sample.gts, 40, 40)
         state = AdamState.for_params(model.parameters())
 
         def seg_loss():
@@ -163,7 +163,7 @@ class TestObjective:
     def test_no_active_anchor_trains_objectness_and_segmentation_only(self):
         rng = np.random.default_rng(0)
         grid = make_anchor_grid(40, 40, 8, TEMPLATES)
-        targets = assign_targets(grid, [], 40, 40, AssignConfig())
+        targets = assign_targets(grid, [], 40, 40)
         label_map = rng.integers(0, TINY.num_classes, size=(40, 40))
         s = rng.uniform(-0.5, 0.5, size=5)
         total, values, upstream, ds = objective(random_heads(rng), targets, label_map, s)
@@ -178,7 +178,7 @@ class TestObjective:
         rng = np.random.default_rng(1)
         sample = tiny_sample(3)
         grid = make_anchor_grid(40, 40, 8, TEMPLATES)
-        targets = assign_targets(grid, sample.gts, 40, 40, AssignConfig())
+        targets = assign_targets(grid, sample.gts, 40, 40)
         assert targets.active.sum() >= 2
         heads = random_heads(rng)
         s = rng.uniform(-0.5, 0.5, size=5)
