@@ -29,7 +29,6 @@ __all__ = [
     "anchor_preset",
     "preset_names",
     "templates_from_json",
-    "templates_to_json",
 ]
 
 # Log-ratios are clamped here before exponentiation so an untrained network
@@ -298,6 +297,3 @@ def templates_from_json(data: Sequence[Mapping]) -> tuple[AnchorTemplate, ...]:
     """
     return tuple(AnchorTemplate(ratio=float(e["ratio"]), area=float(e["area"])) for e in data)
 
-
-def templates_to_json(templates: Sequence[AnchorTemplate]) -> list[dict]:
-    return [{"ratio": t.ratio, "area": t.area} for t in templates]

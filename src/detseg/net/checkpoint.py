@@ -19,7 +19,7 @@ import numpy as np
 __all__ = ["MAGIC", "VERSION", "write_atomic", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"NNAD"
-VERSION = 1
+VERSION = 2
 
 
 def write_atomic(path: str, payload: bytes) -> None:
@@ -69,7 +69,7 @@ class _Reader:
     def take(self, count: int) -> memoryview:
         end = self.pos + count
         if end > len(self.view):
-            raise ValueError(f"truncated checkpoint file: {self.path}")
+            raise ValueError(f"checkpoint {self.path}: truncated file")
         out = self.view[self.pos : end]
         self.pos = end
         return out
@@ -82,13 +82,14 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The config object and the tensors by name; every error names the file."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read(), path)
     if reader.take(4) != MAGIC:
-        raise ValueError(f"not a model checkpoint (bad magic): {path}")
+        raise ValueError(f"checkpoint {path}: not a model checkpoint (bad magic)")
     version = reader.u32()
     if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version} (expected {VERSION}): {path}")
+        raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version} (expected {VERSION})")
     config_bytes = reader.take(reader.u64())
     try:
         config = json.loads(str(config_bytes, "utf-8"))
@@ -104,5 +105,5 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"checkpoint {path}: tensor {name!r} has non-finite values")
         tensors[name] = arr.astype(np.float64)
     if reader.pos != len(reader.view):
-        raise ValueError(f"trailing bytes after checkpoint payload: {path}")
+        raise ValueError(f"checkpoint {path}: trailing bytes after the payload")
     return config, tensors

@@ -39,12 +39,10 @@ from .tensor import Tensor
 __all__ = [
     "ModelConfig",
     "DetSegModel",
-    "HEAD_NAMES",
     "flatten_per_anchor",
     "unflatten_per_anchor",
 ]
 
-HEAD_NAMES = ("objectness", "class_scores", "box_deltas", "embeddings")
 DOWNSAMPLE = 8
 
 
@@ -75,17 +73,9 @@ class ModelConfig:
             "embeddings": self.embedding_dim * t,
         }
 
-    def to_dict(self) -> dict:
-        """Every field by name, tuples as lists (the JSON form)."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        """Inverse of :meth:`to_dict`; a missing field takes its default.
+        """The config a JSON object of fields by name describes; a missing field takes its default.
 
         Each value is converted to the type of its field's default (int or
         tuple).

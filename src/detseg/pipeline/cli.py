@@ -31,15 +31,15 @@ from ..evaluation import (
     seg_confusion,
     seg_metrics,
 )
-from ..geom import anchor_preset, make_anchor_grid, preset_names, templates_to_json
-from ..losses import TASK_NAMES, LrSchedule
+from ..geom import anchor_preset, make_anchor_grid, preset_names
+from ..losses import SEG_IGNORE, TASK_NAMES, LrSchedule
 from ..net.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from ..net.model import DOWNSAMPLE, DetSegModel
 from ..net.train import TrainSample, train_toy
 from ..post import decode_detections, detections_from_jsonl, detections_to_jsonl, nms
 from .annotations import boxes_from_polygons, load_annotation, save_annotation
 from .classtable import ClassTable, synthetic_table
-from .config import RunConfig, checkpoint_settings, load_class_table, load_run_config, load_templates
+from .config import RunConfig, load_class_table, load_run_config, load_templates, run_config_from_dict
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from .synth import make_dataset
 
@@ -210,12 +210,26 @@ def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
     if not os.path.isdir(ann_dir) or not os.path.isdir(img_dir) or not os.path.isdir(label_dir):
         raise CliError(f"dataset dir {path} needs images/, labels/ and annotations/")
     samples = []
+    allowed = [*range(table.num_classes), SEG_IGNORE]
     for name in sorted(os.listdir(img_dir)):
         if not name.endswith(".ppm"):
             continue
         image_id = name[:-4]
-        image = read_ppm(os.path.join(img_dir, name))
-        labels = read_pgm(os.path.join(label_dir, image_id + ".pgm"))
+        image_path = os.path.join(img_dir, name)
+        image = read_ppm(image_path)
+        _, h, w = image.shape
+        if samples and image.shape != samples[0].image.shape:
+            _, h0, w0 = samples[0].image.shape
+            raise CliError(f"image {image_path}: size {w}x{h} differs from the first image's {w0}x{h0}")
+        label_path = os.path.join(label_dir, image_id + ".pgm")
+        labels = read_pgm(label_path)
+        if labels.shape != (h, w):
+            raise CliError(f"label map {label_path}: size {labels.shape[1]}x{labels.shape[0]} "
+                           f"differs from its image's {w}x{h}")
+        unknown = np.setdiff1d(labels, allowed)
+        if unknown.size:
+            raise CliError(f"label map {label_path}: ids {unknown.tolist()} are neither classes of the "
+                           f"{table.num_classes}-class table nor {SEG_IGNORE}")
         ann = load_annotation(os.path.join(ann_dir, image_id + ".json"))
         samples.append(TrainSample(image=image, label_map=labels,
                                    gts=boxes_from_polygons(ann, table)))
@@ -244,17 +258,6 @@ def _build_samples(config: RunConfig, dataset: Optional[str]) -> list[TrainSampl
     return [TrainSample(image=s.image.data, label_map=s.label_map.data, gts=s.gts) for s in scenes]
 
 
-def _checkpoint_config(config: RunConfig) -> dict:
-    return {
-        "model": config.model.to_dict(),
-        "templates": templates_to_json(config.templates),
-        "stride": DOWNSAMPLE,
-        "thresholds": config.thresholds,
-        "seed": config.seed,
-        "run_config": config.raw,
-    }
-
-
 def cmd_train_toy(args) -> int:
     config = load_run_config(args.config)
     samples = _build_samples(config, args.dataset)
@@ -275,7 +278,7 @@ def cmd_train_toy(args) -> int:
     tensors = dict(model.state_tensors())
     tensors["uncertainty.s"] = result.s
     checkpoint_path = os.path.join(out, "checkpoint.nnad")
-    save_checkpoint(checkpoint_path, _checkpoint_config(config), tensors)
+    save_checkpoint(checkpoint_path, config.raw, tensors)
 
     history_path = os.path.join(out, "loss_history.csv")
     buf = io.StringIO()
@@ -303,13 +306,13 @@ def cmd_detect(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot read checkpoint: {exc}") from exc
     try:
-        model_config, templates, thresholds = checkpoint_settings(ckpt_config)
-        model = DetSegModel(model_config, seed=0)
+        config = run_config_from_dict(ckpt_config)
+        model = DetSegModel(config.model, seed=0)
         model.load_state(tensors)
     except (KeyError, ValueError) as exc:
         raise CliError(f"checkpoint {args.checkpoint}: {exc.args[0]}") from exc
-    score_threshold = thresholds["score"] if args.score_threshold is None else args.score_threshold
-    nms_iou = thresholds["nms_iou"] if args.nms_iou is None else args.nms_iou
+    score_threshold = config.thresholds["score"] if args.score_threshold is None else args.score_threshold
+    nms_iou = config.thresholds["nms_iou"] if args.nms_iou is None else args.nms_iou
 
     if os.path.isdir(args.images):
         files = sorted(
@@ -329,7 +332,7 @@ def cmd_detect(args) -> int:
         image_id = os.path.splitext(os.path.basename(path))[0]
         _, h, w = image.shape
         if (w, h) not in grids:
-            grids[(w, h)] = make_anchor_grid(w, h, DOWNSAMPLE, templates)
+            grids[(w, h)] = make_anchor_grid(w, h, DOWNSAMPLE, config.templates)
         grid = grids[(w, h)]
         try:
             # the finiteness checks below report an overflowing head; numpy's warning would repeat it
@@ -363,26 +366,29 @@ def cmd_eval_seg(args) -> int:
     confusion = np.zeros((n, n), dtype=np.int64)
     instanceable = table.instanceable_ids()
     stats: dict[int, list[tuple[int, int]]] = {c: [] for c in instanceable}
-    have_instances = False
     for name in gt_files:
-        gt = read_pgm(os.path.join(args.gt, name))
+        gt_path = os.path.join(args.gt, name)
         pred_path = os.path.join(args.pred, name)
         if not os.path.exists(pred_path):
             raise CliError(f"missing prediction for {name}")
-        pred = read_pgm(pred_path)
-        confusion += seg_confusion(pred, gt, n)
+        gt, pred = read_pgm(gt_path), read_pgm(pred_path)
+        instances = None
         if args.instances:
             instance_path = os.path.join(args.instances, name)
             if not os.path.exists(instance_path):
                 raise CliError(f"missing instance map for {name}")
-            have_instances = True
-            per_image = collect_instance_stats(pred, gt, read_pgm(instance_path), instanceable)
-            for c, pairs in per_image.items():
-                stats[c].extend(pairs)
+            instances = read_pgm(instance_path)
+        try:
+            confusion += seg_confusion(pred, gt, n)
+            if instances is not None:
+                for c, pairs in collect_instance_stats(pred, gt, instances, instanceable).items():
+                    stats[c].extend(pairs)
+        except ValueError as exc:
+            raise CliError(f"label map {gt_path}: {exc}") from exc
 
     metrics = seg_metrics(
         confusion,
-        instance_stats=stats if have_instances else None,
+        instance_stats=stats if args.instances else None,
         categories=table.category_ids(),
     )
     report = {

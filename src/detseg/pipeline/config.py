@@ -1,8 +1,8 @@
-"""The settings documents: a run config, a checkpoint's config, a templates file and a class table.
+"""The settings documents: a run config, a templates file and a class table.
 
-Each is checked by a JSON schema, the first three built from the shared
-``model``, ``templates`` and ``thresholds`` fragments, through validators
-built once.
+Each is checked by a JSON schema, through validators built once; a run
+config's ``anchors.templates`` is checked by the templates file's schema.
+A checkpoint's config is the run config it was trained with.
 Python's ``json`` reads ``NaN`` and ``Infinity``, which ``minimum`` and
 ``maximum`` let through, so the validators count no non-finite float as a number.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
@@ -24,8 +23,8 @@ from ..net.model import DOWNSAMPLE, ModelConfig
 from .classtable import ClassTable
 from .synth import SceneSpec
 
-__all__ = ["RunConfig", "CONFIG_SCHEMA", "CHECKPOINT_SCHEMA", "MODEL_SCHEMA", "TEMPLATES_SCHEMA",
-           "load_run_config", "run_config_from_dict", "default_config_dict", "checkpoint_settings",
+__all__ = ["RunConfig", "CONFIG_SCHEMA", "MODEL_SCHEMA", "TEMPLATES_SCHEMA",
+           "load_run_config", "run_config_from_dict", "default_config_dict",
            "load_templates", "CLASS_TABLE_SCHEMA", "load_class_table"]
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
@@ -70,12 +69,6 @@ TEMPLATES_SCHEMA = {
     },
 }
 
-THRESHOLDS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {"score": _UNIT, "nms_iou": _UNIT},
-}
-
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["seed", "model", "anchors", "training", "dataset"],
@@ -92,7 +85,11 @@ CONFIG_SCHEMA = {
                 "templates": TEMPLATES_SCHEMA,
             },
         },
-        "thresholds": THRESHOLDS_SCHEMA,
+        "thresholds": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"score": _UNIT, "nms_iou": _UNIT},
+        },
         "training": {
             "type": "object",
             "required": ["iterations"],
@@ -121,26 +118,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-# What ``train-toy`` writes into a checkpoint and ``detect`` rebuilds the network from.
-CHECKPOINT_SCHEMA = {
-    "type": "object",
-    "required": ["model", "templates", "stride"],
-    "additionalProperties": False,
-    "properties": {
-        "model": {
-            **MODEL_SCHEMA,
-            "required": ["num_classes", "num_object_classes", "embedding_dim", "anchors_per_cell"],
-            "properties": {**MODEL_SCHEMA["properties"], "anchors_per_cell": _POSITIVE_INT},
-        },
-        "templates": TEMPLATES_SCHEMA,
-        "stride": _STRIDE,
-        "thresholds": THRESHOLDS_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "run_config": {"type": "object"},
-    },
-}
-
-
 _NAMES = {"type": "array", "items": {"type": "string"}}
 
 # What ``ClassTable.from_json`` reads; ``ClassTable`` itself checks that the
@@ -166,23 +143,16 @@ def _is_finite_number(checker, instance) -> bool:
 _Validator = extend(Draft202012Validator,
                     type_checker=Draft202012Validator.TYPE_CHECKER.redefine("number", _is_finite_number))
 _CONFIG = _Validator(CONFIG_SCHEMA)
-_CHECKPOINT = _Validator(CHECKPOINT_SCHEMA)
 _TEMPLATES = _Validator(TEMPLATES_SCHEMA)
 _CLASS_TABLE = _Validator(CLASS_TABLE_SCHEMA)
 
 
-def _check(validator, data) -> None:
-    """Raise ValueError naming the key path of the most relevant schema violation."""
+def _check(validator, data, document: str) -> None:
+    """Raise ValueError naming the document and the key path of the most relevant schema violation."""
     error = best_match(validator.iter_errors(data))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ValueError(f"invalid config at {path}: {error.message}")
-
-
-def _thresholds(data: Mapping) -> dict[str, float]:
-    """A document's ``thresholds``, each 0.5 when absent."""
-    given = data.get("thresholds", {})
-    return {key: float(given.get(key, 0.5)) for key in ("score", "nms_iou")}
+        raise ValueError(f"invalid {document} at {path}: {error.message}")
 
 
 def _load_json(path: str):
@@ -220,7 +190,7 @@ def default_config_dict() -> dict:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    _check(_CONFIG, data)
+    _check(_CONFIG, data, "config")
 
     anchors = data["anchors"]
     if ("preset" in anchors) == ("templates" in anchors):
@@ -249,7 +219,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         seed=int(data["seed"]),
         model=model,
         templates=templates,
-        thresholds=_thresholds(data),
+        thresholds={key: float(data.get("thresholds", {}).get(key, 0.5)) for key in ("score", "nms_iou")},
         iterations=iterations,
         tasks=tuple(training.get("tasks", TASK_NAMES)),
         freeze_stats_after=int(training.get("freeze_stats_after", iterations // 2)),
@@ -267,25 +237,11 @@ def load_run_config(path: str) -> RunConfig:
         raise ValueError(f"config {path}: {exc}") from exc
 
 
-def checkpoint_settings(config: Mapping) -> tuple[ModelConfig, tuple[AnchorTemplate, ...], dict[str, float]]:
-    """The network, anchor templates and thresholds (defaults filled in) a checkpoint's config describes.
-
-    A setting that cannot work with the model is a ValueError naming its key path.
-    """
-    _check(_CHECKPOINT, config)
-    model = ModelConfig.from_dict(config["model"])
-    templates = templates_from_json(config["templates"])
-    if len(templates) != model.anchors_per_cell:
-        raise ValueError(f"invalid config at templates: {len(templates)} anchor templates, but "
-                         f"the model predicts {model.anchors_per_cell} anchors per cell")
-    return model, templates, _thresholds(config)
-
-
 def load_templates(path: str) -> tuple[AnchorTemplate, ...]:
     """The templates file at ``path``, a JSON array of ``{"ratio", "area"}``; every error names the file."""
     try:
         data = _load_json(path)
-        _check(_TEMPLATES, data)
+        _check(_TEMPLATES, data, "templates")
     except ValueError as exc:
         raise ValueError(f"templates file {path}: {exc}") from exc
     return templates_from_json(data)
@@ -295,7 +251,7 @@ def load_class_table(path: str) -> ClassTable:
     """The class table file at ``path`` (docs/FORMATS.md); every error names the file."""
     try:
         data = _load_json(path)
-        _check(_CLASS_TABLE, data)
+        _check(_CLASS_TABLE, data, "class table")
         return ClassTable.from_json(data)
     except ValueError as exc:
         raise ValueError(f"class table {path}: {exc}") from exc

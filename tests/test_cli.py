@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 
@@ -9,14 +10,14 @@ import pytest
 
 import detseg
 from detseg.assign import AssignRule, GroundTruthObject, assign_targets_detailed
-from detseg.geom import BBox, anchor_preset, make_anchor_grid, templates_to_json
+from detseg.geom import BBox, anchor_preset, make_anchor_grid
 from detseg.net.checkpoint import load_checkpoint, save_checkpoint
-from detseg.net.model import DetSegModel, ModelConfig
+from detseg.net.model import DetSegModel
 from detseg.oracles import assign_oracle_rows
 from detseg.pipeline.cli import main
 from detseg.pipeline.classtable import synthetic_table
-from detseg.pipeline.config import checkpoint_settings, default_config_dict
-from detseg.pipeline.netpbm import write_pgm, write_ppm
+from detseg.pipeline.config import default_config_dict, run_config_from_dict
+from detseg.pipeline.netpbm import read_pgm, write_pgm, write_ppm
 
 
 def run(capsys, *argv):
@@ -77,7 +78,7 @@ class TestAnchorsCommand:
             fh.write('[{"ratio": 1.0, "area": NaN}]')
         code, out, err = run(capsys, "anchors", "--image", "64x64", "--templates-file", templates_path)
         assert code == 1 and out == ""
-        assert err == (f"error: templates file {templates_path}: invalid config at 0/area: "
+        assert err == (f"error: templates file {templates_path}: invalid templates at 0/area: "
                        "nan is not of type 'number'\n")
 
 
@@ -143,10 +144,10 @@ class TestAssignCommand:
         assert not os.path.exists(os.path.join(tmp_path, "t.jsonl"))
 
     @pytest.mark.parametrize("change, reason", [
-        ({"detection": 5}, "invalid config at detection: 5 is not of type 'array'"),
-        ({"names": None}, "invalid config at names: None is not of type 'array'"),
-        ({"categories": [1]}, "invalid config at categories: [1] is not of type 'object', 'null'"),
-        ({"names": "abc"}, "invalid config at names: 'abc' is not of type 'array'"),
+        ({"detection": 5}, "invalid class table at detection: 5 is not of type 'array'"),
+        ({"names": None}, "invalid class table at names: None is not of type 'array'"),
+        ({"categories": [1]}, "invalid class table at categories: [1] is not of type 'object', 'null'"),
+        ({"names": "abc"}, "invalid class table at names: 'abc' is not of type 'array'"),
     ])
     def test_malformed_class_table_is_one_error_line_naming_the_file(self, capsys, tmp_path, change, reason):
         ann_path = write_json(tmp_path / "ann.json",
@@ -224,22 +225,21 @@ class TestAssignCommand:
         assert per_class == {"0": 1, "1": 1}
 
 
-def write_checkpoint(tmp_path, templates=None, stride=8, edit=None, edit_config=None, image_hw=(16, 16)):
-    """A freshly initialised toy-preset checkpoint plus one image (16x16 by default).
+def toy_templates():
+    """The toy preset as an inline ``anchors.templates`` list."""
+    return [{"ratio": t.ratio, "area": t.area} for t in anchor_preset("toy")]
 
-    ``edit`` may change the state tensors, and ``edit_config`` the config
-    dict, in place before they are saved.
+
+def write_checkpoint(tmp_path, edit=None, edit_config=None, image_hw=(16, 16)):
+    """A freshly initialised checkpoint of the default run config plus one image (16x16 by default).
+
+    ``edit`` may change the state tensors, and ``edit_config`` the run
+    config, in place before they are saved.
     """
-    config = ModelConfig(anchors_per_cell=15)
-    tensors = dict(DetSegModel(config, seed=0).state_tensors())
+    ckpt_config = default_config_dict()
+    tensors = dict(DetSegModel(run_config_from_dict(ckpt_config).model, seed=0).state_tensors())
     if edit is not None:
         edit(tensors)
-    ckpt_config = {
-        "model": config.to_dict(),
-        "templates": templates_to_json(templates or anchor_preset("toy")),
-        "stride": stride,
-        "thresholds": {"score": 0.5, "nms_iou": 0.5},
-    }
     if edit_config is not None:
         edit_config(ckpt_config)
     path = os.path.join(tmp_path, "model.nnad")
@@ -249,20 +249,23 @@ def write_checkpoint(tmp_path, templates=None, stride=8, edit=None, edit_config=
     return path, image
 
 
+def inline_templates(config, templates):
+    config["anchors"] = {"stride": 8, "templates": templates}
+
+
 MALFORMED_CONFIGS = {
-    "no_num_classes": (lambda c: c["model"].pop("num_classes"),
-                       "invalid config at model: 'num_classes' is a required property"),
     "no_model": (lambda c: c.pop("model"), "invalid config at <root>: 'model' is a required property"),
-    "no_templates": (lambda c: c.pop("templates"), "invalid config at <root>: 'templates' is a required property"),
-    "no_stride": (lambda c: c.pop("stride"), "invalid config at <root>: 'stride' is a required property"),
     # checkpoints written while the model had a conv_kind setting carry "separable"
     "unknown_conv_kind": (lambda c: c["model"].update(conv_kind="separable"),
                           "invalid config at model: Additional properties are not allowed "
                           "('conv_kind' was unexpected)"),
-    "templates_not_json": (lambda c: c.update(templates="zz"),
-                           "invalid config at templates: 'zz' is not of type 'array'"),
-    "template_unknown_key": (lambda c: c["templates"][3].update(bogus=3),
-                             "invalid config at templates/3: Additional properties are not allowed "
+    "no_preset_or_templates": (lambda c: c["anchors"].pop("preset"),
+                               "anchors must specify exactly one of 'preset' or 'templates'"),
+    "templates_not_json": (lambda c: inline_templates(c, "zz"),
+                           "invalid config at anchors/templates: 'zz' is not of type 'array'"),
+    "template_unknown_key": (lambda c: inline_templates(c, [*toy_templates()[:3],
+                                                            {"ratio": 1, "area": 64, "bogus": 3}]),
+                             "invalid config at anchors/templates/3: Additional properties are not allowed "
                              "('bogus' was unexpected)"),
     "thresholds_not_object": (lambda c: c.update(thresholds=[]),
                               "invalid config at thresholds: [] is not of type 'object'"),
@@ -371,17 +374,30 @@ class TestDetectCommand:
         assert code == 1
         assert err == f"error: image {image}: input spatial dims must be divisible by 8, got 16x20\n"
 
-    def test_template_count_mismatch_rejected_at_load(self, capsys, tmp_path):
-        checkpoint, image = write_checkpoint(tmp_path, templates=anchor_preset("toy")[:14])
+    def test_template_count_mismatch_names_the_first_mismatched_tensor(self, capsys, tmp_path):
+        # 14 templates in the config against tensors of a 15-template network
+        checkpoint, image = write_checkpoint(
+            tmp_path, edit_config=lambda c: inline_templates(c, toy_templates()[:14]))
         code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
-        assert checkpoint in err and "14 anchor templates" in err and "15 anchors per cell" in err
+        assert err == (f"error: checkpoint {checkpoint}: tensor 'head_objectness.4.weight' "
+                       "has shape (30, 32, 1, 1), expected (28, 32, 1, 1)\n")
 
     def test_stride_mismatch_rejected_at_load(self, capsys, tmp_path):
-        checkpoint, image = write_checkpoint(tmp_path, stride=4)
+        checkpoint, image = write_checkpoint(tmp_path, edit_config=lambda c: c["anchors"].update(stride=4))
         code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
-        assert err == f"error: checkpoint {checkpoint}: invalid config at stride: 8 was expected\n"
+        assert err == f"error: checkpoint {checkpoint}: invalid config at anchors/stride: 8 was expected\n"
+
+    def test_version_1_checkpoint_is_one_error_line(self, capsys, tmp_path):
+        # version 1 kept a second copy of the settings beside the run config
+        checkpoint, image = write_checkpoint(tmp_path)
+        with open(checkpoint, "r+b") as fh:
+            fh.seek(4)  # past the magic
+            fh.write(struct.pack("<I", 1))
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: checkpoint {checkpoint}: unsupported checkpoint version 1 (expected 2)\n"
 
     # The flags are checked while parsing, before the checkpoint is read:
     # out-of-range values are usage errors (exit 2), in-range values get as
@@ -434,18 +450,15 @@ class TestSynthCommand:
 
 
 class TestTrainToyCommand:
-    def test_checkpoint_config_passes_the_checkpoint_schema(self, capsys, tmp_path):
-        # checkpoint_settings is the schema check detect runs
+    def test_checkpoint_holds_the_run_config_it_was_trained_with(self, capsys, tmp_path):
         config = write_config(tmp_path, training={"iterations": 2},
                               dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16})
         out_dir = os.path.join(tmp_path, "run")
         code, _, err = run(capsys, "train-toy", "--config", config, "--output-dir", out_dir)
         assert code == 0, err
         ckpt_config, _ = load_checkpoint(os.path.join(out_dir, "checkpoint.nnad"))
-        model, templates, thresholds = checkpoint_settings(ckpt_config)
-        assert model.anchors_per_cell == len(templates) == 15
-        assert thresholds == {"score": 0.5, "nms_iou": 0.5}
-        assert ckpt_config["seed"] == ckpt_config["run_config"]["seed"] == 7
+        with open(config) as fh:
+            assert ckpt_config == json.load(fh)
 
     def test_non_finite_number_is_one_error_line_naming_the_file(self, capsys, tmp_path):
         config = write_config(tmp_path, thresholds={"score": float("inf")})
@@ -468,14 +481,47 @@ class TestTrainToyCommand:
                        f"Additional properties are not allowed ('{key}' was unexpected)\n")
 
     @staticmethod
-    def synth_dataset(capsys, tmp_path, names):
-        """A one-image ``synth`` dataset whose class table lists ``names``."""
+    def synth_dataset(capsys, tmp_path, names=None, num_images=1):
+        """A ``synth`` dataset of 32x32 images, whose class table lists ``names`` if given."""
         data = os.path.join(tmp_path, "data")
-        config = write_config(tmp_path, dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16})
+        config = write_config(tmp_path, dataset={"num_images": num_images, "width": 32, "height": 32,
+                                                 "max_size": 16})
         assert run(capsys, "synth", "--config", config, "--output-dir", data)[0] == 0
-        table = synthetic_table().to_json()
-        write_json(os.path.join(data, "class_table.json"), dict(table, names=names))
+        if names is not None:
+            table = synthetic_table().to_json()
+            write_json(os.path.join(data, "class_table.json"), dict(table, names=names))
         return data
+
+    def train_on(self, capsys, tmp_path, data):
+        config = write_config(tmp_path, training={"iterations": 2},
+                              dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16})
+        out_dir = os.path.join(tmp_path, "run")
+        code, out, err = run(capsys, "train-toy", "--config", config, "--dataset", data, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        return err
+
+    def test_label_map_size_must_match_its_image(self, capsys, tmp_path):
+        data = self.synth_dataset(capsys, tmp_path)
+        labels = os.path.join(data, "labels", "000.pgm")
+        write_pgm(labels, read_pgm(labels)[:24, :16])
+        err = self.train_on(capsys, tmp_path, data)
+        assert err == f"error: label map {labels}: size 16x24 differs from its image's 32x32\n"
+
+    def test_image_size_must_match_the_first_image(self, capsys, tmp_path):
+        data = self.synth_dataset(capsys, tmp_path, num_images=2)
+        image = os.path.join(data, "images", "001.ppm")
+        write_ppm(image, np.zeros((3, 32, 40)))
+        err = self.train_on(capsys, tmp_path, data)
+        assert err == f"error: image {image}: size 40x32 differs from the first image's 32x32\n"
+
+    def test_label_ids_must_be_classes_of_the_table_or_ignore(self, capsys, tmp_path):
+        data = self.synth_dataset(capsys, tmp_path)
+        labels = os.path.join(data, "labels", "000.pgm")
+        label_map = read_pgm(labels)
+        label_map[0, :3] = (7, 255, 3)
+        write_pgm(labels, label_map)
+        err = self.train_on(capsys, tmp_path, data)
+        assert err == f"error: label map {labels}: ids [3, 7] are neither classes of the 3-class table nor 255\n"
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_model_classes_must_match_the_dataset_class_table(self, capsys, tmp_path, num_classes):
@@ -541,6 +587,22 @@ class TestEvalSegCommand:
         assert code == 1
         assert err.startswith("error:")
         assert not os.path.exists(report_path)
+
+
+    def test_out_of_range_ground_truth_names_the_file(self, capsys, tmp_path):
+        gt_dir = os.path.join(tmp_path, "gt")
+        pred_dir = os.path.join(tmp_path, "pred")
+        os.makedirs(gt_dir)
+        os.makedirs(pred_dir)
+        labels = np.zeros((4, 4), dtype=np.uint8)
+        write_pgm(os.path.join(pred_dir, "a.pgm"), labels)
+        labels[1, 1] = 7
+        write_pgm(os.path.join(gt_dir, "a.pgm"), labels)
+        report_path = os.path.join(tmp_path, "report.json")
+        code, out, err = run(capsys, "eval-seg", "--pred", pred_dir, "--gt", gt_dir, "--output", report_path)
+        assert code == 1 and out == "" and not os.path.exists(report_path)
+        gt_path = os.path.join(gt_dir, "a.pgm")
+        assert err == f"error: label map {gt_path}: ground truth ids outside [0, 3)\n"
 
 
 class TestEvalDetCommand:

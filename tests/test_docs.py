@@ -1,0 +1,67 @@
+"""Every JSON example in docs/FORMATS.md and README.md parses with the reader it documents.
+
+An example that drifts from its format (a renamed key, a removed setting)
+fails here, not in a reader's hands.
+"""
+
+import json
+import os
+import re
+
+import pytest
+
+from detseg.pipeline.annotations import AnnotationFile
+from detseg.pipeline.config import load_class_table, run_config_from_dict
+from detseg.post import detections_from_jsonl
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def read(name):
+    with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def class_table(text, tmp_path):
+    path = os.path.join(tmp_path, "class_table.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return load_class_table(path)
+
+
+# FORMATS.md section heading -> the reader of its examples
+READERS = {
+    "Annotations (one JSON file per image)": lambda text, tmp_path: AnnotationFile.from_json(json.loads(text)),
+    "Detections (JSON lines)": lambda text, tmp_path: detections_from_jsonl(text),
+    "Anchor targets (JSON lines, `assign` output)":
+        lambda text, tmp_path: [json.loads(line) for line in text.splitlines()],
+    "Class tables": class_table,
+    "Metrics reports": lambda text, tmp_path: json.loads(text),
+    "Run configuration": lambda text, tmp_path: run_config_from_dict(json.loads(text)),
+}
+
+
+def format_examples():
+    """(section heading, example) for every ```json block of docs/FORMATS.md."""
+    sections = re.split(r"^## ", read("docs/FORMATS.md"), flags=re.M)[1:]
+    return [(section.splitlines()[0], block)
+            for section in sections for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+EXAMPLES = format_examples()
+
+
+def test_every_reader_has_an_example():
+    assert {heading for heading, _ in EXAMPLES} == set(READERS)
+
+
+@pytest.mark.parametrize("heading, text", EXAMPLES,
+                         ids=[f"{heading.split()[0]}-{i}" for i, (heading, _) in enumerate(EXAMPLES)])
+def test_formats_example_parses(heading, text, tmp_path):
+    READERS[heading](text, tmp_path)
+
+
+def test_readme_config_parses():
+    blocks = re.findall(r"cat > config\.json <<'EOF'\n(.*?)\nEOF\n", read("README.md"), re.S)
+    assert len(blocks) == 1
+    run_config_from_dict(json.loads(blocks[0]))

@@ -18,7 +18,6 @@ from detseg.pipeline.annotations import (
 )
 from detseg.pipeline.classtable import ClassTable, cityscapes_table, synthetic_table
 from detseg.pipeline.config import (
-    CHECKPOINT_SCHEMA,
     CLASS_TABLE_SCHEMA,
     CONFIG_SCHEMA,
     MODEL_SCHEMA,
@@ -404,7 +403,7 @@ class TestRunConfig:
             assert settings(data) != default, path
 
     def test_schema_is_self_consistent(self):
-        for schema in (CONFIG_SCHEMA, CHECKPOINT_SCHEMA, TEMPLATES_SCHEMA, CLASS_TABLE_SCHEMA):
+        for schema in (CONFIG_SCHEMA, TEMPLATES_SCHEMA, CLASS_TABLE_SCHEMA):
             jsonschema.Draft202012Validator.check_schema(schema)
 
     def test_model_fragment_covers_every_model_setting(self):
@@ -434,5 +433,5 @@ class TestTemplatesFile:
     def test_malformed_rejected_naming_the_file(self, tmp_path, case):
         text, where, message = self.MALFORMED[case]
         path = self.write(tmp_path, text)
-        with pytest.raises(ValueError, match=f"templates file {re.escape(path)}: invalid config at {where}: .*{message}"):
+        with pytest.raises(ValueError, match=f"templates file {re.escape(path)}: invalid templates at {where}: .*{message}"):
             load_templates(path)
