@@ -1,7 +1,3 @@
 """Joint object detection and semantic segmentation at desk scale."""
 
-from . import assign, evaluation, geom, losses, net, pipeline, post, selftest
-
 __version__ = "0.1.0"
-
-__all__ = ["geom", "assign", "losses", "net", "post", "evaluation", "pipeline", "selftest", "__version__"]

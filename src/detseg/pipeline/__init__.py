@@ -1,30 +1,1 @@
 """Data ingestion, synthetic scenes, configuration, and the CLI."""
-
-from .annotations import AnnotationFile, PolygonObject, boxes_from_polygons, load_annotation, save_annotation
-from .classtable import ClassTable, cityscapes_table, synthetic_table
-from .config import RunConfig, default_config_dict, load_run_config, run_config_from_dict
-from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
-from .synth import SceneSample, SceneSpec, make_dataset, synth_scene
-
-__all__ = [
-    "AnnotationFile",
-    "PolygonObject",
-    "boxes_from_polygons",
-    "load_annotation",
-    "save_annotation",
-    "ClassTable",
-    "synthetic_table",
-    "cityscapes_table",
-    "RunConfig",
-    "default_config_dict",
-    "load_run_config",
-    "run_config_from_dict",
-    "read_ppm",
-    "write_ppm",
-    "read_pgm",
-    "write_pgm",
-    "SceneSpec",
-    "SceneSample",
-    "synth_scene",
-    "make_dataset",
-]

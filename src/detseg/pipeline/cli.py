@@ -370,13 +370,13 @@ def cmd_eval_seg(args) -> int:
         gt_path = os.path.join(args.gt, name)
         pred_path = os.path.join(args.pred, name)
         if not os.path.exists(pred_path):
-            raise CliError(f"missing prediction for {name}")
+            raise CliError(f"missing prediction {pred_path}")
         gt, pred = read_pgm(gt_path), read_pgm(pred_path)
         instances = None
         if args.instances:
             instance_path = os.path.join(args.instances, name)
             if not os.path.exists(instance_path):
-                raise CliError(f"missing instance map for {name}")
+                raise CliError(f"missing instance map {instance_path}")
             instances = read_pgm(instance_path)
         try:
             confusion += seg_confusion(pred, gt, n)
@@ -422,6 +422,8 @@ def cmd_eval_det(args) -> int:
             dets_by_image = detections_from_jsonl(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read detections: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"detections {args.detections}: {exc}") from exc
 
     ann_files = sorted(f for f in os.listdir(args.annotations) if f.endswith(".json"))
     if not ann_files:

@@ -171,7 +171,7 @@ class RunConfig:
     thresholds: dict[str, float]
     iterations: int
     tasks: tuple[str, ...]
-    freeze_stats_after: int
+    freeze_stats_after: int | None
     num_images: int
     scene: SceneSpec
     raw: dict
@@ -194,7 +194,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
     anchors = data["anchors"]
     if ("preset" in anchors) == ("templates" in anchors):
-        raise ValueError("anchors must specify exactly one of 'preset' or 'templates'")
+        raise ValueError("invalid config at anchors: must specify exactly one of 'preset' or 'templates'")
     if "preset" in anchors:
         templates = anchor_preset(anchors["preset"])
     else:
@@ -203,26 +203,19 @@ def run_config_from_dict(data: dict) -> RunConfig:
     model = ModelConfig.from_dict({**data["model"], "anchors_per_cell": len(templates)})
 
     training = data["training"]
-    iterations = int(training["iterations"])
-
     dataset = data["dataset"]
-    scene = SceneSpec(
-        width=int(dataset["width"]),
-        height=int(dataset["height"]),
-        min_objects=int(dataset.get("min_objects", 1)),
-        max_objects=int(dataset.get("max_objects", 3)),
-        min_size=int(dataset.get("min_size", 10)),
-        max_size=int(dataset.get("max_size", 22)),
-    )
+    # unset dataset keys keep SceneSpec's defaults
+    scene = SceneSpec(**{key: int(value) for key, value in dataset.items() if key != "num_images"})
 
     return RunConfig(
         seed=int(data["seed"]),
         model=model,
         templates=templates,
         thresholds={key: float(data.get("thresholds", {}).get(key, 0.5)) for key in ("score", "nms_iou")},
-        iterations=iterations,
+        iterations=int(training["iterations"]),
         tasks=tuple(training.get("tasks", TASK_NAMES)),
-        freeze_stats_after=int(training.get("freeze_stats_after", iterations // 2)),
+        # None lets train_toy apply its own default, half the iterations
+        freeze_stats_after=training.get("freeze_stats_after"),
         num_images=int(dataset["num_images"]),
         scene=scene,
         raw=data,

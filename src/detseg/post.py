@@ -76,11 +76,8 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def decode_detections(
-    outputs: Mapping[str, np.ndarray],
-    grid: AnchorGrid,
-    score_threshold: float = 0.5,
-) -> Detections:
+def decode_detections(outputs: Mapping[str, np.ndarray], grid: AnchorGrid,
+                      score_threshold: float) -> Detections:
     """Convert one image's head outputs into thresholded detections.
 
     ``outputs`` maps head names to (C, H, W) float64 arrays for a single
@@ -145,7 +142,7 @@ def _nms_ranked(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     return ~suppressed
 
 
-def nms(dets: Detections, iou_threshold: float = 0.5) -> Detections:
+def nms(dets: Detections, iou_threshold: float) -> Detections:
     """Greedy per-class non-maximum suppression.
 
     Detections are visited in descending score (stable on ties); keeping one

@@ -260,7 +260,9 @@ MALFORMED_CONFIGS = {
                           "invalid config at model: Additional properties are not allowed "
                           "('conv_kind' was unexpected)"),
     "no_preset_or_templates": (lambda c: c["anchors"].pop("preset"),
-                               "anchors must specify exactly one of 'preset' or 'templates'"),
+                               "invalid config at anchors: must specify exactly one of 'preset' or 'templates'"),
+    "preset_and_templates": (lambda c: c["anchors"].update(templates=toy_templates()),
+                             "invalid config at anchors: must specify exactly one of 'preset' or 'templates'"),
     "templates_not_json": (lambda c: inline_templates(c, "zz"),
                            "invalid config at anchors/templates: 'zz' is not of type 'array'"),
     "template_unknown_key": (lambda c: inline_templates(c, [*toy_templates()[:3],
@@ -575,19 +577,18 @@ class TestEvalSegCommand:
         assert report["mean_iou"] == 1.0
         assert report["per_class"]["rect"]["iou"] == 1.0
 
-    def test_missing_prediction_fails_without_partial_output(self, capsys, tmp_path):
-        gt_dir = os.path.join(tmp_path, "gt")
-        pred_dir = os.path.join(tmp_path, "pred")
-        os.makedirs(gt_dir)
-        os.makedirs(pred_dir)
-        write_pgm(os.path.join(gt_dir, "a.pgm"), np.zeros((4, 4), dtype=np.uint8))
+    @pytest.mark.parametrize("missing", ["prediction", "instance map"])
+    def test_missing_file_named_by_its_path_without_partial_output(self, capsys, tmp_path, missing):
+        dirs = {name: os.path.join(tmp_path, name) for name in ("gt", "prediction", "instance map")}
+        for name, path in dirs.items():
+            os.makedirs(path)
+            if name != missing:
+                write_pgm(os.path.join(path, "a.pgm"), np.zeros((4, 4), dtype=np.uint8))
         report_path = os.path.join(tmp_path, "report.json")
-        code, _, err = run(capsys, "eval-seg", "--pred", pred_dir, "--gt", gt_dir,
-                           "--output", report_path)
-        assert code == 1
-        assert err.startswith("error:")
-        assert not os.path.exists(report_path)
-
+        code, out, err = run(capsys, "eval-seg", "--pred", dirs["prediction"], "--gt", dirs["gt"],
+                             "--instances", dirs["instance map"], "--output", report_path)
+        assert code == 1 and out == "" and not os.path.exists(report_path)
+        assert err == f"error: missing {missing} {os.path.join(dirs[missing], 'a.pgm')}\n"
 
     def test_out_of_range_ground_truth_names_the_file(self, capsys, tmp_path):
         gt_dir = os.path.join(tmp_path, "gt")
@@ -623,6 +624,21 @@ class TestEvalDetCommand:
         # the handler lives for one call, and records still propagate to other handlers
         assert logging.getLogger("detseg").handlers == handlers
         assert "dropped 1 degenerate" in caplog.text
+
+    def test_malformed_detection_names_the_file(self, capsys, tmp_path):
+        os.makedirs(tmp_path / "annotations")
+        write_json(tmp_path / "annotations" / "000.json",
+                   {"image_width": 16, "image_height": 16, "objects": [ONE_RECT]})
+        detections = str(tmp_path / "det.jsonl")
+        with open(detections, "w") as fh:
+            fh.write(json.dumps({"image_id": "000", "class": 0, "score": 2.0, "x_min": 1, "y_min": 1,
+                                 "x_max": 10, "y_max": 10, "embedding": []}) + "\n")
+        report_path = str(tmp_path / "report.json")
+        code, out, err = run(capsys, "eval-det", "--detections", detections,
+                             "--annotations", str(tmp_path / "annotations"), "--output", report_path)
+        assert code == 1 and out == "" and not os.path.exists(report_path)
+        assert err == (f"error: detections {detections}: malformed detection on line 1: "
+                       "score must be a number in [0, 1], got 2.0\n")
 
 
 class TestSelftestCommand:

@@ -295,11 +295,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="seed"):
             run_config_from_dict(data)
 
-    def test_preset_and_templates_exclusive(self):
-        data = default_config_dict()
-        data["anchors"]["templates"] = [{"ratio": 1.0, "area": 64}]
-        with pytest.raises(ValueError, match="exactly one"):
-            run_config_from_dict(data)
+    @pytest.mark.parametrize("anchors", [{"stride": 8},
+                                         {"preset": "toy", "templates": [{"ratio": 1.0, "area": 64}]}])
+    def test_preset_and_templates_exclusive(self, tmp_path, anchors):
+        data = {**default_config_dict(), "anchors": anchors}
+        path = os.path.join(tmp_path, "config.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        message = f"config {path}: invalid config at anchors: must specify exactly one of 'preset' or 'templates'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_run_config(path)
 
     def test_explicit_templates(self):
         data = default_config_dict()
