@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import AnchorGrid, BBox, encode_array, iou_matrix
+from .geom import AnchorGrid, BBox, encode_array, iou_matrix, iou_pairs
 from .losses import BACKGROUND, FOREGROUND, IGNORE
 
 __all__ = [
@@ -97,13 +97,99 @@ def _check_unique_instances(gts: Sequence[GroundTruthObject]) -> None:
         raise ValueError(f"instance ids must be unique within an image, got {ids}")
 
 
+# Template/object pairs whose size bound is below DONTCARE_IOU - BOUND_SLACK
+# are skipped. The slack covers rounding in the bound and in the IoUs it
+# stands for: anchor widths differ between cells by about 1e-16 x image
+# extent / template width, and each IoU carries a few ulp. That stays
+# orders of magnitude below 1e-6 unless a template is narrower than about
+# 1e-8 of the image extent.
+BOUND_SLACK = 1e-6
+
+
+def _live_anchors(grid: AnchorGrid, gt_boxes: np.ndarray) -> np.ndarray:
+    """Sorted indices of the anchors with IoU >= DONTCARE_IOU against some object.
+
+    Two axis-aligned boxes overlap most when aligned, so a template and an
+    object reach at most ``I / (area_t + area_g - I)`` with
+    ``I = min(w) * min(h)``. Only the (cell, template, object) triples of
+    the pairs that pass this bound get their IoU computed.
+    """
+    n_templates = len(grid.templates)
+    t_w, t_h = (grid.boxes[:n_templates, 2:] - grid.boxes[:n_templates, :2]).T  # cell 0's anchors
+    g_w, g_h = (gt_boxes[:, 2:] - gt_boxes[:, :2]).T
+    aligned = np.minimum(t_w[:, None], g_w[None]) * np.minimum(t_h[:, None], g_h[None])
+    bound = aligned / ((t_w * t_h)[:, None] + (g_w * g_h)[None] - aligned)
+    t, g = np.divmod(np.flatnonzero(bound >= DONTCARE_IOU - BOUND_SLACK), len(gt_boxes))
+    cells = grid.boxes.reshape(-1, n_templates, 4)
+    cell, pair = np.divmod(np.flatnonzero(iou_pairs(cells[:, t], gt_boxes[g]) >= DONTCARE_IOU), len(t))
+    live = np.zeros(len(grid), dtype=bool)
+    live[cell * n_templates + t[pair]] = True
+    return np.flatnonzero(live)
+
+
+def _apply_rules(overlaps: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rule ids and owning object (-1 unless active) of at least one anchor.
+
+    ``overlaps`` is the anchors' (anchors, objects) IoU matrix and
+    ``outside`` their border flags.
+    """
+    n_anchors, n_gts = overlaps.shape
+    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int64)
+    assigned_gt = np.full(n_anchors, -1, dtype=np.int64)
+    best_gt = overlaps.argmax(axis=1)  # ties -> lowest gt index
+    best = np.take_along_axis(overlaps, best_gt[:, None], axis=1)[:, 0]  # = max, but cheaper
+    if n_gts >= 2:
+        second = np.partition(overlaps, n_gts - 2, axis=1)[:, n_gts - 2]
+    else:
+        second = np.zeros(n_anchors)
+
+    border = outside & (best >= DONTCARE_IOU)
+    ambiguous = (
+        ~border
+        & (best >= DONTCARE_IOU)
+        & (second >= DONTCARE_IOU)
+        & ((best - second) < AMBIGUITY_GAP)
+    )
+    active = ~border & ~ambiguous & (best > ACTIVE_IOU)
+    band = ~border & ~ambiguous & ~active & (best > DONTCARE_IOU)
+
+    rules[border] = AssignRule.BORDER
+    rules[ambiguous] = AssignRule.AMBIGUOUS
+    rules[active] = AssignRule.BEST
+    rules[band] = AssignRule.BAND
+    assigned_gt[active] = best_gt[active]
+
+    # Unassigned ground truths adopt their best anchor, provided that
+    # anchor is only a default-inactive or band don't-care. Border and
+    # ambiguity states, and anchors already active for another object,
+    # are never overridden.
+    has_active = np.zeros(n_gts, dtype=bool)
+    has_active[np.unique(assigned_gt[active])] = True
+    for g in range(n_gts):
+        if has_active[g]:
+            continue
+        col = overlaps[:, g]
+        a_star = int(col.argmax())  # ties -> lowest anchor index
+        if col[a_star] > DONTCARE_IOU and rules[a_star] in (
+            AssignRule.DEFAULT,
+            AssignRule.BAND,
+        ):
+            rules[a_star] = AssignRule.FALLBACK
+            assigned_gt[a_star] = g
+    return rules, assigned_gt
+
+
 def assign_targets_detailed(
     grid: AnchorGrid,
     gts: Sequence[GroundTruthObject],
     image_w: int,
     image_h: int,
 ) -> tuple[AnchorTargetArrays, np.ndarray]:
-    """Like :func:`assign_targets` but also returns the per-anchor rule ids."""
+    """Like :func:`assign_targets` but also returns the per-anchor rule ids.
+
+    Anchors that reach ``DONTCARE_IOU`` against no object keep
+    :attr:`AssignRule.DEFAULT` without entering the rules.
+    """
     if grid.image_w != image_w or grid.image_h != image_h:
         raise ValueError(
             f"grid was built for {grid.image_w}x{grid.image_h}, "
@@ -112,58 +198,24 @@ def assign_targets_detailed(
     _check_unique_instances(gts)
 
     n_anchors = len(grid)
-    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int64)
-    assigned_gt = np.full(n_anchors, -1, dtype=np.int64)
-    n_gts = len(gts)
     gt_boxes = np.array([g.bbox.as_array() for g in gts], dtype=np.float64).reshape(-1, 4)
+    # Every rule but the default needs an IoU >= DONTCARE_IOU, so all other
+    # anchors stay default. The live rows hold the same IoUs as on the whole
+    # lattice, and ``live`` is sorted, so argmax ties still go to the lowest
+    # anchor index.
+    live = _live_anchors(grid, gt_boxes)
+    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int64)
+    labels = np.full(n_anchors, BACKGROUND, dtype=np.int64)
+    idx = owner = np.zeros(0, dtype=np.int64)
+    if live.size:
+        live_rules, assigned_gt = _apply_rules(iou_matrix(grid.boxes[live], gt_boxes), grid.outside[live])
+        rules[live] = live_rules
+        labels[live] = _LABEL_OF_RULE[live_rules]
+        hit = np.flatnonzero(assigned_gt >= 0)
+        idx, owner = live[hit], assigned_gt[hit]
 
-    if n_gts > 0:
-        overlaps = iou_matrix(grid.boxes, gt_boxes)
-        best_gt = overlaps.argmax(axis=1)  # ties -> lowest gt index
-        best = np.take_along_axis(overlaps, best_gt[:, None], axis=1)[:, 0]  # = max, but cheaper
-        if n_gts >= 2:
-            second = np.partition(overlaps, n_gts - 2, axis=1)[:, n_gts - 2]
-        else:
-            second = np.zeros(n_anchors)
-
-        border = grid.outside & (best >= DONTCARE_IOU)
-        ambiguous = (
-            ~border
-            & (best >= DONTCARE_IOU)
-            & (second >= DONTCARE_IOU)
-            & ((best - second) < AMBIGUITY_GAP)
-        )
-        active = ~border & ~ambiguous & (best > ACTIVE_IOU)
-        band = ~border & ~ambiguous & ~active & (best > DONTCARE_IOU)
-
-        rules[border] = AssignRule.BORDER
-        rules[ambiguous] = AssignRule.AMBIGUOUS
-        rules[active] = AssignRule.BEST
-        rules[band] = AssignRule.BAND
-        assigned_gt[active] = best_gt[active]
-
-        # Unassigned ground truths adopt their best anchor, provided that
-        # anchor is only a default-inactive or band don't-care. Border and
-        # ambiguity states, and anchors already active for another object,
-        # are never overridden.
-        has_active = np.zeros(n_gts, dtype=bool)
-        has_active[np.unique(assigned_gt[active])] = True
-        for g in range(n_gts):
-            if has_active[g]:
-                continue
-            col = overlaps[:, g]
-            a_star = int(col.argmax())  # ties -> lowest anchor index
-            if col[a_star] > DONTCARE_IOU and rules[a_star] in (
-                AssignRule.DEFAULT,
-                AssignRule.BAND,
-            ):
-                rules[a_star] = AssignRule.FALLBACK
-                assigned_gt[a_star] = g
-
-    labels = _LABEL_OF_RULE[rules]
-    active = labels == FOREGROUND
-    idx = np.flatnonzero(active)
-    owner = assigned_gt[idx]
+    active = np.zeros(n_anchors, dtype=bool)
+    active[idx] = True
     class_targets = np.full(n_anchors, -1, dtype=np.int64)
     class_targets[idx] = np.array([g.class_id for g in gts], dtype=np.int64)[owner]
     instance_ids = np.full(n_anchors, -1, dtype=np.int64)
@@ -197,6 +249,13 @@ def assign_targets(
     Afterwards every ground truth without an active anchor adopts its
     highest-IoU anchor if that IoU exceeds ``DONTCARE_IOU`` and the anchor is
     in state 1 or 5; this catches small objects falling between the lattice.
+
+    Only the anchors that reach ``DONTCARE_IOU`` against some object are
+    evaluated: a size bound skips the template/object pairs that cannot,
+    and IoUs are computed for the remaining pairs only. The targets equal
+    those of the whole lattice, because rules 2-5 and the fallback each
+    need an IoU of at least ``DONTCARE_IOU``, every such IoU is computed
+    with the same arithmetic, and ties still go to the lowest index.
     """
     targets, _ = assign_targets_detailed(grid, gts, image_w, image_h)
     return targets

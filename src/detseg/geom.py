@@ -20,6 +20,7 @@ __all__ = [
     "AnchorGrid",
     "LOG_SIZE_CLAMP",
     "iou",
+    "iou_pairs",
     "iou_matrix",
     "make_anchor_grid",
     "encode",
@@ -117,17 +118,25 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def iou_matrix(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pairwise IoU matrix of float64 (N, 4) and (M, 4) box arrays, shape (N, M)."""
-    iw = np.minimum(a[:, None, 2], g[None, :, 2]) - np.maximum(a[:, None, 0], g[None, :, 0])
-    ih = np.minimum(a[:, None, 3], g[None, :, 3]) - np.maximum(a[:, None, 1], g[None, :, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_g = (g[:, 2] - g[:, 0]) * (g[:, 3] - g[:, 1])
-    union = area_a[:, None] + area_g[None, :] - inter
+def iou_pairs(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """IoU of float64 ``(..., 4)`` box arrays that broadcast against each other.
+
+    One value per broadcast pair; 0.0 where the union has zero area.
+    """
+    iw = np.minimum(a[..., 2], g[..., 2]) - np.maximum(a[..., 0], g[..., 0])
+    ih = np.minimum(a[..., 3], g[..., 3]) - np.maximum(a[..., 1], g[..., 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
+    union = area_a + area_g - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
+
+
+def iou_matrix(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pairwise IoU matrix of float64 (N, 4) and (M, 4) box arrays, shape (N, M)."""
+    return iou_pairs(a[:, None], g[None])
 
 
 @dataclass(frozen=True)

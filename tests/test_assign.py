@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from detseg import assign
 from detseg.assign import (
+    ACTIVE_IOU,
     AMBIGUITY_GAP,
     DONTCARE_IOU,
     AssignRule,
@@ -10,9 +12,10 @@ from detseg.assign import (
     assign_targets_detailed,
     summarize_targets,
 )
-from detseg.geom import AnchorTemplate, BBox, BoxDelta, decode, iou, make_anchor_grid
+from detseg.geom import AnchorTemplate, BBox, BoxDelta, anchor_preset, decode, iou, iou_matrix, make_anchor_grid
 from detseg.losses import BACKGROUND, FOREGROUND, IGNORE
 from detseg.oracles import anchor_aligned_scene, assign_oracle_rows, random_assignment_scene, target_rows
+from detseg.pipeline.synth import SceneSpec, synth_scene
 
 
 def gt(x0, y0, x1, y1, class_id=0, instance_id=0):
@@ -152,8 +155,6 @@ class TestRulePrecedence:
             if len(gts) < 2:
                 continue
             targets = assign_targets(grid, gts, w, h)
-            from detseg.geom import iou_matrix
-
             m = iou_matrix(grid.boxes, np.stack([g.bbox.as_array() for g in gts]))
             for i in np.flatnonzero(targets.active):
                 row = np.sort(m[i])[::-1]
@@ -224,3 +225,90 @@ class TestSummarize:
                     per_class[class_id] = per_class.get(class_id, 0) + 1
             assert summary.active_per_class == per_class
             assert sum(summary.active_per_class.values()) == summary.active
+
+
+def gt_array(gts):
+    return np.array([g.bbox.as_array() for g in gts]).reshape(-1, 4)
+
+
+def dense_live(grid, gts):
+    """The anchors that reach DONTCARE_IOU, from the IoU of every anchor and object."""
+    return np.flatnonzero(iou_matrix(grid.boxes, gt_array(gts)).max(axis=1) >= DONTCARE_IOU)
+
+
+def paper_scenes(rng):
+    """paper-table1 anchors at 256x128, with synthetic scenes and jittered anchor copies."""
+    grid = make_anchor_grid(256, 128, 8, anchor_preset("paper-table1"))
+    for seed in range(1, 4):
+        for n in (3, 8):
+            yield grid, synth_scene((seed, n), SceneSpec(256, 128, n, n, 12, 48)).gts
+    for _ in range(12):
+        gts = []
+        for k in range(int(rng.integers(1, 7))):
+            x0, y0, x1, y1 = grid.boxes[int(rng.integers(len(grid)))]
+            d = rng.uniform(-0.3, 0.3, 4) * [x1 - x0, y1 - y0, x1 - x0, y1 - y0]
+            gts.append(gt(x0 + d[0], y0 + d[1], x1 + d[2], y1 + d[3], instance_id=k))
+        yield grid, gts
+
+
+class TestLiveAnchors:
+    def test_small_scenes_match_dense_definition(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for scene in (random_assignment_scene, anchor_aligned_scene):
+            for _ in range(200):
+                grid, gts, _, _ = scene(rng)
+                if gts:
+                    assert assign._live_anchors(grid, gt_array(gts)).tolist() == dense_live(grid, gts).tolist()
+                    checked += 1
+        assert checked > 300
+
+    def test_paper_scenes_match_dense_definition(self):
+        live_rows = 0
+        for grid, gts in paper_scenes(np.random.default_rng(37)):
+            live = assign._live_anchors(grid, gt_array(gts))
+            assert live.tolist() == dense_live(grid, gts).tolist()
+            live_rows += live.size
+        assert live_rows > 0
+
+
+SQUARE = AnchorTemplate(1.0, 100)  # 10 x 10
+TALL = AnchorTemplate(0.5, 200)    # 10 x 20
+
+# name -> (templates, image side, stride, objects, {anchor index: rule}); every other anchor is DEFAULT
+BOUNDARY_CASES = {
+    # 40 / 100 is DONTCARE_IOU exactly: live, but no rule fires
+    "dontcare_exact_inside": ([SQUARE], 20, 10, [gt(0, 0, 10, 4)], {}),
+    # the anchor (-1, -1, 9, 9) crosses the border, so b1 >= DONTCARE_IOU makes it don't-care
+    "dontcare_exact_border": ([SQUARE], 8, 8, [gt(-1, -1, 9, 3)], {0: AssignRule.BORDER}),
+    "dontcare_exact_ambiguous": ([SQUARE], 20, 10, [gt(0, 0, 10, 4), gt(0, 6, 10, 10, instance_id=1)],
+                                 {0: AssignRule.AMBIGUOUS}),
+    # (5, 0, 15, 20) sees the object at 100 / 200, ACTIVE_IOU exactly: band, not active
+    "active_exact_band": ([SQUARE, TALL], 20, 20, [gt(5, 5, 15, 15)], {0: AssignRule.BEST, 1: AssignRule.BAND}),
+    # no anchor exceeds ACTIVE_IOU, so the object adopts its 0.5 anchor
+    "active_exact_fallback": ([SQUARE], 20, 10, [gt(10, 10, 20, 15)], {3: AssignRule.FALLBACK}),
+    # anchors 0 and 1 are the same box at IoU 0.45; the fallback takes the lower index
+    "duplicate_templates": ([SQUARE, SQUARE], 20, 10, [gt(0, 0, 10, 4.5)],
+                            {0: AssignRule.FALLBACK, 1: AssignRule.BAND}),
+    # a 2 x 2 object reaches at most 4 / 100 with any 10 x 10 template
+    "unreachable_object": ([SQUARE], 20, 10, [gt(4, 4, 6, 6)], {}),
+    "no_objects": ([SQUARE, TALL], 20, 10, [], {}),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDARY_CASES))
+def test_boundary_case_matches_oracle_and_rules(name):
+    templates, side, stride, gts, special = BOUNDARY_CASES[name]
+    grid = make_anchor_grid(side, side, stride, templates)
+    targets, rules = assign_targets_detailed(grid, gts, side, side)
+    expected = np.full(len(grid), AssignRule.DEFAULT)
+    expected[list(special)] = list(special.values())
+    assert rules.tolist() == expected.tolist()
+    assert target_rows(targets) == assign_oracle_rows(grid, gts, side, side)
+    live = assign._live_anchors(grid, gt_array(gts)).tolist()
+    assert live == (dense_live(grid, gts).tolist() if gts else [])
+    if name in ("unreachable_object", "no_objects"):
+        assert live == []
+    if name.startswith(("dontcare_exact", "active_exact")):
+        exact = DONTCARE_IOU if name.startswith("dontcare") else ACTIVE_IOU
+        assert exact in iou_matrix(grid.boxes, gt_array(gts)).max(axis=1).tolist()

@@ -16,6 +16,7 @@ from detseg.geom import (
     encode_array,
     iou,
     iou_matrix,
+    iou_pairs,
     make_anchor_grid,
     preset_names,
     templates_from_json,
@@ -65,24 +66,57 @@ class TestIouProperties:
         assert iou(a, a) == pytest.approx(1.0, abs=1e-12)
 
 
+def iou_pairs_matrix(a, g):
+    return iou_pairs(a[:, None], g[None])
+
+
+# The pairwise IoU matrix, and the same matrix through broadcasting iou_pairs.
+PAIRWISE = (iou_matrix, iou_pairs_matrix)
+
+
 class TestIouMatrix:
     def test_empty_gts(self):
-        m = iou_matrix(box(0, 0, 1, 1).as_array()[None], np.zeros((0, 4)))
-        assert m.shape == (1, 0)
-        assert iou_matrix(np.zeros((0, 4)), box(0, 0, 1, 1).as_array()[None]).shape == (0, 1)
+        for pairwise in PAIRWISE:
+            m = pairwise(box(0, 0, 1, 1).as_array()[None], np.zeros((0, 4)))
+            assert m.shape == (1, 0)
+            assert pairwise(np.zeros((0, 4)), box(0, 0, 1, 1).as_array()[None]).shape == (0, 1)
 
     def test_identity_entry(self):
         b = box(0, 0, 4, 4).as_array()[None]
-        assert iou_matrix(b, b) == pytest.approx(np.array([[1.0]]))
+        for pairwise in PAIRWISE:
+            assert pairwise(b, b) == pytest.approx(np.array([[1.0]]))
 
     def test_matches_scalar(self):
         rng = np.random.default_rng(0)
         anchors = [BBox(x, y, x + w, y + h) for x, y, w, h in rng.uniform(1, 20, (5, 4))]
         gts = [BBox(x, y, x + w, y + h) for x, y, w, h in rng.uniform(1, 20, (3, 4))]
-        m = iou_matrix(np.stack([a.as_array() for a in anchors]), np.stack([g.as_array() for g in gts]))
-        for i, a in enumerate(anchors):
-            for j, g in enumerate(gts):
-                assert m[i, j] == pytest.approx(iou(a, g), abs=1e-12)
+        for pairwise in PAIRWISE:
+            m = pairwise(np.stack([a.as_array() for a in anchors]), np.stack([g.as_array() for g in gts]))
+            for i, a in enumerate(anchors):
+                for j, g in enumerate(gts):
+                    assert m[i, j] == pytest.approx(iou(a, g), abs=1e-12)
+
+    def test_pairs_equal_scalar_on_aligned_rows_and_broadcast_shapes(self):
+        rng = np.random.default_rng(4)
+        a = [BBox(x, y, x + w, y + h) for x, y, w, h in rng.uniform(0, 12, (6, 4))]
+        g = [BBox(x, y, x + w, y + h) for x, y, w, h in rng.uniform(0, 12, (6, 4))]
+        a_arr = np.stack([b.as_array() for b in a])
+        g_arr = np.stack([b.as_array() for b in g])
+        aligned = iou_pairs(a_arr, g_arr)
+        assert aligned.shape == (6,)
+        assert aligned.tolist() == [iou(x, y) for x, y in zip(a, g)]
+        # (2, 3, 4) against (3, 4): row r of the first pairs with the same row of the second
+        grouped = iou_pairs(a_arr.reshape(2, 3, 4), g_arr[:3])
+        assert grouped.shape == (2, 3)
+        assert grouped.tolist() == [[iou(a[3 * k + j], g[j]) for j in range(3)] for k in range(2)]
+
+    def test_zero_area_union(self):
+        point = box(1, 1, 1, 1).as_array()
+        line = box(0, 1, 4, 1).as_array()
+        assert iou_pairs(point, point) == 0.0
+        assert iou_pairs(np.stack([point, line]), line).tolist() == [0.0, 0.0]
+        for pairwise in PAIRWISE:
+            assert pairwise(point[None], point[None]).tolist() == [[0.0]]
 
 
 class TestTemplates:

@@ -7,6 +7,7 @@ from detseg import assign, evaluation, geom, oracles, post
 # would agree with it by construction. The scalar encode/decode wrap the
 # vectorised codec, so they count as it.
 CHECKED = {
+    geom.iou_pairs,
     geom.iou_matrix,
     geom.encode_array,
     geom.decode_array,
