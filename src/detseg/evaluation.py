@@ -23,6 +23,7 @@ from .post import Detections
 
 __all__ = [
     "SegMetrics",
+    "PredictionIdError",
     "seg_confusion",
     "collect_instance_stats",
     "seg_metrics",
@@ -43,10 +44,16 @@ __all__ = [
 DEFAULT_IOU_THRESHOLDS = {"car": 0.7, "pedestrian": 0.5, "person": 0.5}
 
 
+class PredictionIdError(ValueError):
+    """A prediction holds a class id outside the class range, where the ground truth is labelled."""
+
+
 def seg_confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """Count matrix with entry (g, p) = pixels of gt class g predicted as p.
 
-    Pixels whose ground truth is the ignore id are excluded entirely.
+    Pixels whose ground truth is the ignore id are excluded entirely. An
+    out-of-range prediction id raises :class:`PredictionIdError`, any other
+    fault a plain ValueError.
     """
     if pred.shape != gt.shape:
         raise ValueError(f"prediction {pred.shape} and ground truth {gt.shape} differ in size")
@@ -56,7 +63,7 @@ def seg_confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndar
     if g_valid.size and (g_valid.min() < 0 or g_valid.max() >= num_classes):
         raise ValueError(f"ground truth ids outside [0, {num_classes})")
     if p_valid.size and (p_valid.min() < 0 or p_valid.max() >= num_classes):
-        raise ValueError(f"prediction ids outside [0, {num_classes})")
+        raise PredictionIdError(f"prediction ids outside [0, {num_classes})")
     counts = np.bincount(g_valid * num_classes + p_valid, minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
 

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "BBox",
-    "BoxDelta",
     "AnchorTemplate",
     "AnchorGrid",
     "LOG_SIZE_CLAMP",
@@ -62,29 +61,8 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x_min, self.y_min, self.x_max, self.y_max], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class BoxDelta:
-    """R-CNN style regression offsets: center shifts plus log size ratios."""
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.tx, self.ty, self.tw, self.th)):
-            raise ValueError(f"non-finite delta: {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.tx, self.ty, self.tw, self.th], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -254,15 +232,14 @@ def decode_array(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode(anchor: BBox, gt: BBox) -> BoxDelta:
-    """Encode a ground-truth box as regression offsets relative to an anchor."""
-    tx, ty, tw, th = encode_array(anchor.as_array(), gt.as_array())
-    return BoxDelta(float(tx), float(ty), float(tw), float(th))
+def encode(anchor: BBox, gt: BBox) -> np.ndarray:
+    """The regression offsets ``(tx, ty, tw, th)`` of a ground-truth box relative to an anchor."""
+    return encode_array(anchor.as_array(), gt.as_array())
 
 
-def decode(anchor: BBox, delta: BoxDelta) -> BBox:
-    """Apply regression offsets to an anchor. Exact inverse of :func:`encode`."""
-    x0, y0, x1, y1 = decode_array(anchor.as_array(), delta.as_array())
+def decode(anchor: BBox, delta: np.ndarray) -> BBox:
+    """Apply length-4 regression offsets to an anchor. Exact inverse of :func:`encode`."""
+    x0, y0, x1, y1 = decode_array(anchor.as_array(), delta)
     return BBox(float(x0), float(y0), float(x1), float(y1))
 
 

@@ -14,8 +14,8 @@ class Tensor:
     """A float64 N x C x H x W array.
 
     It survives only as the type of :meth:`DetSegModel.forward`'s outputs and
-    of ``SceneSample.image``, because the benchmark reads ``.data`` from
-    both; ROADMAP item 2 deletes it once the benchmark reads arrays.
+    of ``SceneSample.image``, because ``perfbench/workloads.py`` reads
+    ``.data`` from both; it can go once the benchmark reads arrays.
     """
 
     data: np.ndarray

@@ -160,7 +160,7 @@ def boxes_from_polygons(ann: AnnotationFile, table: ClassTable) -> list[GroundTr
             continue
         out.append(
             GroundTruthObject(
-                class_id=table.detection_id_of(obj.label),
+                class_id=table.detection.index(obj.label),
                 bbox=bbox,
                 instance_id=obj.instance_id,
                 occlusion=obj.occlusion,

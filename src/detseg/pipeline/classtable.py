@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-__all__ = ["ClassTable", "synthetic_table", "cityscapes_table"]
+from ..losses import SEG_IGNORE
+
+__all__ = ["ClassTable", "synthetic_table"]
 
 
 @dataclass(frozen=True)
@@ -15,6 +17,8 @@ class ClassTable:
     The segmentation id of a class is its position in ``names``; the
     detection id of a detection class is its position in ``detection``.
     Detection classes must be instanceable (boxes come from instances).
+    Label maps are 8-bit with ``SEG_IGNORE`` (255) for unlabelled pixels,
+    so a table holds at most 255 classes.
     """
 
     names: tuple[str, ...]
@@ -23,6 +27,8 @@ class ClassTable:
     categories: Optional[Mapping[str, tuple[str, ...]]] = None
 
     def __post_init__(self) -> None:
+        if len(self.names) > SEG_IGNORE:
+            raise ValueError(f"at most {SEG_IGNORE} classes fit 8-bit label maps, got {len(self.names)}")
         if len(set(self.names)) != len(self.names):
             raise ValueError("class names must be unique")
         if len(set(self.detection)) != len(self.detection):
@@ -47,24 +53,6 @@ class ClassTable:
     def num_detection_classes(self) -> int:
         return len(self.detection)
 
-    def id_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown class {name!r}") from None
-
-    def name_of(self, class_id: int) -> str:
-        return self.names[class_id]
-
-    def detection_id_of(self, name: str) -> int:
-        try:
-            return self.detection.index(name)
-        except ValueError:
-            raise KeyError(f"{name!r} is not a detection class") from None
-
-    def detection_name(self, detection_id: int) -> str:
-        return self.detection[detection_id]
-
     def instanceable_ids(self) -> tuple[int, ...]:
         return tuple(i for i, n in enumerate(self.names) if n in self.instanceable)
 
@@ -72,7 +60,7 @@ class ClassTable:
         if self.categories is None:
             return None
         return {
-            cat: tuple(self.id_of(m) for m in members)
+            cat: tuple(self.names.index(m) for m in members)
             for cat, members in self.categories.items()
         }
 
@@ -106,32 +94,4 @@ def synthetic_table() -> ClassTable:
         instanceable=frozenset({"rect", "ellipse"}),
         detection=("rect", "ellipse"),
         categories={"background": ("background",), "shape": ("rect", "ellipse")},
-    )
-
-
-def cityscapes_table() -> ClassTable:
-    """The 19 evaluation classes with their categories."""
-    names = (
-        "road", "sidewalk", "building", "wall", "fence", "pole",
-        "traffic light", "traffic sign", "vegetation", "terrain", "sky",
-        "person", "rider", "car", "truck", "bus", "train", "motorcycle",
-        "bicycle",
-    )
-    instanceable = frozenset({
-        "person", "rider", "car", "truck", "bus", "train", "motorcycle", "bicycle",
-    })
-    categories = {
-        "flat": ("road", "sidewalk"),
-        "construction": ("building", "wall", "fence"),
-        "object": ("pole", "traffic light", "traffic sign"),
-        "nature": ("vegetation", "terrain"),
-        "sky": ("sky",),
-        "human": ("person", "rider"),
-        "vehicle": ("car", "truck", "bus", "train", "motorcycle", "bicycle"),
-    }
-    return ClassTable(
-        names=names,
-        instanceable=instanceable,
-        detection=("car", "person"),
-        categories=categories,
     )

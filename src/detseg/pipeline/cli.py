@@ -24,6 +24,7 @@ from .. import selftest as selftest_module
 from ..assign import assign_targets, summarize_targets
 from ..evaluation import (
     DEFAULT_IOU_THRESHOLDS,
+    PredictionIdError,
     cityscapes_adjusted_levels,
     collect_instance_stats,
     evaluate_detections,
@@ -218,6 +219,8 @@ def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
         image_path = os.path.join(img_dir, name)
         image = read_ppm(image_path)
         _, h, w = image.shape
+        if h % DOWNSAMPLE or w % DOWNSAMPLE:
+            raise CliError(f"image {image_path}: size {w}x{h} is not a multiple of {DOWNSAMPLE}")
         if samples and image.shape != samples[0].image.shape:
             _, h0, w0 = samples[0].image.shape
             raise CliError(f"image {image_path}: size {w}x{h} differs from the first image's {w0}x{h0}")
@@ -230,7 +233,11 @@ def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
         if unknown.size:
             raise CliError(f"label map {label_path}: ids {unknown.tolist()} are neither classes of the "
                            f"{table.num_classes}-class table nor {SEG_IGNORE}")
-        ann = load_annotation(os.path.join(ann_dir, image_id + ".json"))
+        ann_path = os.path.join(ann_dir, image_id + ".json")
+        ann = load_annotation(ann_path)
+        if (ann.image_width, ann.image_height) != (w, h):
+            raise CliError(f"annotation {ann_path}: size {ann.image_width}x{ann.image_height} "
+                           f"differs from its image's {w}x{h}")
         samples.append(TrainSample(image=image, label_map=labels,
                                    gts=boxes_from_polygons(ann, table)))
     if not samples:
@@ -383,6 +390,8 @@ def cmd_eval_seg(args) -> int:
             if instances is not None:
                 for c, pairs in collect_instance_stats(pred, gt, instances, instanceable).items():
                     stats[c].extend(pairs)
+        except PredictionIdError as exc:
+            raise CliError(f"label map {pred_path}: {exc}") from exc
         except ValueError as exc:
             raise CliError(f"label map {gt_path}: {exc}") from exc
 
@@ -393,11 +402,11 @@ def cmd_eval_seg(args) -> int:
     )
     report = {
         "per_class": {
-            table.name_of(c): {
+            name: {
                 "iou": metrics.iou.get(c),
                 "iiou": metrics.iiou.get(c) if c in metrics.iiou else None,
             }
-            for c in range(n)
+            for c, name in enumerate(table.names)
         },
         "mean_iou": metrics.mean_iou,
         "mean_iiou": metrics.mean_iiou,
@@ -444,16 +453,13 @@ def cmd_eval_det(args) -> int:
                        f"({table.num_detection_classes} detection classes)")
 
     levels = kitti_levels() if args.mode == "kitti" else cityscapes_adjusted_levels()
-    thresholds = {
-        det_id: DEFAULT_IOU_THRESHOLDS.get(table.detection_name(det_id), 0.5)
-        for det_id in range(table.num_detection_classes)
-    }
+    thresholds = {det_id: DEFAULT_IOU_THRESHOLDS.get(name, 0.5) for det_id, name in enumerate(table.detection)}
     curves = evaluate_detections(dets_by_image, gts_by_image, thresholds, levels)
 
     report = {
         "mode": args.mode,
         "ap": {
-            table.detection_name(c): {level.name: curves[c][level.name].ap for level in levels}
+            table.detection[c]: {level.name: curves[c][level.name].ap for level in levels}
             for c in sorted(curves)
         },
     }
@@ -468,8 +474,7 @@ def cmd_eval_det(args) -> int:
                 writer = csv.writer(buf)
                 writer.writerow(["recall", "precision"])
                 writer.writerows(curve.points)
-                out = os.path.join(args.pr_curves,
-                                   f"pr_{table.detection_name(c)}_{level.name}.csv")
+                out = os.path.join(args.pr_curves, f"pr_{table.detection[c]}_{level.name}.csv")
                 _write_text_atomic(out, buf.getvalue())
     return 0
 

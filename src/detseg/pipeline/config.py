@@ -18,7 +18,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import extend
 
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
-from ..losses import TASK_NAMES
+from ..losses import SEG_IGNORE, TASK_NAMES
 from ..net.model import DOWNSAMPLE, ModelConfig
 from .classtable import ClassTable
 from .synth import SceneSpec
@@ -42,7 +42,8 @@ MODEL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "num_classes": {"type": "integer", "minimum": 2},
+        # label maps are 8-bit and SEG_IGNORE (255) marks unlabelled pixels
+        "num_classes": {"type": "integer", "minimum": 2, "maximum": SEG_IGNORE},
         # the class head is a softmax over the detection classes, which needs two
         "num_object_classes": {"type": "integer", "minimum": 2},
         "embedding_dim": _POSITIVE_INT,

@@ -4,7 +4,9 @@ Scenes are deterministic per seed. Objects never overlap, so the label map,
 instance map, polygon annotation and bounding boxes are all exact by
 construction. Shapes are drawn per class: "rect" classes render axis-aligned
 rectangles, everything else ellipses (with the four axis-extreme vertices in
-the polygon, so the polygon bounding box equals the true one).
+the polygon, so the polygon bounding box equals the true one). The boxes
+come from the polygons through :func:`boxes_from_polygons`, as they do for
+an annotation read from disk.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from ..assign import GroundTruthObject
-from ..geom import BBox
 from ..net.tensor import Tensor
-from .annotations import AnnotationFile, PolygonObject
+from .annotations import AnnotationFile, PolygonObject, boxes_from_polygons
 from .classtable import ClassTable, synthetic_table
 
 __all__ = ["SceneSpec", "SceneSample", "synth_scene", "make_dataset"]
@@ -64,8 +65,8 @@ class SceneSpec:
 class LabelMap:
     """Dense per-pixel class ids.
 
-    It survives only as the type of ``SceneSample.label_map``, because the
-    benchmark reads ``.data`` from it; ROADMAP item 2 deletes it once the
+    It survives only as the type of ``SceneSample.label_map``, because
+    ``perfbench/workloads.py`` reads ``.data`` from it; it can go once the
     benchmark reads arrays.
     """
 
@@ -134,13 +135,10 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
     px = np.arange(w, dtype=np.float64) + 0.5
     py = np.arange(h, dtype=np.float64) + 0.5
 
-    gts: list[GroundTruthObject] = []
     objects: list[PolygonObject] = []
     for idx, (x0, y0, x1, y1) in enumerate(boxes):
         instance_id = idx + 1
-        detection_id = int(rng.integers(0, len(table.detection)))
-        name = table.detection[detection_id]
-        seg_id = table.id_of(name)
+        name = table.detection[int(rng.integers(0, len(table.detection)))]
         color = _PALETTE[idx % len(_PALETTE)] * rng.uniform(0.8, 1.0)
 
         if name == "rect":
@@ -148,19 +146,16 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
             mask[y0:y1, x0:x1] = True
             polygon = ((float(x0), float(y0)), (float(x1), float(y0)),
                        (float(x1), float(y1)), (float(x0), float(y1)))
-            bbox = BBox(float(x0), float(y0), float(x1), float(y1))
         else:
             cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
             a, b = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
             mask = ((px[None, :] - cx) / a) ** 2 + ((py[:, None] - cy) / b) ** 2 <= 1.0
             angles = [2.0 * math.pi * k / _ELLIPSE_VERTICES for k in range(_ELLIPSE_VERTICES)]
             polygon = tuple((cx + a * math.cos(t), cy + b * math.sin(t)) for t in angles)
-            bbox = BBox(cx - a, cy - b, cx + a, cy + b)
 
         image[:, mask] = color[:, None]
-        labels[mask] = seg_id
+        labels[mask] = table.names.index(name)
         instances[mask] = instance_id
-        gts.append(GroundTruthObject(class_id=detection_id, bbox=bbox, instance_id=instance_id))
         objects.append(PolygonObject(label=name, polygon=polygon, instance_id=instance_id))
 
     annotation = AnnotationFile(image_width=w, image_height=h, objects=tuple(objects))
@@ -168,7 +163,7 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
         image=Tensor(image),
         label_map=LabelMap(labels),
         instance_map=instances,
-        gts=gts,
+        gts=boxes_from_polygons(annotation, table),
         annotation=annotation,
     )
 

@@ -12,7 +12,7 @@ from detseg.assign import (
     assign_targets_detailed,
     summarize_targets,
 )
-from detseg.geom import AnchorTemplate, BBox, BoxDelta, anchor_preset, decode, iou, iou_matrix, make_anchor_grid
+from detseg.geom import AnchorTemplate, BBox, anchor_preset, decode, iou, iou_matrix, make_anchor_grid
 from detseg.losses import BACKGROUND, FOREGROUND, IGNORE
 from detseg.oracles import anchor_aligned_scene, assign_oracle_rows, random_assignment_scene, target_rows
 from detseg.pipeline.synth import SceneSpec, synth_scene
@@ -110,7 +110,7 @@ class TestMechanics:
             targets = assign_targets(grid, gts, w, h)
             for i in np.flatnonzero(targets.active):
                 matched = next(g for g in gts if g.instance_id == targets.instance_ids[i])
-                back = decode(grid.box(i), BoxDelta(*targets.deltas[i].tolist()))
+                back = decode(grid.box(i), targets.deltas[i])
                 assert back.as_array() == pytest.approx(matched.bbox.as_array(), abs=1e-6)
 
     def test_grid_image_mismatch_rejected(self):

@@ -14,10 +14,12 @@ from detseg.geom import BBox, anchor_preset, make_anchor_grid
 from detseg.net.checkpoint import load_checkpoint, save_checkpoint
 from detseg.net.model import DetSegModel
 from detseg.oracles import assign_oracle_rows
+from detseg.pipeline.annotations import boxes_from_polygons, load_annotation
 from detseg.pipeline.cli import main
 from detseg.pipeline.classtable import synthetic_table
-from detseg.pipeline.config import default_config_dict, run_config_from_dict
+from detseg.pipeline.config import default_config_dict, load_run_config, run_config_from_dict
 from detseg.pipeline.netpbm import read_pgm, write_pgm, write_ppm
+from detseg.pipeline.synth import make_dataset
 
 
 def run(capsys, *argv):
@@ -440,6 +442,20 @@ class TestSynthCommand:
         assert manifest["count"] == 2
         assert os.path.exists(os.path.join(out_dir, "class_table.json"))
 
+    def test_written_annotations_give_the_in_memory_ground_truth(self, capsys, tmp_path):
+        # train-toy trains on make_dataset's gts in memory and on the
+        # annotations with --dataset; eval-det reads the annotations
+        config = write_config(tmp_path, dataset={"num_images": 8, "width": 96, "height": 64,
+                                                 "max_objects": 4, "min_size": 5, "max_size": 30})
+        out_dir = os.path.join(tmp_path, "data")
+        assert run(capsys, "synth", "--config", config, "--output-dir", out_dir)[0] == 0
+        settings = load_run_config(config)
+        scenes = make_dataset(settings.seed, settings.num_images, settings.scene)
+        for i, scene in enumerate(scenes):
+            annotation = load_annotation(os.path.join(out_dir, "annotations", f"{i:03d}.json"))
+            assert scene.gts == boxes_from_polygons(annotation, synthetic_table())
+        assert {g.class_id for s in scenes for g in s.gts} == {0, 1}
+
     @pytest.mark.parametrize("count, reason", [(0, "0 is less than the minimum of 1"),
                                                (-2, "-2 is less than the minimum of 1"),
                                                ("two", "'two' is not of type 'integer'")])
@@ -516,6 +532,24 @@ class TestTrainToyCommand:
         err = self.train_on(capsys, tmp_path, data)
         assert err == f"error: image {image}: size 40x32 differs from the first image's 32x32\n"
 
+    def test_image_sides_must_be_multiples_of_8(self, capsys, tmp_path):
+        data = self.synth_dataset(capsys, tmp_path, num_images=2)
+        for image_id in ("000", "001"):
+            write_ppm(os.path.join(data, "images", image_id + ".ppm"), np.zeros((3, 60, 60)))
+        err = self.train_on(capsys, tmp_path, data)
+        first = os.path.join(data, "images", "000.ppm")
+        assert err == f"error: image {first}: size 60x60 is not a multiple of 8\n"
+
+    def test_annotation_size_must_match_its_image(self, capsys, tmp_path):
+        # otherwise boxes of a 64x64 annotation become targets on a 32x32 image
+        data = self.synth_dataset(capsys, tmp_path)
+        annotation = os.path.join(data, "annotations", "000.json")
+        with open(annotation) as fh:
+            document = json.load(fh)
+        write_json(annotation, dict(document, image_width=64, image_height=64))
+        err = self.train_on(capsys, tmp_path, data)
+        assert err == f"error: annotation {annotation}: size 64x64 differs from its image's 32x32\n"
+
     def test_label_ids_must_be_classes_of_the_table_or_ignore(self, capsys, tmp_path):
         data = self.synth_dataset(capsys, tmp_path)
         labels = os.path.join(data, "labels", "000.pgm")
@@ -590,20 +624,19 @@ class TestEvalSegCommand:
         assert code == 1 and out == "" and not os.path.exists(report_path)
         assert err == f"error: missing {missing} {os.path.join(dirs[missing], 'a.pgm')}\n"
 
-    def test_out_of_range_ground_truth_names_the_file(self, capsys, tmp_path):
-        gt_dir = os.path.join(tmp_path, "gt")
-        pred_dir = os.path.join(tmp_path, "pred")
-        os.makedirs(gt_dir)
-        os.makedirs(pred_dir)
+    @pytest.mark.parametrize("faulty, reason", [("gt", "ground truth"), ("pred", "prediction")])
+    def test_out_of_range_ids_name_the_file_at_fault(self, capsys, tmp_path, faulty, reason):
+        dirs = {name: os.path.join(tmp_path, name) for name in ("gt", "pred")}
         labels = np.zeros((4, 4), dtype=np.uint8)
-        write_pgm(os.path.join(pred_dir, "a.pgm"), labels)
-        labels[1, 1] = 7
-        write_pgm(os.path.join(gt_dir, "a.pgm"), labels)
+        for name, path in dirs.items():
+            os.makedirs(path)
+            labels[1, 1] = 7 if name == faulty else 0
+            write_pgm(os.path.join(path, "a.pgm"), labels)
         report_path = os.path.join(tmp_path, "report.json")
-        code, out, err = run(capsys, "eval-seg", "--pred", pred_dir, "--gt", gt_dir, "--output", report_path)
+        code, out, err = run(capsys, "eval-seg", "--pred", dirs["pred"], "--gt", dirs["gt"], "--output", report_path)
         assert code == 1 and out == "" and not os.path.exists(report_path)
-        gt_path = os.path.join(gt_dir, "a.pgm")
-        assert err == f"error: label map {gt_path}: ground truth ids outside [0, 3)\n"
+        faulty_path = os.path.join(dirs[faulty], "a.pgm")
+        assert err == f"error: label map {faulty_path}: {reason} ids outside [0, 3)\n"
 
 
 class TestEvalDetCommand:

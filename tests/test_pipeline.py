@@ -16,7 +16,7 @@ from detseg.pipeline.annotations import (
     load_annotation,
     save_annotation,
 )
-from detseg.pipeline.classtable import ClassTable, cityscapes_table, synthetic_table
+from detseg.pipeline.classtable import ClassTable, synthetic_table
 from detseg.pipeline.config import (
     CLASS_TABLE_SCHEMA,
     CONFIG_SCHEMA,
@@ -40,17 +40,17 @@ class TestClassTable:
     def test_synthetic_defaults(self):
         table = synthetic_table()
         assert table.num_classes == 3
-        assert table.id_of("background") == 0
-        assert table.detection_id_of("rect") == 0
-        assert table.detection_id_of("ellipse") == 1
+        assert table.names == ("background", "rect", "ellipse")
+        assert table.detection == ("rect", "ellipse")
         assert table.instanceable_ids() == (1, 2)
+        assert table.category_ids() == {"background": (0,), "shape": (1, 2)}
 
-    def test_cityscapes_table(self):
-        table = cityscapes_table()
-        assert table.num_classes == 19
-        assert table.id_of("car") == 13
-        assert "vehicle" in table.category_ids()
-        assert table.detection == ("car", "person")
+    def test_at_most_255_classes(self):
+        # 8-bit label maps hold ids 0-254 and 255 for unlabelled pixels
+        names = tuple(f"c{i}" for i in range(256))
+        assert ClassTable(names=names[:255], instanceable=frozenset(), detection=()).num_classes == 255
+        with pytest.raises(ValueError, match=r"^at most 255 classes fit 8-bit label maps, got 256$"):
+            ClassTable(names=names, instanceable=frozenset(), detection=())
 
     def test_detection_must_be_instanceable(self):
         with pytest.raises(ValueError):
@@ -66,7 +66,8 @@ class TestClassTable:
         assert ClassTable.from_json(table.to_json()) == table
 
     def test_load_class_table_reads_what_to_json_writes(self, tmp_path):
-        for table in (synthetic_table(), cityscapes_table()):
+        for table in (synthetic_table(), ClassTable(names=("a", "b"), instanceable=frozenset({"b"}),
+                                                    detection=("b",))):
             path = os.path.join(tmp_path, "table.json")
             with open(path, "w") as fh:
                 json.dump(table.to_json(), fh)
@@ -173,22 +174,22 @@ class TestSynthScenes:
             sample = synth_scene(seed)
             for obj, polygon in zip(sample.gts, sample.annotation.objects):
                 region = sample.instance_map == obj.instance_id
-                seg_id = table.id_of(table.detection[obj.class_id])
+                seg_id = table.names.index(table.detection[obj.class_id])
                 assert region.sum() > 0
                 assert np.all(sample.label_map.data[region] == seg_id)
             total_fg = sum((sample.instance_map == g.instance_id).sum() for g in sample.gts)
             assert (sample.label_map.data != 0).sum() == total_fg
 
-    def test_boxes_match_polygon_extraction(self):
-        table = synthetic_table()
-        for seed in range(5):
+    def test_polygon_boxes_are_the_placed_boxes(self):
+        # objects are placed on integer boxes, and each ellipse polygon holds
+        # the four axis-extreme vertices, so every box derived from a polygon
+        # has integer corners
+        for seed in range(20):
             sample = synth_scene(seed)
-            recovered = boxes_from_polygons(sample.annotation, table)
-            assert len(recovered) == len(sample.gts)
-            for a, b in zip(recovered, sample.gts):
-                assert a.class_id == b.class_id
-                assert a.instance_id == b.instance_id
-                assert a.bbox.as_array() == pytest.approx(b.bbox.as_array(), abs=1e-9)
+            assert [g.instance_id for g in sample.gts] == [o.instance_id for o in sample.annotation.objects]
+            for obj in sample.gts:
+                corners = obj.bbox.as_array()
+                assert np.array_equal(corners, np.round(corners))
 
     def test_object_pixels_inside_bbox(self):
         for seed in range(5):
@@ -320,6 +321,15 @@ class TestRunConfig:
             data["anchors"]["stride"] = stride
             with pytest.raises(ValueError, match="invalid config at anchors/stride: 8 was expected"):
                 run_config_from_dict(data)
+
+    def test_at_most_255_classes(self):
+        # 8-bit label maps hold ids 0-254 and 255 for unlabelled pixels
+        data = default_config_dict()
+        data["model"]["num_classes"] = 255
+        assert run_config_from_dict(data).model.num_classes == 255
+        data["model"]["num_classes"] = 256
+        with pytest.raises(ValueError, match="model/num_classes: 256 is greater than the maximum of 255"):
+            run_config_from_dict(data)
 
     def test_image_size_must_be_a_multiple_of_8(self):
         data = default_config_dict()

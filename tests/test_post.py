@@ -50,7 +50,7 @@ class TestDecodeDetections:
         obj, cls, deltas, emb = neutral_outputs(grid)
         obj[anchor_index] = (-5.0, 5.0)
         cls[anchor_index] = (0.0, 3.0)
-        deltas[anchor_index] = encode(grid.box(anchor_index), target).as_array()
+        deltas[anchor_index] = encode(grid.box(anchor_index), target)
         emb[anchor_index] = (1.0, 2.0, 3.0)
         detections = decode_detections(build_outputs(grid, obj, cls, deltas, emb), grid, 0.9)
         assert len(detections) == 1
@@ -102,7 +102,7 @@ class TestDecodeDetections:
         # detections are sorted by (score, index); scores are identical so
         # detection i corresponds to anchor i
         for i in (0, 5, len(grid) - 1):
-            again = encode(grid.box(i), BBox(*detections.boxes[i])).as_array()
+            again = encode(grid.box(i), BBox(*detections.boxes[i]))
             assert again == pytest.approx(deltas[i], abs=1e-9)
 
 
