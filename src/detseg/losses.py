@@ -20,10 +20,11 @@ __all__ = [
     "BACKGROUND",
     "IGNORE",
     "SEG_IGNORE",
-    "FocalParams",
     "LrSchedule",
     "TASK_NAMES",
     "MARGIN",
+    "FOCAL_ALPHA",
+    "FOCAL_GAMMA",
     "focal_loss",
     "cross_entropy",
     "smooth_l1",
@@ -45,16 +46,9 @@ TASK_NAMES = ("objectness", "class", "box", "embedding", "segmentation")
 
 # The embedding distance beyond which different-instance pairs cost nothing.
 MARGIN = 1.0
-
-
-@dataclass(frozen=True)
-class FocalParams:
-    alpha: float = 1.0
-    gamma: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.gamma < 0:
-            raise ValueError(f"need alpha > 0 and gamma >= 0, got {self}")
+# The focal loss's weight and focusing exponent.
+FOCAL_ALPHA = 1.0
+FOCAL_GAMMA = 2.0
 
 
 @dataclass(frozen=True)
@@ -73,16 +67,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def focal_loss(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    params: FocalParams = FocalParams(),
-) -> tuple[float, np.ndarray]:
+def focal_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Focal loss on two-way softmax objectness logits.
 
     ``logits`` is (A, 2) with channel 0 = background, channel 1 = foreground;
     ``targets`` is (A,) holding FOREGROUND, BACKGROUND or IGNORE. The loss is
-    the mean over non-ignored anchors of ``-alpha * (1 - p_t)^gamma * ln p_t``
+    the mean over non-ignored anchors of ``-FOCAL_ALPHA * (1 - p_t)^FOCAL_GAMMA * ln p_t``
     with ``p_t`` the probability of the labeled side.
     """
     logits = np.asarray(logits, dtype=np.float64)
@@ -107,7 +97,7 @@ def focal_loss(
     p_t = np.exp(lp_t)
     one_m = 1.0 - p_t
 
-    alpha, gamma = params.alpha, params.gamma
+    alpha, gamma = FOCAL_ALPHA, FOCAL_GAMMA
     loss = float(np.mean(-alpha * one_m**gamma * lp_t))
 
     # d/dz_t of -alpha (1-p)^gamma ln p, written without divisions so the

@@ -40,21 +40,8 @@ def adam_step(params: Sequence[Param], state: AdamState, lr: float) -> None:
         g = p.grad
         if g.shape != m.shape:
             raise ValueError(f"gradient shape {g.shape} does not match state {m.shape}")
-        # Two scratch buffers instead of a temporary per operation, in the
-        # operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        # data -= lr*(m/c1) / (sqrt(v/c2) + eps), so every bit is the same.
-        step = np.empty_like(m)
-        scratch = np.empty_like(v)
         m *= BETA1
-        m += np.multiply(1.0 - BETA1, g, out=step)
+        m += (1.0 - BETA1) * g
         v *= BETA2
-        np.multiply(1.0 - BETA2, g, out=scratch)
-        scratch *= g
-        v += scratch
-        np.divide(m, c1, out=step)
-        step *= lr
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += EPS
-        step /= scratch
-        p.data -= step
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)

@@ -72,21 +72,11 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _load_templates(args) -> tuple:
-    if args.templates_file:
-        try:
-            return load_templates(args.templates_file)
-        except OSError as exc:
-            raise CliError(f"cannot read templates: {exc}") from exc
-    return anchor_preset(args.preset)
+    return load_templates(args.templates_file) if args.templates_file else anchor_preset(args.preset)
 
 
 def _load_class_table(path: Optional[str]) -> ClassTable:
-    if path is None:
-        return synthetic_table()
-    try:
-        return load_class_table(path)
-    except OSError as exc:
-        raise CliError(f"cannot read class table: {exc}") from exc
+    return synthetic_table() if path is None else load_class_table(path)
 
 
 def _unit_interval(text: str) -> float:
@@ -169,10 +159,7 @@ def cmd_synth(args) -> int:
 
 def cmd_assign(args) -> int:
     table = _load_class_table(args.class_table)
-    try:
-        ann = load_annotation(args.annotation)
-    except OSError as exc:
-        raise CliError(f"cannot read annotation: {exc}") from exc
+    ann = load_annotation(args.annotation)
     gts = boxes_from_polygons(ann, table)
     templates = _load_templates(args)
     grid = make_anchor_grid(ann.image_width, ann.image_height, DOWNSAMPLE, templates)
@@ -308,10 +295,7 @@ def cmd_train_toy(args) -> int:
 # -- detect -------------------------------------------------------------------
 
 def cmd_detect(args) -> int:
-    try:
-        ckpt_config, tensors = load_checkpoint(args.checkpoint)
-    except OSError as exc:
-        raise CliError(f"cannot read checkpoint: {exc}") from exc
+    ckpt_config, tensors = load_checkpoint(args.checkpoint)
     try:
         config = run_config_from_dict(ckpt_config)
         model = DetSegModel(config.model, seed=0)
@@ -363,6 +347,15 @@ def cmd_detect(args) -> int:
 
 # -- eval-seg -----------------------------------------------------------------
 
+def _read_map_sized_as(gt: np.ndarray, kind: str, path: str) -> np.ndarray:
+    """The map at ``path``, which must have the size of its ground-truth label map ``gt``."""
+    array = read_pgm(path)
+    if array.shape != gt.shape:
+        raise CliError(f"{kind} {path}: size {array.shape[1]}x{array.shape[0]} "
+                       f"differs from its ground truth's {gt.shape[1]}x{gt.shape[0]}")
+    return array
+
+
 def cmd_eval_seg(args) -> int:
     table = _load_class_table(args.class_table)
     gt_files = sorted(f for f in os.listdir(args.gt) if f.endswith(".pgm"))
@@ -378,13 +371,14 @@ def cmd_eval_seg(args) -> int:
         pred_path = os.path.join(args.pred, name)
         if not os.path.exists(pred_path):
             raise CliError(f"missing prediction {pred_path}")
-        gt, pred = read_pgm(gt_path), read_pgm(pred_path)
+        gt = read_pgm(gt_path)
+        pred = _read_map_sized_as(gt, "label map", pred_path)
         instances = None
         if args.instances:
             instance_path = os.path.join(args.instances, name)
             if not os.path.exists(instance_path):
                 raise CliError(f"missing instance map {instance_path}")
-            instances = read_pgm(instance_path)
+            instances = _read_map_sized_as(gt, "instance map", instance_path)
         try:
             confusion += seg_confusion(pred, gt, n)
             if instances is not None:
@@ -429,8 +423,6 @@ def cmd_eval_det(args) -> int:
     try:
         with open(args.detections, "r", encoding="utf-8") as fh:
             dets_by_image = detections_from_jsonl(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read detections: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"detections {args.detections}: {exc}") from exc
 
@@ -571,7 +563,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except OSError as exc:
+        # an atomic write's failed rename holds the output path, which the user gave, as filename2
+        path = exc.filename2 if exc.filename2 is not None else exc.filename
+        print(f"error: {exc}" if path is None else f"error: {path}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -3,14 +3,16 @@
 Each is checked by a JSON schema, through validators built once; a run
 config's ``anchors.templates`` is checked by the templates file's schema.
 A checkpoint's config is the run config it was trained with.
-Python's ``json`` reads ``NaN`` and ``Infinity``, which ``minimum`` and
-``maximum`` let through, so the validators count no non-finite float as a number.
+The validators' types are the annotation reader's. A number is a finite
+JSON number that fits a float, since Python's ``json`` reads ``NaN``,
+``Infinity`` and integers of any length. An integer is a JSON integer
+literal that is such a number, so ``7.0`` is not one, and ``minimum`` and
+``maximum``, which skip what is not a number, check every integer.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from jsonschema import Draft202012Validator
@@ -20,6 +22,7 @@ from jsonschema.validators import extend
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
 from ..losses import SEG_IGNORE, TASK_NAMES
 from ..net.model import DOWNSAMPLE, ModelConfig
+from .annotations import _is_number
 from .classtable import ClassTable
 from .synth import SceneSpec
 
@@ -31,7 +34,7 @@ _POSITIVE_INT = {"type": "integer", "minimum": 1}
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 # the model's feature map is always 1/8 of the image, so any other anchor
 # stride gives a lattice the heads do not predict
-_STRIDE = {"const": DOWNSAMPLE}
+_STRIDE = {"type": "integer", "const": DOWNSAMPLE}
 
 
 def _triple(item: dict) -> dict:
@@ -136,13 +139,10 @@ CLASS_TABLE_SCHEMA = {
 }
 
 
-def _is_finite_number(checker, instance) -> bool:
-    return (Draft202012Validator.TYPE_CHECKER.is_type(instance, "number")
-            and (isinstance(instance, int) or math.isfinite(instance)))
-
-
-_Validator = extend(Draft202012Validator,
-                    type_checker=Draft202012Validator.TYPE_CHECKER.redefine("number", _is_finite_number))
+_Validator = extend(Draft202012Validator, type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many({
+    "number": lambda checker, instance: _is_number(instance),
+    "integer": lambda checker, instance: type(instance) is int and _is_number(instance),
+}))
 _CONFIG = _Validator(CONFIG_SCHEMA)
 _TEMPLATES = _Validator(TEMPLATES_SCHEMA)
 _CLASS_TABLE = _Validator(CLASS_TABLE_SCHEMA)
@@ -206,18 +206,18 @@ def run_config_from_dict(data: dict) -> RunConfig:
     training = data["training"]
     dataset = data["dataset"]
     # unset dataset keys keep SceneSpec's defaults
-    scene = SceneSpec(**{key: int(value) for key, value in dataset.items() if key != "num_images"})
+    scene = SceneSpec(**{key: value for key, value in dataset.items() if key != "num_images"})
 
     return RunConfig(
-        seed=int(data["seed"]),
+        seed=data["seed"],
         model=model,
         templates=templates,
         thresholds={key: float(data.get("thresholds", {}).get(key, 0.5)) for key in ("score", "nms_iou")},
-        iterations=int(training["iterations"]),
+        iterations=training["iterations"],
         tasks=tuple(training.get("tasks", TASK_NAMES)),
         # None lets train_toy apply its own default, half the iterations
         freeze_stats_after=training.get("freeze_stats_after"),
-        num_images=int(dataset["num_images"]),
+        num_images=dataset["num_images"],
         scene=scene,
         raw=data,
     )

@@ -22,7 +22,10 @@ from ..net.tensor import Tensor
 from .annotations import AnnotationFile, PolygonObject, boxes_from_polygons
 from .classtable import ClassTable, synthetic_table
 
-__all__ = ["SceneSpec", "SceneSample", "synth_scene", "make_dataset"]
+__all__ = ["GAP", "SceneSpec", "SceneSample", "synth_scene", "make_dataset"]
+
+# The clear pixels between an object and the image border or another object.
+GAP = 2
 
 _PLACEMENT_TRIES = 500
 _ELLIPSE_VERTICES = 32
@@ -48,7 +51,6 @@ class SceneSpec:
     max_objects: int = 3
     min_size: int = 10
     max_size: int = 22
-    margin: int = 2
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -57,7 +59,7 @@ class SceneSpec:
             raise ValueError("need 0 <= min_objects <= max_objects")
         if not (2 <= self.min_size <= self.max_size):
             raise ValueError("need 2 <= min_size <= max_size")
-        if self.max_size + 2 * self.margin >= min(self.width, self.height):
+        if self.max_size + 2 * GAP >= min(self.width, self.height):
             raise ValueError("objects do not fit in the image")
 
 
@@ -97,14 +99,14 @@ def _place_boxes(rng: np.random.Generator, spec: SceneSpec, count: int) -> list[
         for _ in range(_PLACEMENT_TRIES):
             w = int(rng.integers(spec.min_size, spec.max_size + 1))
             h = int(rng.integers(spec.min_size, spec.max_size + 1))
-            x0 = int(rng.integers(spec.margin, spec.width - spec.margin - w + 1))
-            y0 = int(rng.integers(spec.margin, spec.height - spec.margin - h + 1))
+            x0 = int(rng.integers(GAP, spec.width - GAP - w + 1))
+            y0 = int(rng.integers(GAP, spec.height - GAP - h + 1))
             candidate = (x0, y0, x0 + w, y0 + h)
             clear = all(
-                candidate[2] + spec.margin <= other[0]
-                or other[2] + spec.margin <= candidate[0]
-                or candidate[3] + spec.margin <= other[1]
-                or other[3] + spec.margin <= candidate[1]
+                candidate[2] + GAP <= other[0]
+                or other[2] + GAP <= candidate[0]
+                or candidate[3] + GAP <= other[1]
+                or other[3] + GAP <= candidate[1]
                 for other in placed
             )
             if clear:

@@ -83,6 +83,15 @@ class TestAnchorsCommand:
         assert err == (f"error: templates file {templates_path}: invalid templates at 0/area: "
                        "nan is not of type 'number'\n")
 
+    def test_area_no_float_holds_is_one_error_line_naming_the_file(self, capsys, tmp_path):
+        # Python's json reads an integer of any length
+        area = 10**400
+        templates_path = write_json(tmp_path / "templates.json", [{"ratio": 1.0, "area": area}])
+        code, out, err = run(capsys, "anchors", "--image", "64x64", "--templates-file", templates_path)
+        assert code == 1 and out == ""
+        assert err == (f"error: templates file {templates_path}: invalid templates at 0/area: "
+                       f"{area} is not of type 'number'\n")
+
 
 class TestAssignCommand:
     def test_ambiguous_shared_anchor_reported_inactive(self, capsys, tmp_path):
@@ -284,6 +293,10 @@ MALFORMED_CONFIGS = {
     "threshold_unknown_key": (lambda c: c["thresholds"].update(nms=0.3),
                               "invalid config at thresholds: Additional properties are not allowed "
                               "('nms' was unexpected)"),
+    "channels_float": (lambda c: c["model"].update(stage_channels=[16.0, 24, 32]),
+                       "invalid config at model/stage_channels/0: 16.0 is not of type 'integer'"),
+    "stride_float": (lambda c: c["anchors"].update(stride=8.0),
+                     "invalid config at anchors/stride: 8.0 is not of type 'integer'"),
 }
 
 
@@ -418,7 +431,7 @@ class TestDetectCommand:
             assert out == ""
         for good in ("0", "1", "0.5"):
             code, _, err = run(capsys, *base, flag, good)
-            assert code == 1 and "cannot read checkpoint" in err, good
+            assert code == 1 and err == f"error: {base[2]}: No such file or directory\n", good
         assert not os.path.exists(out_path)
 
     def test_score_threshold_bounded(self, capsys, tmp_path):
@@ -497,6 +510,21 @@ class TestTrainToyCommand:
         assert code == 1 and out == ""
         assert err == (f"error: config {config}: invalid config at {at}: "
                        f"Additional properties are not allowed ('{key}' was unexpected)\n")
+
+    @pytest.mark.parametrize("change, at, shown", [
+        ({"model": {"num_classes": 3, "num_object_classes": 2, "stage_channels": [16.0, 24, 32]}},
+         "model/stage_channels/0", "16.0 is not of type 'integer'"),
+        ({"seed": 7.0}, "seed", "7.0 is not of type 'integer'"),
+        # an integer no float holds is rejected, not let past minimum and maximum
+        ({"seed": -10**400}, "seed", f"{-10**400} is not of type 'integer'"),
+    ], ids=["stage_channels_float", "seed_float", "seed_no_float_holds"])
+    def test_integer_must_be_an_integer_literal(self, capsys, tmp_path, change, at, shown):
+        config = write_config(tmp_path, training={"iterations": 1},
+                              dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16}, **change)
+        out_dir = os.path.join(tmp_path, "run")
+        code, out, err = run(capsys, "train-toy", "--config", config, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err == f"error: config {config}: invalid config at {at}: {shown}\n"
 
     @staticmethod
     def synth_dataset(capsys, tmp_path, names=None, num_images=1):
@@ -624,6 +652,19 @@ class TestEvalSegCommand:
         assert code == 1 and out == "" and not os.path.exists(report_path)
         assert err == f"error: missing {missing} {os.path.join(dirs[missing], 'a.pgm')}\n"
 
+    @pytest.mark.parametrize("faulty, kind", [("prediction", "label map"), ("instance map", "instance map")])
+    def test_size_mismatch_names_the_file_at_fault(self, capsys, tmp_path, faulty, kind):
+        dirs = {name: os.path.join(tmp_path, name) for name in ("gt", "prediction", "instance map")}
+        for name, path in dirs.items():
+            os.makedirs(path)
+            write_pgm(os.path.join(path, "a.pgm"), np.zeros((4, 6 if name == faulty else 4), dtype=np.uint8))
+        report_path = os.path.join(tmp_path, "report.json")
+        code, out, err = run(capsys, "eval-seg", "--pred", dirs["prediction"], "--gt", dirs["gt"],
+                             "--instances", dirs["instance map"], "--output", report_path)
+        assert code == 1 and out == "" and not os.path.exists(report_path)
+        assert err == (f"error: {kind} {os.path.join(dirs[faulty], 'a.pgm')}: size 6x4 "
+                       "differs from its ground truth's 4x4\n")
+
     @pytest.mark.parametrize("faulty, reason", [("gt", "ground truth"), ("pred", "prediction")])
     def test_out_of_range_ids_name_the_file_at_fault(self, capsys, tmp_path, faulty, reason):
         dirs = {name: os.path.join(tmp_path, name) for name in ("gt", "pred")}
@@ -687,6 +728,32 @@ class TestErrorShape:
         assert code == 2
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--config", "{missing}", "--output-dir", "{tmp}/out"],
+        ["train-toy", "--config", "{missing}", "--output-dir", "{tmp}/out"],
+        ["detect", "--checkpoint", "{missing}", "--images", "{tmp}", "--output", "{tmp}/out"],
+        ["assign", "--annotation", "{missing}", "--output", "{tmp}/out"],
+        ["assign", "--annotation", "{tmp}/ann.json", "--class-table", "{missing}", "--output", "{tmp}/out"],
+        ["anchors", "--image", "8x8", "--templates-file", "{missing}"],
+        ["eval-det", "--detections", "{missing}", "--annotations", "{tmp}", "--output", "{tmp}/out"],
+    ], ids=lambda argv: f"{argv[0]}{argv[argv.index('{missing}') - 1]}")
+    def test_missing_file_is_one_line_naming_it(self, capsys, tmp_path, argv):
+        write_json(tmp_path / "ann.json", {"image_width": 16, "image_height": 16, "objects": [ONE_RECT]})
+        missing = os.path.join(tmp_path, "missing.json")
+        code, out, err = run(capsys, *(a.format(missing=missing, tmp=tmp_path) for a in argv))
+        assert code == 1 and out == "" and not os.path.exists(tmp_path / "out")
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_output_that_is_a_directory_is_named(self, capsys, tmp_path):
+        # the atomic write renames a temporary file over the output; the output is the one to name
+        ann_path = write_json(tmp_path / "ann.json", {"image_width": 16, "image_height": 16, "objects": [ONE_RECT]})
+        out_dir = os.path.join(tmp_path, "out")
+        os.makedirs(out_dir)
+        code, _, err = run(capsys, "assign", "--annotation", ann_path, "--preset", "toy", "--output", out_dir)
+        assert code == 1
+        assert err == f"error: {out_dir}: Is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["ann.json", "out"]
 
     def test_malformed_config(self, capsys, tmp_path):
         path = os.path.join(tmp_path, "bad.json")

@@ -1,9 +1,12 @@
-"""Every JSON example in docs/FORMATS.md and README.md parses with the reader it documents.
+"""Every JSON example in docs/FORMATS.md and README.md parses with the reader it documents,
+and every constant they quote as ``detseg.<module>.<NAME> = <value>`` has that value.
 
-An example that drifts from its format (a renamed key, a removed setting)
-fails here, not in a reader's hands.
+An example that drifts from its format (a renamed key, a removed setting),
+or a quoted constant that drifts from the code, fails here, not in a reader's hands.
 """
 
+import ast
+import importlib
 import json
 import os
 import re
@@ -65,3 +68,29 @@ def test_readme_config_parses():
     blocks = re.findall(r"cat > config\.json <<'EOF'\n(.*?)\nEOF\n", read("README.md"), re.S)
     assert len(blocks) == 1
     run_config_from_dict(json.loads(blocks[0]))
+
+
+def constant_mentions():
+    """(document, qualified name, quoted value) for every `detseg.<module>.<NAME> = <value>`."""
+    return [(document, *match)
+            for document in ("docs/FORMATS.md", "README.md")
+            for match in re.findall(r"`(detseg(?:\.\w+)+\.[A-Z][A-Z0-9_]*) = ([^`]+)`", read(document))]
+
+
+CONSTANTS = constant_mentions()
+
+
+def test_formats_quotes_every_constant():
+    assert {name for document, name, _ in CONSTANTS if document == "docs/FORMATS.md"} == {
+        "detseg.assign.ACTIVE_IOU", "detseg.assign.DONTCARE_IOU", "detseg.assign.AMBIGUITY_GAP",
+        "detseg.losses.MARGIN", "detseg.losses.FOCAL_ALPHA", "detseg.losses.FOCAL_GAMMA",
+        "detseg.pipeline.synth.GAP",
+    }
+
+
+@pytest.mark.parametrize("document, name, quoted", CONSTANTS,
+                         ids=[f"{document}-{name}" for document, name, _ in CONSTANTS])
+def test_quoted_constant_has_its_value(document, name, quoted):
+    module, attribute = name.rsplit(".", 1)
+    value, expected = getattr(importlib.import_module(module), attribute), ast.literal_eval(quoted)
+    assert (type(value), value) == (type(expected), expected)

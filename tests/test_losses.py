@@ -6,8 +6,9 @@ import pytest
 from detseg.losses import (
     BACKGROUND,
     FOREGROUND,
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
     IGNORE,
-    FocalParams,
     LrSchedule,
     contrastive_loss,
     cross_entropy,
@@ -40,14 +41,17 @@ class TestFocalLoss:
         assert np.all(grad == 0.0)
         assert any("don't-care" in r.message for r in caplog.records)
 
-    def test_gamma_zero_equals_cross_entropy(self):
+    def test_random_logits_match_the_per_anchor_formula(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((32, 2)) * 3
         targets = rng.integers(0, 2, 32)
-        fv, fg = focal_loss(logits, targets, FocalParams(alpha=1.0, gamma=0.0))
-        cv, cg = cross_entropy(logits, targets)
-        assert fv == pytest.approx(cv, abs=1e-12)
-        assert fg == pytest.approx(cg, abs=1e-12)
+        terms = []
+        for (background, foreground), target in zip(logits, targets):
+            p_foreground = 1.0 / (1.0 + math.exp(background - foreground))
+            p_t = p_foreground if target == FOREGROUND else 1.0 - p_foreground
+            terms.append(-FOCAL_ALPHA * (1.0 - p_t) ** FOCAL_GAMMA * math.log(p_t))
+        value, _ = focal_loss(logits, targets)
+        assert value == pytest.approx(sum(terms) / len(terms), rel=1e-12)
 
     def test_dontcare_positions_do_not_leak(self):
         rng = np.random.default_rng(2)
@@ -70,12 +74,6 @@ class TestFocalLoss:
             _, grad = focal_loss(logits, targets)
             fd = finite_difference(lambda: focal_loss(logits, targets)[0], logits)
             assert gradients_close(grad, fd)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            FocalParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            FocalParams(gamma=-1.0)
 
 
 class TestCrossEntropy:
