@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geom import AnchorGrid, BBox, encode_array, iou_matrix, iou_pairs
+from .geom import AnchorGrid, BBox, encode_array, iou_pairs
 from .losses import BACKGROUND, FOREGROUND, IGNORE
 
 __all__ = [
@@ -91,12 +91,6 @@ DONTCARE_IOU = 0.4
 AMBIGUITY_GAP = 0.2
 
 
-def _check_unique_instances(gts: Sequence[GroundTruthObject]) -> None:
-    ids = [g.instance_id for g in gts]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"instance ids must be unique within an image, got {ids}")
-
-
 # Template/object pairs whose size bound is below DONTCARE_IOU - BOUND_SLACK
 # are skipped. The slack covers rounding in the bound and in the IoUs it
 # stands for: anchor widths differ between cells by about 1e-16 x image
@@ -106,38 +100,74 @@ def _check_unique_instances(gts: Sequence[GroundTruthObject]) -> None:
 BOUND_SLACK = 1e-6
 
 
-def _live_anchors(grid: AnchorGrid, gt_boxes: np.ndarray) -> np.ndarray:
-    """Sorted indices of the anchors with IoU >= DONTCARE_IOU against some object.
+def _live_anchors(grid: AnchorGrid, gt_boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors with IoU >= DONTCARE_IOU against some object, and those IoUs.
+
+    Returns the sorted anchor indices and their (anchors, objects) matrix,
+    which holds every IoU that reaches ``DONTCARE_IOU`` and 0 in place of
+    the smaller ones.
 
     Two axis-aligned boxes overlap most when aligned, so a template and an
     object reach at most ``I / (area_t + area_g - I)`` with
-    ``I = min(w) * min(h)``. Only the (cell, template, object) triples of
-    the pairs that pass this bound get their IoU computed.
+    ``I = min(w) * min(h)``; the pairs below ``DONTCARE_IOU`` are skipped.
+
+    Each other pair is evaluated only on a window of cells. An IoU of at
+    least ``DONTCARE_IOU`` needs an intersection of at least
+    ``I_min = DONTCARE_IOU * (area_t + area_g) / (1 + DONTCARE_IOU)``, and
+    so an x overlap of at least ``I_min / min(h)``: the anchor's right edge
+    lies that far past the object's left edge, and its left edge that far
+    before the object's right edge. The cell centre is thus within
+    ``w_t / 2 - I_min / min(h)`` of the object's x extent, and likewise in
+    y. The window holds these cells, widened by one cell on each side so
+    that rounding in the bound or in the anchor boxes can never drop one,
+    and clipped to the lattice. Its IoUs are the ``iou_pairs`` values of
+    the same ``grid.boxes`` rows as on the whole lattice, so the result is
+    the whole lattice's, bit for bit.
     """
     n_templates = len(grid.templates)
-    t_w, t_h = (grid.boxes[:n_templates, 2:] - grid.boxes[:n_templates, :2]).T  # cell 0's anchors
-    g_w, g_h = (gt_boxes[:, 2:] - gt_boxes[:, :2]).T
-    aligned = np.minimum(t_w[:, None], g_w[None]) * np.minimum(t_h[:, None], g_h[None])
-    bound = aligned / ((t_w * t_h)[:, None] + (g_w * g_h)[None] - aligned)
-    t, g = np.divmod(np.flatnonzero(bound >= DONTCARE_IOU - BOUND_SLACK), len(gt_boxes))
-    cells = grid.boxes.reshape(-1, n_templates, 4)
-    cell, pair = np.divmod(np.flatnonzero(iou_pairs(cells[:, t], gt_boxes[g]) >= DONTCARE_IOU), len(t))
-    live = np.zeros(len(grid), dtype=bool)
-    live[cell * n_templates + t[pair]] = True
-    return np.flatnonzero(live)
+    t_size = grid.boxes[:n_templates, 2:] - grid.boxes[:n_templates, :2]  # cell 0's anchors
+    g_size = gt_boxes[:, 2:] - gt_boxes[:, :2]
+    common = np.minimum(t_size[:, None], g_size)  # (templates, objects, 2): the aligned overlap
+    aligned = common[..., 0] * common[..., 1]
+    areas = (t_size[:, 0] * t_size[:, 1])[:, None] + g_size[:, 0] * g_size[:, 1]
+    t, g = np.nonzero(aligned / (areas - aligned) >= DONTCARE_IOU - BOUND_SLACK)
+    min_inter = DONTCARE_IOU / (1.0 + DONTCARE_IOU) * areas[t, g]
+    # How far each pair's window reaches past its object's extent in x and
+    # in y, one cell more than the bound; then its (x0, y0, x1, y1) edges in
+    # cell coordinates, where cell i is centred at i.
+    reach = t_size[t] / 2 - min_inter[:, None] / common[t, g, ::-1] + grid.stride
+    edges = (gt_boxes[g] + np.concatenate([-reach, reach], axis=1)) / grid.stride - 0.5
+    lo = np.minimum(np.maximum(np.ceil(edges[:, :2]), 0), [grid.cols, grid.rows])
+    size = np.maximum(np.minimum(np.floor(edges[:, 2:]), [grid.cols - 1, grid.rows - 1]) - lo + 1, 0)
+    lo, size = lo.astype(np.int64), size.astype(np.int64)
+    # Pair k owns size[k].prod() consecutive (cell, pair) triples, row by row.
+    counts = size[:, 0] * size[:, 1]
+    pair = np.repeat(np.arange(len(t)), counts)
+    row, col = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts), size[pair, 0])
+    first = (lo[:, 1] * grid.cols + lo[:, 0]) * n_templates + t
+    anchor = first[pair] + (row * grid.cols + col) * n_templates
+    ious = iou_pairs(grid.boxes[anchor], np.repeat(gt_boxes[g], counts, axis=0))
+    hit = np.flatnonzero(ious >= DONTCARE_IOU)
+    is_live = np.zeros(len(grid), dtype=bool)
+    is_live[anchor[hit]] = True
+    live = np.flatnonzero(is_live)
+    overlaps = np.zeros((len(live), len(gt_boxes)))
+    overlaps[np.searchsorted(live, anchor[hit]), g[pair[hit]]] = ious[hit]
+    return live, overlaps
 
 
 def _apply_rules(overlaps: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rule ids and owning object (-1 unless active) of at least one anchor.
 
     ``overlaps`` is the anchors' (anchors, objects) IoU matrix and
-    ``outside`` their border flags.
+    ``outside`` their border flags. The rules read only the IoUs that
+    reach ``DONTCARE_IOU``, so the smaller ones may be given as 0.
     """
     n_anchors, n_gts = overlaps.shape
-    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int64)
+    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int8)
     assigned_gt = np.full(n_anchors, -1, dtype=np.int64)
     best_gt = overlaps.argmax(axis=1)  # ties -> lowest gt index
-    best = np.take_along_axis(overlaps, best_gt[:, None], axis=1)[:, 0]  # = max, but cheaper
+    best = overlaps[np.arange(n_anchors), best_gt]  # = max, but cheaper
     if n_gts >= 2:
         second = np.partition(overlaps, n_gts - 2, axis=1)[:, n_gts - 2]
     else:
@@ -164,7 +194,7 @@ def _apply_rules(overlaps: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray,
     # ambiguity states, and anchors already active for another object,
     # are never overridden.
     has_active = np.zeros(n_gts, dtype=bool)
-    has_active[np.unique(assigned_gt[active])] = True
+    has_active[assigned_gt[active]] = True
     for g in range(n_gts):
         if has_active[g]:
             continue
@@ -185,7 +215,7 @@ def assign_targets_detailed(
     image_w: int,
     image_h: int,
 ) -> tuple[AnchorTargetArrays, np.ndarray]:
-    """Like :func:`assign_targets` but also returns the per-anchor rule ids.
+    """Like :func:`assign_targets` but also returns the per-anchor rule ids (int8 :class:`AssignRule` codes).
 
     Anchors that reach ``DONTCARE_IOU`` against no object keep
     :attr:`AssignRule.DEFAULT` without entering the rules.
@@ -195,20 +225,27 @@ def assign_targets_detailed(
             f"grid was built for {grid.image_w}x{grid.image_h}, "
             f"not {image_w}x{image_h}"
         )
-    _check_unique_instances(gts)
+    boxes, class_ids, instance_ids = [], [], []
+    for g in gts:
+        b = g.bbox
+        boxes.append((b.x_min, b.y_min, b.x_max, b.y_max))
+        class_ids.append(g.class_id)
+        instance_ids.append(g.instance_id)
+    if len(set(instance_ids)) != len(instance_ids):
+        raise ValueError(f"instance ids must be unique within an image, got {instance_ids}")
 
     n_anchors = len(grid)
-    gt_boxes = np.array([g.bbox.as_array() for g in gts], dtype=np.float64).reshape(-1, 4)
+    gt_boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
     # Every rule but the default needs an IoU >= DONTCARE_IOU, so all other
     # anchors stay default. The live rows hold the same IoUs as on the whole
-    # lattice, and ``live`` is sorted, so argmax ties still go to the lowest
-    # anchor index.
-    live = _live_anchors(grid, gt_boxes)
-    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int64)
+    # lattice wherever they reach DONTCARE_IOU, and ``live`` is sorted, so
+    # argmax ties still go to the lowest anchor index.
+    live, overlaps = _live_anchors(grid, gt_boxes)
+    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int8)
     labels = np.full(n_anchors, BACKGROUND, dtype=np.int64)
     idx = owner = np.zeros(0, dtype=np.int64)
     if live.size:
-        live_rules, assigned_gt = _apply_rules(iou_matrix(grid.boxes[live], gt_boxes), grid.outside[live])
+        live_rules, assigned_gt = _apply_rules(overlaps, grid.outside[live])
         rules[live] = live_rules
         labels[live] = _LABEL_OF_RULE[live_rules]
         hit = np.flatnonzero(assigned_gt >= 0)
@@ -217,12 +254,12 @@ def assign_targets_detailed(
     active = np.zeros(n_anchors, dtype=bool)
     active[idx] = True
     class_targets = np.full(n_anchors, -1, dtype=np.int64)
-    class_targets[idx] = np.array([g.class_id for g in gts], dtype=np.int64)[owner]
-    instance_ids = np.full(n_anchors, -1, dtype=np.int64)
-    instance_ids[idx] = np.array([g.instance_id for g in gts], dtype=np.int64)[owner]
+    class_targets[idx] = np.array(class_ids, dtype=np.int64)[owner]
+    anchor_instances = np.full(n_anchors, -1, dtype=np.int64)
+    anchor_instances[idx] = np.array(instance_ids, dtype=np.int64)[owner]
     deltas = np.zeros((n_anchors, 4), dtype=np.float64)
     deltas[idx] = encode_array(grid.boxes[idx], gt_boxes[owner])
-    return AnchorTargetArrays(labels, class_targets, deltas, active, instance_ids), rules
+    return AnchorTargetArrays(labels, class_targets, deltas, active, anchor_instances), rules
 
 
 def assign_targets(
@@ -252,7 +289,10 @@ def assign_targets(
 
     Only the anchors that reach ``DONTCARE_IOU`` against some object are
     evaluated: a size bound skips the template/object pairs that cannot,
-    and IoUs are computed for the remaining pairs only. The targets equal
+    and each remaining pair computes IoUs only in a window of cells around
+    its object. The window holds every cell whose anchor can reach
+    ``DONTCARE_IOU``, since that IoU needs a minimum overlap along each
+    axis, plus one cell on each side against rounding. The targets equal
     those of the whole lattice, because rules 2-5 and the fallback each
     need an IoU of at least ``DONTCARE_IOU``, every such IoU is computed
     with the same arithmetic, and ties still go to the lowest index.

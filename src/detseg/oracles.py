@@ -5,7 +5,9 @@ here is deliberately plain per-element Python against the documented rules,
 built on the scalar :func:`detseg.geom.iou`, and calls none of the vectorized
 functions it checks; the expected box deltas are written out per element
 (:func:`encode_oracle`), because the scalar :func:`detseg.geom.encode` wraps
-:func:`detseg.geom.encode_array`.
+:func:`detseg.geom.encode_array`. The one exception is :func:`dense_live`,
+which writes the scalar IoU out over whole columns of the lattice, since
+the lattices it must cover hold hundreds of thousands of anchors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .assign import ACTIVE_IOU, AMBIGUITY_GAP, DONTCARE_IOU, GroundTruthObject
-from .geom import AnchorGrid, AnchorTemplate, BBox, iou, make_anchor_grid
+from .geom import AnchorGrid, AnchorTemplate, BBox, anchor_preset, iou, make_anchor_grid
+from .pipeline.synth import SceneSpec, synth_scene
 from .post import Detections
 
 FD_STEP = 1e-5
@@ -174,6 +177,25 @@ def assign_oracle_rows(grid, gts, image_w, image_h) -> list[tuple]:
     return rows
 
 
+def dense_live(grid: AnchorGrid, gts: list[GroundTruthObject]) -> np.ndarray:
+    """The anchors whose IoU with some object reaches ``DONTCARE_IOU``, from every anchor and object.
+
+    The definition the assigner's live-anchor search must equal. Each IoU
+    takes the steps of the scalar :func:`detseg.geom.iou` in the same order,
+    on whole columns of anchor coordinates, one object at a time.
+    """
+    x0, y0, x1, y1 = grid.boxes.T
+    area = (x1 - x0) * (y1 - y0)
+    live = np.zeros(len(grid), dtype=bool)
+    for gt in gts:
+        box = gt.bbox
+        iw = np.minimum(x1, box.x_max) - np.maximum(x0, box.x_min)
+        ih = np.minimum(y1, box.y_max) - np.maximum(y0, box.y_min)
+        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+        live |= inter / (area + box.area - inter) >= DONTCARE_IOU
+    return np.flatnonzero(live)
+
+
 def encode_oracle(anchor: BBox, gt: BBox) -> tuple[float, float, float, float]:
     """The documented box delta ``(tx, ty, tw, th)`` of ``gt`` against ``anchor``, one float at a time.
 
@@ -244,6 +266,17 @@ def anchor_aligned_scene(rng: np.random.Generator):
             )
         )
     return grid, gts, image_w, image_h
+
+
+def paper_scene(seed: int, objects: int):
+    """A synthetic 512x256 scene of ``objects`` objects of side 12 to 96 on the ``paper-table1`` lattice.
+
+    Returns ``(grid, gts, width, height)``; the grid holds 296,960 anchors.
+    """
+    width, height = 512, 256
+    grid = make_anchor_grid(width, height, 8, anchor_preset("paper-table1"))
+    spec = SceneSpec(width, height, objects, objects, 12, 96)
+    return grid, synth_scene((seed, objects), spec).gts, width, height
 
 
 def _record(boxes, classes, scores) -> Detections:

@@ -571,6 +571,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy refuses an allocation it can never make at once, and names its size
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
     finally:
         package_log.removeHandler(handler)
 

@@ -160,16 +160,21 @@ def nms(dets: Detections, iou_threshold: float) -> Detections:
 
 
 def detections_to_jsonl(items: Iterable[tuple[str, Detections]]) -> str:
-    """Serialize (image_id, record) pairs, one JSON object per detection (docs/FORMATS.md)."""
+    """Serialize (image_id, record) pairs, one JSON object per detection (docs/FORMATS.md).
+
+    Each line is the text ``json.dumps`` gives the row's object. It is
+    written out directly: a record holds only finite floats and integers,
+    whose JSON text is their ``repr`` (a list of floats prints as the JSON
+    array), so only the image id goes through ``json.dumps``, once per image.
+    """
     lines = []
     for image_id, dets in items:
+        head = f'{{"image_id": {json.dumps(image_id)}, "class": '
         rows = zip(dets.class_ids.tolist(), dets.scores.tolist(), dets.boxes.tolist(),
                    dets.embeddings.tolist())
-        for class_id, score, (x0, y0, x1, y1), embedding in rows:
-            lines.append(json.dumps({
-                "image_id": image_id, "class": class_id, "score": score,
-                "x_min": x0, "y_min": y0, "x_max": x1, "y_max": y1, "embedding": embedding,
-            }))
+        lines += [f'{head}{class_id}, "score": {score!r}, "x_min": {x0!r}, "y_min": {y0!r}, '
+                  f'"x_max": {x1!r}, "y_max": {y1!r}, "embedding": {embedding}}}'
+                  for class_id, score, (x0, y0, x1, y1), embedding in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -3,17 +3,20 @@
 Each suite checks an implementation against an independent route from
 :mod:`detseg.oracles`: layers, losses and the training objective against
 central finite differences, target assignment against a literal per-anchor
-re-application of the rule list, NMS against a quadratic reference. The box
-codec is checked against its round-trip identity, and the inference forward
-against a training forward with frozen batch-norm statistics. The acceptance
-tests run the same suites at full size.
+re-application of the rule list and its live-anchor search against the
+whole lattice, NMS against a quadratic reference. The box codec is checked
+against its round-trip identity, and the inference forward against a
+training forward with frozen batch-norm statistics. The acceptance tests
+run the same suites at full size.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .assign import assign_targets
+from .assign import _live_anchors, assign_targets
 from .geom import decode_array, encode_array
 from .losses import MARGIN, SEG_IGNORE, TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
 from .net.layers import (
@@ -32,10 +35,12 @@ from .oracles import (
     FD_TOLERANCE,
     anchor_aligned_scene,
     assign_oracle_rows,
+    dense_live,
     dense_nms_instance,
     detection_rows,
     finite_difference,
     nms_oracle,
+    paper_scene,
     random_assignment_scene,
     relative_error,
     sparse_nms_instance,
@@ -43,8 +48,8 @@ from .oracles import (
 )
 from .post import nms
 
-__all__ = ["run_selftest", "check_layer_gradients", "check_loss_gradients",
-           "check_assignment", "check_nms", "check_codec", "check_inference_path"]
+__all__ = ["run_selftest", "check_layer_gradients", "check_loss_gradients", "check_assignment",
+           "check_live_anchors", "check_nms", "check_codec", "check_inference_path"]
 
 
 # A central difference costs two evaluations per entry; this caps the cost of
@@ -224,19 +229,45 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
                         ("objective", objective_case)], instances)
 
 
+def _assignment_scenes(scenes: int, seed: int):
+    """Alternately random and anchor-aligned scenes, as ``(grid, gts, width, height)``."""
+    rng = np.random.default_rng(seed)
+    for k in range(scenes):
+        yield (anchor_aligned_scene if k % 2 else random_assignment_scene)(rng)
+
+
 def check_assignment(scenes: int = 100, seed: int = 0) -> tuple[int, int, int]:
     """Alternately random and anchor-aligned scenes: every anchor's state, ids and delta must equal the oracle's.
 
     Returns ``(scenes, mismatching scenes, scenes with an active anchor)``.
     """
-    rng = np.random.default_rng(seed)
     mismatches = with_active = 0
-    for k in range(scenes):
-        grid, gts, w, h = (anchor_aligned_scene if k % 2 else random_assignment_scene)(rng)
+    for grid, gts, w, h in _assignment_scenes(scenes, seed):
         expected = assign_oracle_rows(grid, gts, w, h)
         mismatches += target_rows(assign_targets(grid, gts, w, h)) != expected
         with_active += any(row[0] == "active" for row in expected)
     return scenes, mismatches, with_active
+
+
+# (seed, objects) of the 512x256 paper-table1 scenes checked after the small ones.
+LIVE_PAPER_SCENES = ((1, 4), (2, 8))
+
+
+def check_live_anchors(scenes: int = 100, seed: int = 0) -> tuple[int, int, int]:
+    """The assigner's live-anchor search against :func:`detseg.oracles.dense_live`.
+
+    Runs on :func:`check_assignment`'s scenes for the same ``scenes`` and
+    ``seed``, then on the ``LIVE_PAPER_SCENES``. Returns ``(scenes,
+    mismatching scenes, live anchors)``.
+    """
+    paper = (paper_scene(*spec) for spec in LIVE_PAPER_SCENES)
+    mismatches = live_total = 0
+    for grid, gts, _, _ in itertools.chain(_assignment_scenes(scenes, seed), paper):
+        expected = dense_live(grid, gts)
+        live, _ = _live_anchors(grid, np.array([g.bbox.as_array() for g in gts]).reshape(-1, 4))
+        mismatches += live.tolist() != expected.tolist()
+        live_total += expected.size
+    return scenes + len(LIVE_PAPER_SCENES), mismatches, live_total
 
 
 # Crowded scenes checked after the sparse ones: large enough that NMS works
@@ -317,6 +348,11 @@ def run_selftest() -> tuple[bool, list[str]]:
     scenes, mismatches, with_active = check_assignment()
     ok &= mismatches == 0
     lines.append(f"assignment oracle: {scenes} scenes ({with_active} with active anchors), "
+                 f"{mismatches} mismatches -> {'ok' if mismatches == 0 else 'FAIL'}")
+
+    scenes, mismatches, live = check_live_anchors()
+    ok &= mismatches == 0
+    lines.append(f"live anchors: {scenes} scenes ({live} live anchors), "
                  f"{mismatches} mismatches -> {'ok' if mismatches == 0 else 'FAIL'}")
 
     instances, nms_bad = check_nms()

@@ -27,6 +27,7 @@ from detseg.selftest import (
     check_assignment,
     check_codec,
     check_layer_gradients,
+    check_live_anchors,
     check_loss_gradients,
     check_nms,
 )
@@ -62,6 +63,9 @@ def test_assignment_oracle_1000_scenes_and_corner_fixtures():
         _, mismatches, with_active = check_assignment(1000, seed=7_000)
         assert mismatches == 0
         assert with_active >= 300
+        # the live-anchor search on the same scenes and two 512x256 paper-table1 scenes
+        _, mismatches, live = check_live_anchors(1000, seed=7_000)
+        assert mismatches == 0 and live > 0
 
         # the five corner-case fixtures live in test_assign.py; re-run them
         # here so the acceptance suite is self-contained

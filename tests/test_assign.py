@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,14 @@ from detseg.assign import (
 )
 from detseg.geom import AnchorTemplate, BBox, anchor_preset, decode, iou, iou_matrix, make_anchor_grid
 from detseg.losses import BACKGROUND, FOREGROUND, IGNORE
-from detseg.oracles import anchor_aligned_scene, assign_oracle_rows, random_assignment_scene, target_rows
-from detseg.pipeline.synth import SceneSpec, synth_scene
+from detseg.oracles import (
+    anchor_aligned_scene,
+    assign_oracle_rows,
+    dense_live,
+    paper_scene,
+    random_assignment_scene,
+    target_rows,
+)
 
 
 def gt(x0, y0, x1, y1, class_id=0, instance_id=0):
@@ -231,17 +240,37 @@ def gt_array(gts):
     return np.array([g.bbox.as_array() for g in gts]).reshape(-1, 4)
 
 
-def dense_live(grid, gts):
-    """The anchors that reach DONTCARE_IOU, from the IoU of every anchor and object."""
-    return np.flatnonzero(iou_matrix(grid.boxes, gt_array(gts)).max(axis=1) >= DONTCARE_IOU)
+def assert_live_matches_dense(grid, gts):
+    """Live anchors equal the whole-lattice definition, and their IoUs the whole-lattice ones that reach it."""
+    live, overlaps = assign._live_anchors(grid, gt_array(gts))
+    assert live.tolist() == dense_live(grid, gts).tolist()
+    if gts:
+        full = iou_matrix(grid.boxes[live], gt_array(gts))
+        assert overlaps.tolist() == np.where(full >= DONTCARE_IOU, full, 0.0).tolist()
+    return live
+
+
+def window_scene(rng, image_w, image_h, stride):
+    """Random templates (some wider or taller than the image) and objects anywhere around it."""
+    templates = [AnchorTemplate(float(rng.uniform(0.2, 5.0)), float(rng.uniform(4, 4 * image_w * image_h)))
+                 for _ in range(int(rng.integers(1, 8)))]
+    grid = make_anchor_grid(image_w, image_h, stride, templates)
+    gts = []
+    for k in range(int(rng.integers(1, 5))):
+        x0 = float(rng.uniform(-1.5, 1.5) * image_w)
+        y0 = float(rng.uniform(-1.5, 1.5) * image_h)
+        w = float(rng.uniform(0.05, 1.5) * image_w)
+        h = float(rng.uniform(0.05, 1.5) * image_h)
+        gts.append(gt(x0, y0, x0 + w, y0 + h, instance_id=k))
+    return grid, gts
 
 
 def paper_scenes(rng):
-    """paper-table1 anchors at 256x128, with synthetic scenes and jittered anchor copies."""
-    grid = make_anchor_grid(256, 128, 8, anchor_preset("paper-table1"))
+    """Seeded synthetic scenes on the 512x256 paper-table1 lattice, then jittered copies of its anchors."""
     for seed in range(1, 4):
         for n in (3, 8):
-            yield grid, synth_scene((seed, n), SceneSpec(256, 128, n, n, 12, 48)).gts
+            grid, gts, _, _ = paper_scene(seed, n)
+            yield grid, gts
     for _ in range(12):
         gts = []
         for k in range(int(rng.integers(1, 7))):
@@ -259,16 +288,96 @@ class TestLiveAnchors:
             for _ in range(200):
                 grid, gts, _, _ = scene(rng)
                 if gts:
-                    assert assign._live_anchors(grid, gt_array(gts)).tolist() == dense_live(grid, gts).tolist()
+                    assert_live_matches_dense(grid, gts)
                     checked += 1
         assert checked > 300
+
+    def test_dense_definition_is_the_scalar_iou(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            grid, gts = window_scene(rng, int(rng.integers(5, 40)), int(rng.integers(5, 40)), 8)
+            expected = [i for i in range(len(grid)) if max(iou(grid.box(i), g.bbox) for g in gts) >= DONTCARE_IOU]
+            assert dense_live(grid, gts).tolist() == expected
+
+    def test_sides_not_multiples_of_stride(self):
+        # the last row and column of cells lie partly past the image
+        rng = np.random.default_rng(43)
+        for _ in range(150):
+            stride = int(rng.integers(2, 12))
+            image_w = int(rng.integers(1, 6)) * stride + int(rng.integers(1, stride))
+            image_h = int(rng.integers(1, 6)) * stride + int(rng.integers(1, stride))
+            grid, gts = window_scene(rng, image_w, image_h, stride)
+            assert grid.cols * stride > image_w and grid.rows * stride > image_h
+            assert_live_matches_dense(grid, gts)
+
+    def test_objects_partly_or_wholly_outside_the_image(self):
+        rng = np.random.default_rng(47)
+        grid = make_anchor_grid(40, 24, 8, anchor_preset("toy"))
+        outside = 0
+        for _ in range(150):
+            gts = []
+            for k in range(int(rng.integers(1, 4))):
+                w, h = rng.uniform(4, 48, 2)
+                x0, y0 = rng.uniform(-60, 60), rng.uniform(-40, 40)
+                gts.append(gt(x0, y0, x0 + w, y0 + h, instance_id=k))
+                outside += x0 + w <= 0 or y0 + h <= 0 or x0 >= 40 or y0 >= 24
+            assert_live_matches_dense(grid, gts)
+        assert outside > 50
+        # left of the image, yet 0.41 of cell (0, 0)'s 45 x 23 anchor, which crosses the border
+        live = assert_live_matches_dense(grid, [gt(-18.6, -7.3, 0, 15.3)])
+        assert live.size and grid.outside[live].all()
+
+    def test_objects_far_outside_the_image(self):
+        # windows past the lattice by more than an int64 holds are empty, without a cast warning
+        grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 16384.0**2)])
+        for x0 in (1e20, -1e20 - 16384):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert assert_live_matches_dense(grid, [gt(x0, 0, x0 + 16384, 16384)]).size == 0
+
+    def test_templates_larger_than_the_image(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            image_w, image_h = int(rng.integers(4, 33)), int(rng.integers(4, 33))
+            templates = [AnchorTemplate(float(rng.uniform(0.3, 3.0)), float(rng.uniform(1.0, 6.0) * image_w * image_h))
+                         for _ in range(int(rng.integers(1, 5)))]
+            grid = make_anchor_grid(image_w, image_h, 4, templates)
+            assert any(t.width > image_w or t.height > image_h for t in templates)
+            _, gts = window_scene(rng, image_w, image_h, 4)
+            assert_live_matches_dense(grid, gts)
+
+    @pytest.mark.parametrize("image_w,image_h", [(8, 40), (40, 8), (8, 8), (5, 61), (61, 5)])
+    def test_one_row_and_one_column_lattices(self, image_w, image_h):
+        rng = np.random.default_rng(image_w * 100 + image_h)
+        checked = 0
+        for _ in range(60):
+            grid, gts = window_scene(rng, image_w, image_h, 8)
+            assert min(grid.rows, grid.cols) == 1
+            checked += assert_live_matches_dense(grid, gts).size
+        assert checked > 0
+
+    @pytest.mark.parametrize("obj", [(0, 6, 10, 10), (0, 0, 10, 4), (6, 0, 10, 10), (0, 0, 4, 10)])
+    def test_dontcare_iou_exactly_on_a_window_edge(self, obj):
+        # A 10 x 10 anchor and a 10 x 4 object need an intersection of at
+        # least 0.4 * 140 / 1.4 = 40, so an overlap of at least 4 along the
+        # object's short side: cell centres lie within 5 - 40 / 10 = 1 of
+        # its extent there. Cell (0, 0), centred at (5, 5), lies on that
+        # edge of the window and sees 40 / 100.
+        grid = make_anchor_grid(20, 20, 10, [SQUARE])
+        x0, y0, x1, y1 = obj
+        min_inter = Fraction(2, 5) * (100 + (x1 - x0) * (y1 - y0)) / Fraction(7, 5)
+        reach_x = 5 - min_inter / min(10, y1 - y0)
+        reach_y = 5 - min_inter / min(10, x1 - x0)
+        edges = (x0 - reach_x, y0 - reach_y, x1 + reach_x, y1 + reach_y)
+        assert edges[0] <= 5 <= edges[2] and edges[1] <= 5 <= edges[3] and 5 in edges
+        assert iou(grid.box(0), BBox(*obj)) == DONTCARE_IOU
+        assert assert_live_matches_dense(grid, [gt(*obj)]).tolist() == [0]
 
     def test_paper_scenes_match_dense_definition(self):
         live_rows = 0
         for grid, gts in paper_scenes(np.random.default_rng(37)):
-            live = assign._live_anchors(grid, gt_array(gts))
-            assert live.tolist() == dense_live(grid, gts).tolist()
-            live_rows += live.size
+            assert (grid.image_w, grid.image_h) == (512, 256)
+            live_rows += assert_live_matches_dense(grid, gts).size
         assert live_rows > 0
 
 
@@ -305,8 +414,7 @@ def test_boundary_case_matches_oracle_and_rules(name):
     expected[list(special)] = list(special.values())
     assert rules.tolist() == expected.tolist()
     assert target_rows(targets) == assign_oracle_rows(grid, gts, side, side)
-    live = assign._live_anchors(grid, gt_array(gts)).tolist()
-    assert live == (dense_live(grid, gts).tolist() if gts else [])
+    live = assert_live_matches_dense(grid, gts).tolist()
     if name in ("unreachable_object", "no_objects"):
         assert live == []
     if name.startswith(("dontcare_exact", "active_exact")):

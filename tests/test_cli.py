@@ -479,6 +479,14 @@ class TestSynthCommand:
         assert code == 1 and out == "" and not os.path.exists(out_dir)
         assert err == f"error: config {config}: invalid config at dataset/num_images: {reason}\n"
 
+    def test_image_too_large_for_memory(self, capsys, tmp_path):
+        # numpy refuses the scene's first array, of 171 PiB, at once and without touching memory
+        out_dir = os.path.join(tmp_path, "data")
+        config = write_config(tmp_path, dataset={"num_images": 1, "width": 8 * 10**15, "height": 64})
+        code, out, err = run(capsys, "synth", "--config", config, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1, err
+
 
 class TestTrainToyCommand:
     def test_checkpoint_holds_the_run_config_it_was_trained_with(self, capsys, tmp_path):

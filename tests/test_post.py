@@ -219,17 +219,37 @@ class TestJsonl:
         assert back.scores.tolist() == [0.75]
         assert back.embeddings.tolist() == [[0.5, -1.0]]
 
+    @staticmethod
+    def dumps_per_row(items):
+        """The JSON lines as one ``json.dumps`` of a dict per row."""
+        return [
+            json.dumps({"image_id": image_id, "class": c, "score": s, "x_min": x0, "y_min": y0,
+                        "x_max": x1, "y_max": y1, "embedding": e})
+            for image_id, dets in items
+            for c, s, (x0, y0, x1, y1), e in zip(dets.class_ids.tolist(), dets.scores.tolist(),
+                                                 dets.boxes.tolist(), dets.embeddings.tolist())
+        ]
+
     def test_lines_equal_json_dumps(self):
         rng = np.random.default_rng(5)
         dets = sparse_nms_instance(rng, count=20)
         dets = record(dets.boxes, dets.class_ids, dets.scores, rng.normal(size=(20, 3)))
-        lines = detections_to_jsonl([('im "1"', dets)]).splitlines()
-        assert lines == [
-            json.dumps({"image_id": 'im "1"', "class": c, "score": s, "x_min": x0, "y_min": y0,
-                        "x_max": x1, "y_max": y1, "embedding": e})
-            for c, s, (x0, y0, x1, y1), e in zip(dets.class_ids.tolist(), dets.scores.tolist(),
-                                                 dets.boxes.tolist(), dets.embeddings.tolist())
-        ]
+        items = [('im "1"', dets)]
+        assert detections_to_jsonl(items).splitlines() == self.dumps_per_row(items)
+
+    def test_adversarial_rows_equal_json_dumps(self):
+        tiny, big = 5e-324, 1e16
+        dets = record(
+            [(-0.0, -0.0, 0.0, tiny), (tiny, -big, big, big), (-1e-300, 0.1, 1e300, 0.30000000000000004)],
+            [2**63 - 1, 0, 7],
+            [-0.0, tiny, 1.0],
+            [[-0.0, tiny, -big], [1e-7, 123456789.0, -1.5e-310], [0.1, 1e22, -2.5]],
+        )
+        items = [('q"uote', dets), ("back\\slash\\", dets), ("naïve ✓ 画像", dets),
+                 ("tab\tnew\nline\u2028", dets), ("", record([(0, 0, 1, 1)], [3], [0.5], [[]]))]
+        text = detections_to_jsonl(items)
+        assert text.splitlines() == self.dumps_per_row(items)
+        assert text.isascii()
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
