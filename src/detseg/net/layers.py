@@ -32,6 +32,7 @@ import math
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Param",
@@ -180,20 +181,23 @@ class _ConvGeometry:
     def im2col(self, xp: np.ndarray) -> np.ndarray:
         """Padded (N, C, PH, PW) -> (N, C * k * k, out_h * out_w).
 
-        A 1x1 stride-1 kernel needs no gather: the result is then ``xp`` reshaped,
-        a view of it when ``xp`` is contiguous.
+        All k * k taps are gathered in one copy, of a strided view of ``xp``
+        with shape (N, C, k, k, out_h, out_w): tap (ki, kj) of output (i, j)
+        reads ``xp[..., i * stride + ki * dilation, j * stride + kj * dilation]``.
+        The view takes ``xp``'s own strides, so ``xp`` need not be contiguous.
+        A 1x1 stride-1 kernel needs no gather: the result is then ``xp``
+        reshaped, a view of it when ``xp`` is contiguous.
         """
         n, c = xp.shape[:2]
         k = self.kernel
         length = self.out_h * self.out_w
         if k == 1 and self.stride == 1:
             return xp.reshape(n, c, length)
-        cols = np.empty((n, c, k * k, self.out_h, self.out_w), dtype=np.float64)
-        for ki in range(k):
-            for kj in range(k):
-                hs, ws = self._tap(ki, kj)
-                cols[:, :, ki * k + kj] = xp[:, :, hs, ws]
-        return cols.reshape(n, c * k * k, length)
+        sn, sc, sh, sw = xp.strides
+        d, s = self.dilation, self.stride
+        taps = as_strided(xp, (n, c, k, k, self.out_h, self.out_w),
+                          (sn, sc, d * sh, d * sw, s * sh, s * sw), writeable=False)
+        return np.ascontiguousarray(taps).reshape(n, c * k * k, length)
 
     def col2im(self, cols: np.ndarray, channels: int) -> np.ndarray:
         """Adjoint of :meth:`im2col`; returns the padded-shape array.
@@ -264,6 +268,9 @@ class DepthwiseConv2d(Layer):
     """Per-channel spatial convolution (no channel mixing), stride 1, no bias."""
 
     def __init__(self, channels: int, kernel: int, dilation: int = 1, *, rng: np.random.Generator):
+        if kernel % 2 == 0:
+            # "same" padding is then asymmetric, and the backward's reversed taps would read the wrong rows
+            raise ValueError(f"depthwise kernel must be odd, got {kernel}")
         self.channels = channels
         self.kernel = kernel
         self.dilation = dilation
@@ -284,17 +291,27 @@ class DepthwiseConv2d(Layer):
         return y.reshape(n, c, geo.out_h, geo.out_w)
 
     def backward(self, dy):
+        """Accumulate the weight gradient and return the input gradient.
+
+        The input gradient is the depthwise correlation of ``dy`` with the
+        taps reversed: ``dx[p] = sum_t w[t] * dyp[p + (k - 1 - t) * d]`` for
+        ``dy`` padded as the forward pads ``x``. Its taps are gathered by
+        :meth:`_ConvGeometry.im2col` in reversed order and summed by the
+        forward's ``einsum``. That is the direct adjoint sum bit for bit: with
+        an odd kernel "same" padding is symmetric, so reversed tap ``t`` reads
+        the ``dy`` element that tap ``t`` joins to ``p``; the sum starts at
+        +0.0 and adds the taps in order, as the direct sum does; and a tap
+        that reads the padding adds a signed zero, which changes no sum that
+        started at +0.0.
+        """
         geo, cols4 = self._saved()
         n, c = dy.shape[:2]
+        k = self.kernel
         dym = dy.reshape(n, c, -1)
         self.weight.grad += np.einsum("ncl,nckl->ck", dym, cols4).reshape(self.weight.data.shape)
-        # col2im of the columns w[c, tap] * dy, tap by tap, without building them
-        dxp = geo.zeros(n, c)
-        for ki in range(self.kernel):
-            for kj in range(self.kernel):
-                hs, ws = geo._tap(ki, kj)
-                dxp[:, :, hs, ws] += self.weight.data[:, ki, kj, None, None] * dy
-        return geo.unpad(dxp)
+        dcols = geo.im2col(geo.pad(dy)).reshape(n, c, k * k, -1)[:, :, ::-1]
+        dx = np.einsum("ck,nckl->ncl", self.weight.data.reshape(c, -1), dcols)
+        return dx.reshape(n, c, geo.in_h, geo.in_w)
 
 
 class DepthwiseSeparableConv2d(Layer):

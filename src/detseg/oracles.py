@@ -98,6 +98,34 @@ def depthwise_oracle(x: np.ndarray, weight: np.ndarray, dilation: int = 1) -> np
                            for c in range(x.shape[1])], axis=1)
 
 
+def depthwise_input_grad_oracle(dy: np.ndarray, weight: np.ndarray, dilation: int = 1) -> np.ndarray:
+    """Direct-loop input gradient of :func:`depthwise_oracle` for output gradient ``dy``.
+
+    Tap (ki, kj) joins input pixel (i, j) to output pixel
+    ``(i + top - ki * dilation, j + left - kj * dilation)``, where ``top`` and
+    ``left`` are the smaller halves of the ``dilation * (k - 1)`` rows and
+    columns of "same" padding. Each input pixel sums ``weight * dy`` from 0.0
+    over the taps whose output pixel lies inside ``dy``, in (ki, kj) order.
+    """
+    n, c, h, w = dy.shape
+    k = weight.shape[-1]
+    top = left = dilation * (k - 1) // 2
+    dx = np.zeros((n, c, h, w))
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h):
+                for j in range(w):
+                    total = 0.0
+                    for ki in range(k):
+                        for kj in range(k):
+                            oi = i + top - ki * dilation
+                            oj = j + left - kj * dilation
+                            if 0 <= oi < h and 0 <= oj < w:
+                                total += weight[ch, ki, kj] * dy[b, ch, oi, oj]
+                    dx[b, ch, i, j] = total
+    return dx
+
+
 def assign_oracle(
     grid: AnchorGrid,
     gts: list[GroundTruthObject],

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import selftest as selftest_module
 from ..assign import assign_targets, summarize_targets
 from ..evaluation import (
     DEFAULT_IOU_THRESHOLDS,
@@ -474,7 +473,10 @@ def cmd_eval_det(args) -> int:
 # -- selftest -----------------------------------------------------------------
 
 def cmd_selftest(args) -> int:
-    ok, lines = selftest_module.run_selftest()
+    # imported here: the suites and their oracles are not needed by any other command
+    from ..selftest import run_selftest
+
+    ok, lines = run_selftest()
     for line in lines:
         print(line)
     if not ok:

@@ -27,10 +27,14 @@ from .classtable import ClassTable
 from .synth import SceneSpec
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "MODEL_SCHEMA", "TEMPLATES_SCHEMA",
-           "load_run_config", "run_config_from_dict", "default_config_dict",
-           "load_templates", "CLASS_TABLE_SCHEMA", "load_class_table"]
+           "MAX_ITERATIONS", "MAX_IMAGES", "load_run_config", "run_config_from_dict",
+           "default_config_dict", "load_templates", "CLASS_TABLE_SCHEMA", "load_class_table"]
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
+# Counts that set how long synth and train-toy run: without a bound, a config
+# with 10**300 images or iterations passes and the command never finishes.
+MAX_ITERATIONS = 1_000_000
+MAX_IMAGES = 100_000
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 # the model's feature map is always 1/8 of the image, so any other anchor
 # stride gives a lattice the heads do not predict
@@ -99,9 +103,9 @@ CONFIG_SCHEMA = {
             "required": ["iterations"],
             "additionalProperties": False,
             "properties": {
-                "iterations": _POSITIVE_INT,
+                "iterations": {**_POSITIVE_INT, "maximum": MAX_ITERATIONS},
                 "tasks": {"type": "array", "items": {"enum": list(TASK_NAMES)}, "minItems": 1},
-                "freeze_stats_after": {"type": "integer", "minimum": 0},
+                "freeze_stats_after": {"type": "integer", "minimum": 0, "maximum": MAX_ITERATIONS},
             },
         },
         "dataset": {
@@ -109,7 +113,7 @@ CONFIG_SCHEMA = {
             "required": ["num_images", "width", "height"],
             "additionalProperties": False,
             "properties": {
-                "num_images": _POSITIVE_INT,
+                "num_images": {**_POSITIVE_INT, "maximum": MAX_IMAGES},
                 # train-toy feeds whole images to the network, which needs multiples of 8
                 "width": {"type": "integer", "minimum": DOWNSAMPLE, "multipleOf": DOWNSAMPLE},
                 "height": {"type": "integer", "minimum": DOWNSAMPLE, "multipleOf": DOWNSAMPLE},

@@ -17,7 +17,13 @@ from detseg.oracles import assign_oracle_rows
 from detseg.pipeline.annotations import boxes_from_polygons, load_annotation
 from detseg.pipeline.cli import main
 from detseg.pipeline.classtable import synthetic_table
-from detseg.pipeline.config import default_config_dict, load_run_config, run_config_from_dict
+from detseg.pipeline.config import (
+    MAX_IMAGES,
+    MAX_ITERATIONS,
+    default_config_dict,
+    load_run_config,
+    run_config_from_dict,
+)
 from detseg.pipeline.netpbm import read_pgm, write_pgm, write_ppm
 from detseg.pipeline.synth import make_dataset
 
@@ -297,6 +303,16 @@ MALFORMED_CONFIGS = {
                        "invalid config at model/stage_channels/0: 16.0 is not of type 'integer'"),
     "stride_float": (lambda c: c["anchors"].update(stride=8.0),
                      "invalid config at anchors/stride: 8.0 is not of type 'integer'"),
+    # counts that would keep synth or train-toy running for ever
+    "iterations_huge": (lambda c: c["training"].update(iterations=10**300),
+                        f"invalid config at training/iterations: {10**300} is greater than the maximum of "
+                        f"{MAX_ITERATIONS}"),
+    "freeze_stats_after_huge": (lambda c: c["training"].update(freeze_stats_after=MAX_ITERATIONS + 1),
+                                f"invalid config at training/freeze_stats_after: {MAX_ITERATIONS + 1} is "
+                                f"greater than the maximum of {MAX_ITERATIONS}"),
+    "num_images_huge": (lambda c: c["dataset"].update(num_images=MAX_IMAGES + 1),
+                        f"invalid config at dataset/num_images: {MAX_IMAGES + 1} is greater than the "
+                        f"maximum of {MAX_IMAGES}"),
 }
 
 
@@ -479,6 +495,14 @@ class TestSynthCommand:
         assert code == 1 and out == "" and not os.path.exists(out_dir)
         assert err == f"error: config {config}: invalid config at dataset/num_images: {reason}\n"
 
+    def test_count_is_bounded(self, capsys, tmp_path):
+        out_dir = os.path.join(tmp_path, "data")
+        config = write_config(tmp_path, dataset={"num_images": 10**300, "width": 64, "height": 64})
+        code, out, err = run(capsys, "synth", "--config", config, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err == (f"error: config {config}: invalid config at dataset/num_images: "
+                       f"{10**300} is greater than the maximum of {MAX_IMAGES}\n")
+
     def test_image_too_large_for_memory(self, capsys, tmp_path):
         # numpy refuses the scene's first array, of 171 PiB, at once and without touching memory
         out_dir = os.path.join(tmp_path, "data")
@@ -498,6 +522,16 @@ class TestTrainToyCommand:
         ckpt_config, _ = load_checkpoint(os.path.join(out_dir, "checkpoint.nnad"))
         with open(config) as fh:
             assert ckpt_config == json.load(fh)
+
+    @pytest.mark.parametrize("key, value", [("iterations", 10**300), ("iterations", MAX_ITERATIONS + 1),
+                                            ("freeze_stats_after", 10**300)])
+    def test_iteration_counts_are_bounded(self, capsys, tmp_path, key, value):
+        config = write_config(tmp_path, training={"iterations": 1, key: value})
+        out_dir = os.path.join(tmp_path, "run")
+        code, out, err = run(capsys, "train-toy", "--config", config, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err == (f"error: config {config}: invalid config at training/{key}: "
+                       f"{value} is greater than the maximum of {MAX_ITERATIONS}\n")
 
     def test_non_finite_number_is_one_error_line_naming_the_file(self, capsys, tmp_path):
         config = write_config(tmp_path, thresholds={"score": float("inf")})

@@ -28,12 +28,23 @@ def module_names() -> list[str]:
     return sorted(names)
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("module", module_names())
 def test_module_imports_on_its_own(module):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", f"import {module}"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = run_fresh(f"import {module}")
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_loads_no_selftest_code():
+    # every CLI process pays for what the CLI module imports; only `selftest` needs the suites
+    done = run_fresh("import sys, detseg.pipeline.cli; "
+                     "print(sorted({'detseg.selftest', 'detseg.oracles'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module", module_names())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from detseg.net.layers import (
+    _ConvGeometry,
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
@@ -12,7 +13,13 @@ from detseg.net.layers import (
     Sequential,
     TransposedConv2d,
 )
-from detseg.oracles import conv2d_oracle, depthwise_oracle, finite_difference, gradients_close
+from detseg.oracles import (
+    conv2d_oracle,
+    depthwise_input_grad_oracle,
+    depthwise_oracle,
+    finite_difference,
+    gradients_close,
+)
 from detseg.selftest import check_layer_gradients
 
 
@@ -60,6 +67,12 @@ class TestShapes:
         with pytest.raises(ValueError):
             Conv2d(2, 4, 3, rng=rng_for(0)).forward(np.zeros((1, 3, 8, 8)))
 
+    @pytest.mark.parametrize("kernel", [2, 4])
+    def test_depthwise_even_kernel_rejected(self, kernel):
+        # "same" padding of an even kernel is asymmetric, which the backward's reversed taps cannot read
+        with pytest.raises(ValueError, match=f"depthwise kernel must be odd, got {kernel}"):
+            DepthwiseConv2d(2, kernel, rng=rng_for(0))
+
 
 # (in_channels, out_channels, kernel, stride, dilation, height, width)
 CONV_CASES = [
@@ -90,7 +103,51 @@ class TestConvolutionOracle:
         depthwise = DepthwiseConv2d(3, 3, dilation=dilation, rng=rng_for(53))
         x = rng_for(54).standard_normal((2, 3, h, w))
         expected = depthwise_oracle(x, depthwise.weight.data, dilation)
-        np.testing.assert_allclose(depthwise.forward(x, training), expected, rtol=0, atol=1e-12)
+        assert depthwise.forward(x, training).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_depthwise_input_grad_matches_direct_loop(self, n, dilation, kernel):
+        # dy on a half-unit grid, with exact zeros of both signs and a negative in every case
+        depthwise = DepthwiseConv2d(3, kernel, dilation=dilation, rng=rng_for(55))
+        for h, w in [(1, 1), (1, 6), (2, 9), (3, 3), (4, 7), (5, 5), (6, 2), (7, 8), (8, 1), (9, 9)]:
+            depthwise.forward(rng_for(56).standard_normal((n, 3, h, w)), training=True)
+            dy = np.round(2.0 * rng_for(57).standard_normal((n, 3, h, w))) / 2.0
+            dy[:, 0, 0, 0], dy[:, 1, -1, -1], dy[:, 2, 0, 0] = -0.0, -1.5, 0.0
+            expected = depthwise_input_grad_oracle(dy, depthwise.weight.data, dilation)
+            assert depthwise.backward(dy).tobytes() == expected.tobytes(), (h, w)
+
+
+def per_tap_im2col(geo, xp):
+    """The column matrix gathered one tap slice at a time."""
+    n, c = xp.shape[:2]
+    k, d, s = geo.kernel, geo.dilation, geo.stride
+    cols = np.empty((n, c, k * k, geo.out_h, geo.out_w))
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki * k + kj] = xp[:, :, ki * d:ki * d + (geo.out_h - 1) * s + 1:s,
+                                         kj * d:kj * d + (geo.out_w - 1) * s + 1:s]
+    return cols.reshape(n, c * k * k, geo.out_h * geo.out_w)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_one_copy_equals_per_tap_gather(self, kernel, stride, dilation, n):
+        for h, w in [(1, 1), (3, 5), (7, 3), (9, 9)]:
+            geo = _ConvGeometry(h, w, kernel, stride, dilation)
+            xp = geo.pad(rng_for(58).standard_normal((n, 3, h, w)))
+            expected = per_tap_im2col(geo, xp).tobytes()
+            # views with xp's values but other strides: every other channel,
+            # row and column of a larger array, and a column-major copy
+            host = np.zeros((n, 6, xp.shape[2] + 2, 2 * xp.shape[3]))
+            strided = host[:, ::2, 1:-1, ::2]
+            strided[...] = xp
+            for view in (xp, strided, np.asfortranarray(xp)):
+                assert geo.im2col(view).tobytes() == expected, (h, w, view.strides)
 
 
 class TestAlgebraicIdentities:
