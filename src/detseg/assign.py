@@ -47,6 +47,11 @@ _LABEL_OF_RULE = np.array([BACKGROUND, BACKGROUND, IGNORE, BACKGROUND, FOREGROUN
                           dtype=np.int64)
 _STATE_OF_LABEL = {BACKGROUND: "inactive", IGNORE: "dontcare", FOREGROUND: "active"}
 
+# The codes of the rules that IoU thresholds select, in precedence order, as
+# int8 scalars: np.select then builds the int8 rule array without conversions.
+_THRESHOLD_RULES = np.array([AssignRule.BORDER, AssignRule.AMBIGUOUS, AssignRule.BEST, AssignRule.BAND],
+                            dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class GroundTruthObject:
@@ -164,8 +169,6 @@ def _apply_rules(overlaps: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray,
     reach ``DONTCARE_IOU``, so the smaller ones may be given as 0.
     """
     n_anchors, n_gts = overlaps.shape
-    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int8)
-    assigned_gt = np.full(n_anchors, -1, dtype=np.int64)
     best_gt = overlaps.argmax(axis=1)  # ties -> lowest gt index
     best = overlaps[np.arange(n_anchors), best_gt]  # = max, but cheaper
     if n_gts >= 2:
@@ -173,28 +176,25 @@ def _apply_rules(overlaps: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray,
     else:
         second = np.zeros(n_anchors)
 
-    border = outside & (best >= DONTCARE_IOU)
-    ambiguous = (
-        ~border
-        & (best >= DONTCARE_IOU)
-        & (second >= DONTCARE_IOU)
-        & ((best - second) < AMBIGUITY_GAP)
+    # The rules of assign_targets in precedence order: the first that holds wins.
+    reaches = best >= DONTCARE_IOU
+    rules = np.select(
+        [outside & reaches,
+         reaches & (second >= DONTCARE_IOU) & (best - second < AMBIGUITY_GAP),
+         best > ACTIVE_IOU,
+         best > DONTCARE_IOU],
+        _THRESHOLD_RULES,
+        np.int8(AssignRule.DEFAULT),
     )
-    active = ~border & ~ambiguous & (best > ACTIVE_IOU)
-    band = ~border & ~ambiguous & ~active & (best > DONTCARE_IOU)
-
-    rules[border] = AssignRule.BORDER
-    rules[ambiguous] = AssignRule.AMBIGUOUS
-    rules[active] = AssignRule.BEST
-    rules[band] = AssignRule.BAND
-    assigned_gt[active] = best_gt[active]
+    active = rules == AssignRule.BEST
+    assigned_gt = np.where(active, best_gt, -1)
 
     # Unassigned ground truths adopt their best anchor, provided that
     # anchor is only a default-inactive or band don't-care. Border and
     # ambiguity states, and anchors already active for another object,
     # are never overridden.
     has_active = np.zeros(n_gts, dtype=bool)
-    has_active[assigned_gt[active]] = True
+    has_active[best_gt[active]] = True
     for g in range(n_gts):
         if has_active[g]:
             continue

@@ -98,6 +98,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u64()):
         name = str(reader.take(reader.u32()), "utf-8")
+        if name in tensors:
+            raise ValueError(f"checkpoint {path}: tensor {name!r} appears twice")
         ndim = reader.u32()
         shape = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim))
         arr = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)

@@ -170,51 +170,51 @@ class _ConvGeometry:
         w = slice(self.pad_left, self.pad_left + self.in_w)
         return xp[:, :, h, w]
 
-    def _tap(self, ki: int, kj: int) -> tuple[slice, slice]:
-        i0 = ki * self.dilation
-        j0 = kj * self.dilation
-        return (
-            slice(i0, i0 + (self.out_h - 1) * self.stride + 1, self.stride),
-            slice(j0, j0 + (self.out_w - 1) * self.stride + 1, self.stride),
-        )
+    def taps(self, xp: np.ndarray, writeable: bool = False) -> np.ndarray:
+        """The (N, C, k, k, out_h, out_w) strided view of the padded ``xp`` that the kernel reads.
+
+        Tap (ki, kj) of output (i, j) is
+        ``xp[..., i * stride + ki * dilation, j * stride + kj * dilation]``.
+        The view takes ``xp``'s own strides, so ``xp`` need not be contiguous.
+        """
+        n, c = xp.shape[:2]
+        k = self.kernel
+        sn, sc, sh, sw = xp.strides
+        d, s = self.dilation, self.stride
+        return as_strided(xp, (n, c, k, k, self.out_h, self.out_w),
+                          (sn, sc, d * sh, d * sw, s * sh, s * sw), writeable=writeable)
 
     def im2col(self, xp: np.ndarray) -> np.ndarray:
         """Padded (N, C, PH, PW) -> (N, C * k * k, out_h * out_w).
 
-        All k * k taps are gathered in one copy, of a strided view of ``xp``
-        with shape (N, C, k, k, out_h, out_w): tap (ki, kj) of output (i, j)
-        reads ``xp[..., i * stride + ki * dilation, j * stride + kj * dilation]``.
-        The view takes ``xp``'s own strides, so ``xp`` need not be contiguous.
-        A 1x1 stride-1 kernel needs no gather: the result is then ``xp``
-        reshaped, a view of it when ``xp`` is contiguous.
+        All k * k taps are gathered in one copy of :meth:`taps`. A 1x1
+        stride-1 kernel needs no gather: the result is then ``xp`` reshaped,
+        a view of it when ``xp`` is contiguous.
         """
         n, c = xp.shape[:2]
-        k = self.kernel
         length = self.out_h * self.out_w
-        if k == 1 and self.stride == 1:
+        if self.kernel == 1 and self.stride == 1:
             return xp.reshape(n, c, length)
-        sn, sc, sh, sw = xp.strides
-        d, s = self.dilation, self.stride
-        taps = as_strided(xp, (n, c, k, k, self.out_h, self.out_w),
-                          (sn, sc, d * sh, d * sw, s * sh, s * sw), writeable=False)
-        return np.ascontiguousarray(taps).reshape(n, c * k * k, length)
+        return np.ascontiguousarray(self.taps(xp)).reshape(n, c * self.kernel * self.kernel, length)
 
     def col2im(self, cols: np.ndarray, channels: int) -> np.ndarray:
         """Adjoint of :meth:`im2col`; returns the padded-shape array.
 
-        A 1x1 stride-1 kernel needs no scatter: the result is then ``cols``
-        reshaped, as :meth:`im2col` returns its input reshaped.
+        Each tap is added through the writeable view of :meth:`taps`, one
+        tap at a time in (ki, kj) order, since taps of a dilated or strided
+        kernel overlap. A 1x1 stride-1 kernel needs no scatter: the result
+        is then ``cols`` reshaped, as :meth:`im2col` returns its input reshaped.
         """
         n = cols.shape[0]
         k = self.kernel
         if k == 1 and self.stride == 1:
             return cols.reshape(n, channels, self.out_h, self.out_w)
-        cols4 = cols.reshape(n, channels, k * k, self.out_h, self.out_w)
+        cols6 = cols.reshape(n, channels, k, k, self.out_h, self.out_w)
         xp = self.zeros(n, channels)
+        taps = self.taps(xp, writeable=True)
         for ki in range(k):
             for kj in range(k):
-                hs, ws = self._tap(ki, kj)
-                xp[:, :, hs, ws] += cols4[:, :, ki * k + kj]
+                taps[:, :, ki, kj] += cols6[:, :, ki, kj]
         return xp
 
 

@@ -18,7 +18,8 @@ from ..geom import BBox
 from ..net.checkpoint import write_atomic
 from .classtable import ClassTable
 
-__all__ = ["PolygonObject", "AnnotationFile", "load_annotation", "save_annotation", "boxes_from_polygons"]
+__all__ = ["PolygonObject", "AnnotationFile", "load_annotation", "save_annotation", "boxes_from_polygons",
+           "load_ground_truth"]
 
 log = logging.getLogger(__name__)
 
@@ -143,10 +144,9 @@ def boxes_from_polygons(ann: AnnotationFile, table: ClassTable) -> list[GroundTr
 
     The box is the min/max of the vertex coordinates. Labels must exist in
     the class table; labels that are not detection classes are skipped.
-    Boxes of zero width or height are dropped (counted in a warning).
+    Boxes of zero width or height are dropped.
     """
     out: list[GroundTruthObject] = []
-    dropped = 0
     for obj in ann.objects:
         if obj.label not in table.names:
             raise ValueError(f"unknown label {obj.label!r} (known: {list(table.names)})")
@@ -156,7 +156,6 @@ def boxes_from_polygons(ann: AnnotationFile, table: ClassTable) -> list[GroundTr
         ys = [p[1] for p in obj.polygon]
         bbox = BBox(min(xs), min(ys), max(xs), max(ys))
         if bbox.area <= 0:
-            dropped += 1
             continue
         out.append(
             GroundTruthObject(
@@ -167,6 +166,21 @@ def boxes_from_polygons(ann: AnnotationFile, table: ClassTable) -> list[GroundTr
                 truncation=obj.truncation,
             )
         )
-    if dropped:
-        log.warning("boxes_from_polygons: dropped %d degenerate (zero-area) polygon(s)", dropped)
     return out
+
+
+def load_ground_truth(path: str, table: ClassTable) -> tuple[AnnotationFile, list[GroundTruthObject]]:
+    """The annotation file at ``path`` and its detection ground truth.
+
+    Every error names the file, and so does the warning that counts the
+    degenerate (zero-area) polygons that :func:`boxes_from_polygons` dropped.
+    """
+    ann = load_annotation(path)
+    try:
+        gts = boxes_from_polygons(ann, table)
+    except ValueError as exc:
+        raise ValueError(f"annotation {path}: {exc}") from exc
+    dropped = sum(obj.label in table.detection for obj in ann.objects) - len(gts)
+    if dropped:
+        log.warning("annotation %s: dropped %d degenerate (zero-area) polygon(s)", path, dropped)
+    return ann, gts

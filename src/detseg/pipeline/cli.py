@@ -37,7 +37,7 @@ from ..net.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from ..net.model import DOWNSAMPLE, DetSegModel
 from ..net.train import TrainSample, train_toy
 from ..post import decode_detections, detections_from_jsonl, detections_to_jsonl, nms
-from .annotations import boxes_from_polygons, load_annotation, save_annotation
+from .annotations import load_ground_truth, save_annotation
 from .classtable import ClassTable, synthetic_table
 from .config import RunConfig, load_class_table, load_run_config, load_templates, run_config_from_dict
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
@@ -60,6 +60,40 @@ class _Parser(argparse.ArgumentParser):
 def _write_text_atomic(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     write_atomic(path, text.encode("utf-8"))
+
+
+def _write_json(path: str, data) -> str:
+    """Write ``data`` as indented JSON and return the text written."""
+    text = json.dumps(data, indent=1) + "\n"
+    _write_text_atomic(path, text)
+    return text
+
+
+def _write_csv(path: str, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write_text_atomic(path, buf.getvalue())
+
+
+def _input_files(directory: str, suffix: str, kind: str) -> list[str]:
+    """The paths of the ``suffix`` files in ``directory``, in name order; there must be one."""
+    names = sorted(name for name in os.listdir(directory) if name.endswith(suffix))
+    if not names:
+        raise CliError(f"no {suffix} {kind} under {directory}")
+    return [os.path.join(directory, name) for name in names]
+
+
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def _read_map_sized_as(shape: tuple[int, int], kind: str, path: str, of: str) -> np.ndarray:
+    """The map at ``path``, which must have the (H, W) ``shape`` of ``of``, the file it belongs to."""
+    array = read_pgm(path)
+    if array.shape != shape:
+        raise CliError(f"{kind} {path}: size {array.shape[1]}x{array.shape[0]} "
+                       f"differs from {of}'s {shape[1]}x{shape[0]}")
+    return array
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -140,8 +174,7 @@ def cmd_synth(args) -> int:
         write_pgm(os.path.join(out, "labels", image_id + ".pgm"), sample.label_map.data)
         write_pgm(os.path.join(out, "instances", image_id + ".pgm"), sample.instance_map)
         save_annotation(os.path.join(out, "annotations", image_id + ".json"), sample.annotation)
-    _write_text_atomic(os.path.join(out, "class_table.json"),
-                       json.dumps(table.to_json(), indent=1) + "\n")
+    _write_json(os.path.join(out, "class_table.json"), table.to_json())
     manifest = {
         "seed": config.seed,
         "count": config.num_images,
@@ -149,7 +182,7 @@ def cmd_synth(args) -> int:
         "height": config.scene.height,
         "image_ids": image_ids,
     }
-    _write_text_atomic(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=1) + "\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest)
     print(json.dumps({"written": config.num_images, "output_dir": out}))
     return 0
 
@@ -158,8 +191,7 @@ def cmd_synth(args) -> int:
 
 def cmd_assign(args) -> int:
     table = _load_class_table(args.class_table)
-    ann = load_annotation(args.annotation)
-    gts = boxes_from_polygons(ann, table)
+    ann, gts = load_ground_truth(args.annotation, table)
     templates = _load_templates(args)
     grid = make_anchor_grid(ann.image_width, ann.image_height, DOWNSAMPLE, templates)
     targets = assign_targets(grid, gts, ann.image_width, ann.image_height)
@@ -198,11 +230,8 @@ def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
         raise CliError(f"dataset dir {path} needs images/, labels/ and annotations/")
     samples = []
     allowed = [*range(table.num_classes), SEG_IGNORE]
-    for name in sorted(os.listdir(img_dir)):
-        if not name.endswith(".ppm"):
-            continue
-        image_id = name[:-4]
-        image_path = os.path.join(img_dir, name)
+    for image_path in _input_files(img_dir, ".ppm", "images"):
+        image_id = _stem(image_path)
         image = read_ppm(image_path)
         _, h, w = image.shape
         if h % DOWNSAMPLE or w % DOWNSAMPLE:
@@ -211,23 +240,17 @@ def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
             _, h0, w0 = samples[0].image.shape
             raise CliError(f"image {image_path}: size {w}x{h} differs from the first image's {w0}x{h0}")
         label_path = os.path.join(label_dir, image_id + ".pgm")
-        labels = read_pgm(label_path)
-        if labels.shape != (h, w):
-            raise CliError(f"label map {label_path}: size {labels.shape[1]}x{labels.shape[0]} "
-                           f"differs from its image's {w}x{h}")
+        labels = _read_map_sized_as((h, w), "label map", label_path, "its image")
         unknown = np.setdiff1d(labels, allowed)
         if unknown.size:
             raise CliError(f"label map {label_path}: ids {unknown.tolist()} are neither classes of the "
                            f"{table.num_classes}-class table nor {SEG_IGNORE}")
         ann_path = os.path.join(ann_dir, image_id + ".json")
-        ann = load_annotation(ann_path)
+        ann, gts = load_ground_truth(ann_path, table)
         if (ann.image_width, ann.image_height) != (w, h):
             raise CliError(f"annotation {ann_path}: size {ann.image_width}x{ann.image_height} "
                            f"differs from its image's {w}x{h}")
-        samples.append(TrainSample(image=image, label_map=labels,
-                                   gts=boxes_from_polygons(ann, table)))
-    if not samples:
-        raise CliError(f"no .ppm images found under {img_dir}")
+        samples.append(TrainSample(image=image, label_map=labels, gts=gts))
     return samples
 
 
@@ -274,13 +297,9 @@ def cmd_train_toy(args) -> int:
     save_checkpoint(checkpoint_path, config.raw, tensors)
 
     history_path = os.path.join(out, "loss_history.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     columns = ["iteration", "lr", "total", *TASK_NAMES]
-    writer.writerow(columns)
-    for entry in result.history:
-        writer.writerow(["" if entry.get(c) is None else entry.get(c) for c in columns])
-    _write_text_atomic(history_path, buf.getvalue())
+    _write_csv(history_path, [columns, *(["" if entry.get(c) is None else entry.get(c) for c in columns]
+                                         for entry in result.history)])
 
     print(json.dumps({
         "iterations_run": result.iterations_run,
@@ -304,14 +323,7 @@ def cmd_detect(args) -> int:
     score_threshold = config.thresholds["score"] if args.score_threshold is None else args.score_threshold
     nms_iou = config.thresholds["nms_iou"] if args.nms_iou is None else args.nms_iou
 
-    if os.path.isdir(args.images):
-        files = sorted(
-            os.path.join(args.images, f) for f in os.listdir(args.images) if f.endswith(".ppm")
-        )
-    else:
-        files = [args.images]
-    if not files:
-        raise CliError(f"no .ppm images found under {args.images}")
+    files = _input_files(args.images, ".ppm", "images") if os.path.isdir(args.images) else [args.images]
 
     if args.seg_output:
         os.makedirs(args.seg_output, exist_ok=True)
@@ -319,7 +331,7 @@ def cmd_detect(args) -> int:
     records = []
     for path in files:
         image = read_ppm(path)
-        image_id = os.path.splitext(os.path.basename(path))[0]
+        image_id = _stem(path)
         _, h, w = image.shape
         if (w, h) not in grids:
             grids[(w, h)] = make_anchor_grid(w, h, DOWNSAMPLE, config.templates)
@@ -346,38 +358,23 @@ def cmd_detect(args) -> int:
 
 # -- eval-seg -----------------------------------------------------------------
 
-def _read_map_sized_as(gt: np.ndarray, kind: str, path: str) -> np.ndarray:
-    """The map at ``path``, which must have the size of its ground-truth label map ``gt``."""
-    array = read_pgm(path)
-    if array.shape != gt.shape:
-        raise CliError(f"{kind} {path}: size {array.shape[1]}x{array.shape[0]} "
-                       f"differs from its ground truth's {gt.shape[1]}x{gt.shape[0]}")
-    return array
-
-
 def cmd_eval_seg(args) -> int:
     table = _load_class_table(args.class_table)
-    gt_files = sorted(f for f in os.listdir(args.gt) if f.endswith(".pgm"))
-    if not gt_files:
-        raise CliError(f"no .pgm label maps under {args.gt}")
+    gt_files = _input_files(args.gt, ".pgm", "label maps")
 
     n = table.num_classes
     confusion = np.zeros((n, n), dtype=np.int64)
     instanceable = table.instanceable_ids()
     stats: dict[int, list[tuple[int, int]]] = {c: [] for c in instanceable}
-    for name in gt_files:
-        gt_path = os.path.join(args.gt, name)
-        pred_path = os.path.join(args.pred, name)
-        if not os.path.exists(pred_path):
-            raise CliError(f"missing prediction {pred_path}")
+    for gt_path in gt_files:
+        name = os.path.basename(gt_path)
         gt = read_pgm(gt_path)
-        pred = _read_map_sized_as(gt, "label map", pred_path)
+        pred_path = os.path.join(args.pred, name)
+        pred = _read_map_sized_as(gt.shape, "label map", pred_path, "its ground truth")
         instances = None
         if args.instances:
-            instance_path = os.path.join(args.instances, name)
-            if not os.path.exists(instance_path):
-                raise CliError(f"missing instance map {instance_path}")
-            instances = _read_map_sized_as(gt, "instance map", instance_path)
+            instances = _read_map_sized_as(gt.shape, "instance map", os.path.join(args.instances, name),
+                                           "its ground truth")
         try:
             confusion += seg_confusion(pred, gt, n)
             if instances is not None:
@@ -409,9 +406,7 @@ def cmd_eval_seg(args) -> int:
         },
         "images": len(gt_files),
     }
-    text = json.dumps(report, indent=1) + "\n"
-    _write_text_atomic(args.output, text)
-    print(text, end="")
+    print(_write_json(args.output, report), end="")
     return 0
 
 
@@ -422,26 +417,20 @@ def cmd_eval_det(args) -> int:
     try:
         with open(args.detections, "r", encoding="utf-8") as fh:
             dets_by_image = detections_from_jsonl(fh.read())
+        max_class = max((int(dets.class_ids.max()) for dets in dets_by_image.values() if len(dets)),
+                        default=-1)
+        if max_class >= table.num_detection_classes:
+            raise ValueError(f"class id {max_class} exceeds the class table "
+                             f"({table.num_detection_classes} detection classes)")
     except ValueError as exc:
         raise CliError(f"detections {args.detections}: {exc}") from exc
 
-    ann_files = sorted(f for f in os.listdir(args.annotations) if f.endswith(".json"))
-    if not ann_files:
-        raise CliError(f"no annotation files under {args.annotations}")
-    gts_by_image = {}
-    for name in ann_files:
-        ann = load_annotation(os.path.join(args.annotations, name))
-        gts_by_image[os.path.splitext(name)[0]] = boxes_from_polygons(ann, table)
-
+    gts_by_image = {_stem(path): load_ground_truth(path, table)[1]
+                    for path in _input_files(args.annotations, ".json", "annotations")}
     unknown = set(dets_by_image) - set(gts_by_image)
     if unknown:
-        raise CliError(f"detections reference unknown image ids: {sorted(unknown)[:5]}")
-
-    max_class = max((int(dets.class_ids.max()) for dets in dets_by_image.values() if len(dets)),
-                    default=-1)
-    if max_class >= table.num_detection_classes:
-        raise CliError(f"detection class id {max_class} exceeds the class table "
-                       f"({table.num_detection_classes} detection classes)")
+        raise CliError(f"detections {args.detections}: image ids {sorted(unknown)[:5]} have no annotation "
+                       f"under {args.annotations}")
 
     levels = kitti_levels() if args.mode == "kitti" else cityscapes_adjusted_levels()
     thresholds = {det_id: DEFAULT_IOU_THRESHOLDS.get(name, 0.5) for det_id, name in enumerate(table.detection)}
@@ -454,19 +443,12 @@ def cmd_eval_det(args) -> int:
             for c in sorted(curves)
         },
     }
-    text = json.dumps(report, indent=1) + "\n"
-    _write_text_atomic(args.output, text)
-    print(text, end="")
+    print(_write_json(args.output, report), end="")
     if args.pr_curves:
         for c in sorted(curves):
             for level in levels:
-                curve = curves[c][level.name]
-                buf = io.StringIO()
-                writer = csv.writer(buf)
-                writer.writerow(["recall", "precision"])
-                writer.writerows(curve.points)
-                out = os.path.join(args.pr_curves, f"pr_{table.detection[c]}_{level.name}.csv")
-                _write_text_atomic(out, buf.getvalue())
+                _write_csv(os.path.join(args.pr_curves, f"pr_{table.detection[c]}_{level.name}.csv"),
+                           [("recall", "precision"), *curves[c][level.name].points])
     return 0
 
 

@@ -7,6 +7,8 @@ header, per the format family conventions.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ..net.checkpoint import write_atomic
@@ -45,52 +47,41 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
-def _read_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:
+# Three header fields (width, height, maxval), each led by whitespace or
+# "#" comments and ended by one whitespace byte, which after maxval ends the
+# header. A comment runs to the end of its line: it never gives back a digit.
+_HEADER = re.compile(3 * rb"(?:\s|#[^\r\n]*(?![^\r\n]))*(\d+)(?:\s|\Z)")
+
+
+def _read_raster(path: str, magic: bytes, channels: int) -> np.ndarray:
+    """The raster of the netpbm file at ``path`` as a read-only (H, W, channels) uint8 array.
+
+    Every error names the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:2] != magic:
         raise ValueError(f"not a {magic.decode()} file: {path}")
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token.isdigit():
-            raise ValueError(f"malformed header in {path}")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte before the raster
-    w, h, maxval = fields
+    header = _HEADER.match(data, 2)
+    if header is None:
+        raise ValueError(f"malformed header in {path}")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ValueError(f"only 8-bit images are supported, got maxval {maxval} in {path}")
-    return w, h, pos
+    if not w or not h:
+        raise ValueError(f"empty {w}x{h} raster in {path}")
+    expected = w * h * channels
+    raster = data[header.end() : header.end() + expected]
+    if len(raster) != expected:
+        raise ValueError(f"truncated raster in {path}")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, channels)
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Read a P6 file into a float64 (3, H, W) array scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    w, h, pos = _read_header(data, b"P6", path)
-    expected = w * h * 3
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
-        raise ValueError(f"truncated raster in {path}")
-    img = np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return img.astype(np.float64) / 255.0
+    return _read_raster(path, b"P6", 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def read_pgm(path: str) -> np.ndarray:
     """Read a P5 file into a (H, W) uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    w, h, pos = _read_header(data, b"P5", path)
-    expected = w * h
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
-        raise ValueError(f"truncated raster in {path}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
+    return _read_raster(path, b"P5", 1)[:, :, 0].copy()

@@ -432,6 +432,36 @@ class TestDetectCommand:
         assert code == 1
         assert err == f"error: checkpoint {checkpoint}: unsupported checkpoint version 1 (expected 2)\n"
 
+    def test_duplicated_tensor_name_rejected_at_load(self, capsys, tmp_path):
+        # save_checkpoint writes whatever name/array pairs its mapping yields,
+        # so a mapping that yields one name twice crafts such a file
+        class Pairs:
+            def __init__(self, pairs):
+                self.pairs = pairs
+
+            def __len__(self):
+                return len(self.pairs)
+
+            def items(self):
+                return iter(self.pairs)
+
+        checkpoint, image = write_checkpoint(tmp_path)
+        config, tensors = load_checkpoint(checkpoint)
+        # a second, equal copy: without the check it loads and detect exits 0
+        twice = Pairs([*tensors.items(), ("backbone.0.weight", tensors["backbone.0.weight"])])
+        save_checkpoint(checkpoint, config, twice)
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: checkpoint {checkpoint}: tensor 'backbone.0.weight' appears twice\n"
+
+    def test_empty_image_names_the_file(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(tmp_path)
+        with open(image, "wb") as fh:
+            fh.write(b"P6\n16 0\n255\n")
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: empty 16x0 raster in {image}\n"
+
     # The flags are checked while parsing, before the checkpoint is read:
     # out-of-range values are usage errors (exit 2), in-range values get as
     # far as the missing checkpoint (exit 1).
@@ -692,7 +722,7 @@ class TestEvalSegCommand:
         code, out, err = run(capsys, "eval-seg", "--pred", dirs["prediction"], "--gt", dirs["gt"],
                              "--instances", dirs["instance map"], "--output", report_path)
         assert code == 1 and out == "" and not os.path.exists(report_path)
-        assert err == f"error: missing {missing} {os.path.join(dirs[missing], 'a.pgm')}\n"
+        assert err == f"error: {os.path.join(dirs[missing], 'a.pgm')}: No such file or directory\n"
 
     @pytest.mark.parametrize("faulty, kind", [("prediction", "label map"), ("instance map", "instance map")])
     def test_size_mismatch_names_the_file_at_fault(self, capsys, tmp_path, faulty, kind):
@@ -736,10 +766,39 @@ class TestEvalDetCommand:
                            "--annotations", str(tmp_path / "annotations"),
                            "--output", str(tmp_path / "report.json"))
         assert code == 0
-        assert err == "warning: boxes_from_polygons: dropped 1 degenerate (zero-area) polygon(s)\n"
+        annotation = tmp_path / "annotations" / "000.json"
+        assert err == f"warning: annotation {annotation}: dropped 1 degenerate (zero-area) polygon(s)\n"
         # the handler lives for one call, and records still propagate to other handlers
         assert logging.getLogger("detseg").handlers == handlers
         assert "dropped 1 degenerate" in caplog.text
+
+    @staticmethod
+    def eval_det_on(capsys, tmp_path, detection=None, objects=(ONE_RECT,)):
+        """eval-det of one detection line against the annotation of ``objects``, which must fail.
+
+        Returns the annotation's path, the detection file's and stderr.
+        """
+        os.makedirs(tmp_path / "annotations")
+        annotation = write_json(tmp_path / "annotations" / "000.json",
+                                {"image_width": 16, "image_height": 16, "objects": list(objects)})
+        detections = str(tmp_path / "det.jsonl")
+        with open(detections, "w") as fh:
+            fh.write(json.dumps({"image_id": "000", "class": 0, "score": 0.9, "x_min": 1, "y_min": 1,
+                                 "x_max": 10, "y_max": 10, "embedding": [], **(detection or {})}) + "\n")
+        report_path = str(tmp_path / "report.json")
+        code, out, err = run(capsys, "eval-det", "--detections", detections,
+                             "--annotations", str(tmp_path / "annotations"), "--output", report_path)
+        assert code == 1 and out == "" and not os.path.exists(report_path)
+        return annotation, detections, err
+
+    def test_class_beyond_the_table_names_the_detections_file(self, capsys, tmp_path):
+        _, detections, err = self.eval_det_on(capsys, tmp_path, {"class": 7})
+        assert err == f"error: detections {detections}: class id 7 exceeds the class table (2 detection classes)\n"
+
+    def test_unknown_image_id_names_the_detections_file(self, capsys, tmp_path):
+        _, detections, err = self.eval_det_on(capsys, tmp_path, {"image_id": "001"})
+        assert err == (f"error: detections {detections}: image ids ['001'] have no annotation "
+                       f"under {tmp_path / 'annotations'}\n")
 
     def test_malformed_detection_names_the_file(self, capsys, tmp_path):
         os.makedirs(tmp_path / "annotations")
@@ -762,6 +821,60 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "all suites passed" in out
+
+
+class TestInputErrorsNameTheirFile:
+    """Each reader's error names the file at fault, whichever command reads it."""
+
+    TRUCK = {"label": "truck", "polygon": [[1, 1], [10, 10]], "instance_id": 2}
+    UNKNOWN_LABEL = "unknown label 'truck' (known: ['background', 'rect', 'ellipse'])"
+
+    def test_unknown_label_through_assign(self, capsys, tmp_path):
+        annotation = write_json(tmp_path / "ann.json",
+                                {"image_width": 16, "image_height": 16, "objects": [ONE_RECT, self.TRUCK]})
+        out_path = os.path.join(tmp_path, "t.jsonl")
+        code, out, err = run(capsys, "assign", "--annotation", annotation, "--preset", "toy", "--output", out_path)
+        assert code == 1 and out == "" and not os.path.exists(out_path)
+        assert err == f"error: annotation {annotation}: {self.UNKNOWN_LABEL}\n"
+
+    def test_unknown_label_through_eval_det(self, capsys, tmp_path):
+        annotation, _, err = TestEvalDetCommand.eval_det_on(capsys, tmp_path, objects=[ONE_RECT, self.TRUCK])
+        assert err == f"error: annotation {annotation}: {self.UNKNOWN_LABEL}\n"
+
+    def test_unknown_label_through_train_toy_dataset(self, capsys, tmp_path):
+        data = TestTrainToyCommand.synth_dataset(capsys, tmp_path)
+        annotation = os.path.join(data, "annotations", "000.json")
+        with open(annotation) as fh:
+            document = json.load(fh)
+        write_json(annotation, dict(document, objects=[*document["objects"], dict(self.TRUCK, instance_id=99)]))
+        err = TestTrainToyCommand().train_on(capsys, tmp_path, data)
+        assert err == f"error: annotation {annotation}: {self.UNKNOWN_LABEL}\n"
+
+    @pytest.mark.parametrize("command", ["detect", "eval-seg", "eval-det", "train-toy"])
+    def test_directory_without_inputs_is_one_line_naming_it(self, capsys, tmp_path, command):
+        empty = os.path.join(tmp_path, "empty")
+        os.makedirs(empty)
+        out = os.path.join(tmp_path, "out")
+        if command == "detect":
+            checkpoint, _ = write_checkpoint(tmp_path)
+            argv, expected = ["--checkpoint", checkpoint, "--images", empty, "--output", out], ".ppm images"
+        elif command == "eval-seg":
+            argv, expected = ["--pred", empty, "--gt", empty, "--output", out], ".pgm label maps"
+        elif command == "eval-det":
+            detections = os.path.join(tmp_path, "det.jsonl")
+            open(detections, "w").close()
+            argv = ["--detections", detections, "--annotations", empty, "--output", out]
+            expected = ".json annotations"
+        else:
+            data = TestTrainToyCommand.synth_dataset(capsys, tmp_path)
+            empty = os.path.join(data, "images")
+            os.remove(os.path.join(empty, "000.ppm"))
+            config = write_config(tmp_path, training={"iterations": 2},
+                                  dataset={"num_images": 1, "width": 32, "height": 32, "max_size": 16})
+            argv, expected = ["--config", config, "--dataset", data, "--output-dir", out], ".ppm images"
+        code, stdout, err = run(capsys, command, *argv)
+        assert code == 1 and stdout == "" and not os.path.exists(out)
+        assert err == f"error: no {expected} under {empty}\n"
 
 
 class TestErrorShape:

@@ -14,6 +14,7 @@ from detseg.pipeline.annotations import (
     PolygonObject,
     boxes_from_polygons,
     load_annotation,
+    load_ground_truth,
     save_annotation,
 )
 from detseg.pipeline.classtable import ClassTable, synthetic_table
@@ -96,16 +97,14 @@ class TestBoxesFromPolygons:
         b = boxes_from_polygons(annotation([PolygonObject("rect", permuted, 1)]), synthetic_table())
         assert a[0].bbox == b[0].bbox
 
-    def test_degenerate_polygon_dropped(self, caplog):
+    def test_degenerate_polygon_dropped(self):
         ann = annotation([
             PolygonObject("rect", ((3, 3), (3, 3), (3, 3)), 1),
             PolygonObject("rect", ((0, 0), (5, 0), (5, 5), (0, 5)), 2),
         ])
-        with caplog.at_level("WARNING"):
-            boxes = boxes_from_polygons(ann, synthetic_table())
+        boxes = boxes_from_polygons(ann, synthetic_table())
         assert len(boxes) == 1
         assert boxes[0].instance_id == 2
-        assert any("degenerate" in r.message for r in caplog.records)
 
     def test_unknown_label_rejected(self):
         ann = annotation([PolygonObject("spome", ((0, 0), (1, 1)), 1)])
@@ -150,6 +149,39 @@ class TestBoxesFromPolygons:
                 PolygonObject("rect", ((0, 0), (1, 1)), 1),
                 PolygonObject("rect", ((2, 2), (3, 3)), 1),
             ])
+
+
+class TestLoadGroundTruth:
+    def test_degenerate_polygons_are_one_warning_naming_the_file(self, tmp_path, caplog):
+        # a point, a horizontal segment, a box and a degenerate non-detection class
+        path = os.path.join(tmp_path, "a.json")
+        save_annotation(path, annotation([
+            PolygonObject("rect", ((3, 3), (3, 3)), 1),
+            PolygonObject("ellipse", ((1, 2), (9, 2)), 2),
+            PolygonObject("rect", ((0, 0), (5, 0), (5, 5), (0, 5)), 3),
+            PolygonObject("background", ((4, 4),), 4),
+        ]))
+        with caplog.at_level("WARNING"):
+            ann, gts = load_ground_truth(path, synthetic_table())
+        assert ann == load_annotation(path)
+        assert gts == boxes_from_polygons(ann, synthetic_table())
+        assert [gt.instance_id for gt in gts] == [3]
+        assert caplog.messages == [f"annotation {path}: dropped 2 degenerate (zero-area) polygon(s)"]
+
+    def test_no_warning_without_degenerate_polygons(self, tmp_path, caplog):
+        path = os.path.join(tmp_path, "a.json")
+        save_annotation(path, annotation([PolygonObject("rect", ((0, 0), (5, 5)), 1)]))
+        with caplog.at_level("WARNING"):
+            load_ground_truth(path, synthetic_table())
+        assert caplog.messages == []
+
+    def test_unknown_label_names_the_file(self, tmp_path):
+        path = os.path.join(tmp_path, "a.json")
+        save_annotation(path, annotation([PolygonObject("truck", ((0, 0), (5, 5)), 1)]))
+        with pytest.raises(ValueError) as info:
+            load_ground_truth(path, synthetic_table())
+        assert str(info.value) == (f"annotation {path}: unknown label 'truck' "
+                                   "(known: ['background', 'rect', 'ellipse'])")
 
 
 class TestSynthScenes:
@@ -258,6 +290,14 @@ class TestNetpbm:
             fh.write(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
         assert np.array_equal(read_pgm(path), np.array([[1, 2], [3, 4]], dtype=np.uint8))
 
+    # comments before any field, holding digits, ended by \n or \r
+    @pytest.mark.parametrize("header", [b"P5#7 7\n2\t2 #9\r255\r", b"P5 2\n#\n2\n# 3 3 3\n255 "])
+    def test_reader_accepts_comments_before_any_field(self, tmp_path, header):
+        path = os.path.join(tmp_path, "c.pgm")
+        with open(path, "wb") as fh:
+            fh.write(header + bytes([1, 2, 3, 4]))
+        assert np.array_equal(read_pgm(path), np.array([[1, 2], [3, 4]], dtype=np.uint8))
+
     def test_reader_rejects_wrong_magic_and_depth(self, tmp_path):
         path = os.path.join(tmp_path, "bad.pgm")
         with open(path, "wb") as fh:
@@ -268,6 +308,25 @@ class TestNetpbm:
             fh.write(b"P5\n2 2\n65535\n" + bytes(8))
         with pytest.raises(ValueError):
             read_pgm(path)
+
+    def test_comment_digits_are_no_header_field(self, tmp_path):
+        # the maxval is missing: the "255" belongs to the comment
+        path = os.path.join(tmp_path, "c.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5 2 2 # 255 \n" + bytes(4))
+        with pytest.raises(ValueError, match="malformed header"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("magic, reader", [(b"P5", read_pgm), (b"P6", read_ppm)])
+    @pytest.mark.parametrize("size", [b"16 0", b"0 16", b"0 0"])
+    def test_empty_raster_rejected_naming_the_file(self, tmp_path, magic, reader, size):
+        path = os.path.join(tmp_path, "e.pnm")
+        with open(path, "wb") as fh:
+            fh.write(magic + b"\n" + size + b"\n255\n")
+        width, height = size.decode().split()
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == f"empty {width}x{height} raster in {path}"
 
     def test_truncated_raster_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "t.pgm")
