@@ -97,7 +97,10 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValueError(f"checkpoint {path}: malformed config JSON: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u64()):
-        name = str(reader.take(reader.u32()), "utf-8")
+        try:
+            name = str(reader.take(reader.u32()), "utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"checkpoint {path}: tensor name is not UTF-8") from None
         if name in tensors:
             raise ValueError(f"checkpoint {path}: tensor {name!r} appears twice")
         ndim = reader.u32()

@@ -16,6 +16,11 @@ matrix). A layer may write into arrays it allocated itself. A 1x1 stride-1
 convolution needs no gather either way: ``im2col`` returns its input
 reshaped and ``col2im`` its columns reshaped, with no copy and no zero-fill.
 
+A depthwise convolution gathers its columns in blocks of channels of at most
+``COL_BLOCK`` values. When the whole column matrix fits one block, a training
+forward caches it; above that budget it caches the padded input (the input
+itself for a 1x1 kernel), and ``backward`` gathers each block again.
+
 A ``Param``'s ``data`` and ``grad`` may be views of one buffer shared by a
 whole model (:func:`pack_params`), which the optimizer updates and
 ``zero_grad`` clears in one pass. Write into them in place (``p.data[...] =
@@ -48,6 +53,11 @@ __all__ = [
     "ResidualBlock",
     "Sequential",
 ]
+
+# Float64 values in one block of depthwise columns: 2 MiB, one L2 cache on
+# the 2-core box it was sized on, so a block stays cached between the gather
+# that writes it and the einsum that reads it.
+COL_BLOCK = 2**18
 
 
 class Param:
@@ -265,7 +275,25 @@ class Conv2d(Layer):
 
 
 class DepthwiseConv2d(Layer):
-    """Per-channel spatial convolution (no channel mixing), stride 1, no bias."""
+    """Per-channel spatial convolution (no channel mixing), stride 1, no bias.
+
+    The k * k column matrix is gathered in blocks of whole channels of at
+    most ``COL_BLOCK`` values each (at least one channel), and each block's
+    ``einsum`` fills its channels of a preallocated output. A layer whose
+    whole column matrix fits one block gathers it once, and a training
+    forward keeps it for the weight gradient. Above the budget a training
+    forward keeps the padded input instead, and ``backward`` gathers each
+    block again, for the weight gradient and for the input gradient.
+
+    Each output and input-gradient entry is the same sum in the same order
+    either way, so blocking changes none of their bits. So is each
+    weight-gradient entry for one image and a kernel wider than 1 (every
+    training step and depthwise layer in this package), and for maps of at
+    most 8,192 pixels. Beyond that numpy's buffered ``einsum`` splits the
+    sum over images and pixels at its 8,192-element buffer boundaries, whose
+    places depend on the channel count, so a blocked weight gradient may
+    differ from a one-block one in the last bits.
+    """
 
     def __init__(self, channels: int, kernel: int, dilation: int = 1, *, rng: np.random.Generator):
         if kernel % 2 == 0:
@@ -279,15 +307,44 @@ class DepthwiseConv2d(Layer):
     def local_params(self):
         return [("weight", self.weight)]
 
+    def _blocks(self, geo: _ConvGeometry, n: int) -> list[slice]:
+        """Channel slices whose columns hold at most ``COL_BLOCK`` values each, at least one channel."""
+        per_channel = n * self.kernel * self.kernel * geo.out_h * geo.out_w
+        step = max(1, COL_BLOCK // max(per_channel, 1))
+        return [slice(lo, lo + step) for lo in range(0, self.channels, step)]
+
+    def _columns(self, geo: _ConvGeometry, xp: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """The (N, C, k * k, L) columns of the padded ``xp``, taps in reverse order if ``reverse``."""
+        n, c = xp.shape[:2]
+        cols4 = geo.im2col(xp).reshape(n, c, self.kernel * self.kernel, -1)
+        return cols4[:, :, ::-1] if reverse else cols4
+
+    def _correlate(self, geo: _ConvGeometry, xp: np.ndarray, blocks: list[slice],
+                   reverse: bool = False) -> np.ndarray:
+        """``sum_t w[c, t] * cols[n, c, t, l]`` over the columns of ``xp``, block by block: (N, C, L)."""
+        n, c = xp.shape[:2]
+        w2 = self.weight.data.reshape(c, -1)
+        if len(blocks) == 1:
+            return np.einsum("ck,nckl->ncl", w2, self._columns(geo, xp, reverse))
+        y = np.empty((n, c, geo.out_h * geo.out_w))
+        for b in blocks:
+            np.einsum("ck,nckl->ncl", w2[b], self._columns(geo, xp[:, b], reverse), out=y[:, b])
+        return y
+
     def forward(self, x, training=False):
         n, c, h, w = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} input channels, got {c}")
         geo = _ConvGeometry(h, w, self.kernel, 1, self.dilation)
-        cols4 = geo.im2col(geo.pad(x)).reshape(n, c, self.kernel * self.kernel, -1)
-        w2 = self.weight.data.reshape(c, -1)
-        y = np.einsum("ck,nckl->ncl", w2, cols4)
-        self._cache = (geo, cols4) if training else None
+        xp = geo.pad(x)
+        blocks = self._blocks(geo, n)
+        if training and len(blocks) == 1:
+            cols4 = self._columns(geo, xp)
+            y = np.einsum("ck,nckl->ncl", self.weight.data.reshape(c, -1), cols4)
+            self._cache = (geo, blocks, cols4)
+        else:
+            y = self._correlate(geo, xp, blocks)
+            self._cache = (geo, blocks, xp) if training else None
         return y.reshape(n, c, geo.out_h, geo.out_w)
 
     def backward(self, dy):
@@ -304,13 +361,17 @@ class DepthwiseConv2d(Layer):
         that reads the padding adds a signed zero, which changes no sum that
         started at +0.0.
         """
-        geo, cols4 = self._saved()
+        geo, blocks, saved = self._saved()
         n, c = dy.shape[:2]
-        k = self.kernel
         dym = dy.reshape(n, c, -1)
-        self.weight.grad += np.einsum("ncl,nckl->ck", dym, cols4).reshape(self.weight.data.shape)
-        dcols = geo.im2col(geo.pad(dy)).reshape(n, c, k * k, -1)[:, :, ::-1]
-        dx = np.einsum("ck,nckl->ncl", self.weight.data.reshape(c, -1), dcols)
+        if len(blocks) == 1:  # saved is the column matrix
+            self.weight.grad += np.einsum("ncl,nckl->ck", dym, saved).reshape(self.weight.data.shape)
+        else:  # saved is the padded input
+            dw = np.empty((c, self.kernel * self.kernel))
+            for b in blocks:
+                np.einsum("ncl,nckl->ck", dym[:, b], self._columns(geo, saved[:, b]), out=dw[b])
+            self.weight.grad += dw.reshape(self.weight.data.shape)
+        dx = self._correlate(geo, geo.pad(dy), blocks, reverse=True)
         return dx.reshape(n, c, geo.in_h, geo.in_w)
 
 

@@ -325,10 +325,9 @@ def cmd_detect(args) -> int:
 
     files = _input_files(args.images, ".ppm", "images") if os.path.isdir(args.images) else [args.images]
 
-    if args.seg_output:
-        os.makedirs(args.seg_output, exist_ok=True)
     grids = {}
     records = []
+    label_maps = []
     for path in files:
         image = read_ppm(path)
         image_id = _stem(path)
@@ -347,9 +346,13 @@ def cmd_detect(args) -> int:
         except ValueError as exc:
             raise CliError(f"image {path}: {exc}") from exc
         if args.seg_output:
-            predicted = per_image["seg_logits"].argmax(axis=0).astype(np.uint8)
-            write_pgm(os.path.join(args.seg_output, image_id + ".pgm"), predicted)
+            label_maps.append((image_id, per_image["seg_logits"].argmax(axis=0).astype(np.uint8)))
 
+    # written only once every image has run, so a failing image leaves no files
+    if args.seg_output:
+        os.makedirs(args.seg_output, exist_ok=True)
+        for image_id, predicted in label_maps:
+            write_pgm(os.path.join(args.seg_output, image_id + ".pgm"), predicted)
     _write_text_atomic(args.output, detections_to_jsonl(records))
     count = sum(len(dets) for _, dets in records)
     print(json.dumps({"images": len(files), "detections": count, "output": args.output}))

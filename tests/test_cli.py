@@ -462,6 +462,34 @@ class TestDetectCommand:
         assert code == 1
         assert err == f"error: empty 16x0 raster in {image}\n"
 
+    def test_non_utf8_tensor_name_names_the_checkpoint(self, capsys, tmp_path):
+        checkpoint, image = write_checkpoint(tmp_path)
+        with open(checkpoint, "r+b") as fh:
+            fh.seek(8)  # past the magic and the version
+            (config_length,) = struct.unpack("<Q", fh.read(8))
+            fh.seek(16 + config_length + 8 + 4)  # past the config, the tensor count and the name length
+            fh.write(b"\xff")
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: checkpoint {checkpoint}: tensor name is not UTF-8\n"
+
+    def test_failing_image_leaves_no_label_maps(self, capsys, tmp_path):
+        # the first image runs, the second fails: neither its label map nor the JSONL is written
+        checkpoint, image = write_checkpoint(tmp_path)
+        images = os.path.join(tmp_path, "images")
+        os.makedirs(images)
+        os.replace(image, os.path.join(images, "000.ppm"))
+        bad = os.path.join(images, "001.ppm")
+        with open(bad, "wb") as fh:
+            fh.write(b"P6\n16 0\n255\n")
+        out_path, seg = os.path.join(tmp_path, "dets.jsonl"), os.path.join(tmp_path, "seg")
+        code, out, err = run(capsys, "detect", "--checkpoint", checkpoint, "--images", images,
+                             "--output", out_path, "--seg-output", seg)
+        assert (code, out, err) == (1, "", f"error: empty 16x0 raster in {bad}\n")
+        assert not os.path.exists(os.path.join(seg, "000.pgm"))
+        assert not os.path.exists(seg)
+        assert not os.path.exists(out_path)
+
     # The flags are checked while parsing, before the checkpoint is read:
     # out-of-range values are usage errors (exit 2), in-range values get as
     # far as the missing checkpoint (exit 1).

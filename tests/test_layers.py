@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from detseg.net import layers
 from detseg.net.layers import (
     _ConvGeometry,
     BatchNorm2d,
@@ -86,6 +89,18 @@ CONV_CASES = [
 ]
 
 
+def force_blocks(monkeypatch, per_block, shape, kernel):
+    """Make a depthwise forward on ``shape`` gather ``per_block`` channels per block; None keeps ``COL_BLOCK``."""
+    if per_block is not None:
+        n, _, h, w = shape
+        monkeypatch.setattr(layers, "COL_BLOCK", per_block * n * kernel * kernel * h * w)
+
+
+# channels per depthwise column block: the module's budget (one block at
+# these sizes), one channel, and two, which divides none of the 3 or 5 channels
+BLOCKINGS = [None, 1, 2]
+
+
 class TestConvolutionOracle:
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("case", CONV_CASES)
@@ -97,21 +112,25 @@ class TestConvolutionOracle:
         expected = conv2d_oracle(x, conv.weight.data, conv.bias.data, stride, dilation)
         np.testing.assert_allclose(conv.forward(x, training), expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("per_block", BLOCKINGS)
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("dilation, h, w", [(1, 5, 7), (2, 6, 5), (3, 8, 9)])
-    def test_depthwise_matches_direct_loop(self, dilation, h, w, training):
+    def test_depthwise_matches_direct_loop(self, dilation, h, w, training, per_block, monkeypatch):
         depthwise = DepthwiseConv2d(3, 3, dilation=dilation, rng=rng_for(53))
         x = rng_for(54).standard_normal((2, 3, h, w))
+        force_blocks(monkeypatch, per_block, x.shape, 3)
         expected = depthwise_oracle(x, depthwise.weight.data, dilation)
         assert depthwise.forward(x, training).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("per_block", BLOCKINGS)
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     @pytest.mark.parametrize("dilation", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_depthwise_input_grad_matches_direct_loop(self, n, dilation, kernel):
+    def test_depthwise_input_grad_matches_direct_loop(self, n, dilation, kernel, per_block, monkeypatch):
         # dy on a half-unit grid, with exact zeros of both signs and a negative in every case
         depthwise = DepthwiseConv2d(3, kernel, dilation=dilation, rng=rng_for(55))
         for h, w in [(1, 1), (1, 6), (2, 9), (3, 3), (4, 7), (5, 5), (6, 2), (7, 8), (8, 1), (9, 9)]:
+            force_blocks(monkeypatch, per_block, (n, 3, h, w), kernel)
             depthwise.forward(rng_for(56).standard_normal((n, 3, h, w)), training=True)
             dy = np.round(2.0 * rng_for(57).standard_normal((n, 3, h, w))) / 2.0
             dy[:, 0, 0, 0], dy[:, 1, -1, -1], dy[:, 2, 0, 0] = -0.0, -1.5, 0.0
@@ -148,6 +167,88 @@ class TestIm2col:
             strided[...] = xp
             for view in (xp, strided, np.asfortranarray(xp)):
                 assert geo.im2col(view).tobytes() == expected, (h, w, view.strides)
+
+
+def depthwise_run(layer, x, dy):
+    """Bytes of the eval forward, the training forward, the weight gradient and the input gradient."""
+    y_eval = layer.forward(x).tobytes()
+    y_train = layer.forward(x, training=True).tobytes()
+    layer.weight.grad[...] = 0.0
+    dx = layer.backward(dy)
+    return y_eval, y_train, layer.weight.grad.tobytes(), dx.tobytes()
+
+
+def signed_zeros(shape, seed):
+    """Normal values with every third one -0.0 and every sixth, from the second, +0.0."""
+    v = rng_for(seed).standard_normal(shape)
+    v.reshape(-1)[::3] = -0.0
+    v.reshape(-1)[1::6] = 0.0
+    return v
+
+
+class TestDepthwiseBlocks:
+    """Columns gathered in channel blocks give the bits of one whole-matrix gather."""
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blocked_equals_one_block(self, n, dilation, kernel, per_block, monkeypatch):
+        layer = DepthwiseConv2d(5, kernel, dilation=dilation, rng=rng_for(70))
+        for h, w in [(1, 1), (1, 6), (3, 5), (7, 4), (9, 9)]:
+            x, dy = signed_zeros((n, 5, h, w), 71), signed_zeros((n, 5, h, w), 72)
+            monkeypatch.setattr(layers, "COL_BLOCK", 2**62)
+            whole = depthwise_run(layer, x, dy)
+            assert len(layer._cache[1]) == 1
+            force_blocks(monkeypatch, per_block, x.shape, kernel)
+            assert depthwise_run(layer, x, dy) == whole, (h, w)
+            assert len(layer._cache[1]) == -(-5 // per_block)
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blocked_eval_forward_passes_inf_and_nan(self, n, per_block, monkeypatch):
+        layer = DepthwiseConv2d(5, 3, dilation=2, rng=rng_for(73))
+        x = signed_zeros((n, 5, 7, 9), 74)
+        x.reshape(-1)[2::7] = np.inf
+        x.reshape(-1)[4::11] = -np.inf
+        x.reshape(-1)[5::13] = np.nan
+        monkeypatch.setattr(layers, "COL_BLOCK", 2**62)
+        whole = layer.forward(x)
+        assert np.isnan(whole).any() and np.isinf(whole).any()
+        force_blocks(monkeypatch, per_block, x.shape, 3)
+        assert layer.forward(x).tobytes() == whole.tobytes()
+
+    def test_one_large_map_blocked_equals_one_block(self, monkeypatch):
+        # 91 x 97 = 8,827 outputs per channel, more than numpy's 8,192-element
+        # buffer, which einsum's weight-gradient reduction is split by
+        layer = DepthwiseConv2d(3, 3, rng=rng_for(75))
+        x, dy = signed_zeros((1, 3, 91, 97), 76), signed_zeros((1, 3, 91, 97), 77)
+        monkeypatch.setattr(layers, "COL_BLOCK", 2**62)
+        whole = depthwise_run(layer, x, dy)
+        force_blocks(monkeypatch, 2, x.shape, 3)
+        assert depthwise_run(layer, x, dy) == whole
+
+    def test_finite_differences_in_blocks_of_one_channel(self, monkeypatch):
+        monkeypatch.setattr(layers, "COL_BLOCK", 1)
+        results = check_layer_gradients(instances=3, seed=42)
+        assert {"depthwise_conv", "depthwise_dilated"} <= {name for name, _, _ in results}
+        for name, err, ok in results:
+            assert ok, f"{name}: max relative error {err:.3e}"
+
+    def test_eval_forward_memory_is_bounded_by_the_block(self):
+        # at the whole-matrix gather this layer's columns alone took
+        # 16 * 9 * 64 * 128 * 8 B = 9.4 MB
+        layer = DepthwiseConv2d(16, 3, rng=rng_for(78))
+        x = rng_for(79).standard_normal((1, 16, 64, 128))
+        padded, output = 16 * 66 * 130 * 8, x.nbytes
+        slack = 64 * 1024  # Python objects, views and array headers
+        tracemalloc.start()
+        try:
+            layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded + output + 8 * layers.COL_BLOCK + slack
 
 
 class TestAlgebraicIdentities:
