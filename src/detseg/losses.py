@@ -2,14 +2,15 @@
 
 Every loss returns ``(value, gradient)`` where the gradient is taken with
 respect to the raw network outputs (logits, deltas, embeddings). Reductions
-are means over the contributing elements so magnitudes do not depend on how
-many anchors or pixels an image happens to have. Excluded elements (ignore
-labels, inactive anchors) contribute neither to the value nor the gradient.
+are means over the rows a loss is given, so magnitudes do not depend on how
+many anchors or pixels an image happens to have. A loss counts every row it
+is given: :func:`detseg.net.train.objective` alone picks the rows that count
+(anchors that are not don't-care, active anchors, labelled pixels), and a
+loss rejects with ValueError an input it cannot average.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,8 +33,6 @@ __all__ = [
     "kendall_total",
     "poly_lr",
 ]
-
-log = logging.getLogger(__name__)
 
 # Per-anchor objectness labels.
 FOREGROUND = 1
@@ -68,31 +67,27 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def focal_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Focal loss on two-way softmax objectness logits.
+    """Focal loss on two-way softmax objectness logits, averaged over the given anchors.
 
-    ``logits`` is (A, 2) with channel 0 = background, channel 1 = foreground;
-    ``targets`` is (A,) holding FOREGROUND, BACKGROUND or IGNORE. The loss is
-    the mean over non-ignored anchors of ``-FOCAL_ALPHA * (1 - p_t)^FOCAL_GAMMA * ln p_t``
+    ``logits`` is (N, 2) with N >= 1, channel 0 = background and channel 1 =
+    foreground; ``targets`` is (N,) holding FOREGROUND or BACKGROUND. The loss
+    is the mean over the rows of ``-FOCAL_ALPHA * (1 - p_t)^FOCAL_GAMMA * ln p_t``
     with ``p_t`` the probability of the labeled side.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets)
-    if logits.ndim != 2 or logits.shape[1] != 2:
-        raise ValueError(f"expected (A, 2) logits, got {logits.shape}")
+    if logits.ndim != 2 or logits.shape[1] != 2 or logits.shape[0] == 0:
+        raise ValueError(f"expected (N, 2) logits with N >= 1, got {logits.shape}")
     if targets.shape != (logits.shape[0],):
         raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
+    bad = (targets != FOREGROUND) & (targets != BACKGROUND)
+    if bad.any():
+        raise ValueError(f"objectness targets {np.unique(targets[bad]).tolist()} are neither FOREGROUND nor BACKGROUND")
 
-    grad = np.zeros_like(logits)
-    mask = targets != IGNORE
-    n = int(mask.sum())
-    if n == 0:
-        log.warning("focal_loss: every anchor is don't-care; returning zero loss")
-        return 0.0, grad
-
-    z = logits[mask]
-    t = targets[mask].astype(np.int64)
-    lp = _log_softmax(z)
-    rows = np.arange(len(t))
+    t = targets.astype(np.int64)
+    n = len(t)
+    lp = _log_softmax(logits)
+    rows = np.arange(n)
     lp_t = lp[rows, t]
     p_t = np.exp(lp_t)
     one_m = 1.0 - p_t
@@ -103,85 +98,60 @@ def focal_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarr
     # d/dz_t of -alpha (1-p)^gamma ln p, written without divisions so the
     # p -> 0 and p -> 1 endpoints stay finite.
     g_t = alpha * (gamma * p_t * one_m**gamma * lp_t - one_m ** (gamma + 1.0))
-    g = np.zeros_like(z)
-    g[rows, t] = g_t / n
-    g[rows, 1 - t] = -g_t / n
-    grad[mask] = g
+    grad = np.zeros_like(logits)
+    grad[rows, t] = g_t / n
+    grad[rows, 1 - t] = -g_t / n
     return loss, grad
 
 
-def cross_entropy(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    ignore: int = -1,
-) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over non-ignored rows of (M, C) logits."""
+def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the rows of (N, C) logits, N >= 1, for class ids in [0, C)."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ValueError(f"expected (M, C) logits with C >= 2, got {logits.shape}")
+    if logits.ndim != 2 or logits.shape[1] < 2 or logits.shape[0] == 0:
+        raise ValueError(f"expected (N, C) logits with N >= 1 and C >= 2, got {logits.shape}")
     if targets.shape != (logits.shape[0],):
         raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
 
     n_classes = logits.shape[1]
-    mask = targets != ignore
-    grad = np.zeros_like(logits)
-    n = int(mask.sum())
-    if n == 0:
-        log.warning("cross_entropy: every element is ignored; returning zero loss")
-        return 0.0, grad
-
-    t = targets[mask].astype(np.int64)
+    t = targets.astype(np.int64)
     if np.any(t < 0) or np.any(t >= n_classes):
         bad = t[(t < 0) | (t >= n_classes)]
         raise ValueError(f"target ids {np.unique(bad).tolist()} out of range for {n_classes} classes")
 
-    lp = _log_softmax(logits[mask])
-    rows = np.arange(len(t))
+    n = len(t)
+    lp = _log_softmax(logits)
+    rows = np.arange(n)
     loss = float(np.mean(-lp[rows, t]))
-    g = np.exp(lp)
-    g[rows, t] -= 1.0
-    grad[mask] = g / n
-    return loss, grad
+    grad = np.exp(lp)
+    grad[rows, t] -= 1.0
+    return loss, grad / n
 
 
-def smooth_l1(
-    pred: np.ndarray,
-    target: np.ndarray,
-    active: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Huber-style box regression loss, averaged over active anchors.
+def smooth_l1(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Huber-style box regression loss, averaged over the N >= 1 rows of (N, 4) deltas.
 
-    Per active anchor the four delta components contribute
+    Per row the four delta components contribute
     ``0.5 x^2`` for ``|x| < 1`` and ``|x| - 0.5`` otherwise.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    active = np.asarray(active, dtype=bool)
-    if pred.shape != target.shape:
-        raise ValueError(f"pred {pred.shape} and target {target.shape} differ")
-    if active.shape != (pred.shape[0],):
-        raise ValueError(f"active mask shape {active.shape} does not match {pred.shape}")
+    if pred.ndim != 2 or pred.shape[0] == 0 or pred.shape != target.shape:
+        raise ValueError(f"expected pred and target of one (N, D) shape with N >= 1, got {pred.shape}, {target.shape}")
 
-    grad = np.zeros_like(pred)
-    n = int(active.sum())
-    if n == 0:
-        log.warning("smooth_l1: no active anchors; returning zero loss")
-        return 0.0, grad
-
-    x = pred[active] - target[active]
+    n = pred.shape[0]
+    x = pred - target
     small = np.abs(x) < 1.0
     terms = np.where(small, 0.5 * x * x, np.abs(x) - 0.5)
     loss = float(terms.sum() / n)
-    grad[active] = np.where(small, x, np.sign(x)) / n
-    return loss, grad
+    return loss, np.where(small, x, np.sign(x)) / n
 
 
 def contrastive_loss(
     embeddings: np.ndarray,
     instance_ids: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Pairwise embedding loss over all unordered pairs of active anchors.
+    """Pairwise embedding loss over all unordered pairs of the P >= 2 given anchors.
 
     Same-instance pairs contribute the squared distance, different-instance
     pairs the squared hinge ``max(0, MARGIN - d)^2``; the result is the mean
@@ -189,17 +159,12 @@ def contrastive_loss(
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     ids = np.asarray(instance_ids)
-    if emb.ndim != 2:
-        raise ValueError(f"expected (P, E) embeddings, got {emb.shape}")
+    if emb.ndim != 2 or emb.shape[0] < 2:
+        raise ValueError(f"expected (P, E) embeddings with P >= 2, got {emb.shape}")
     if ids.shape != (emb.shape[0],):
         raise ValueError(f"instance ids shape {ids.shape} does not match {emb.shape}")
 
     n = emb.shape[0]
-    grad = np.zeros_like(emb)
-    if n < 2:
-        log.warning("contrastive_loss: fewer than two active anchors; returning zero loss")
-        return 0.0, grad
-
     diff = emb[:, None, :] - emb[None, :, :]
     d2 = np.einsum("ije,ije->ij", diff, diff)
     d = np.sqrt(d2)

@@ -26,11 +26,16 @@ def write_atomic(path: str, payload: bytes) -> None:
     """Write ``payload`` to a temporary file beside ``path``, then rename it over ``path``.
 
     The file appears complete or not at all, and an existing file stays as
-    it was until the rename.
+    it was until the rename. The new file has the mode ``open()`` gives,
+    0666 less the umask.
     """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file 0600; the umask can only be read by setting it
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

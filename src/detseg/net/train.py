@@ -55,15 +55,6 @@ class TrainResult:
     iterations_run: int
 
 
-_HEAD_OF_TASK = {
-    "objectness": "objectness",
-    "class": "class_scores",
-    "box": "box_deltas",
-    "embedding": "embeddings",
-    "segmentation": "seg_logits",
-}
-
-
 def objective(
     outputs: Mapping[str, np.ndarray],
     targets: AnchorTargetArrays,
@@ -75,43 +66,41 @@ def objective(
 
     ``outputs`` maps each head to the image's (C, H, W) output, from whose
     shapes the templates per cell and the grid size are read; ``s`` holds a
-    log-variance per task in ``TASK_NAMES`` order. A task in ``tasks``
-    applies when it has something to learn: objectness an anchor that is not
-    don't-care, class and box an active anchor, embedding two, segmentation
-    a labelled pixel. Returns ``(total, values, upstream, ds)``: the total
-    over the applicable tasks, their losses by name, the gradient in each
-    head they read (other heads are absent), and the gradient in all of
-    ``s`` (zero where a task does not apply). A non-finite loss raises
-    RuntimeError naming the task.
+    log-variance per task in ``TASK_NAMES`` order. This is the one place that
+    picks the rows a loss counts: objectness the anchors that are not
+    don't-care, class, box and embedding the active anchors, segmentation the
+    labelled pixels. Each loss is given only those rows and averages over
+    them. A task in ``tasks`` applies when it has rows to average: one, or two
+    for the embedding's pairs. Returns ``(total, values, upstream, ds)``: the
+    total over the applicable tasks, their losses by name, the gradient in
+    each head they read (zero in the rows not counted; other heads are
+    absent), and the gradient in all of ``s`` (zero where a task does not
+    apply). A non-finite loss raises RuntimeError naming the task.
     """
     templates, grid_rows, grid_cols = outputs["objectness"].shape
-    templates //= 2
+    anchors = (templates // 2, grid_rows, grid_cols)
+    # the segmentation head in the same row layout: a lattice of one-pixel cells of one template each
+    pixels = (1, *outputs["seg_logits"].shape[1:])
     active = targets.active
-    n_active = int(active.sum())
-
-    def anchor_rows(head: str) -> np.ndarray:
-        return flatten_per_anchor(outputs[head], templates)
+    seg_targets = label_map.reshape(-1)
+    # task: (head, its lattice, the rows counted, their targets, loss, fewest rows the loss averages)
+    table = {
+        "objectness": ("objectness", anchors, targets.labels != IGNORE, targets.labels, focal_loss, 1),
+        "class": ("class_scores", anchors, active, targets.class_targets, cross_entropy, 1),
+        "box": ("box_deltas", anchors, active, targets.deltas, smooth_l1, 1),
+        "embedding": ("embeddings", anchors, active, targets.instance_ids, contrastive_loss, 2),
+        "segmentation": ("seg_logits", pixels, seg_targets != SEG_IGNORE, seg_targets, cross_entropy, 1),
+    }
 
     values: dict[str, float] = {}
     task_grads: dict[str, np.ndarray] = {}
-    if "objectness" in tasks and np.any(targets.labels != IGNORE):
-        values["objectness"], task_grads["objectness"] = focal_loss(anchor_rows("objectness"), targets.labels)
-    if "class" in tasks and n_active > 0:
-        values["class"], task_grads["class"] = cross_entropy(
-            anchor_rows("class_scores"), targets.class_targets, ignore=-1)
-    if "box" in tasks and n_active > 0:
-        values["box"], task_grads["box"] = smooth_l1(anchor_rows("box_deltas"), targets.deltas, active)
-    if "embedding" in tasks and n_active >= 2:
-        emb_rows = anchor_rows("embeddings")
-        values["embedding"], grad_active = contrastive_loss(
-            emb_rows[active], targets.instance_ids[active])
-        task_grads["embedding"] = np.zeros_like(emb_rows)
-        task_grads["embedding"][active] = grad_active
-    seg = outputs["seg_logits"]
-    if "segmentation" in tasks and np.any(label_map != SEG_IGNORE):
-        seg_rows = seg.transpose(1, 2, 0).reshape(-1, seg.shape[0])
-        values["segmentation"], task_grads["segmentation"] = cross_entropy(
-            seg_rows, label_map.reshape(-1), ignore=SEG_IGNORE)
+    for task, (head, lattice, rows, task_targets, loss, fewest) in table.items():
+        if task in tasks and np.count_nonzero(rows) >= fewest:
+            head_rows = flatten_per_anchor(outputs[head], lattice[0])
+            values[task], compact = loss(head_rows[rows], task_targets[rows])
+            # zeros_like keeps the memory layout of the head rows, on which the rounding of backward depends
+            task_grads[task] = np.zeros_like(head_rows)
+            task_grads[task][rows] = compact
 
     for task, value in values.items():
         if not np.isfinite(value):
@@ -125,12 +114,8 @@ def objective(
 
     upstream: dict[str, np.ndarray] = {}
     for weight, task in zip(weights, values):
-        grad = task_grads[task] * weight
-        head = _HEAD_OF_TASK[task]
-        if head == "seg_logits":
-            upstream[head] = grad.reshape(seg.shape[1], seg.shape[2], seg.shape[0]).transpose(2, 0, 1)
-        else:
-            upstream[head] = unflatten_per_anchor(grad, templates, grid_rows, grid_cols)
+        head, lattice = table[task][:2]
+        upstream[head] = unflatten_per_anchor(task_grads[task] * weight, *lattice)
     return total, values, upstream, ds
 
 

@@ -24,7 +24,7 @@ from ..losses import SEG_IGNORE, TASK_NAMES
 from ..net.model import DOWNSAMPLE, ModelConfig
 from .annotations import _is_number
 from .classtable import ClassTable
-from .synth import SceneSpec
+from .synth import MAX_OBJECTS, SceneSpec
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "MODEL_SCHEMA", "TEMPLATES_SCHEMA",
            "MAX_ITERATIONS", "MAX_IMAGES", "load_run_config", "run_config_from_dict",
@@ -117,8 +117,8 @@ CONFIG_SCHEMA = {
                 # train-toy feeds whole images to the network, which needs multiples of 8
                 "width": {"type": "integer", "minimum": DOWNSAMPLE, "multipleOf": DOWNSAMPLE},
                 "height": {"type": "integer", "minimum": DOWNSAMPLE, "multipleOf": DOWNSAMPLE},
-                "min_objects": {"type": "integer", "minimum": 0},
-                "max_objects": _POSITIVE_INT,
+                "min_objects": {"type": "integer", "minimum": 0, "maximum": MAX_OBJECTS},
+                "max_objects": {**_POSITIVE_INT, "maximum": MAX_OBJECTS},
                 "min_size": {"type": "integer", "minimum": 2},
                 "max_size": {"type": "integer", "minimum": 2},
             },

@@ -22,10 +22,12 @@ from ..net.tensor import Tensor
 from .annotations import AnnotationFile, PolygonObject, boxes_from_polygons
 from .classtable import ClassTable, synthetic_table
 
-__all__ = ["GAP", "SceneSpec", "SceneSample", "synth_scene", "make_dataset"]
+__all__ = ["GAP", "MAX_OBJECTS", "SceneSpec", "SceneSample", "synth_scene", "make_dataset"]
 
 # The clear pixels between an object and the image border or another object.
 GAP = 2
+# The most objects a scene holds: instance maps are 8-bit with 0 for background.
+MAX_OBJECTS = 255
 
 _PLACEMENT_TRIES = 500
 _ELLIPSE_VERTICES = 32
@@ -55,8 +57,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"invalid scene size {self.width}x{self.height}")
-        if not (0 <= self.min_objects <= self.max_objects):
-            raise ValueError("need 0 <= min_objects <= max_objects")
+        if not (0 <= self.min_objects <= self.max_objects <= MAX_OBJECTS):
+            raise ValueError(f"need 0 <= min_objects <= max_objects <= {MAX_OBJECTS}")
         if not (2 <= self.min_size <= self.max_size):
             raise ValueError("need 2 <= min_size <= max_size")
         if self.max_size + 2 * GAP >= min(self.width, self.height):

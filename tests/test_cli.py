@@ -25,7 +25,7 @@ from detseg.pipeline.config import (
     run_config_from_dict,
 )
 from detseg.pipeline.netpbm import read_pgm, write_pgm, write_ppm
-from detseg.pipeline.synth import make_dataset
+from detseg.pipeline.synth import MAX_OBJECTS, make_dataset
 
 
 def run(capsys, *argv):
@@ -560,6 +560,16 @@ class TestSynthCommand:
         assert code == 1 and out == "" and not os.path.exists(out_dir)
         assert err == (f"error: config {config}: invalid config at dataset/num_images: "
                        f"{10**300} is greater than the maximum of {MAX_IMAGES}\n")
+
+    def test_object_count_is_bounded(self, capsys, tmp_path):
+        # instance maps are 8-bit with 0 for background, so the 256th object has no id
+        out_dir = os.path.join(tmp_path, "data")
+        config = write_config(tmp_path, dataset={"num_images": 1, "width": 256, "height": 256, "min_objects": 300,
+                                                 "max_objects": 300, "min_size": 2, "max_size": 4})
+        code, out, err = run(capsys, "synth", "--config", config, "--output-dir", out_dir)
+        assert code == 1 and out == "" and not os.path.exists(out_dir)
+        assert err.startswith(f"error: config {config}: invalid config at dataset/") and err.count("\n") == 1, err
+        assert err.endswith(f"300 is greater than the maximum of {MAX_OBJECTS}\n")
 
     def test_image_too_large_for_memory(self, capsys, tmp_path):
         # numpy refuses the scene's first array, of 171 PiB, at once and without touching memory

@@ -84,7 +84,7 @@ def test_formats_quotes_every_constant():
     assert {name for document, name, _ in CONSTANTS if document == "docs/FORMATS.md"} == {
         "detseg.assign.ACTIVE_IOU", "detseg.assign.DONTCARE_IOU", "detseg.assign.AMBIGUITY_GAP",
         "detseg.losses.MARGIN", "detseg.losses.FOCAL_ALPHA", "detseg.losses.FOCAL_GAMMA",
-        "detseg.pipeline.synth.GAP",
+        "detseg.pipeline.synth.GAP", "detseg.pipeline.synth.MAX_OBJECTS",
     }
 
 

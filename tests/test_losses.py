@@ -33,13 +33,15 @@ class TestFocalLoss:
         value, _ = focal_loss(logits, np.array([BACKGROUND]))
         assert value == pytest.approx(0.25 * math.log(2.0), abs=1e-12)
 
-    def test_all_dontcare_is_flagged_zero(self, caplog):
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            focal_loss(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    def test_dontcare_target_rejected(self):
+        # a stray IGNORE would otherwise read the foreground column
         logits = np.random.default_rng(0).standard_normal((4, 2))
-        with caplog.at_level("WARNING"):
-            value, grad = focal_loss(logits, np.full(4, IGNORE))
-        assert value == 0.0
-        assert np.all(grad == 0.0)
-        assert any("don't-care" in r.message for r in caplog.records)
+        with pytest.raises(ValueError, match=r"\[-1\]"):
+            focal_loss(logits, np.array([FOREGROUND, IGNORE, BACKGROUND, IGNORE]))
 
     def test_random_logits_match_the_per_anchor_formula(self):
         rng = np.random.default_rng(1)
@@ -53,24 +55,11 @@ class TestFocalLoss:
         value, _ = focal_loss(logits, targets)
         assert value == pytest.approx(sum(terms) / len(terms), rel=1e-12)
 
-    def test_dontcare_positions_do_not_leak(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((6, 2))
-        targets = np.array([FOREGROUND, IGNORE, BACKGROUND, IGNORE, FOREGROUND, BACKGROUND])
-        value, grad = focal_loss(logits, targets)
-        perturbed = logits.copy()
-        perturbed[1] += 100.0
-        perturbed[3] -= 7.0
-        value2, grad2 = focal_loss(perturbed, targets)
-        assert value2 == value
-        assert grad2 == pytest.approx(grad, abs=0)
-        assert np.all(grad[targets == IGNORE] == 0.0)
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(10)    :
             logits = rng.standard_normal((7, 2)) * 2
-            targets = rng.integers(-1, 2, 7)
+            targets = rng.integers(0, 2, 7)
             _, grad = focal_loss(logits, targets)
             fd = finite_difference(lambda: focal_loss(logits, targets)[0], logits)
             assert gradients_close(grad, fd)
@@ -92,33 +81,21 @@ class TestCrossEntropy:
         value, _ = cross_entropy(logits, np.array([0]))
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_ignore_mask(self):
-        rng = np.random.default_rng(4)
-        logits = rng.standard_normal((5, 3))
-        targets = np.array([0, -1, 2, -1, 1])
-        value, grad = cross_entropy(logits, targets)
-        messed = logits.copy()
-        messed[1] = 99.0
-        value2, grad2 = cross_entropy(messed, targets)
-        assert value2 == value
-        assert np.all(grad[targets == -1] == 0.0)
-        assert grad2 == pytest.approx(grad, abs=0)
-
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(ValueError, match=r"\[-1\]"):
+            cross_entropy(np.zeros((2, 3)), np.array([-1, 1]))
 
-    def test_custom_ignore_id(self):
-        logits = np.zeros((2, 3))
-        value, _ = cross_entropy(logits, np.array([255, 1]), ignore=255)
-        assert value == pytest.approx(math.log(3.0), abs=1e-12)
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             logits = rng.standard_normal((6, 4)) * 2
             targets = rng.integers(0, 4, 6)
-            targets[0] = -1
             _, grad = cross_entropy(logits, targets)
             fd = finite_difference(lambda: cross_entropy(logits, targets)[0], logits)
             assert gradients_close(grad, fd)
@@ -127,7 +104,7 @@ class TestCrossEntropy:
 class TestSmoothL1:
     def test_exact_prediction(self):
         pred = np.ones((3, 4))
-        value, grad = smooth_l1(pred, pred.copy(), np.array([True, True, True]))
+        value, grad = smooth_l1(pred, pred.copy())
         assert value == 0.0
         assert np.all(grad == 0.0)
 
@@ -135,34 +112,19 @@ class TestSmoothL1:
         pred = np.zeros((1, 4))
         target = np.zeros((1, 4))
         pred[0, 0] = 0.5
-        value, _ = smooth_l1(pred, target, np.array([True]))
+        value, _ = smooth_l1(pred, target)
         assert value == pytest.approx(0.125, abs=1e-12)
 
     def test_linear_region(self):
         pred = np.zeros((1, 4))
         target = np.zeros((1, 4))
         pred[0, 2] = 2.0
-        value, _ = smooth_l1(pred, target, np.array([True]))
+        value, _ = smooth_l1(pred, target)
         assert value == pytest.approx(1.5, abs=1e-12)
 
-    def test_inactive_positions_do_not_leak(self):
-        rng = np.random.default_rng(6)
-        pred = rng.standard_normal((4, 4))
-        target = rng.standard_normal((4, 4))
-        active = np.array([True, False, True, False])
-        value, grad = smooth_l1(pred, target, active)
-        pred2 = pred.copy()
-        pred2[~active] += 50.0
-        value2, grad2 = smooth_l1(pred2, target, active)
-        assert value2 == value
-        assert grad2 == pytest.approx(grad, abs=0)
-        assert np.all(grad[~active] == 0.0)
-
-    def test_no_active_flagged_zero(self, caplog):
-        with caplog.at_level("WARNING"):
-            value, grad = smooth_l1(np.ones((2, 4)), np.zeros((2, 4)), np.array([False, False]))
-        assert value == 0.0
-        assert np.all(grad == 0.0)
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            smooth_l1(np.ones((0, 4)), np.zeros((0, 4)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -171,10 +133,8 @@ class TestSmoothL1:
             target = rng.standard_normal((5, 4)) * 2
             gap = np.abs(np.abs(pred - target) - 1.0)
             pred[gap < 1e-3] += 0.01
-            active = rng.random(5) < 0.7
-            active[0] = True
-            _, grad = smooth_l1(pred, target, active)
-            fd = finite_difference(lambda: smooth_l1(pred, target, active)[0], pred)
+            _, grad = smooth_l1(pred, target)
+            fd = finite_difference(lambda: smooth_l1(pred, target)[0], pred)
             assert gradients_close(grad, fd)
 
 
@@ -201,11 +161,9 @@ class TestContrastive:
         value, _ = contrastive_loss(emb, np.array([3, 3]))
         assert value == pytest.approx(0.25, abs=1e-12)
 
-    def test_single_anchor_flagged_zero(self, caplog):
-        with caplog.at_level("WARNING"):
-            value, grad = contrastive_loss(np.ones((1, 4)), np.array([0]))
-        assert value == 0.0
-        assert np.all(grad == 0.0)
+    def test_single_anchor_rejected(self):
+        with pytest.raises(ValueError, match="P >= 2"):
+            contrastive_loss(np.ones((1, 4)), np.array([0]))
 
     def test_mean_over_pairs(self):
         emb = np.array([[0.0, 0.0], [0.5, 0.0], [10.0, 10.0]])

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from detseg.net.checkpoint import load_checkpoint, save_checkpoint
+from detseg.net.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from detseg.net import model as model_module
 from detseg.net.layers import Param
 from detseg.net.model import DetSegModel, ModelConfig, flatten_per_anchor, unflatten_per_anchor
@@ -313,6 +313,17 @@ class TestCheckpoint:
         a = model.forward(x)["seg_logits"].data
         b = other.forward(x)["seg_logits"].data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        path = os.path.join(tmp_path, "out.bin")
+        previous = os.umask(umask)
+        try:
+            write_atomic(path, b"new")
+        finally:
+            os.umask(previous)
+        assert os.stat(path).st_mode & 0o777 == mode
+        assert open(path, "rb").read() == b"new"
 
     def test_rejects_bad_magic(self, tmp_path):
         path = os.path.join(tmp_path, "bad.nnad")

@@ -233,6 +233,13 @@ class TestSynthScenes:
                 assert ys.min() + 0.5 >= obj.bbox.y_min
                 assert ys.max() + 0.5 <= obj.bbox.y_max
 
+    def test_at_most_255_objects(self):
+        with pytest.raises(ValueError, match="max_objects <= 255"):
+            SceneSpec(width=256, height=256, min_objects=256, max_objects=256, min_size=2, max_size=4)
+        sample = synth_scene(0, SceneSpec(width=256, height=256, min_objects=255, max_objects=255,
+                                          min_size=2, max_size=4))
+        assert sorted(np.unique(sample.instance_map).tolist()) == list(range(256))
+
     def test_unplaceable_spec_rejected(self):
         spec = SceneSpec(width=32, height=32, min_objects=12, max_objects=12,
                          min_size=10, max_size=12)

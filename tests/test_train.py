@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from detseg.assign import GroundTruthObject, assign_targets
 from detseg.evaluation import pixel_accuracy
 from detseg.geom import AnchorTemplate, BBox, make_anchor_grid
-from detseg.losses import LrSchedule, TASK_NAMES, cross_entropy
-from detseg.net.model import DetSegModel, ModelConfig
+from detseg.losses import IGNORE, SEG_IGNORE, LrSchedule, TASK_NAMES, cross_entropy
+from detseg.net.model import DetSegModel, ModelConfig, flatten_per_anchor, unflatten_per_anchor
 from detseg.net.optim import AdamState, adam_step
 from detseg.net.train import TrainSample, objective, prepare_targets, train_toy
 from detseg.pipeline.synth import SceneSpec, synth_scene
@@ -82,7 +84,9 @@ class TestTrainToy:
             out = model.forward(sample.image[None], training=False)
             seg = out["seg_logits"].data[0]
             rows = seg.transpose(1, 2, 0).reshape(-1, TINY.num_classes)
-            value, _ = cross_entropy(rows, sample.label_map.reshape(-1), ignore=255)
+            labels = sample.label_map.reshape(-1)
+            labelled = labels != SEG_IGNORE
+            value, _ = cross_entropy(rows[labelled], labels[labelled])
             return value
 
         values = []
@@ -187,3 +191,88 @@ class TestObjective:
         assert list(upstream) == ["seg_logits"]
         assert upstream["seg_logits"].shape == heads["seg_logits"].shape
         assert np.flatnonzero(ds).tolist() == [4]
+
+    def test_all_dontcare_skips_objectness(self):
+        rng = np.random.default_rng(2)
+        grid = make_anchor_grid(40, 40, 8, TEMPLATES)
+        empty = assign_targets(grid, [], 40, 40)
+        targets = dataclasses.replace(empty, labels=np.full_like(empty.labels, IGNORE))
+        label_map = rng.integers(0, TINY.num_classes, size=(40, 40))
+        _, values, upstream, ds = objective(random_heads(rng), targets, label_map, rng.uniform(-0.5, 0.5, size=5))
+        assert list(values) == ["segmentation"]
+        assert list(upstream) == ["seg_logits"]
+        assert np.flatnonzero(ds).tolist() == [4]
+
+    def test_one_active_anchor_skips_embedding(self):
+        # the 16x8 scene of TestPrepareTargets: one active, one don't-care and two inactive anchors
+        rng = np.random.default_rng(3)
+        grid = make_anchor_grid(16, 8, 8, [AnchorTemplate(1.0, 64), AnchorTemplate(2.0, 128)])
+        obj = GroundTruthObject(class_id=1, bbox=BBox(0.8, 0.0, 8.8, 8.0), instance_id=4)
+        targets = assign_targets(grid, [obj], 16, 8)
+        assert targets.active.sum() == 1
+        heads = {name: rng.standard_normal((width, 1, 2)) for name, width in TINY.head_widths().items()}
+        heads["seg_logits"] = rng.standard_normal((TINY.num_classes, 8, 16))
+        label_map = rng.integers(0, TINY.num_classes, size=(8, 16))
+        _, values, upstream, ds = objective(heads, targets, label_map, rng.uniform(-0.5, 0.5, size=5))
+        assert list(values) == ["objectness", "class", "box", "segmentation"]
+        assert "embeddings" not in upstream
+        assert ds[3] == 0.0 and np.all(ds[[0, 1, 2, 4]] != 0.0)
+
+
+def dontcare(targets, label_map):
+    return targets.labels == IGNORE
+
+
+def inactive(targets, label_map):
+    return ~targets.active
+
+
+def unlabelled(targets, label_map):
+    return label_map.reshape(-1) == SEG_IGNORE
+
+
+class TestObjectiveCountsOnlyItsRows:
+    """Head rows that no task counts move neither the loss nor any gradient, and get a zero gradient."""
+
+    def assert_rows_do_not_leak(self, seed, uncounted):
+        """``uncounted`` maps heads to a function of ``(targets, label_map)`` giving the rows not counted."""
+        rng = np.random.default_rng(seed)
+        sample = tiny_sample(3)
+        targets = assign_targets(make_anchor_grid(40, 40, 8, TEMPLATES), sample.gts, 40, 40)
+        label_map = sample.label_map.copy()
+        label_map[rng.random(label_map.shape) < 0.2] = SEG_IGNORE
+        heads = random_heads(rng)
+        s = rng.uniform(-0.5, 0.5, size=5)
+        total, values, upstream, ds = objective(heads, targets, label_map, s)
+        assert list(values) == list(TASK_NAMES)
+
+        perturbed = dict(heads)
+        for head, rows_of in uncounted.items():
+            # the segmentation head lays out its pixels as anchor rows of one template
+            t = 1 if head == "seg_logits" else len(TEMPLATES)
+            rows = rows_of(targets, label_map)
+            assert rows.any()
+            flat = flatten_per_anchor(heads[head], t)
+            flat[rows] += 50.0
+            perturbed[head] = unflatten_per_anchor(flat, t, *heads[head].shape[1:])
+            assert np.all(flatten_per_anchor(upstream[head], t)[rows] == 0.0)
+
+        total2, values2, upstream2, ds2 = objective(perturbed, targets, label_map, s)
+        assert total2 == total
+        assert values2 == values
+        assert ds2.tolist() == ds.tolist()
+        assert list(upstream2) == list(upstream)
+        for head in upstream:
+            assert np.array_equal(upstream2[head], upstream[head])
+
+    def test_dontcare_positions_do_not_leak(self):
+        self.assert_rows_do_not_leak(10, {"objectness": dontcare})
+
+    def test_ignore_mask(self):
+        self.assert_rows_do_not_leak(11, {"class_scores": inactive})
+
+    def test_inactive_positions_do_not_leak(self):
+        self.assert_rows_do_not_leak(12, {"box_deltas": inactive, "embeddings": inactive})
+
+    def test_custom_ignore_id(self):
+        self.assert_rows_do_not_leak(13, {"seg_logits": unlabelled})
