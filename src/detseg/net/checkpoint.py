@@ -65,55 +65,58 @@ def save_checkpoint(path: str, config: Mapping, tensors: Mapping[str, np.ndarray
     write_atomic(path, blob)
 
 
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.view = memoryview(data)
-        self.pos = 0
-        self.path = path
-
-    def take(self, count: int) -> memoryview:
-        end = self.pos + count
-        if end > len(self.view):
-            raise ValueError(f"checkpoint {self.path}: truncated file")
-        out = self.view[self.pos : end]
-        self.pos = end
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The config object and the tensors by name; every error names the file."""
+    """The config object and the tensors by name; every error names the file.
+
+    The file is read once into a ``bytearray`` of its size, and each
+    tensor is a writeable float64 view of its bytes there: no tensor is
+    copied. The layout is checked first: truncation, a name that is not
+    UTF-8 or that appears twice, trailing bytes. Then one pass over all the
+    tensors checks that every value is finite; only when it fails are the
+    tensors searched, in file order, for the first one to name. So a file
+    with both a non-finite tensor and a fault of layout reports the fault
+    of layout.
+    """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(4) != MAGIC:
+        # read straight into the buffer: bytearray(fh.read()) would copy the whole file once more
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+    pos = 0
+
+    def take(count: int) -> int:
+        """Step over the next ``count`` bytes and return where they start."""
+        nonlocal pos
+        start, pos = pos, pos + count
+        if pos > len(data):
+            raise ValueError(f"checkpoint {path}: truncated file")
+        return start
+
+    if data[take(4):pos] != MAGIC:
         raise ValueError(f"checkpoint {path}: not a model checkpoint (bad magic)")
-    version = reader.u32()
+    (version,) = struct.unpack_from("<I", data, take(4))
     if version != VERSION:
         raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version} (expected {VERSION})")
-    config_bytes = reader.take(reader.u64())
+    (length,) = struct.unpack_from("<Q", data, take(8))
     try:
-        config = json.loads(str(config_bytes, "utf-8"))
+        config = json.loads(data[take(length):pos].decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"checkpoint {path}: malformed config JSON: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(reader.u64()):
+    for _ in range(struct.unpack_from("<Q", data, take(8))[0]):
+        (length,) = struct.unpack_from("<I", data, take(4))
         try:
-            name = str(reader.take(reader.u32()), "utf-8")
+            name = data[take(length):pos].decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"checkpoint {path}: tensor name is not UTF-8") from None
         if name in tensors:
             raise ValueError(f"checkpoint {path}: tensor {name!r} appears twice")
-        ndim = reader.u32()
-        shape = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim))
-        arr = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"checkpoint {path}: tensor {name!r} has non-finite values")
-        tensors[name] = arr.astype(np.float64)
-    if reader.pos != len(reader.view):
+        (ndim,) = struct.unpack_from("<I", data, take(4))
+        shape = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
+        size = math.prod(shape)
+        tensors[name] = np.frombuffer(data, dtype="<f8", count=size, offset=take(8 * size)).reshape(shape)
+    if pos != len(data):
         raise ValueError(f"checkpoint {path}: trailing bytes after the payload")
+    if tensors and not np.isfinite(np.concatenate(list(tensors.values()), axis=None)).all():
+        name = next(name for name, arr in tensors.items() if not np.isfinite(arr).all())
+        raise ValueError(f"checkpoint {path}: tensor {name!r} has non-finite values")
     return config, tensors

@@ -16,6 +16,14 @@ matrix). A layer may write into arrays it allocated itself. A 1x1 stride-1
 convolution needs no gather either way: ``im2col`` returns its input
 reshaped and ``col2im`` its columns reshaped, with no copy and no zero-fill.
 
+``col2im`` scatters columns back for the transposed convolution's forward
+and a convolution's input gradient. It sums each stride residue of the
+padded array in a contiguous plane of its own, then writes the planes into
+a C-contiguous padded array, and the layers return that array's unpadded
+view. Each element is the sum a tap-by-tap scatter into the padded array
+gives, in the same order, and the result has the same memory layout, which
+matters: batch norm's sums over a batch round by layout.
+
 A depthwise convolution gathers its columns in blocks of channels of at most
 ``COL_BLOCK`` values. When the whole column matrix fits one block, a training
 forward caches it; above that budget it caches the padded input (the input
@@ -26,6 +34,9 @@ whole model (:func:`pack_params`), which the optimizer updates and
 ``zero_grad`` clears in one pass. Write into them in place (``p.data[...] =
 v``, ``p.grad += g``), never rebind them, and do not hold one of those arrays
 across the packing.
+
+A layer built with ``rng=None`` draws nothing: its weights start at zero,
+for a caller that loads every one of them next.
 
 ``ReLU`` is ``max(x, 0)``: negatives and -0.0 give +0.0, and a NaN passes
 through, so a NaN weight is not hidden by a later ReLU but reaches the heads.
@@ -88,7 +99,10 @@ def pack_params(params: Sequence[Param]) -> Param:
     return flat
 
 
-def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def _he_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """He-uniform weights drawn from ``rng``; zeros, with nothing drawn, when ``rng`` is None."""
+    if rng is None:
+        return np.zeros(shape)
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -162,10 +176,13 @@ class _ConvGeometry:
         self.out_h, self.pad_top, self.pad_bottom = _same_pad(in_h, kernel, stride, dilation)
         self.out_w, self.pad_left, self.pad_right = _same_pad(in_w, kernel, stride, dilation)
 
+    def padded_shape(self, n: int, channels: int) -> tuple[int, int, int, int]:
+        return (n, channels, self.in_h + self.pad_top + self.pad_bottom,
+                self.in_w + self.pad_left + self.pad_right)
+
     def zeros(self, n: int, channels: int) -> np.ndarray:
         """A zero array of the padded shape."""
-        return np.zeros((n, channels, self.in_h + self.pad_top + self.pad_bottom,
-                         self.in_w + self.pad_left + self.pad_right), dtype=np.float64)
+        return np.zeros(self.padded_shape(n, channels))
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """``x`` zero-padded to the padded shape; ``x`` itself when there is no padding."""
@@ -180,7 +197,7 @@ class _ConvGeometry:
         w = slice(self.pad_left, self.pad_left + self.in_w)
         return xp[:, :, h, w]
 
-    def taps(self, xp: np.ndarray, writeable: bool = False) -> np.ndarray:
+    def taps(self, xp: np.ndarray) -> np.ndarray:
         """The (N, C, k, k, out_h, out_w) strided view of the padded ``xp`` that the kernel reads.
 
         Tap (ki, kj) of output (i, j) is
@@ -192,7 +209,7 @@ class _ConvGeometry:
         sn, sc, sh, sw = xp.strides
         d, s = self.dilation, self.stride
         return as_strided(xp, (n, c, k, k, self.out_h, self.out_w),
-                          (sn, sc, d * sh, d * sw, s * sh, s * sw), writeable=writeable)
+                          (sn, sc, d * sh, d * sw, s * sh, s * sw), writeable=False)
 
     def im2col(self, xp: np.ndarray) -> np.ndarray:
         """Padded (N, C, PH, PW) -> (N, C * k * k, out_h * out_w).
@@ -208,23 +225,39 @@ class _ConvGeometry:
         return np.ascontiguousarray(self.taps(xp)).reshape(n, c * self.kernel * self.kernel, length)
 
     def col2im(self, cols: np.ndarray, channels: int) -> np.ndarray:
-        """Adjoint of :meth:`im2col`; returns the padded-shape array.
+        """Adjoint of :meth:`im2col`; returns the padded-shape array, C-contiguous.
 
-        Each tap is added through the writeable view of :meth:`taps`, one
-        tap at a time in (ki, kj) order, since taps of a dilated or strided
-        kernel overlap. A 1x1 stride-1 kernel needs no scatter: the result
-        is then ``cols`` reshaped, as :meth:`im2col` returns its input reshaped.
+        The sum runs in residue planes. Tap (ki, kj) adds only into padded
+        rows ``r`` with ``r % stride == ki * dilation % stride``, and likewise
+        columns, so the padded array splits into ``stride ** 2`` planes, one
+        per (row, column) residue, that no tap adds across. One plane at a
+        time is summed in a contiguous zero-filled array of its own, its taps
+        added one at a time in (ki, kj) order, since taps of a dilated or
+        strided kernel overlap, and then written into the padded array
+        through the strided view of its residue. Each element is thus the
+        same sum in the same order as when every tap is added into one
+        zero-filled padded array, bit for bit. With stride 1 the one plane is
+        the padded array itself. A 1x1 stride-1 kernel needs no scatter: the
+        result is then ``cols`` reshaped, as :meth:`im2col` returns its input
+        reshaped.
         """
         n = cols.shape[0]
-        k = self.kernel
-        if k == 1 and self.stride == 1:
+        k, d, s = self.kernel, self.dilation, self.stride
+        if k == 1 and s == 1:
             return cols.reshape(n, channels, self.out_h, self.out_w)
         cols6 = cols.reshape(n, channels, k, k, self.out_h, self.out_w)
-        xp = self.zeros(n, channels)
-        taps = self.taps(xp, writeable=True)
-        for ki in range(k):
-            for kj in range(k):
-                taps[:, :, ki, kj] += cols6[:, :, ki, kj]
+        xp = self.zeros(n, channels) if s == 1 else np.empty(self.padded_shape(n, channels))
+        offsets = [divmod(t * d, s) for t in range(k)]  # (offset in the plane, residue) of each tap row/column
+        for ri in range(s):
+            for rj in range(s):
+                view = xp[:, :, ri::s, rj::s]
+                plane = view if s == 1 else np.zeros(view.shape)
+                for ki, (oi, r) in enumerate(offsets):
+                    for kj, (oj, q) in enumerate(offsets):
+                        if (r, q) == (ri, rj):
+                            plane[:, :, oi:oi + self.out_h, oj:oj + self.out_w] += cols6[:, :, ki, kj]
+                if s > 1:
+                    view[...] = plane
         return xp
 
 
@@ -233,7 +266,7 @@ class Conv2d(Layer):
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, dilation: int = 1, bias: bool = True, *,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -295,7 +328,7 @@ class DepthwiseConv2d(Layer):
     differ from a one-block one in the last bits.
     """
 
-    def __init__(self, channels: int, kernel: int, dilation: int = 1, *, rng: np.random.Generator):
+    def __init__(self, channels: int, kernel: int, dilation: int = 1, *, rng: np.random.Generator | None):
         if kernel % 2 == 0:
             # "same" padding is then asymmetric, and the backward's reversed taps would read the wrong rows
             raise ValueError(f"depthwise kernel must be odd, got {kernel}")
@@ -379,7 +412,7 @@ class DepthwiseSeparableConv2d(Layer):
     """Depthwise spatial convolution followed by a 1x1 pointwise convolution."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, dilation: int = 1, *,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.depthwise = DepthwiseConv2d(in_channels, kernel, dilation, rng=rng)
         self.pointwise = Conv2d(in_channels, out_channels, 1, rng=rng)
 
@@ -399,10 +432,19 @@ class TransposedConv2d(Layer):
     The weight has shape (in_channels, out_channels, k, k) and is shared with
     the matching downsampling convolution in the adjoint identity
     ``<conv(x), y> == <x, transposed(y)>``.
+
+    The forward is one matmul, which gives every tap's columns, then
+    :meth:`_ConvGeometry.col2im`, which sums them one residue plane at a
+    time: a stride-s transposed convolution splits into s * s independent
+    phases, one per output residue (Shi et al., "Real-Time Single Image and
+    Video Super-Resolution Using an Efficient Sub-Pixel Convolutional Neural
+    Network", CVPR 2016). The output is the unpadded view of the padded
+    array, with its strides, as when each tap was added into that array
+    directly.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3, stride: int = 2, *,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -548,7 +590,7 @@ class ResidualBlock(Layer):
     projection. Both 3x3 stages are depthwise-separable convolutions.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, dilation: int = 1, *, rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, dilation: int = 1, *, rng: np.random.Generator | None):
         self.bn1 = BatchNorm2d(in_channels)
         self.relu1 = ReLU()
         self.conv1 = DepthwiseSeparableConv2d(in_channels, out_channels, 3, dilation=dilation, rng=rng)

@@ -102,7 +102,7 @@ def unflatten_per_anchor(rows: np.ndarray, templates: int, grid_rows: int, grid_
     )
 
 
-def _blocks(in_ch: int, out_ch: int, count: int, dilation: int, rng: np.random.Generator) -> list[Layer]:
+def _blocks(in_ch: int, out_ch: int, count: int, dilation: int, rng: np.random.Generator | None) -> list[Layer]:
     return [ResidualBlock(in_ch if i == 0 else out_ch, out_ch, dilation=dilation, rng=rng) for i in range(count)]
 
 
@@ -113,13 +113,18 @@ class DetSegModel(Layer):
     ``seg_head``, ``det_trunk`` and ``head_<name>`` per detection head, so
     parameter, buffer and checkpoint names are the dotted paths of
     :meth:`Layer.walk`, for example ``backbone.1.bn1.running_var``.
+
+    ``seed`` draws the He-uniform initial weights. With ``seed=None``
+    nothing is drawn and no generator is made: every weight starts at zero
+    (batch-norm scales and variances at one), for a caller that loads every
+    tensor next, as ``detect`` does with :meth:`load_state`.
     """
 
     _flat: Param | None = None
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         c1, c2, c3 = config.stage_channels
         n1, n2, n3 = config.stage_blocks
 
@@ -185,13 +190,25 @@ class DetSegModel(Layer):
                 layer.frozen = True
 
     def state_tensors(self) -> dict[str, np.ndarray]:
-        """The live parameter and buffer arrays by name, parameters first."""
-        state = {name: p.data for name, p in self.named_params()}
-        state.update(self.named_buffers())
+        """The live parameter and buffer arrays by name, parameters first, in ``walk()`` order.
+
+        Checkpoints are written in this order. One walk of the tree collects both.
+        """
+        state, buffers = {}, {}
+        for prefix, layer in self.walk():
+            for name, p in layer.local_params():
+                state[prefix + name] = p.data
+            for name, b in layer.local_buffers():
+                buffers[prefix + name] = b
+        state.update(buffers)
         return state
 
     def load_state(self, tensors: Mapping[str, np.ndarray]) -> None:
-        """Copy every parameter and buffer in by name; extra entries are ignored."""
+        """Copy every parameter and buffer in by name, in :meth:`state_tensors` order; extra entries are ignored.
+
+        The tree is walked once. The first missing or misshapen tensor in
+        that order is the one an error names.
+        """
         for name, target in self.state_tensors().items():
             if name not in tensors:
                 raise KeyError(f"missing tensor {name!r}")

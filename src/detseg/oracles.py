@@ -5,9 +5,11 @@ here is deliberately plain per-element Python against the documented rules,
 built on the scalar :func:`detseg.geom.iou`, and calls none of the vectorized
 functions it checks; the expected box deltas are written out per element
 (:func:`encode_oracle`), because the scalar :func:`detseg.geom.encode` wraps
-:func:`detseg.geom.encode_array`. The one exception is :func:`dense_live`,
+:func:`detseg.geom.encode_array`. The two exceptions are :func:`dense_live`,
 which writes the scalar IoU out over whole columns of the lattice, since
-the lattices it must cover hold hundreds of thousands of anchors.
+the lattices it must cover hold hundreds of thousands of anchors, and
+:func:`col2im_reference`, the plain per-tap scatter that the layers'
+residue-plane sum must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -124,6 +126,60 @@ def depthwise_input_grad_oracle(dy: np.ndarray, weight: np.ndarray, dilation: in
                                 total += weight[ch, ki, kj] * dy[b, ch, oi, oj]
                     dx[b, ch, i, j] = total
     return dx
+
+
+def transposed_conv_oracle(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
+    """Direct-loop transposed convolution of (N, Ci, H, W) by (Ci, Co, k, k) weights, upsampling by ``stride``.
+
+    The adjoint of the "same" convolution of an (H * stride, W * stride)
+    map: tap (ki, kj) joins input pixel (i, j) to output pixel
+    ``(i * stride + ki - top, j * stride + kj - left)``, where ``top`` and
+    ``left`` are the smaller halves of the ``max(k - stride, 0)`` rows and
+    columns of "same" padding. Each output pixel sums its taps from +0.0 in
+    (ki, kj) order, where a tap is ``weight[c, o, ki, kj] * x[b, c, i, j]``
+    summed over ``c`` from +0.0, and then adds the bias.
+    """
+    n, c_in, h, w = x.shape
+    _, c_out, k, _ = weight.shape
+    top = left = max(k - stride, 0) // 2
+    y = np.zeros((n, c_out, h * stride, w * stride))
+    for b in range(n):
+        for o in range(c_out):
+            for r in range(h * stride):
+                for q in range(w * stride):
+                    total = 0.0
+                    for ki in range(k):
+                        i, ri = divmod(r + top - ki, stride)
+                        for kj in range(k):
+                            j, rj = divmod(q + left - kj, stride)
+                            if ri == rj == 0 and 0 <= i < h and 0 <= j < w:
+                                tap = 0.0
+                                for c in range(c_in):
+                                    tap += weight[c, o, ki, kj] * x[b, c, i, j]
+                                total += tap
+                    y[b, o, r, q] = total + bias[o]
+    return y
+
+
+def col2im_reference(geo, cols: np.ndarray, channels: int) -> np.ndarray:
+    """The padded-shape adjoint of ``geo.im2col`` as a plain scatter, for a ``_ConvGeometry`` ``geo``.
+
+    Vectorised per tap, unlike the rest of this module: every tap is added
+    in (ki, kj) order through a strided slice of one zero-filled padded
+    array. A 1x1 stride-1 kernel returns ``cols`` reshaped, without the
+    scatter, as the layers always have.
+    """
+    n = cols.shape[0]
+    k, d, s = geo.kernel, geo.dilation, geo.stride
+    if k == 1 and s == 1:
+        return cols.reshape(n, channels, geo.out_h, geo.out_w)
+    cols6 = cols.reshape(n, channels, k, k, geo.out_h, geo.out_w)
+    xp = np.zeros(geo.padded_shape(n, channels))
+    rows, columns = (geo.out_h - 1) * s + 1, (geo.out_w - 1) * s + 1
+    for ki in range(k):
+        for kj in range(k):
+            xp[:, :, ki * d:ki * d + rows:s, kj * d:kj * d + columns:s] += cols6[:, :, ki, kj]
+    return xp
 
 
 def assign_oracle(

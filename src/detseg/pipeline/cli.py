@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -312,11 +313,27 @@ def cmd_train_toy(args) -> int:
 
 # -- detect -------------------------------------------------------------------
 
+def _label_map(logits: np.ndarray) -> np.ndarray:
+    """The class of the highest of the finite (C, H, W) ``logits`` per pixel, as uint8.
+
+    ``argmax(axis=0)``, a tie keeping the lower class, from one comparison
+    per class on contiguous planes; ``argmax`` would first copy the logits
+    into pixel-major order.
+    """
+    best = logits[0]
+    labels = np.zeros(best.shape, dtype=np.uint8)
+    for c in range(1, len(logits)):
+        higher = logits[c] > best
+        labels[higher] = c
+        best = np.maximum(best, logits[c])
+    return labels
+
+
 def cmd_detect(args) -> int:
     ckpt_config, tensors = load_checkpoint(args.checkpoint)
     try:
         config = run_config_from_dict(ckpt_config)
-        model = DetSegModel(config.model, seed=0)
+        model = DetSegModel(config.model, seed=None)  # every weight comes from the checkpoint
         model.load_state(tensors)
     except (KeyError, ValueError) as exc:
         raise CliError(f"checkpoint {args.checkpoint}: {exc.args[0]}") from exc
@@ -346,7 +363,7 @@ def cmd_detect(args) -> int:
         except ValueError as exc:
             raise CliError(f"image {path}: {exc}") from exc
         if args.seg_output:
-            label_maps.append((image_id, per_image["seg_logits"].argmax(axis=0).astype(np.uint8)))
+            label_maps.append((image_id, _label_map(per_image["seg_logits"])))
 
     # written only once every image has run, so a failing image leaves no files
     if args.seg_output:
@@ -470,7 +487,13 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    Every call returns the same object. Parsing leaves it as it was, and no
+    caller may change it.
+    """
     parser = _Parser(prog="detseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -536,6 +559,12 @@ class _LevelPrefix(logging.Formatter):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Callable in-process any number of times: the parser is built by the
+    first call only, and every call writes its own ``error:`` and
+    ``warning:`` lines to the ``sys.stderr`` of the moment.
+    """
     parser = build_parser()
     # Log records of the package reach this call's stderr as "warning: ..."
     # lines. The handler lives only as long as the call, so in-process

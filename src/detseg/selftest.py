@@ -4,9 +4,11 @@ Each suite checks an implementation against an independent route from
 :mod:`detseg.oracles`: layers, losses and the training objective against
 central finite differences, target assignment against a literal per-anchor
 re-application of the rule list and its live-anchor search against the
-whole lattice, NMS against a quadratic reference. The box codec is checked
-against its round-trip identity, and the inference forward against a
-training forward with frozen batch-norm statistics. The acceptance tests
+whole lattice, NMS against a quadratic reference, and the residue-plane
+sums of the transposed convolution and of a convolution's input gradient,
+bit for bit, against a direct loop and a plain scatter. The box codec is
+checked against its round-trip identity, and the inference forward against
+a training forward with frozen batch-norm statistics. The acceptance tests
 run the same suites at full size.
 """
 
@@ -20,6 +22,7 @@ from .assign import _live_anchors, assign_targets
 from .geom import decode_array, encode_array
 from .losses import MARGIN, SEG_IGNORE, TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
 from .net.layers import (
+    _ConvGeometry,
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
@@ -35,6 +38,7 @@ from .oracles import (
     FD_TOLERANCE,
     anchor_aligned_scene,
     assign_oracle_rows,
+    col2im_reference,
     dense_live,
     dense_nms_instance,
     detection_rows,
@@ -45,11 +49,13 @@ from .oracles import (
     relative_error,
     sparse_nms_instance,
     target_rows,
+    transposed_conv_oracle,
 )
 from .post import nms
 
 __all__ = ["run_selftest", "check_layer_gradients", "check_loss_gradients", "check_assignment",
-           "check_live_anchors", "check_nms", "check_codec", "check_inference_path"]
+           "check_live_anchors", "check_nms", "check_transposed_conv", "check_codec",
+           "check_inference_path"]
 
 
 # A central difference costs two evaluations per entry; this caps the cost of
@@ -290,6 +296,34 @@ def check_nms(instances: int = 100, boxes_per_instance: int = 50, seed: int = 0)
     return instances + DENSE_NMS_INSTANCES, mismatches
 
 
+def check_transposed_conv(seed: int = 0) -> tuple[int, int]:
+    """The residue-plane sums of ``col2im`` against independent routes, bit for bit.
+
+    For strides 1-3 and kernels 1-4: ``TransposedConv2d.forward``, eval and
+    training, against :func:`~detseg.oracles.transposed_conv_oracle` (one
+    input channel, so that every tap is one product, rounded alike by the
+    layer's matmul and the loop), and ``Conv2d.backward``'s input gradient
+    against :func:`~detseg.oracles.col2im_reference` of the same columns.
+    Returns ``(cases, mismatching cases)``.
+    """
+    rng = np.random.default_rng(seed)
+    cases = mismatches = 0
+    for stride, kernel in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        up = TransposedConv2d(1, 2, kernel, stride=stride, rng=rng)
+        up.bias.data[...] = rng.standard_normal(2)
+        x = rng.standard_normal((2, 1, 3, 4))
+        expected = transposed_conv_oracle(x, up.weight.data, up.bias.data, stride).tobytes()
+        for training in (False, True):
+            mismatches += up.forward(x, training).tobytes() != expected
+        conv = Conv2d(2, 3, kernel, stride=stride, dilation=2, rng=rng)
+        dy = rng.standard_normal(conv.forward(rng.standard_normal((2, 2, 5, 6)), training=True).shape)
+        geo = _ConvGeometry(5, 6, kernel, stride, 2)
+        dcols = np.matmul(conv.weight.data.reshape(3, -1).T[None], dy.reshape(2, 3, -1))
+        mismatches += conv.backward(dy).tobytes() != geo.unpad(col2im_reference(geo, dcols, 2)).tobytes()
+        cases += 3
+    return cases, mismatches
+
+
 def check_codec(pairs: int = 2000, seed: int = 0) -> float:
     """Max round-trip error of decode(encode(anchor, gt)) over random pairs."""
     rng = np.random.default_rng(seed)
@@ -356,6 +390,11 @@ def run_selftest() -> tuple[bool, list[str]]:
     ok &= nms_bad == 0
     lines.append(f"nms oracle: {instances} instances, {nms_bad} mismatches -> "
                  f"{'ok' if nms_bad == 0 else 'FAIL'}")
+
+    cases, conv_bad = check_transposed_conv()
+    ok &= conv_bad == 0
+    lines.append(f"transposed conv oracle: {cases} cases, {conv_bad} mismatches -> "
+                 f"{'ok' if conv_bad == 0 else 'FAIL'}")
 
     codec_err = check_codec()
     codec_ok = codec_err <= 1e-9

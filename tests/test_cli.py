@@ -15,6 +15,7 @@ from detseg.net.checkpoint import load_checkpoint, save_checkpoint
 from detseg.net.model import DetSegModel
 from detseg.oracles import assign_oracle_rows
 from detseg.pipeline.annotations import boxes_from_polygons, load_annotation
+from detseg.pipeline import cli
 from detseg.pipeline.cli import main
 from detseg.pipeline.classtable import synthetic_table
 from detseg.pipeline.config import (
@@ -472,6 +473,51 @@ class TestDetectCommand:
         code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
         assert err == f"error: checkpoint {checkpoint}: tensor name is not UTF-8\n"
+
+    def test_draws_no_random_numbers(self, capsys, tmp_path, monkeypatch):
+        # every weight comes from the checkpoint, so the model is built without a generator
+        checkpoint, image = write_checkpoint(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("detect made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 0, err
+
+    def test_label_map_ties_keep_the_lower_class(self):
+        logits = np.array([[[0.0, 1.0, 2.0, -0.0]], [[0.0, 3.0, 2.0, 0.0]], [[-1.0, 3.0, 2.0, 0.0]]])
+        labels = cli._label_map(logits)
+        assert labels.dtype == np.uint8 and labels.tolist() == [[0, 1, 0, 0]]
+        many = np.round(np.random.default_rng(3).standard_normal((5, 9, 11)))  # ties of every kind
+        assert cli._label_map(many).tobytes() == many.argmax(axis=0).astype(np.uint8).tobytes()
+
+    def test_repeated_calls_in_one_process_write_the_same_files(self, capsys, tmp_path):
+        # the parser is built once and the loaded tensors are views of each
+        # call's own buffer: neither may carry state from one call to the next
+        config = write_config(tmp_path, training={"iterations": 3},
+                              dataset={"num_images": 2, "width": 32, "height": 32, "max_size": 16})
+        data = os.path.join(tmp_path, "data")
+        cli.build_parser.cache_clear()
+        assert run(capsys, "synth", "--config", config, "--output-dir", data)[0] == 0
+        assert run(capsys, "train-toy", "--config", config, "--dataset", data,
+                   "--output-dir", os.path.join(tmp_path, "run"))[0] == 0
+        checkpoint = os.path.join(tmp_path, "run", "checkpoint.nnad")
+        written = []
+        for call in ("first", "second"):
+            out, seg = os.path.join(tmp_path, f"{call}.jsonl"), os.path.join(tmp_path, f"{call}_seg")
+            code, _, err = run(capsys, "detect", "--checkpoint", checkpoint, "--images",
+                               os.path.join(data, "images"), "--output", out, "--seg-output", seg,
+                               "--score-threshold", "0.0")
+            assert code == 0, err
+            written.append([open(out, "rb").read()] + [open(os.path.join(seg, name), "rb").read()
+                                                       for name in sorted(os.listdir(seg))])
+            if call == "first":
+                assert run(capsys, "train-toy", "--config", config, "--dataset", data,
+                           "--output-dir", os.path.join(tmp_path, "other"))[0] == 0
+        assert len(written[0]) == 3 and written[0][0].count(b"\n") > 0
+        assert written[1] == written[0]
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_failing_image_leaves_no_label_maps(self, capsys, tmp_path):
         # the first image runs, the second fails: neither its label map nor the JSONL is written

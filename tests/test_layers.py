@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,11 +18,13 @@ from detseg.net.layers import (
     TransposedConv2d,
 )
 from detseg.oracles import (
+    col2im_reference,
     conv2d_oracle,
     depthwise_input_grad_oracle,
     depthwise_oracle,
     finite_difference,
     gradients_close,
+    transposed_conv_oracle,
 )
 from detseg.selftest import check_layer_gradients
 
@@ -249,6 +252,106 @@ class TestDepthwiseBlocks:
         finally:
             tracemalloc.stop()
         assert peak < padded + output + 8 * layers.COL_BLOCK + slack
+
+
+with np.errstate(invalid="ignore"):
+    # The NaN this machine's arithmetic makes. IEEE 754 leaves open which
+    # operand's NaN a sum or product passes on, and numpy's loops and
+    # Python's scalars need not pick alike, so an input with NaNs of two bit
+    # patterns could give results that differ only in a NaN. With this one
+    # as the only NaN of an input, every NaN in a result has its bits.
+    MADE_NAN = np.float64(np.inf) - np.float64(np.inf)
+
+
+def special_values(shape, seed):
+    """:func:`signed_zeros` values with +inf, -inf and NaN among them."""
+    v = signed_zeros(shape, seed)
+    v.reshape(-1)[2::7] = np.inf
+    v.reshape(-1)[4::11] = -np.inf
+    v.reshape(-1)[5::13] = MADE_NAN
+    return v
+
+
+def unpadded_view_strides(geo, n, channels):
+    """The strides of the unpadded view of a C-contiguous padded (n, channels) buffer."""
+    return geo.unpad(np.empty(geo.padded_shape(n, channels))).strides
+
+
+# odd and even sides, and a map smaller than the kernel
+SIDES = [(1, 1), (2, 3), (4, 4), (5, 6), (7, 9)]
+
+
+class TestResiduePlanes:
+    """``col2im`` sums in residue planes and gives the bits of one padded per-tap scatter."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_col2im_equals_padded_scatter(self, kernel, stride, dilation, n):
+        for h, w in SIDES:
+            geo = _ConvGeometry(h, w, kernel, stride, dilation)
+            cols = special_values((n, 3 * kernel * kernel, geo.out_h * geo.out_w), 80)
+            with np.errstate(invalid="ignore"):
+                got, expected = geo.col2im(cols, 3), col2im_reference(geo, cols, 3)
+            assert got.tobytes() == expected.tobytes(), (h, w)
+            assert got.shape == geo.padded_shape(n, 3) and got.flags.c_contiguous, (h, w)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_conv_input_grad_equals_padded_scatter(self, kernel, stride, dilation, n):
+        conv = Conv2d(2, 3, kernel, stride=stride, dilation=dilation, rng=rng_for(81))
+        for draw, (h, w) in itertools.product((signed_zeros, special_values), SIDES):
+            conv.weight.data[...] = draw(conv.weight.data.shape, 82)
+            geo = _ConvGeometry(h, w, kernel, stride, dilation)
+            dy = draw((n, 3, geo.out_h, geo.out_w), 84)
+            with np.errstate(invalid="ignore"):
+                conv.forward(rng_for(83).standard_normal((n, 2, h, w)), training=True)
+                dcols = np.matmul(conv.weight.data.reshape(3, -1).T[None], dy.reshape(n, 3, -1))
+                expected = geo.unpad(col2im_reference(geo, dcols, 2))
+                dx = conv.backward(dy)
+            assert dx.tobytes() == expected.tobytes(), (draw.__name__, h, w)
+            assert dx.strides == unpadded_view_strides(geo, n, 2), (h, w)
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_transposed_matches_direct_loop(self, kernel, stride, n, training):
+        # One input channel, so that each tap is one product, which the
+        # layer's matmul rounds as the loop does; then ±0.0, ±inf and NaN in
+        # the input and the weights.
+        up = TransposedConv2d(1, 2, kernel, stride=stride, rng=rng_for(85))
+        up.bias.data[...] = [0.5, -0.0]
+        for draw, (h, w) in itertools.product((signed_zeros, special_values), SIDES[:4]):
+            up.weight.data[...] = draw(up.weight.data.shape, 86)
+            x = draw((n, 1, h, w), 87)
+            geo = _ConvGeometry(h * stride, w * stride, kernel, stride, 1)
+            with np.errstate(invalid="ignore"):
+                y = up.forward(x, training)
+                expected = transposed_conv_oracle(x, up.weight.data, up.bias.data, stride)
+            assert y.tobytes() == expected.tobytes(), (draw.__name__, h, w)
+            assert y.strides == unpadded_view_strides(geo, n, 2), (h, w)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [2, 3, 4, 5])
+    def test_transposed_with_channels_matches_direct_loop(self, kernel, stride, n):
+        # Small integers, the weights scaled by a power of two per tap: each
+        # tap's sum over channels is exact in any order, with or without a
+        # fused multiply-add, while the sum over taps rounds, so that it
+        # shows the order the taps are added in.
+        rng = rng_for(88)
+        up = TransposedConv2d(3, 2, kernel, stride=stride, rng=rng)
+        scale = 2.0 ** rng.integers(-40, 41, size=(kernel, kernel))
+        up.weight.data[...] = rng.integers(-3, 4, size=up.weight.data.shape) * scale
+        up.bias.data[...] = rng.standard_normal(2)
+        for h, w in SIDES[:4]:
+            x = rng.integers(-3, 4, size=(n, 3, h, w)).astype(np.float64)
+            expected = transposed_conv_oracle(x, up.weight.data, up.bias.data, stride)
+            assert up.forward(x).tobytes() == expected.tobytes(), (h, w)
 
 
 class TestAlgebraicIdentities:

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -300,6 +301,40 @@ class TestFlatParams:
         model.forward(np.random.default_rng(9).random((1, 3, 16, 16)))
 
 
+class TestSeedlessBuild:
+    def test_draws_nothing_and_zeroes_the_weights(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a seedless build made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        model = DetSegModel(SMALL, seed=None)
+        for name, tensor in model.state_tensors().items():
+            if name.endswith(("gamma", "running_var")):
+                assert np.all(tensor == 1.0), name
+            else:
+                assert not tensor.any(), name
+
+    def test_loaded_outputs_equal_the_seeded_path(self, tmp_path):
+        path = os.path.join(tmp_path, "model.nnad")
+        source = small_model(seed=5)
+        source.forward(np.random.default_rng(6).normal(1.0, 2.0, (2, 3, 16, 16)), training=True)  # move BN stats
+        save_checkpoint(path, {}, source.state_tensors())
+        _, tensors = load_checkpoint(path)
+        seeded, seedless = DetSegModel(SMALL, seed=0), DetSegModel(SMALL, seed=None)
+        seeded.load_state(tensors)
+        seedless.load_state(tensors)
+        assert list(seedless.state_tensors()) == list(seeded.state_tensors())
+        x = np.random.default_rng(7).random((1, 3, 16, 16))
+        expected, got = seeded.forward(x), seedless.forward(x)
+        for head in expected:
+            assert got[head].data.tobytes() == expected[head].data.tobytes(), head
+
+    def test_state_order_is_parameters_then_buffers_in_walk_order(self):
+        model = small_model()
+        names = [name for name, _ in model.named_params()] + [name for name, _ in model.named_buffers()]
+        assert list(model.state_tensors()) == names
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = small_model(seed=7)
@@ -364,6 +399,46 @@ class TestCheckpoint:
         save_checkpoint(path, {}, {"w": np.zeros(3), "b": np.array([[1.0, np.inf]])})
         with pytest.raises(ValueError, match="tensor 'b' has non-finite values"):
             load_checkpoint(path)
+
+    def test_non_finite_tensors_name_the_first_in_file_order(self, tmp_path):
+        path = os.path.join(tmp_path, "model.nnad")
+        save_checkpoint(path, {}, {"w": np.zeros(3), "b": np.array([np.nan]), "c": np.array([-np.inf])})
+        with pytest.raises(ValueError, match="tensor 'b' has non-finite values"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("truncated", "truncated file"),
+        ("trailing", "trailing bytes after the payload"),
+    ])
+    def test_fault_of_layout_is_reported_before_a_non_finite_tensor(self, tmp_path, fault, message):
+        # the finiteness pass runs once the whole file has parsed
+        path = os.path.join(tmp_path, "model.nnad")
+        save_checkpoint(path, {}, {"b": np.array([np.nan, 1.0]), "w": np.arange(4, dtype=np.float64)})
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:-6] if fault == "truncated" else blob + b"\0")
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {message}") + "$"):
+            load_checkpoint(path)
+
+    def test_tensors_are_writeable_float64_views_of_one_buffer(self, tmp_path):
+        path = os.path.join(tmp_path, "model.nnad")
+        saved = small_model(seed=4).state_tensors()
+        save_checkpoint(path, {}, saved)
+        _, tensors = load_checkpoint(path)
+
+        def owner(arr):
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            return arr.obj if isinstance(arr, memoryview) else arr
+
+        assert isinstance(owner(tensors["backbone.0.weight"]), bytearray)
+        assert len({id(owner(t)) for t in tensors.values()}) == 1
+        for name, tensor in tensors.items():
+            assert tensor.dtype == np.float64 and tensor.flags.writeable and not tensor.flags.owndata, name
+            assert tensor.shape == saved[name].shape and tensor.tobytes() == saved[name].tobytes(), name
+        tensors["backbone.0.weight"][...] = 1.0
+        assert np.all(tensors["backbone.0.weight"] == 1.0)
+        assert tensors["backbone.0.bias"].tobytes() == saved["backbone.0.bias"].tobytes()
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = small_model()

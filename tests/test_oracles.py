@@ -2,6 +2,7 @@ import ast
 import inspect
 
 from detseg import assign, evaluation, geom, oracles, post
+from detseg.net import layers
 
 # The vectorised code the oracles check; an oracle that called any of it
 # would agree with it by construction. The scalar encode/decode wrap the
@@ -18,6 +19,7 @@ CHECKED = {
     post.nms,
     evaluation.match_detections,
     evaluation.average_precision,
+    layers._ConvGeometry.col2im,
 }
 
 
