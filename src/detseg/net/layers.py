@@ -27,7 +27,13 @@ matters: batch norm's sums over a batch round by layout.
 A depthwise convolution gathers its columns in blocks of channels of at most
 ``COL_BLOCK`` values. When the whole column matrix fits one block, a training
 forward caches it; above that budget it caches the padded input (the input
-itself for a 1x1 kernel), and ``backward`` gathers each block again.
+itself for a 1x1 kernel), and ``backward`` gathers each block again. The
+transposed convolution's forward shares that budget: each block of output
+channels gets its own matmul, and ``col2im`` sums the block's columns
+straight into its channels of one padded array. The first time either layer
+needs more than one block, it fixes the process's heap thresholds
+(:func:`fix_heap_thresholds`), so that one block's temporaries reuse the
+pages of the last.
 
 A ``Param``'s ``data`` and ``grad`` may be views of one buffer shared by a
 whole model (:func:`pack_params`), which the optimizer updates and
@@ -44,6 +50,8 @@ through, so a NaN weight is not hidden by a later ReLU but reaches the heads.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from typing import Iterator, Sequence
 
@@ -53,6 +61,7 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "Param",
     "pack_params",
+    "fix_heap_thresholds",
     "Layer",
     "Conv2d",
     "DepthwiseConv2d",
@@ -65,10 +74,59 @@ __all__ = [
     "Sequential",
 ]
 
-# Float64 values in one block of depthwise columns: 2 MiB, one L2 cache on
-# the 2-core box it was sized on, so a block stays cached between the gather
-# that writes it and the einsum that reads it.
+# Float64 values in one block of depthwise or transposed-convolution
+# columns: 2 MiB, one L2 cache on the 2-core box it was sized on, so a block
+# stays cached between the product that writes it and the sum that reads it.
 COL_BLOCK = 2**18
+
+
+# glibc's mallopt(3) parameter numbers, and the values fix_heap_thresholds
+# sets. 32 MiB is where glibc's own dynamic mmap threshold stops rising.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 64 * 2**20
+
+
+@functools.cache
+def fix_heap_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds for this process; False where no C library has ``mallopt``.
+
+    glibc's default is a dynamic rule: a block at or above the mmap
+    threshold (128 KiB at first) gets a fresh ``mmap``; freeing one raises
+    that threshold to its size, up to 32 MiB, and the trim threshold to
+    twice that; and free memory above the trim threshold at the top of the
+    heap goes back to the system. Whether the column blocks and planes of a
+    few MB reuse the pages of the last block or fault in fresh zeroed ones
+    then depends on what the process allocated before. With the thresholds
+    fixed, blocks under 32 MiB come from the heap, which keeps up to 64 MiB
+    free at its top, so each block reuses the pages of the last. Both are
+    set: setting either one turns the dynamic rule off, which would leave
+    the other at its default.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle (Windows), or no mallopt in it
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return True
+
+
+def _channel_blocks(channels: int, per_channel: int) -> list[slice]:
+    """Slices of ``channels`` whose columns, ``per_channel`` values a channel, hold at most ``COL_BLOCK`` each.
+
+    Every block holds at least one channel. When there is more than one,
+    this first fixes the heap thresholds (:func:`fix_heap_thresholds`,
+    once per process): without them, the blocks' temporaries fault in fresh
+    pages, block after block.
+    """
+    step = max(1, COL_BLOCK // max(per_channel, 1))
+    if step < channels:
+        fix_heap_thresholds()
+    return [slice(lo, min(lo + step, channels)) for lo in range(0, channels, step)]
 
 
 class Param:
@@ -224,8 +282,12 @@ class _ConvGeometry:
             return xp.reshape(n, c, length)
         return np.ascontiguousarray(self.taps(xp)).reshape(n, c * self.kernel * self.kernel, length)
 
-    def col2im(self, cols: np.ndarray, channels: int) -> np.ndarray:
+    def col2im(self, cols: np.ndarray, channels: int, out: np.ndarray | None = None) -> np.ndarray:
         """Adjoint of :meth:`im2col`; returns the padded-shape array, C-contiguous.
+
+        With ``out``, an (N, ``channels``) padded-shape array, such as a
+        block of channels of a larger one, the sums are written into it
+        instead, every element of it, and ``out`` is returned.
 
         The sum runs in residue planes. Tap (ki, kj) adds only into padded
         rows ``r`` with ``r % stride == ki * dilation % stride``, and likewise
@@ -244,9 +306,17 @@ class _ConvGeometry:
         n = cols.shape[0]
         k, d, s = self.kernel, self.dilation, self.stride
         if k == 1 and s == 1:
-            return cols.reshape(n, channels, self.out_h, self.out_w)
+            if out is None:
+                return cols.reshape(n, channels, self.out_h, self.out_w)
+            out[...] = cols.reshape(n, channels, self.out_h, self.out_w)
+            return out
         cols6 = cols.reshape(n, channels, k, k, self.out_h, self.out_w)
-        xp = self.zeros(n, channels) if s == 1 else np.empty(self.padded_shape(n, channels))
+        if out is None:
+            xp = self.zeros(n, channels) if s == 1 else np.empty(self.padded_shape(n, channels))
+        else:
+            xp = out
+            if s == 1:
+                xp[...] = 0.0
         offsets = [divmod(t * d, s) for t in range(k)]  # (offset in the plane, residue) of each tap row/column
         for ri in range(s):
             for rj in range(s):
@@ -340,12 +410,6 @@ class DepthwiseConv2d(Layer):
     def local_params(self):
         return [("weight", self.weight)]
 
-    def _blocks(self, geo: _ConvGeometry, n: int) -> list[slice]:
-        """Channel slices whose columns hold at most ``COL_BLOCK`` values each, at least one channel."""
-        per_channel = n * self.kernel * self.kernel * geo.out_h * geo.out_w
-        step = max(1, COL_BLOCK // max(per_channel, 1))
-        return [slice(lo, lo + step) for lo in range(0, self.channels, step)]
-
     def _columns(self, geo: _ConvGeometry, xp: np.ndarray, reverse: bool = False) -> np.ndarray:
         """The (N, C, k * k, L) columns of the padded ``xp``, taps in reverse order if ``reverse``."""
         n, c = xp.shape[:2]
@@ -370,7 +434,7 @@ class DepthwiseConv2d(Layer):
             raise ValueError(f"expected {self.channels} input channels, got {c}")
         geo = _ConvGeometry(h, w, self.kernel, 1, self.dilation)
         xp = geo.pad(x)
-        blocks = self._blocks(geo, n)
+        blocks = _channel_blocks(c, n * self.kernel * self.kernel * geo.out_h * geo.out_w)
         if training and len(blocks) == 1:
             cols4 = self._columns(geo, xp)
             y = np.einsum("ck,nckl->ncl", self.weight.data.reshape(c, -1), cols4)
@@ -433,7 +497,7 @@ class TransposedConv2d(Layer):
     the matching downsampling convolution in the adjoint identity
     ``<conv(x), y> == <x, transposed(y)>``.
 
-    The forward is one matmul, which gives every tap's columns, then
+    The forward is a matmul, which gives every tap's columns, then
     :meth:`_ConvGeometry.col2im`, which sums them one residue plane at a
     time: a stride-s transposed convolution splits into s * s independent
     phases, one per output residue (Shi et al., "Real-Time Single Image and
@@ -441,6 +505,23 @@ class TransposedConv2d(Layer):
     Network", CVPR 2016). The output is the unpadded view of the padded
     array, with its strides, as when each tap was added into that array
     directly.
+
+    The column matrix of all output channels is the layer's largest
+    temporary, so the layer shares the depthwise budget: the output
+    channels go in blocks of at most ``COL_BLOCK`` column values (at least
+    one channel; one block when all of them fit). Each block is one matmul
+    of its rows of the weight, and ``col2im`` sums its residue planes
+    straight into the block's channels of one C-contiguous padded array.
+    Each output is the same sum of taps in the same order for any block
+    size, and each column the same dot product: numpy computes a block's
+    product, as it does the whole one, as a matrix product (BLAS gemm),
+    which rounds an entry alike whatever the number of rows. So blocking
+    changes no bit, except where a product has one row or one column (a 1x1
+    kernel in blocks of one channel, or a one-pixel input): numpy then
+    computes a matrix-vector product (gemv), whose rounding depends on its
+    length. No layer here meets either case above the budget. A training
+    forward keeps only the input, and ``backward`` gathers the columns of
+    ``dy`` whole.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3, stride: int = 2, *,
@@ -463,8 +544,12 @@ class TransposedConv2d(Layer):
         geo = _ConvGeometry(h * self.stride, w * self.stride, self.kernel, self.stride, 1)
         xm = x.reshape(n, c, h * w)
         w2 = self.weight.data.reshape(self.in_channels, -1)
-        cols = np.matmul(w2.T[None], xm)
-        y = geo.unpad(geo.col2im(cols, self.out_channels))
+        taps = self.kernel * self.kernel
+        xp = np.empty(geo.padded_shape(n, self.out_channels))
+        for b in _channel_blocks(self.out_channels, n * taps * h * w):
+            # passed unnamed, so that a block's columns are freed before the next block's are made
+            geo.col2im(np.matmul(w2[:, b.start * taps:b.stop * taps].T[None], xm), b.stop - b.start, out=xp[:, b])
+        y = geo.unpad(xp)
         y += self.bias.data[None, :, None, None]
         self._cache = (geo, xm) if training else None
         return y

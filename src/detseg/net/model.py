@@ -206,8 +206,9 @@ class DetSegModel(Layer):
     def load_state(self, tensors: Mapping[str, np.ndarray]) -> None:
         """Copy every parameter and buffer in by name, in :meth:`state_tensors` order; extra entries are ignored.
 
-        The tree is walked once. The first missing or misshapen tensor in
-        that order is the one an error names.
+        The tree is walked once. The first tensor in that order that is
+        missing, misshapen, or a batch-norm variance (``*.running_var``)
+        with a negative value is the one an error names.
         """
         for name, target in self.state_tensors().items():
             if name not in tensors:
@@ -215,6 +216,8 @@ class DetSegModel(Layer):
             value = np.asarray(tensors[name], dtype=np.float64)
             if value.shape != target.shape:
                 raise ValueError(f"tensor {name!r} has shape {value.shape}, expected {target.shape}")
+            if name.endswith(".running_var") and (value < 0).any():
+                raise ValueError(f"tensor {name!r} has negative values")
             target[...] = value
 
     # -- forward / backward -------------------------------------------------

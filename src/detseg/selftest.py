@@ -5,15 +5,17 @@ Each suite checks an implementation against an independent route from
 central finite differences, target assignment against a literal per-anchor
 re-application of the rule list and its live-anchor search against the
 whole lattice, NMS against a quadratic reference, and the residue-plane
-sums of the transposed convolution and of a convolution's input gradient,
-bit for bit, against a direct loop and a plain scatter. The box codec is
-checked against its round-trip identity, and the inference forward against
-a training forward with frozen batch-norm statistics. The acceptance tests
-run the same suites at full size.
+sums of the transposed convolution (whole and in blocks of one output
+channel) and of a convolution's input gradient, bit for bit, against a
+direct loop and a plain scatter. The box codec is checked against its
+round-trip identity, and the inference forward against a training forward
+with frozen batch-norm statistics. The acceptance tests run the same suites
+at full size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from .assign import _live_anchors, assign_targets
 from .geom import decode_array, encode_array
 from .losses import MARGIN, SEG_IGNORE, TASK_NAMES, contrastive_loss, cross_entropy, focal_loss, smooth_l1
+from .net import layers
 from .net.layers import (
     _ConvGeometry,
     BatchNorm2d,
@@ -296,15 +299,27 @@ def check_nms(instances: int = 100, boxes_per_instance: int = 50, seed: int = 0)
     return instances + DENSE_NMS_INSTANCES, mismatches
 
 
+@contextlib.contextmanager
+def _column_budget(values: int):
+    """Run the body with ``layers.COL_BLOCK`` set to ``values``."""
+    saved = layers.COL_BLOCK
+    layers.COL_BLOCK = values
+    try:
+        yield
+    finally:
+        layers.COL_BLOCK = saved
+
+
 def check_transposed_conv(seed: int = 0) -> tuple[int, int]:
     """The residue-plane sums of ``col2im`` against independent routes, bit for bit.
 
     For strides 1-3 and kernels 1-4: ``TransposedConv2d.forward``, eval and
-    training, against :func:`~detseg.oracles.transposed_conv_oracle` (one
-    input channel, so that every tap is one product, rounded alike by the
-    layer's matmul and the loop), and ``Conv2d.backward``'s input gradient
-    against :func:`~detseg.oracles.col2im_reference` of the same columns.
-    Returns ``(cases, mismatching cases)``.
+    training, and eval again in blocks of one output channel, against
+    :func:`~detseg.oracles.transposed_conv_oracle` (one input channel, so
+    that every tap is one product, rounded alike by the layer's matmul and
+    the loop), and ``Conv2d.backward``'s input gradient against
+    :func:`~detseg.oracles.col2im_reference` of the same columns. Returns
+    ``(cases, mismatching cases)``.
     """
     rng = np.random.default_rng(seed)
     cases = mismatches = 0
@@ -315,12 +330,14 @@ def check_transposed_conv(seed: int = 0) -> tuple[int, int]:
         expected = transposed_conv_oracle(x, up.weight.data, up.bias.data, stride).tobytes()
         for training in (False, True):
             mismatches += up.forward(x, training).tobytes() != expected
+        with _column_budget(1):
+            mismatches += up.forward(x).tobytes() != expected
         conv = Conv2d(2, 3, kernel, stride=stride, dilation=2, rng=rng)
         dy = rng.standard_normal(conv.forward(rng.standard_normal((2, 2, 5, 6)), training=True).shape)
         geo = _ConvGeometry(5, 6, kernel, stride, 2)
         dcols = np.matmul(conv.weight.data.reshape(3, -1).T[None], dy.reshape(2, 3, -1))
         mismatches += conv.backward(dy).tobytes() != geo.unpad(col2im_reference(geo, dcols, 2)).tobytes()
-        cases += 3
+        cases += 4
     return cases, mismatches
 
 

@@ -11,6 +11,7 @@ import pytest
 import detseg
 from detseg.assign import AssignRule, GroundTruthObject, assign_targets_detailed
 from detseg.geom import BBox, anchor_preset, make_anchor_grid
+from detseg.net import layers
 from detseg.net.checkpoint import load_checkpoint, save_checkpoint
 from detseg.net.model import DetSegModel
 from detseg.oracles import assign_oracle_rows
@@ -317,6 +318,14 @@ MALFORMED_CONFIGS = {
 }
 
 
+def no_mallopt(name):
+    return object()
+
+
+def no_c_library(name):
+    raise TypeError("no C library handle")  # what ctypes.CDLL(None) raises on Windows
+
+
 class TestDetectCommand:
     def detect(self, capsys, tmp_path, checkpoint, image):
         out_path = os.path.join(tmp_path, "dets.jsonl")
@@ -384,6 +393,30 @@ class TestDetectCommand:
         code, err = self.detect(capsys, tmp_path, checkpoint, image)
         assert code == 1
         assert checkpoint in err and "'backbone.0.weight' has non-finite values" in err
+
+    def test_negative_variance_rejected_at_load(self, capsys, tmp_path):
+        # finite, so the checkpoint reader passes it; a forward would give NaN logits and blame the image
+        def poison(tensors):
+            tensors["backbone.1.bn1.running_var"][0] = -0.5
+
+        checkpoint, image = write_checkpoint(tmp_path, edit=poison)
+        code, err = self.detect(capsys, tmp_path, checkpoint, image)
+        assert code == 1
+        assert err == f"error: checkpoint {checkpoint}: tensor 'backbone.1.bn1.running_var' has negative values\n"
+
+    @pytest.mark.parametrize("cdll", [no_mallopt, no_c_library])
+    def test_blocked_layers_run_where_libc_has_no_mallopt(self, capsys, tmp_path, monkeypatch, cdll):
+        # blocks of one channel, so that the depthwise and transposed layers ask for the heap policy
+        monkeypatch.setattr(layers, "COL_BLOCK", 1)
+        monkeypatch.setattr(layers.ctypes, "CDLL", cdll)
+        layers.fix_heap_thresholds.cache_clear()
+        try:
+            code, err = self.detect(capsys, tmp_path, *write_checkpoint(tmp_path))
+            assert code == 0 and err == ""
+            assert layers.fix_heap_thresholds.cache_info().misses == 1
+            assert layers.fix_heap_thresholds() is False  # the value the first blocked layer left
+        finally:
+            layers.fix_heap_thresholds.cache_clear()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
     def test_malformed_config_rejected_naming_checkpoint_and_key(self, capsys, tmp_path, case):

@@ -88,6 +88,14 @@ def test_formats_quotes_every_constant():
     }
 
 
+def test_readme_quotes_every_constant():
+    assert {name for document, name, _ in CONSTANTS if document == "README.md"} == {
+        "detseg.assign.ACTIVE_IOU", "detseg.assign.DONTCARE_IOU", "detseg.assign.AMBIGUITY_GAP",
+        "detseg.losses.MARGIN", "detseg.losses.FOCAL_ALPHA", "detseg.losses.FOCAL_GAMMA",
+        "detseg.net.layers.COL_BLOCK", "detseg.net.layers.MMAP_THRESHOLD", "detseg.net.layers.TRIM_THRESHOLD",
+    }
+
+
 @pytest.mark.parametrize("document, name, quoted", CONSTANTS,
                          ids=[f"{document}-{name}" for document, name, _ in CONSTANTS])
 def test_quoted_constant_has_its_value(document, name, quoted):

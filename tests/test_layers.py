@@ -93,7 +93,10 @@ CONV_CASES = [
 
 
 def force_blocks(monkeypatch, per_block, shape, kernel):
-    """Make a depthwise forward on ``shape`` gather ``per_block`` channels per block; None keeps ``COL_BLOCK``."""
+    """Make a depthwise or transposed-convolution forward on input ``shape`` go in blocks of ``per_block`` channels.
+
+    None keeps ``COL_BLOCK``. Either layer's columns take ``n * kernel ** 2 * h * w`` values a channel.
+    """
     if per_block is not None:
         n, _, h, w = shape
         monkeypatch.setattr(layers, "COL_BLOCK", per_block * n * kernel * kernel * h * w)
@@ -234,9 +237,23 @@ class TestDepthwiseBlocks:
     def test_finite_differences_in_blocks_of_one_channel(self, monkeypatch):
         monkeypatch.setattr(layers, "COL_BLOCK", 1)
         results = check_layer_gradients(instances=3, seed=42)
-        assert {"depthwise_conv", "depthwise_dilated"} <= {name for name, _, _ in results}
+        assert {"depthwise_conv", "depthwise_dilated", "transposed_conv"} <= {name for name, _, _ in results}
         for name, err, ok in results:
             assert ok, f"{name}: max relative error {err:.3e}"
+
+    def test_heap_thresholds_are_fixed_by_the_first_blocked_forward(self, monkeypatch):
+        up = TransposedConv2d(3, 5, 3, rng=rng_for(96))
+        x = rng_for(97).standard_normal((1, 3, 4, 4))
+        layers.fix_heap_thresholds.cache_clear()
+        try:
+            up.forward(x)
+            assert layers.fix_heap_thresholds.cache_info().misses == 0  # one block needs no policy
+            force_blocks(monkeypatch, 1, x.shape, 3)
+            for _ in range(2):
+                up.forward(x)
+            assert layers.fix_heap_thresholds.cache_info().misses == 1
+        finally:
+            layers.fix_heap_thresholds.cache_clear()
 
     def test_eval_forward_memory_is_bounded_by_the_block(self):
         # at the whole-matrix gather this layer's columns alone took
@@ -352,6 +369,57 @@ class TestResiduePlanes:
             x = rng.integers(-3, 4, size=(n, 3, h, w)).astype(np.float64)
             expected = transposed_conv_oracle(x, up.weight.data, up.bias.data, stride)
             assert up.forward(x).tobytes() == expected.tobytes(), (h, w)
+
+
+class TestTransposedBlocks:
+    """Output channels in column blocks give the bits and the strides of one whole matmul."""
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("kernel", [2, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blocked_equals_one_block(self, n, stride, kernel, per_block, monkeypatch):
+        # 5 output channels, which blocks of 2 do not divide, and 3 input
+        # channels, so that each column is a rounded sum of products
+        up = TransposedConv2d(3, 5, kernel, stride=stride, rng=rng_for(90))
+        up.bias.data[...] = signed_zeros(5, 91)
+        blocks = []
+        col2im = _ConvGeometry.col2im
+        monkeypatch.setattr(_ConvGeometry, "col2im",
+                            lambda geo, cols, channels, out=None: blocks.append(channels) or
+                            col2im(geo, cols, channels, out))
+        # sides of two pixels or more: a one-pixel input is the documented exception
+        for draw, (h, w) in itertools.product((signed_zeros, special_values), [(1, 2), (2, 3), (4, 4), (7, 9)]):
+            up.weight.data[...] = draw(up.weight.data.shape, 92)
+            x = draw((n, 3, h, w), 93)
+            for training in (False, True):
+                with np.errstate(invalid="ignore"):
+                    monkeypatch.setattr(layers, "COL_BLOCK", 2**62)
+                    whole = up.forward(x, training)
+                    force_blocks(monkeypatch, per_block, x.shape, kernel)
+                    blocked = up.forward(x, training)
+                assert blocked.tobytes() == whole.tobytes(), (draw.__name__, h, w, training)
+                assert blocked.strides == whole.strides, (h, w)
+                assert blocks == [5] + [per_block] * (5 // per_block) + [5 % per_block] * (5 % per_block > 0)
+                blocks.clear()
+
+    def test_eval_forward_memory_is_bounded_by_the_block(self):
+        # the last transposed convolution of the default seg head at 256x128;
+        # its one-matmul columns alone took 12 * 9 * 64 * 128 * 8 B = 7.1 MB
+        up = TransposedConv2d(16, 12, 3, stride=2, rng=rng_for(94))
+        x = rng_for(95).standard_normal((1, 16, 64, 128))
+        padded = 12 * 129 * 257 * 8  # the output, padded by one row and column
+        # a block's largest residue plane (3 channels of 73,728 column values a
+        # block); col2im makes the next plane before it drops the last
+        plane = 3 * 65 * 129 * 8
+        slack = 64 * 1024  # Python objects, views and array headers
+        tracemalloc.start()
+        try:
+            up.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded + 8 * layers.COL_BLOCK + 2 * plane + slack, peak
 
 
 class TestAlgebraicIdentities:
