@@ -24,16 +24,22 @@ view. Each element is the sum a tap-by-tap scatter into the padded array
 gives, in the same order, and the result has the same memory layout, which
 matters: batch norm's sums over a batch round by layout.
 
-A depthwise convolution gathers its columns in blocks of channels of at most
-``COL_BLOCK`` values. When the whole column matrix fits one block, a training
-forward caches it; above that budget it caches the padded input (the input
-itself for a 1x1 kernel), and ``backward`` gathers each block again. The
-transposed convolution's forward shares that budget: each block of output
-channels gets its own matmul, and ``col2im`` sums the block's columns
-straight into its channels of one padded array. The first time either layer
-needs more than one block, it fixes the process's heap thresholds
-(:func:`fix_heap_thresholds`), so that one block's temporaries reuse the
-pages of the last.
+A dilated depthwise convolution with a kernel wider than 1 (every depthwise
+layer of the default model from stage 3 on: 32 of its 36) gathers no
+columns for its forward or its input gradient. It reads its taps through
+one strided view of the padded input, or of the padded ``dy``, after Cho and
+Brand's memory-efficient convolution (ICML 2017); a training forward caches
+the padded input, and ``backward`` gathers its columns, in blocks, only for
+the weight gradient. Any other depthwise convolution gathers its columns in
+blocks of channels of at most ``COL_BLOCK`` values. When the whole column
+matrix fits one block, a training forward caches it; above that budget it
+caches the padded input (the input itself for a 1x1 kernel), and
+``backward`` gathers each block again. The transposed convolution's forward
+shares that budget: each block of output channels gets its own matmul, and
+``col2im`` sums the block's columns straight into its channels of one padded
+array. The first time either layer needs more than one block, it fixes the
+process's heap thresholds (:func:`fix_heap_thresholds`), so that one block's
+temporaries reuse the pages of the last.
 
 A ``Param``'s ``data`` and ``grad`` may be views of one buffer shared by a
 whole model (:func:`pack_params`), which the optimizer updates and
@@ -328,6 +334,7 @@ class _ConvGeometry:
                             plane[:, :, oi:oi + self.out_h, oj:oj + self.out_w] += cols6[:, :, ki, kj]
                 if s > 1:
                     view[...] = plane
+                    del plane  # so that the next plane is not made while this one is held
         return xp
 
 
@@ -380,13 +387,30 @@ class Conv2d(Layer):
 class DepthwiseConv2d(Layer):
     """Per-channel spatial convolution (no channel mixing), stride 1, no bias.
 
-    The k * k column matrix is gathered in blocks of whole channels of at
-    most ``COL_BLOCK`` values each (at least one channel), and each block's
-    ``einsum`` fills its channels of a preallocated output. A layer whose
-    whole column matrix fits one block gathers it once, and a training
-    forward keeps it for the weight gradient. Above the budget a training
-    forward keeps the padded input instead, and ``backward`` gathers each
-    block again, for the weight gradient and for the input gradient.
+    A dilated layer with a kernel wider than 1 (:attr:`views_taps`) gathers
+    no columns for its output or its input gradient: :meth:`_tap_sum` reads
+    the taps through one view of the padded array. A training forward keeps
+    the padded input, and ``backward`` gathers its columns in blocks (below)
+    for the weight gradient only. Each output and input-gradient entry is
+    the sum of the gathered path, in the same order, bit for bit, and the
+    output is C-contiguous, as the gathered path's is, so no later sum over
+    it rounds otherwise.
+
+    An undilated layer keeps the gather. At dilation 1 the view's unit-step
+    tap axis has the stride of its output axis, and numpy's ``einsum`` then
+    picks another inner loop, whose sums differ in the last bits under
+    every ``order`` and which took 2.3-2.6x as long (386 against 146 us at
+    (1, 32, 16, 32), 2.66 against 1.15 ms at (1, 16, 64, 128), on a 2-core
+    x86 box with numpy 2.4.6).
+
+    Otherwise the k * k column matrix is gathered in blocks of whole
+    channels of at most ``COL_BLOCK`` values each (at least one channel),
+    and each block's ``einsum`` fills its channels of a preallocated output.
+    A layer whose whole column matrix fits one block gathers it once, and a
+    training forward keeps it for the weight gradient. Above the budget a
+    training forward keeps the padded input instead, and ``backward``
+    gathers each block again, for the weight gradient and for the input
+    gradient.
 
     Each output and input-gradient entry is the same sum in the same order
     either way, so blocking changes none of their bits. So is each
@@ -409,6 +433,37 @@ class DepthwiseConv2d(Layer):
 
     def local_params(self):
         return [("weight", self.weight)]
+
+    @property
+    def views_taps(self) -> bool:
+        """Whether the forward and the input gradient read their taps through :meth:`_tap_sum`'s view."""
+        return self.dilation > 1 and self.kernel > 1
+
+    def _tap_sum(self, xp: np.ndarray, h: int, w: int, reverse: bool = False) -> np.ndarray:
+        """``sum_t w[c, t] * tap t`` of the padded, C-contiguous ``xp`` for an (h, w) output, with no gather.
+
+        Output (i, j) lies at flat offset ``l = i * PW + j`` of a padded
+        channel of row width ``PW``, and tap (ki, kj) of every output at the
+        fixed offset ``(ki * PW + kj) * d`` from it, so one view of shape
+        (N, C, k, k, h * PW - (k - 1) * d) reads every tap of every output of
+        a flat (N, C, h * PW) sum, whose first ``w`` columns of each row are
+        the output; the rest, which straddle two rows, are dropped. With
+        ``reverse`` the view starts at the last tap and steps back, for the
+        input gradient. ``einsum`` adds each output's taps from +0.0 in
+        (ki, kj) order, as it does over the gathered columns. ``geo.pad``
+        makes ``xp`` C-contiguous here: a layer that views its taps always
+        pads.
+        """
+        n, c, _, pw = xp.shape
+        k, d = self.kernel, self.dilation
+        sn, sc, sh, sw = xp.strides
+        span = (k - 1) * d
+        # np.ndarray over xp's buffer: ~0.5 us a call against as_strided's ~3.5, which counts at 8x8 maps
+        offset, step = (span * (sh + sw), -d) if reverse else (0, d)
+        view = np.ndarray((n, c, k, k, h * pw - span), xp.dtype, xp, offset, (sn, sc, step * sh, step * sw, sw))
+        y = np.empty((n, c, h * pw))
+        np.einsum("cij,ncijl->ncl", self.weight.data, view, out=y[:, :, :h * pw - span])
+        return np.ascontiguousarray(y.reshape(n, c, h, pw)[:, :, :, :w])
 
     def _columns(self, geo: _ConvGeometry, xp: np.ndarray, reverse: bool = False) -> np.ndarray:
         """The (N, C, k * k, L) columns of the padded ``xp``, taps in reverse order if ``reverse``."""
@@ -434,7 +489,11 @@ class DepthwiseConv2d(Layer):
             raise ValueError(f"expected {self.channels} input channels, got {c}")
         geo = _ConvGeometry(h, w, self.kernel, 1, self.dilation)
         xp = geo.pad(x)
-        blocks = _channel_blocks(c, n * self.kernel * self.kernel * geo.out_h * geo.out_w)
+        per_channel = n * self.kernel * self.kernel * geo.out_h * geo.out_w
+        if self.views_taps:
+            self._cache = (geo, _channel_blocks(c, per_channel), xp) if training else None
+            return self._tap_sum(xp, h, w)
+        blocks = _channel_blocks(c, per_channel)
         if training and len(blocks) == 1:
             cols4 = self._columns(geo, xp)
             y = np.einsum("ck,nckl->ncl", self.weight.data.reshape(c, -1), cols4)
@@ -449,25 +508,28 @@ class DepthwiseConv2d(Layer):
 
         The input gradient is the depthwise correlation of ``dy`` with the
         taps reversed: ``dx[p] = sum_t w[t] * dyp[p + (k - 1 - t) * d]`` for
-        ``dy`` padded as the forward pads ``x``. Its taps are gathered by
-        :meth:`_ConvGeometry.im2col` in reversed order and summed by the
-        forward's ``einsum``. That is the direct adjoint sum bit for bit: with
-        an odd kernel "same" padding is symmetric, so reversed tap ``t`` reads
-        the ``dy`` element that tap ``t`` joins to ``p``; the sum starts at
-        +0.0 and adds the taps in order, as the direct sum does; and a tap
-        that reads the padding adds a signed zero, which changes no sum that
-        started at +0.0.
+        ``dy`` padded as the forward pads ``x``. Its taps are read in
+        reversed order, through :meth:`_tap_sum`'s view or from columns
+        gathered by :meth:`_ConvGeometry.im2col` as the forward reads them,
+        and summed by the forward's ``einsum``. That is the direct adjoint
+        sum bit for bit: with an odd kernel "same" padding is symmetric, so
+        reversed tap ``t`` reads the ``dy`` element that tap ``t`` joins to
+        ``p``; the sum starts at +0.0 and adds the taps in order, as the
+        direct sum does; and a tap that reads the padding adds a signed zero,
+        which changes no sum that started at +0.0.
         """
         geo, blocks, saved = self._saved()
         n, c = dy.shape[:2]
         dym = dy.reshape(n, c, -1)
-        if len(blocks) == 1:  # saved is the column matrix
+        if len(blocks) == 1 and not self.views_taps:  # saved is the column matrix
             self.weight.grad += np.einsum("ncl,nckl->ck", dym, saved).reshape(self.weight.data.shape)
         else:  # saved is the padded input
             dw = np.empty((c, self.kernel * self.kernel))
             for b in blocks:
                 np.einsum("ncl,nckl->ck", dym[:, b], self._columns(geo, saved[:, b]), out=dw[b])
             self.weight.grad += dw.reshape(self.weight.data.shape)
+        if self.views_taps:
+            return self._tap_sum(geo.pad(dy), geo.in_h, geo.in_w, reverse=True)
         dx = self._correlate(geo, geo.pad(dy), blocks, reverse=True)
         return dx.reshape(n, c, geo.in_h, geo.in_w)
 

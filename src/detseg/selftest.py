@@ -4,13 +4,14 @@ Each suite checks an implementation against an independent route from
 :mod:`detseg.oracles`: layers, losses and the training objective against
 central finite differences, target assignment against a literal per-anchor
 re-application of the rule list and its live-anchor search against the
-whole lattice, NMS against a quadratic reference, and the residue-plane
-sums of the transposed convolution (whole and in blocks of one output
-channel) and of a convolution's input gradient, bit for bit, against a
-direct loop and a plain scatter. The box codec is checked against its
-round-trip identity, and the inference forward against a training forward
-with frozen batch-norm statistics. The acceptance tests run the same suites
-at full size.
+whole lattice, NMS against a quadratic reference, and, bit for bit, both
+depthwise paths (gathered columns and the dilated tap view) against direct
+loops, and the residue-plane sums of the transposed convolution (whole and
+in blocks of one output channel) and of a convolution's input gradient
+against a direct loop and a plain scatter. The box codec is checked
+against its round-trip identity, and the inference forward against a
+training forward with frozen batch-norm statistics. The acceptance tests
+run the same suites at full size.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .oracles import (
     col2im_reference,
     dense_live,
     dense_nms_instance,
+    depthwise_input_grad_oracle,
+    depthwise_oracle,
     detection_rows,
     finite_difference,
     nms_oracle,
@@ -57,7 +60,7 @@ from .oracles import (
 from .post import nms
 
 __all__ = ["run_selftest", "check_layer_gradients", "check_loss_gradients", "check_assignment",
-           "check_live_anchors", "check_nms", "check_transposed_conv", "check_codec",
+           "check_live_anchors", "check_nms", "check_depthwise", "check_transposed_conv", "check_codec",
            "check_inference_path"]
 
 
@@ -310,6 +313,34 @@ def _column_budget(values: int):
         layers.COL_BLOCK = saved
 
 
+def check_depthwise(seed: int = 0) -> tuple[int, int]:
+    """Both depthwise paths against the direct loops, bit for bit.
+
+    For dilations 1-3 and kernels 1, 3 and 5 (dilation 1 or a 1x1 kernel
+    gathers columns; a wider kernel at a wider dilation reads its taps
+    through a view of the padded input): ``DepthwiseConv2d.forward``, eval
+    and training, against :func:`~detseg.oracles.depthwise_oracle`, and
+    ``backward``'s input gradient, for a ``dy`` on a half-unit grid with
+    zeros of both signs, against
+    :func:`~detseg.oracles.depthwise_input_grad_oracle`. Returns ``(cases,
+    mismatching cases)``.
+    """
+    rng = np.random.default_rng(seed)
+    cases = mismatches = 0
+    for dilation, kernel in itertools.product((1, 2, 3), (1, 3, 5)):
+        layer = DepthwiseConv2d(2, kernel, dilation=dilation, rng=rng)
+        x = rng.standard_normal((2, 2, 4, 7))
+        expected = depthwise_oracle(x, layer.weight.data, dilation).tobytes()
+        for training in (False, True):
+            mismatches += layer.forward(x, training).tobytes() != expected
+        dy = np.round(2.0 * rng.standard_normal(x.shape)) / 2.0
+        dy[:, 0, 0, 0] = -0.0
+        expected = depthwise_input_grad_oracle(dy, layer.weight.data, dilation).tobytes()
+        mismatches += layer.backward(dy).tobytes() != expected
+        cases += 3
+    return cases, mismatches
+
+
 def check_transposed_conv(seed: int = 0) -> tuple[int, int]:
     """The residue-plane sums of ``col2im`` against independent routes, bit for bit.
 
@@ -407,6 +438,11 @@ def run_selftest() -> tuple[bool, list[str]]:
     ok &= nms_bad == 0
     lines.append(f"nms oracle: {instances} instances, {nms_bad} mismatches -> "
                  f"{'ok' if nms_bad == 0 else 'FAIL'}")
+
+    cases, depthwise_bad = check_depthwise()
+    ok &= depthwise_bad == 0
+    lines.append(f"depthwise oracle: {cases} cases, {depthwise_bad} mismatches -> "
+                 f"{'ok' if depthwise_bad == 0 else 'FAIL'}")
 
     cases, conv_bad = check_transposed_conv()
     ok &= conv_bad == 0

@@ -938,6 +938,7 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "all suites passed" in out
+        assert "depthwise oracle: 27 cases, 0 mismatches -> ok" in out.splitlines()
 
 
 class TestInputErrorsNameTheirFile:

@@ -289,6 +289,57 @@ def special_values(shape, seed):
     return v
 
 
+def layouts(x):
+    """``x`` and arrays with its values but other strides: every other channel, every other column, column-major."""
+    n, c, h, w = x.shape
+    channels = np.zeros((n, 2 * c, h, w))[:, ::2]
+    columns = np.zeros((n, c, h, 2 * w))[..., ::2]
+    channels[...] = columns[...] = x
+    return [x, channels, columns, np.asfortranarray(x)]
+
+
+class TestDepthwiseTapView:
+    """A dilated layer reads its taps through a view of the padded input, with the bits of the direct loops."""
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_direct_loops(self, n, dilation, kernel):
+        layer = DepthwiseConv2d(3, kernel, dilation=dilation, rng=rng_for(100))
+        assert layer.views_taps == (kernel > 1)  # a 1x1 kernel has nothing to view: its columns are its input
+        for h, w in [(1, 1), (1, 6), (2, 9), (9, 9)]:
+            x = special_values((n, 3, h, w), 101)
+            dy = signed_zeros((n, 3, h, w), 102)
+            with np.errstate(invalid="ignore"):
+                y_expected = depthwise_oracle(x, layer.weight.data, dilation).tobytes()
+                dx_expected = depthwise_input_grad_oracle(dy, layer.weight.data, dilation).tobytes()
+                for view in layouts(x):
+                    for training in (False, True):
+                        y = layer.forward(view, training)
+                        assert y.tobytes() == y_expected, (h, w, view.strides, training)
+                        # the layout of the gathered path's output, which later sums round by
+                        assert y.flags.c_contiguous or not layer.views_taps, (h, w, view.strides, training)
+                    if layer.views_taps:  # the training cache is the padded input, not its columns
+                        span = dilation * (kernel - 1)
+                        assert layer._cache[2].shape == (n, 3, h + span, w + span)
+                    dx = layer.backward(dy)
+                    assert dx.tobytes() == dx_expected, (h, w, view.strides)
+                    assert dx.flags.c_contiguous or not layer.views_taps, (h, w, view.strides)
+
+    def test_eval_forward_gathers_no_columns(self):
+        # a stage-3 layer of the default model at 256x128; its 9x column
+        # matrix alone takes 9 * 32 * 16 * 32 * 8 B = 1.2 MB
+        layer = DepthwiseConv2d(32, 3, dilation=2, rng=rng_for(103))
+        x = rng_for(104).standard_normal((1, 32, 16, 32))
+        tracemalloc.start()
+        try:
+            layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * x.nbytes, peak
+
+
 def unpadded_view_strides(geo, n, channels):
     """The strides of the unpadded view of a C-contiguous padded (n, channels) buffer."""
     return geo.unpad(np.empty(geo.padded_shape(n, channels))).strides
@@ -410,7 +461,7 @@ class TestTransposedBlocks:
         x = rng_for(95).standard_normal((1, 16, 64, 128))
         padded = 12 * 129 * 257 * 8  # the output, padded by one row and column
         # a block's largest residue plane (3 channels of 73,728 column values a
-        # block); col2im makes the next plane before it drops the last
+        # block); the second leaves room for the in-place add's buffers
         plane = 3 * 65 * 129 * 8
         slack = 64 * 1024  # Python objects, views and array headers
         tracemalloc.start()
@@ -420,6 +471,26 @@ class TestTransposedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < padded + 8 * layers.COL_BLOCK + 2 * plane + slack, peak
+
+    def test_col2im_holds_one_residue_plane_at_a_time(self):
+        # the layer above, whose peak is then its padded output, one block's
+        # columns, one residue plane, and the two buffers of numpy's
+        # iterator in the in-place add of a tap: with two planes held at once
+        # the peak was 66,848 B higher
+        up = TransposedConv2d(16, 12, 3, stride=2, rng=rng_for(94))
+        x = rng_for(95).standard_normal((1, 16, 64, 128))
+        padded = 12 * 129 * 257 * 8
+        columns = 3 * 9 * 64 * 128 * 8  # a block of 3 output channels
+        plane = 3 * 65 * 129 * 8
+        buffers = 2 * np.getbufsize() * 8
+        slack = 32 * 1024  # Python objects, views and array headers
+        tracemalloc.start()
+        try:
+            up.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded + columns + plane + buffers + slack, peak
 
 
 class TestAlgebraicIdentities:
