@@ -31,10 +31,9 @@ one strided view of the padded input, or of the padded ``dy``, after Cho and
 Brand's memory-efficient convolution (ICML 2017); a training forward caches
 the padded input, and ``backward`` gathers its columns, in blocks, only for
 the weight gradient. Any other depthwise convolution gathers its columns in
-blocks of channels of at most ``COL_BLOCK`` values. When the whole column
-matrix fits one block, a training forward caches it; above that budget it
-caches the padded input (the input itself for a 1x1 kernel), and
-``backward`` gathers each block again. The transposed convolution's forward
+blocks of channels of at most ``COL_BLOCK`` values; a training forward
+caches the padded input (the input itself for a 1x1 kernel), never
+columns, and ``backward`` gathers each block again. The transposed convolution's forward
 shares that budget: each block of output channels gets its own matmul, and
 ``col2im`` sums the block's columns straight into its channels of one padded
 array. The first time either layer needs more than one block, it fixes the
@@ -381,6 +380,7 @@ class Conv2d(Layer):
             self.bias.grad += dym.sum(axis=(0, 2))
         w2 = self.weight.data.reshape(self.out_channels, -1)
         dcols = np.matmul(w2.T[None], dym)
+        # without ``out`` a 1x1 stride-1 kernel's input gradient is ``dcols`` reshaped, not a copy of it
         return geo.unpad(geo.col2im(dcols, self.in_channels))
 
 
@@ -405,15 +405,13 @@ class DepthwiseConv2d(Layer):
 
     Otherwise the k * k column matrix is gathered in blocks of whole
     channels of at most ``COL_BLOCK`` values each (at least one channel),
-    and each block's ``einsum`` fills its channels of a preallocated output.
-    A layer whose whole column matrix fits one block gathers it once, and a
-    training forward keeps it for the weight gradient. Above the budget a
-    training forward keeps the padded input instead, and ``backward``
-    gathers each block again, for the weight gradient and for the input
-    gradient.
+    and each block's ``einsum`` fills its channels of a preallocated output,
+    one block or many. A training forward keeps the padded input, never
+    columns, and ``backward`` gathers each block again, for the weight
+    gradient and for the input gradient.
 
     Each output and input-gradient entry is the same sum in the same order
-    either way, so blocking changes none of their bits. So is each
+    whatever the block size, so blocking changes none of their bits. So is each
     weight-gradient entry for one image and a kernel wider than 1 (every
     training step and depthwise layer in this package), and for maps of at
     most 8,192 pixels. Beyond that numpy's buffered ``einsum`` splits the
@@ -476,8 +474,6 @@ class DepthwiseConv2d(Layer):
         """``sum_t w[c, t] * cols[n, c, t, l]`` over the columns of ``xp``, block by block: (N, C, L)."""
         n, c = xp.shape[:2]
         w2 = self.weight.data.reshape(c, -1)
-        if len(blocks) == 1:
-            return np.einsum("ck,nckl->ncl", w2, self._columns(geo, xp, reverse))
         y = np.empty((n, c, geo.out_h * geo.out_w))
         for b in blocks:
             np.einsum("ck,nckl->ncl", w2[b], self._columns(geo, xp[:, b], reverse), out=y[:, b])
@@ -494,13 +490,8 @@ class DepthwiseConv2d(Layer):
             self._cache = (geo, _channel_blocks(c, per_channel), xp) if training else None
             return self._tap_sum(xp, h, w)
         blocks = _channel_blocks(c, per_channel)
-        if training and len(blocks) == 1:
-            cols4 = self._columns(geo, xp)
-            y = np.einsum("ck,nckl->ncl", self.weight.data.reshape(c, -1), cols4)
-            self._cache = (geo, blocks, cols4)
-        else:
-            y = self._correlate(geo, xp, blocks)
-            self._cache = (geo, blocks, xp) if training else None
+        y = self._correlate(geo, xp, blocks)
+        self._cache = (geo, blocks, xp) if training else None
         return y.reshape(n, c, geo.out_h, geo.out_w)
 
     def backward(self, dy):
@@ -518,16 +509,13 @@ class DepthwiseConv2d(Layer):
         direct sum does; and a tap that reads the padding adds a signed zero,
         which changes no sum that started at +0.0.
         """
-        geo, blocks, saved = self._saved()
+        geo, blocks, xp = self._saved()
         n, c = dy.shape[:2]
         dym = dy.reshape(n, c, -1)
-        if len(blocks) == 1 and not self.views_taps:  # saved is the column matrix
-            self.weight.grad += np.einsum("ncl,nckl->ck", dym, saved).reshape(self.weight.data.shape)
-        else:  # saved is the padded input
-            dw = np.empty((c, self.kernel * self.kernel))
-            for b in blocks:
-                np.einsum("ncl,nckl->ck", dym[:, b], self._columns(geo, saved[:, b]), out=dw[b])
-            self.weight.grad += dw.reshape(self.weight.data.shape)
+        dw = np.empty((c, self.kernel * self.kernel))
+        for b in blocks:
+            np.einsum("ncl,nckl->ck", dym[:, b], self._columns(geo, xp[:, b]), out=dw[b])
+        self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.views_taps:
             return self._tap_sum(geo.pad(dy), geo.in_h, geo.in_w, reverse=True)
         dx = self._correlate(geo, geo.pad(dy), blocks, reverse=True)

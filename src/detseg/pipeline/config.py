@@ -1,23 +1,32 @@
 """The settings documents: a run config, a templates file and a class table.
 
-Each is checked by a JSON schema, through validators built once; a run
-config's ``anchors.templates`` is checked by the templates file's schema.
-A checkpoint's config is the run config it was trained with.
-The validators' types are the annotation reader's. A number is a finite
-JSON number that fits a float, since Python's ``json`` reads ``NaN``,
-``Infinity`` and integers of any length. An integer is a JSON integer
-literal that is such a number, so ``7.0`` is not one, and ``minimum`` and
-``maximum``, which skip what is not a number, check every integer.
+Each is checked against a JSON schema, kept here as data, by one small
+checker (:func:`_check`); a run config's ``anchors.templates`` is checked by
+the templates file's schema. A checkpoint's config is the run config it was
+trained with.
+
+The checker knows the JSON Schema keywords these schemas use and no other:
+``type``, ``properties``, ``required``, ``additionalProperties`` (``false``
+or a schema), ``minimum``, ``maximum``, ``exclusiveMinimum``, ``multipleOf``
+(an integer), ``const``, ``enum``, ``items``, ``minItems`` and ``maxItems``.
+A keyword for objects, arrays or numbers skips a value of another type, as
+in JSON Schema, and each message is worded as the reference Python
+validator words it (``tests/test_config.py`` compares the two). Where a
+document breaks several rules, the one reported is the one at the
+shallowest key path, and among those the first in schema order.
+
+Its types are the annotation reader's. A number is a finite JSON number
+that fits a float, since Python's ``json`` reads ``NaN``, ``Infinity`` and
+integers of any length. An integer is a JSON integer literal that is such a
+number, so ``7.0`` is not one, and ``minimum`` and ``maximum``, which skip
+what is not a number, check every integer.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
-from jsonschema.validators import extend
 
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
 from ..losses import SEG_IGNORE, TASK_NAMES
@@ -143,21 +152,93 @@ CLASS_TABLE_SCHEMA = {
 }
 
 
-_Validator = extend(Draft202012Validator, type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many({
-    "number": lambda checker, instance: _is_number(instance),
-    "integer": lambda checker, instance: type(instance) is int and _is_number(instance),
-}))
-_CONFIG = _Validator(CONFIG_SCHEMA)
-_TEMPLATES = _Validator(TEMPLATES_SCHEMA)
-_CLASS_TABLE = _Validator(CLASS_TABLE_SCHEMA)
+# the JSON types a schema's "type" names, as Python's json reads them
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "null": lambda value: value is None,
+    "number": _is_number,
+    "integer": lambda value: type(value) is int and _is_number(value),
+}
+# number keywords: whether a number meets the keyword's bound, and the message's verb phrase
+_BOUNDS = {
+    "minimum": (operator.ge, "is less than the minimum of"),
+    "maximum": (operator.le, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.gt, "is less than or equal to the minimum of"),
+    "multipleOf": (lambda value, step: value % step == 0, "is not a multiple of"),
+}
+# the type a keyword applies to; it skips a value of any other type
+_APPLIES_TO = {**dict.fromkeys(("properties", "required", "additionalProperties"), "object"),
+               **dict.fromkeys(("items", "minItems", "maxItems"), "array"),
+               **dict.fromkeys(_BOUNDS, "number")}
 
 
-def _check(validator, data, document: str) -> None:
-    """Raise ValueError naming the document and the key path of the most relevant schema violation."""
-    error = best_match(validator.iter_errors(data))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ValueError(f"invalid {document} at {path}: {error.message}")
+def _equal(one, two) -> bool:
+    """JSON equality of scalars: ``true`` is not ``1``, nor ``false`` ``0``."""
+    if isinstance(one, bool) or isinstance(two, bool):
+        return one is two
+    return one == two
+
+
+def _violations(schema: dict, value, path: tuple = ()):
+    """``(key path, message)`` for each rule of ``schema`` that ``value`` breaks, depth first in schema order."""
+    for keyword, rule in schema.items():
+        if keyword in _APPLIES_TO and not _TYPES[_APPLIES_TO[keyword]](value):
+            continue
+        if keyword == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[name](value) for name in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "const":
+            if not _equal(value, rule):
+                yield path, f"{rule!r} was expected"
+        elif keyword == "enum":
+            if not any(_equal(each, value) for each in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif keyword in _BOUNDS:
+            holds, phrase = _BOUNDS[keyword]
+            if not holds(value, rule):
+                yield path, f"{value!r} {phrase} {rule!r}"
+        elif keyword == "properties":
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _violations(sub, value[name], (*path, name))
+        elif keyword == "required":
+            for name in rule:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif keyword == "additionalProperties":
+            extras = [name for name in value if name not in schema.get("properties", {})]
+            if rule is False and extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+            elif isinstance(rule, dict):
+                for name in extras:
+                    yield from _violations(rule, value[name], (*path, name))
+        elif keyword == "items":
+            for index, item in enumerate(value):
+                yield from _violations(rule, item, (*path, index))
+        elif keyword == "minItems":
+            if len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif keyword == "maxItems":
+            if len(value) > rule:
+                yield path, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}"
+        else:
+            raise KeyError(f"the settings checker has no rule for the schema keyword {keyword!r}")
+
+
+def _check(schema: dict, data, document: str) -> None:
+    """Raise ValueError naming the document, the key path and the message of the shallowest violation.
+
+    Among violations at one depth, the first in schema order is reported.
+    """
+    found = min(_violations(schema, data), key=lambda violation: len(violation[0]), default=None)
+    if found is not None:
+        path, message = found
+        raise ValueError(f"invalid {document} at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 def _load_json(path: str):
@@ -195,7 +276,7 @@ def default_config_dict() -> dict:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    _check(_CONFIG, data, "config")
+    _check(CONFIG_SCHEMA, data, "config")
 
     anchors = data["anchors"]
     if ("preset" in anchors) == ("templates" in anchors):
@@ -239,7 +320,7 @@ def load_templates(path: str) -> tuple[AnchorTemplate, ...]:
     """The templates file at ``path``, a JSON array of ``{"ratio", "area"}``; every error names the file."""
     try:
         data = _load_json(path)
-        _check(_TEMPLATES, data, "templates")
+        _check(TEMPLATES_SCHEMA, data, "templates")
     except ValueError as exc:
         raise ValueError(f"templates file {path}: {exc}") from exc
     return templates_from_json(data)
@@ -249,7 +330,7 @@ def load_class_table(path: str) -> ClassTable:
     """The class table file at ``path`` (docs/FORMATS.md); every error names the file."""
     try:
         data = _load_json(path)
-        _check(_CLASS_TABLE, data, "class table")
+        _check(CLASS_TABLE_SCHEMA, data, "class table")
         return ClassTable.from_json(data)
     except ValueError as exc:
         raise ValueError(f"class table {path}: {exc}") from exc

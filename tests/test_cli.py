@@ -167,6 +167,7 @@ class TestAssignCommand:
         ({"names": None}, "invalid class table at names: None is not of type 'array'"),
         ({"categories": [1]}, "invalid class table at categories: [1] is not of type 'object', 'null'"),
         ({"names": "abc"}, "invalid class table at names: 'abc' is not of type 'array'"),
+        ({"categories": {"a": 5}}, "invalid class table at categories/a: 5 is not of type 'array'"),
     ])
     def test_malformed_class_table_is_one_error_line_naming_the_file(self, capsys, tmp_path, change, reason):
         ann_path = write_json(tmp_path / "ann.json",
@@ -301,6 +302,15 @@ MALFORMED_CONFIGS = {
     "threshold_unknown_key": (lambda c: c["thresholds"].update(nms=0.3),
                               "invalid config at thresholds: Additional properties are not allowed "
                               "('nms' was unexpected)"),
+    "preset_unknown": (lambda c: c["anchors"].update(preset="zz"),
+                       "invalid config at anchors/preset: 'zz' is not one of ['paper-table1', 'toy']"),
+    "task_unknown": (lambda c: c["training"].update(tasks=["boxes"]),
+                     "invalid config at training/tasks/0: 'boxes' is not one of "
+                     "['objectness', 'class', 'box', 'embedding', 'segmentation']"),
+    "channels_too_few": (lambda c: c["model"].update(stage_channels=[16, 24]),
+                         "invalid config at model/stage_channels: [16, 24] is too short"),
+    "channels_too_many": (lambda c: c["model"].update(stage_channels=[16, 24, 32, 48]),
+                          "invalid config at model/stage_channels: [16, 24, 32, 48] is too long"),
     "channels_float": (lambda c: c["model"].update(stage_channels=[16.0, 24, 32]),
                        "invalid config at model/stage_channels/0: 16.0 is not of type 'integer'"),
     "stride_float": (lambda c: c["anchors"].update(stride=8.0),
