@@ -1,4 +1,4 @@
-"""Minimal NCHW tensor wrapper used at the network boundary."""
+"""Minimal array wrapper used at the network boundary."""
 
 from __future__ import annotations
 
@@ -11,17 +11,15 @@ __all__ = ["Tensor"]
 
 @dataclass
 class Tensor:
-    """A float64 N x C x H x W array.
+    """An array, held as given.
 
-    It survives only as the type of :meth:`DetSegModel.forward`'s outputs and
-    of ``SceneSample.image``, because ``perfbench/workloads.py`` reads
-    ``.data`` from both; it can go once the benchmark reads arrays.
+    It survives only as the type of :meth:`DetSegModel.forward`'s float64
+    outputs and of ``SceneSample``'s float64 ``image`` and uint8
+    ``label_map``, because ``perfbench/workloads.py`` reads ``.data`` from
+    them; it can go once the benchmark reads arrays.
     """
 
     data: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -65,22 +65,10 @@ class SceneSpec:
             raise ValueError("objects do not fit in the image")
 
 
-@dataclass(frozen=True)
-class LabelMap:
-    """Dense per-pixel class ids.
-
-    It survives only as the type of ``SceneSample.label_map``, because
-    ``perfbench/workloads.py`` reads ``.data`` from it; it can go once the
-    benchmark reads arrays.
-    """
-
-    data: np.ndarray
-
-
 @dataclass
 class SceneSample:
     image: Tensor                  # (3, H, W) float64 in [0, 1]
-    label_map: LabelMap            # (H, W) uint8 class ids
+    label_map: Tensor              # (H, W) uint8 class ids
     instance_map: np.ndarray       # (H, W) uint8, 0 = background, else instance id
     gts: list[GroundTruthObject]
     annotation: AnnotationFile
@@ -165,7 +153,7 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
     annotation = AnnotationFile(image_width=w, image_height=h, objects=tuple(objects))
     return SceneSample(
         image=Tensor(image),
-        label_map=LabelMap(labels),
+        label_map=Tensor(labels),
         instance_map=instances,
         gts=boxes_from_polygons(annotation, table),
         annotation=annotation,

@@ -39,6 +39,18 @@ def run(capsys, *argv):
 ONE_RECT = {"label": "rect", "polygon": [[1, 1], [10, 1], [10, 10], [1, 10]], "instance_id": 1}
 
 
+def annotation_with(**changes):
+    """A 16x16 annotation of ``ONE_RECT`` with keys of the file or of its object changed, or removed by None."""
+    document = {"image_width": 16, "image_height": 16, "objects": [dict(ONE_RECT)]}
+    for key, value in changes.items():
+        target = document if key in document else document["objects"][0]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return document
+
+
 def write_json(path, data):
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -180,24 +192,46 @@ class TestAssignCommand:
         assert err == f"error: class table {table_path}: {reason}\n"
         assert not os.path.exists(out_path)
 
-    @pytest.mark.parametrize("image_change, object_change, reason", [
-        ({"image_width": 32.9}, {}, "image_width must be an integer in [1, 9223372036854775807], got 32.9"),
-        ({}, {"instance_id": True},
-         "objects/0/instance_id must be an integer in [0, 9223372036854775807], got True"),
-        ({}, {"occlusion": 2.7}, "objects/0/occlusion must be an integer in [0, 3], got 2.7"),
-        ({}, {"occlusion": 7}, "objects/0/occlusion must be an integer in [0, 3], got 7"),
-        ({}, {"truncation": 5.0}, "objects/0/truncation must be a number in [0, 1], got 5.0"),
-        ({}, {"polygon": [[float("nan"), 1], [10, 10]]}, "objects/0/polygon coordinates must be finite numbers"),
-        ({}, {"label": 5}, "objects/0/label must be a string, got 5"),
+    @pytest.mark.parametrize("document, reason", [
+        (annotation_with(image_width=32.9), "image_width: 32.9 is not of type 'integer'"),
+        (annotation_with(instance_id=True), "objects/0/instance_id: True is not of type 'integer'"),
+        (annotation_with(occlusion=2.7), "objects/0/occlusion: 2.7 is not of type 'integer'"),
+        (annotation_with(occlusion=7), "objects/0/occlusion: 7 is greater than the maximum of 3"),
+        (annotation_with(truncation=5.0), "objects/0/truncation: 5.0 is greater than the maximum of 1"),
+        (annotation_with(polygon=[[float("nan"), 1], [10, 10]]),
+         "objects/0/polygon/0/0: nan is not of type 'number'"),
+        (annotation_with(label=5), "objects/0/label: 5 is not of type 'string'"),
+        (annotation_with(image_height=None), "<root>: 'image_height' is a required property"),
+        (annotation_with(objects={}), "objects: {} is not of type 'array'"),
+        ([16, 16], "<root>: [16, 16] is not of type 'object'"),
+        (annotation_with(polygon=[]), "objects/0/polygon: [] should be non-empty"),
+        (annotation_with(polygon=[[1, 1], [10, 1, 0]]), "objects/0/polygon/1: [10, 1, 0] is too long"),
+        (annotation_with(instance_id=2**63),
+         "objects/0/instance_id: 9223372036854775808 is greater than the maximum of 9223372036854775807"),
+        (annotation_with(label=None), "objects/0: 'label' is a required property"),
+        (annotation_with(image_width=None), "<root>: 'image_width' is a required property"),
+        (annotation_with(objects=None), "<root>: 'objects' is a required property"),
+        (annotation_with(image_height=0), "image_height: 0 is less than the minimum of 1"),
+        (annotation_with(image_width=2**63),
+         "image_width: 9223372036854775808 is greater than the maximum of 9223372036854775807"),
+        (annotation_with(objects=["rect"]), "objects/0: 'rect' is not of type 'object'"),
+        (annotation_with(polygon=None), "objects/0: 'polygon' is a required property"),
+        (annotation_with(instance_id=None), "objects/0: 'instance_id' is a required property"),
+        (annotation_with(polygon="square"), "objects/0/polygon: 'square' is not of type 'array'"),
+        (annotation_with(polygon=[1, 1]), "objects/0/polygon/0: 1 is not of type 'array'"),
+        (annotation_with(polygon=[[1, 1], [10]]), "objects/0/polygon/1: [10] is too short"),
+        (annotation_with(instance_id=-1), "objects/0/instance_id: -1 is less than the minimum of 0"),
+        (annotation_with(occlusion=-1), "objects/0/occlusion: -1 is less than the minimum of 0"),
+        (annotation_with(truncation=True), "objects/0/truncation: True is not of type 'number'"),
+        (annotation_with(truncation=-0.5), "objects/0/truncation: -0.5 is less than the minimum of 0"),
     ])
-    def test_malformed_annotation_is_one_error_line_naming_the_file(self, capsys, tmp_path, image_change,
-                                                                   object_change, reason):
-        ann_path = write_json(tmp_path / "ann.json", {"image_width": 16, "image_height": 16,
-                                                      "objects": [{**ONE_RECT, **object_change}], **image_change})
-        code, out, err = run(capsys, "assign", "--annotation", ann_path, "--preset", "toy",
-                             "--output", os.path.join(tmp_path, "t.jsonl"))
+    def test_malformed_annotation_is_one_error_line_naming_the_file(self, capsys, tmp_path, document, reason):
+        ann_path = write_json(tmp_path / "ann.json", document)
+        out_path = os.path.join(tmp_path, "t.jsonl")
+        code, out, err = run(capsys, "assign", "--annotation", ann_path, "--preset", "toy", "--output", out_path)
         assert code == 1 and out == ""
-        assert err == f"error: annotation {ann_path}: {reason}\n"
+        assert err == f"error: annotation {ann_path}: invalid annotation at {reason}\n"
+        assert not os.path.exists(out_path)
 
     def test_jsonl_matches_oracle_byte_for_byte(self, capsys, tmp_path):
         # three rectangles on 32x24 with the toy preset: every assignment

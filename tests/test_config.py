@@ -1,10 +1,10 @@
-"""The settings checker against jsonschema, the reference JSON Schema validator.
+"""The JSON document checker against jsonschema, the reference JSON Schema validator.
 
-``detseg.pipeline.config`` checks run configs, templates files and class
-tables with a small checker of its own. Here jsonschema, a test-only
-dependency, checks the same schemas with the same number types, and seeded
-random mutations of valid documents must draw the same violations from
-both, each with the same key path and message.
+``detseg.pipeline.schema`` checks run configs, templates files, class
+tables and annotation files with a small checker of its own. Here
+jsonschema, a test-only dependency, checks the same schemas with the same
+number types, and seeded random mutations of valid documents must draw the
+same violations from both, each with the same key path and message.
 """
 
 import copy
@@ -16,21 +16,16 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 from jsonschema.validators import extend
 
-from detseg.pipeline.annotations import _is_number
+from detseg.pipeline.annotations import ANNOTATION_SCHEMA
 from detseg.pipeline.classtable import synthetic_table
-from detseg.pipeline.config import (
-    CLASS_TABLE_SCHEMA,
-    CONFIG_SCHEMA,
-    TEMPLATES_SCHEMA,
-    _check,
-    _violations,
-    default_config_dict,
-)
+from detseg.pipeline.config import CLASS_TABLE_SCHEMA, CONFIG_SCHEMA, TEMPLATES_SCHEMA, default_config_dict
+from detseg.pipeline.schema import check, is_number, violations
+from detseg.pipeline.synth import synth_scene
 
-# what config.py checked with before it had a checker of its own
+# jsonschema with the checker's number types
 Reference = extend(Draft202012Validator, type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many({
-    "number": lambda checker, instance: _is_number(instance),
-    "integer": lambda checker, instance: type(instance) is int and _is_number(instance),
+    "number": lambda checker, instance: is_number(instance),
+    "integer": lambda checker, instance: type(instance) is int and is_number(instance),
 }))
 
 KEYWORDS = {"type", "properties", "required", "additionalProperties", "minimum", "maximum", "exclusiveMinimum",
@@ -54,6 +49,14 @@ DOCUMENTS = {
     "templates": (TEMPLATES_SCHEMA, [[{"ratio": 1.0, "area": 64}, {"ratio": 2, "area": 1e-3}]]),
     "class table": (CLASS_TABLE_SCHEMA, [synthetic_table().to_json(),
                                          {**synthetic_table().to_json(), "categories": None}]),
+    "annotation": (ANNOTATION_SCHEMA, [
+        synth_scene(0).annotation.to_json(),
+        {"image_width": 40, "image_height": 30, "source": "kitti", "objects": [
+            {"label": "rect", "polygon": [[2, 3.5], [14, 3.5], [14, 11]], "instance_id": 0,
+             "occlusion": 3, "truncation": 0.25, "score": None},
+            {"label": "ellipse", "polygon": [[1e-3, 0]], "instance_id": 9223372036854775807,
+             "occlusion": 0, "truncation": 1}]},
+    ]),
 }
 
 
@@ -135,16 +138,16 @@ def test_mutated_documents_get_the_reference_verdicts_and_messages(document):
         doc = mutate(rng.choice(valid), rng, pool, names)
         expected = list(reference.iter_errors(doc))
         broken |= {error.validator for error in expected}
-        got = list(_violations(schema, doc))
+        got = list(violations(schema, doc))
         # the same violations, each with its key path and message
         assert sorted(map(repr, got)) == sorted(repr((tuple(e.absolute_path), e.message)) for e in expected), doc
         if not expected:
             outcomes["accepted"] += 1
-            _check(schema, doc, document)
+            check(schema, doc, document)
             continue
         outcomes["rejected"] += 1
         with pytest.raises(ValueError) as raised:
-            _check(schema, doc, document)
+            check(schema, doc, document)
         depth = min(len(path) for path, _ in got)
         shallowest = [violation for violation in got if len(violation[0]) == depth]
         if len(shallowest) == 1:
@@ -169,7 +172,7 @@ def test_mutated_documents_get_the_reference_verdicts_and_messages(document):
 ])
 def test_edge_cases_match_the_reference(schema, doc):
     expected = [(tuple(error.absolute_path), error.message) for error in Reference(schema).iter_errors(doc)]
-    assert list(_violations(schema, doc)) == expected
+    assert list(violations(schema, doc)) == expected
 
 
 @pytest.mark.parametrize("schema, doc, message", [
@@ -185,5 +188,5 @@ def test_edge_cases_match_the_reference(schema, doc):
 ])
 def test_one_rule_picks_among_several_faults(schema, doc, message):
     with pytest.raises(ValueError) as raised:
-        _check(schema, doc, "config")
+        check(schema, doc, "config")
     assert str(raised.value) == message

@@ -1,5 +1,6 @@
 """Every JSON example in docs/FORMATS.md and README.md parses with the reader it documents,
-and every constant they quote as ``detseg.<module>.<NAME> = <value>`` has that value.
+every constant they quote as ``detseg.<module>.<NAME> = <value>`` has that value, and the
+quoted error line for a bad annotation file is the one ``assign`` prints.
 
 An example that drifts from its format (a renamed key, a removed setting),
 or a quoted constant that drifts from the code, fails here, not in a reader's hands.
@@ -13,7 +14,8 @@ import re
 
 import pytest
 
-from detseg.pipeline.annotations import AnnotationFile
+from detseg.pipeline.annotations import load_annotation
+from detseg.pipeline.cli import main
 from detseg.pipeline.config import load_class_table, run_config_from_dict
 from detseg.post import detections_from_jsonl
 
@@ -25,20 +27,21 @@ def read(name):
         return fh.read()
 
 
-def class_table(text, tmp_path):
-    path = os.path.join(tmp_path, "class_table.json")
+def write(tmp_path, name, text):
+    path = os.path.join(tmp_path, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return load_class_table(path)
+    return path
 
 
 # FORMATS.md section heading -> the reader of its examples
 READERS = {
-    "Annotations (one JSON file per image)": lambda text, tmp_path: AnnotationFile.from_json(json.loads(text)),
+    "Annotations (one JSON file per image)":
+        lambda text, tmp_path: load_annotation(write(tmp_path, "annotation.json", text)),
     "Detections (JSON lines)": lambda text, tmp_path: detections_from_jsonl(text),
     "Anchor targets (JSON lines, `assign` output)":
         lambda text, tmp_path: [json.loads(line) for line in text.splitlines()],
-    "Class tables": class_table,
+    "Class tables": lambda text, tmp_path: load_class_table(write(tmp_path, "class_table.json", text)),
     "Metrics reports": lambda text, tmp_path: json.loads(text),
     "Run configuration": lambda text, tmp_path: run_config_from_dict(json.loads(text)),
 }
@@ -62,6 +65,20 @@ def test_every_reader_has_an_example():
                          ids=[f"{heading.split()[0]}-{i}" for i, (heading, _) in enumerate(EXAMPLES)])
 def test_formats_example_parses(heading, text, tmp_path):
     READERS[heading](text, tmp_path)
+
+
+def test_quoted_annotation_error_is_the_line_assign_prints(tmp_path, capsys):
+    heading = "Annotations (one JSON file per image)"
+    section = read("docs/FORMATS.md").split(f"## {heading}\n")[1].split("\n## ")[0]
+    quoted = re.findall(r"`(error: annotation <path>: invalid [^`]*)`", " ".join(section.split()))
+    assert quoted == ["error: annotation <path>: invalid annotation at objects/0/occlusion: "
+                      "7 is greater than the maximum of 3"]
+    example = json.loads(next(text for name, text in EXAMPLES if name == heading))
+    example["objects"][0]["occlusion"] = 7
+    path = write(tmp_path, "annotation.json", json.dumps(example))
+    assert main(["assign", "--annotation", path, "--preset", "toy",
+                 "--output", os.path.join(tmp_path, "targets.jsonl")]) == 1
+    assert capsys.readouterr().err == quoted[0].replace("<path>", path) + "\n"
 
 
 def test_readme_config_parses():
