@@ -1,17 +1,16 @@
 """Polygon annotations and their conversion to detection ground truth.
 
 The on-disk format is a minimal JSON document per image: image dimensions
-plus a list of labeled polygons with instance ids (see docs/FORMATS.md),
-checked against :data:`ANNOTATION_SCHEMA` by the package's JSON document
-checker. Bounding boxes are the min/max of the polygon vertices.
+plus a list of labeled polygons with instance ids (see docs/FORMATS.md).
+In memory an annotation is that document itself, a dict, checked against
+:data:`ANNOTATION_SCHEMA` by the package's JSON document checker on load
+and on save. Bounding boxes are the min/max of the polygon vertices.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
-from typing import Optional
 
 from ..assign import GroundTruthObject
 from ..geom import BBox
@@ -19,8 +18,7 @@ from ..net.checkpoint import write_atomic
 from .classtable import ClassTable
 from .schema import check, load_json
 
-__all__ = ["ANNOTATION_SCHEMA", "PolygonObject", "AnnotationFile", "load_annotation", "save_annotation",
-           "boxes_from_polygons", "load_ground_truth"]
+__all__ = ["ANNOTATION_SCHEMA", "load_annotation", "save_annotation", "boxes_from_polygons", "load_ground_truth"]
 
 log = logging.getLogger(__name__)
 
@@ -28,8 +26,8 @@ log = logging.getLogger(__name__)
 _MAX_INT = 2**63 - 1
 _SIZE = {"type": "integer", "minimum": 1, "maximum": _MAX_INT}
 
-# Unknown keys are ignored. ``AnnotationFile`` itself checks that instance
-# ids are unique within a file, which a schema cannot express.
+# Unknown keys are ignored. ``_checked`` adds the one rule a schema cannot
+# express: instance ids are unique within a file.
 ANNOTATION_SCHEMA = {
     "type": "object",
     "required": ["image_width", "image_height", "objects"],
@@ -58,118 +56,82 @@ ANNOTATION_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class PolygonObject:
-    label: str
-    polygon: tuple[tuple[float, float], ...]
-    instance_id: int
-    occlusion: Optional[int] = None
-    truncation: Optional[float] = None
+def _checked(document):
+    """``document`` if it is a valid annotation file, else a ValueError: the schema, then unique ids."""
+    check(ANNOTATION_SCHEMA, document, "annotation")
+    ids = [obj["instance_id"] for obj in document["objects"]]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"instance ids must be unique, got {ids}")
+    return document
 
 
-@dataclass(frozen=True)
-class AnnotationFile:
-    image_width: int
-    image_height: int
-    objects: tuple[PolygonObject, ...]
-
-    def __post_init__(self) -> None:
-        ids = [o.instance_id for o in self.objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"instance ids must be unique, got {ids}")
-
-    def to_json(self) -> dict:
-        objects = []
-        for o in self.objects:
-            entry = {
-                "label": o.label,
-                "polygon": [[float(x), float(y)] for x, y in o.polygon],
-                "instance_id": o.instance_id,
-            }
-            if o.occlusion is not None:
-                entry["occlusion"] = o.occlusion
-            if o.truncation is not None:
-                entry["truncation"] = o.truncation
-            objects.append(entry)
-        return {
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "objects": objects,
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "AnnotationFile":
-        """``data`` must already satisfy :data:`ANNOTATION_SCHEMA`."""
-        objects = tuple(
-            PolygonObject(
-                label=entry["label"],
-                polygon=tuple((float(x), float(y)) for x, y in entry["polygon"]),
-                instance_id=entry["instance_id"],
-                occlusion=entry.get("occlusion"),
-                truncation=float(entry["truncation"]) if "truncation" in entry else None,
-            )
-            for entry in data["objects"]
-        )
-        return cls(image_width=data["image_width"], image_height=data["image_height"], objects=objects)
-
-
-def load_annotation(path: str) -> AnnotationFile:
-    """The annotation file at ``path``; every error names the file."""
+def load_annotation(path: str) -> dict:
+    """The checked annotation document at ``path``; every error names the file."""
     try:
-        data = load_json(path)
-        check(ANNOTATION_SCHEMA, data, "annotation")
-        return AnnotationFile.from_json(data)
+        return _checked(load_json(path))
     except ValueError as exc:
         raise ValueError(f"annotation {path}: {exc}") from exc
 
 
-def save_annotation(path: str, ann: AnnotationFile) -> None:
-    """Serialise first, then write atomically: a failure leaves any existing file as it was."""
-    write_atomic(path, (json.dumps(ann.to_json(), indent=1) + "\n").encode("utf-8"))
+def save_annotation(path: str, document: dict) -> None:
+    """Check and serialise first, then write atomically: a failure leaves any existing file as it was.
+
+    ``document`` must pass the checks :func:`load_annotation` makes, and a
+    refusal has the message a load of it would have.
+    """
+    try:
+        _checked(document)
+    except ValueError as exc:
+        raise ValueError(f"annotation {path}: {exc}") from exc
+    write_atomic(path, (json.dumps(document, indent=1) + "\n").encode("utf-8"))
 
 
-def boxes_from_polygons(ann: AnnotationFile, table: ClassTable) -> list[GroundTruthObject]:
-    """Extract detection ground truth from polygon annotations.
+def boxes_from_polygons(document: dict, table: ClassTable) -> list[GroundTruthObject]:
+    """Extract detection ground truth from a checked annotation document.
 
-    The box is the min/max of the vertex coordinates. Labels must exist in
-    the class table; labels that are not detection classes are skipped.
-    Boxes of zero width or height are dropped.
+    The box is the min/max of the vertex coordinates. Corners and
+    truncation are floats, whether the file wrote them as JSON integers or
+    not. Labels must exist in the class table; labels that are not
+    detection classes are skipped. Boxes of zero width or height are
+    dropped.
     """
     out: list[GroundTruthObject] = []
-    for obj in ann.objects:
-        if obj.label not in table.names:
-            raise ValueError(f"unknown label {obj.label!r} (known: {list(table.names)})")
-        if obj.label not in table.detection:
+    for obj in document["objects"]:
+        label = obj["label"]
+        if label not in table.names:
+            raise ValueError(f"unknown label {label!r} (known: {list(table.names)})")
+        if label not in table.detection:
             continue
-        xs = [p[0] for p in obj.polygon]
-        ys = [p[1] for p in obj.polygon]
-        bbox = BBox(min(xs), min(ys), max(xs), max(ys))
+        xs = [x for x, _ in obj["polygon"]]
+        ys = [y for _, y in obj["polygon"]]
+        bbox = BBox(float(min(xs)), float(min(ys)), float(max(xs)), float(max(ys)))
         if bbox.area <= 0:
             continue
+        truncation = obj.get("truncation")
         out.append(
             GroundTruthObject(
-                class_id=table.detection.index(obj.label),
+                class_id=table.detection.index(label),
                 bbox=bbox,
-                instance_id=obj.instance_id,
-                occlusion=obj.occlusion,
-                truncation=obj.truncation,
+                instance_id=obj["instance_id"],
+                occlusion=obj.get("occlusion"),
+                truncation=None if truncation is None else float(truncation),
             )
         )
     return out
 
 
-def load_ground_truth(path: str, table: ClassTable) -> tuple[AnnotationFile, list[GroundTruthObject]]:
-    """The annotation file at ``path`` and its detection ground truth.
+def load_ground_truth(path: str, table: ClassTable) -> tuple[dict, list[GroundTruthObject]]:
+    """The checked annotation document at ``path`` and its detection ground truth.
 
     Every error names the file, and so does the warning that counts the
     degenerate (zero-area) polygons that :func:`boxes_from_polygons` dropped.
     """
-    ann = load_annotation(path)
+    document = load_annotation(path)
     try:
-        gts = boxes_from_polygons(ann, table)
+        gts = boxes_from_polygons(document, table)
     except ValueError as exc:
         raise ValueError(f"annotation {path}: {exc}") from exc
-    dropped = sum(obj.label in table.detection for obj in ann.objects) - len(gts)
+    dropped = sum(obj["label"] in table.detection for obj in document["objects"]) - len(gts)
     if dropped:
         log.warning("annotation %s: dropped %d degenerate (zero-area) polygon(s)", path, dropped)
-    return ann, gts
+    return document, gts

@@ -194,8 +194,9 @@ def cmd_assign(args) -> int:
     table = _load_class_table(args.class_table)
     ann, gts = load_ground_truth(args.annotation, table)
     templates = _load_templates(args)
-    grid = make_anchor_grid(ann.image_width, ann.image_height, DOWNSAMPLE, templates)
-    targets = assign_targets(grid, gts, ann.image_width, ann.image_height)
+    w, h = ann["image_width"], ann["image_height"]
+    grid = make_anchor_grid(w, h, DOWNSAMPLE, templates)
+    targets = assign_targets(grid, gts, w, h)
 
     lines = []
     rows = zip(targets.states(), targets.class_targets.tolist(), targets.deltas.tolist(),
@@ -248,8 +249,8 @@ def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
                            f"{table.num_classes}-class table nor {SEG_IGNORE}")
         ann_path = os.path.join(ann_dir, image_id + ".json")
         ann, gts = load_ground_truth(ann_path, table)
-        if (ann.image_width, ann.image_height) != (w, h):
-            raise CliError(f"annotation {ann_path}: size {ann.image_width}x{ann.image_height} "
+        if (ann["image_width"], ann["image_height"]) != (w, h):
+            raise CliError(f"annotation {ann_path}: size {ann['image_width']}x{ann['image_height']} "
                            f"differs from its image's {w}x{h}")
         samples.append(TrainSample(image=image, label_map=labels, gts=gts))
     return samples
@@ -434,6 +435,11 @@ def cmd_eval_seg(args) -> int:
 
 def cmd_eval_det(args) -> int:
     table = _load_class_table(args.class_table)
+    if args.pr_curves:
+        for name in table.detection:
+            if any(sep in name for sep in ("/", os.sep, "\0")):
+                raise CliError(f"--pr-curves: detection class {name!r} cannot be part of a file name: "
+                               "it holds a path separator or NUL")
     try:
         with open(args.detections, "r", encoding="utf-8") as fh:
             dets_by_image = detections_from_jsonl(fh.read())
@@ -463,12 +469,14 @@ def cmd_eval_det(args) -> int:
             for c in sorted(curves)
         },
     }
-    print(_write_json(args.output, report), end="")
+    # the curves go first, so a run that cannot write them leaves no report
     if args.pr_curves:
+        os.makedirs(args.pr_curves, exist_ok=True)
         for c in sorted(curves):
             for level in levels:
                 _write_csv(os.path.join(args.pr_curves, f"pr_{table.detection[c]}_{level.name}.csv"),
                            [("recall", "precision"), *curves[c][level.name].points])
+    print(_write_json(args.output, report), end="")
     return 0
 
 

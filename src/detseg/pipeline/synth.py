@@ -19,7 +19,7 @@ import numpy as np
 
 from ..assign import GroundTruthObject
 from ..net.tensor import Tensor
-from .annotations import AnnotationFile, PolygonObject, boxes_from_polygons
+from .annotations import boxes_from_polygons
 from .classtable import ClassTable, synthetic_table
 
 __all__ = ["GAP", "MAX_OBJECTS", "SceneSpec", "SceneSample", "synth_scene", "make_dataset"]
@@ -71,7 +71,7 @@ class SceneSample:
     label_map: Tensor              # (H, W) uint8 class ids
     instance_map: np.ndarray       # (H, W) uint8, 0 = background, else instance id
     gts: list[GroundTruthObject]
-    annotation: AnnotationFile
+    annotation: dict               # the annotation document, as save_annotation writes it
 
 
 def _textured_background(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
@@ -127,7 +127,7 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
     px = np.arange(w, dtype=np.float64) + 0.5
     py = np.arange(h, dtype=np.float64) + 0.5
 
-    objects: list[PolygonObject] = []
+    objects: list[dict] = []
     for idx, (x0, y0, x1, y1) in enumerate(boxes):
         instance_id = idx + 1
         name = table.detection[int(rng.integers(0, len(table.detection)))]
@@ -136,21 +136,21 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
         if name == "rect":
             mask = np.zeros((h, w), dtype=bool)
             mask[y0:y1, x0:x1] = True
-            polygon = ((float(x0), float(y0)), (float(x1), float(y0)),
-                       (float(x1), float(y1)), (float(x0), float(y1)))
+            polygon = [[float(x0), float(y0)], [float(x1), float(y0)],
+                       [float(x1), float(y1)], [float(x0), float(y1)]]
         else:
             cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
             a, b = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
             mask = ((px[None, :] - cx) / a) ** 2 + ((py[:, None] - cy) / b) ** 2 <= 1.0
             angles = [2.0 * math.pi * k / _ELLIPSE_VERTICES for k in range(_ELLIPSE_VERTICES)]
-            polygon = tuple((cx + a * math.cos(t), cy + b * math.sin(t)) for t in angles)
+            polygon = [[cx + a * math.cos(t), cy + b * math.sin(t)] for t in angles]
 
         image[:, mask] = color[:, None]
         labels[mask] = table.names.index(name)
         instances[mask] = instance_id
-        objects.append(PolygonObject(label=name, polygon=polygon, instance_id=instance_id))
+        objects.append({"label": name, "polygon": polygon, "instance_id": instance_id})
 
-    annotation = AnnotationFile(image_width=w, image_height=h, objects=tuple(objects))
+    annotation = {"image_width": w, "image_height": h, "objects": objects}
     return SceneSample(
         image=Tensor(image),
         label_map=Tensor(labels),

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -10,15 +11,16 @@ import pytest
 
 import detseg
 from detseg.assign import AssignRule, GroundTruthObject, assign_targets_detailed
+from detseg.evaluation import cityscapes_adjusted_levels, evaluate_detections, kitti_levels
 from detseg.geom import BBox, anchor_preset, make_anchor_grid
 from detseg.net import layers
 from detseg.net.checkpoint import load_checkpoint, save_checkpoint
 from detseg.net.model import DetSegModel
 from detseg.oracles import assign_oracle_rows
-from detseg.pipeline.annotations import boxes_from_polygons, load_annotation
+from detseg.pipeline.annotations import boxes_from_polygons, load_annotation, load_ground_truth
 from detseg.pipeline import cli
 from detseg.pipeline.cli import main
-from detseg.pipeline.classtable import synthetic_table
+from detseg.pipeline.classtable import ClassTable, synthetic_table
 from detseg.pipeline.config import (
     MAX_IMAGES,
     MAX_ITERATIONS,
@@ -28,6 +30,7 @@ from detseg.pipeline.config import (
 )
 from detseg.pipeline.netpbm import read_pgm, write_pgm, write_ppm
 from detseg.pipeline.synth import MAX_OBJECTS, make_dataset
+from detseg.post import detections_from_jsonl
 
 
 def run(capsys, *argv):
@@ -975,6 +978,75 @@ class TestEvalDetCommand:
         assert code == 1 and out == "" and not os.path.exists(report_path)
         assert err == (f"error: detections {detections}: malformed detection on line 1: "
                        "score must be a number in [0, 1], got 2.0\n")
+
+    @staticmethod
+    def write_pr_inputs(tmp_path, name="rect"):
+        """Two annotations with objects of each size level, detections on them, and the class table.
+
+        The table is the synthetic one with its class "rect" named ``name``.
+        Returns the table and the arguments that select the inputs.
+        """
+        table = ClassTable(names=("background", name, "ellipse"), instanceable=frozenset({name, "ellipse"}),
+                           detection=(name, "ellipse"))
+        os.makedirs(tmp_path / "annotations")
+        write_json(tmp_path / "annotations" / "000.json", {"image_width": 256, "image_height": 256, "objects": [
+            {"label": name, "polygon": [[10, 10], [160, 10], [160, 170], [10, 170]], "instance_id": 1},
+            {"label": "ellipse", "polygon": [[180, 20], [240, 50], [210, 90]], "instance_id": 2}]})
+        write_json(tmp_path / "annotations" / "001.json", {"image_width": 256, "image_height": 256, "objects": [
+            {"label": name, "polygon": [[30, 40], [60, 70]], "instance_id": 7},
+            {"label": "ellipse", "polygon": [[100, 100], [230, 220]], "instance_id": 8}]})
+        rows = [("000", 0, 0.9, (12, 11, 158, 168)), ("000", 0, 0.4, (170, 180, 200, 210)),
+                ("000", 1, 0.8, (181, 21, 239, 88)), ("001", 0, 0.7, (30, 41, 59, 70)),
+                ("001", 1, 0.6, (5, 5, 40, 40)), ("001", 1, 0.3, (101, 99, 229, 221))]
+        with open(tmp_path / "det.jsonl", "w") as fh:
+            for image_id, class_id, score, (x0, y0, x1, y1) in rows:
+                fh.write(json.dumps({"image_id": image_id, "class": class_id, "score": score, "x_min": x0,
+                                     "y_min": y0, "x_max": x1, "y_max": y1, "embedding": []}) + "\n")
+        table_path = write_json(tmp_path / "table.json", table.to_json())
+        return table, ["--detections", str(tmp_path / "det.jsonl"), "--annotations", str(tmp_path / "annotations"),
+                       "--class-table", table_path]
+
+    @pytest.mark.parametrize("mode, levels", [("kitti", kitti_levels()),
+                                              ("cityscapes-adjusted", cityscapes_adjusted_levels())])
+    def test_pr_curves_hold_the_evaluated_points(self, capsys, tmp_path, mode, levels):
+        table, inputs = self.write_pr_inputs(tmp_path)
+        curves_dir = tmp_path / "curves"
+        code, _, _ = run(capsys, "eval-det", *inputs, "--mode", mode, "--output", str(tmp_path / "report.json"),
+                         "--pr-curves", str(curves_dir))
+        assert code == 0
+        with open(tmp_path / "det.jsonl") as fh:
+            dets = detections_from_jsonl(fh.read())
+        gts = {image_id: load_ground_truth(str(tmp_path / "annotations" / f"{image_id}.json"), table)[1]
+               for image_id in ("000", "001")}
+        curves = evaluate_detections(dets, gts, {0: 0.5, 1: 0.5}, levels)
+        assert sorted(os.listdir(curves_dir)) == sorted(f"pr_{name}_{level.name}.csv"
+                                                        for name in table.detection for level in levels)
+        assert any(curves[c][level.name].points for c in (0, 1) for level in levels)
+        for c, name in enumerate(table.detection):
+            for level in levels:
+                with open(curves_dir / f"pr_{name}_{level.name}.csv", newline="") as fh:
+                    header, *rows = list(csv.reader(fh))
+                assert header == ["recall", "precision"]
+                assert [(float(r), float(p)) for r, p in rows] == curves[c][level.name].points
+
+    @pytest.mark.parametrize("name", [None, "x/../y", "../x", "x\0y", f"x{os.sep}y"])
+    def test_pr_curves_that_cannot_be_written_leave_no_output(self, capsys, tmp_path, name):
+        """``--pr-curves`` naming a regular file (``name`` None), or a detection class no file name holds."""
+        _, inputs = self.write_pr_inputs(tmp_path, name or "rect")
+        curves = tmp_path / "curves"
+        if name is None:
+            curves.write_text("not a directory\n")
+        report_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "eval-det", *inputs, "--output", str(report_path), "--pr-curves", str(curves))
+        assert code == 1 and out == "" and not report_path.exists()
+        if name is None:
+            assert err == f"error: {curves}: File exists\n"
+            assert curves.read_text() == "not a directory\n"
+        else:
+            assert err == (f"error: --pr-curves: detection class {name!r} cannot be part of a file name: "
+                           "it holds a path separator or NUL\n")
+            assert not curves.exists()
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestSelftestCommand:

@@ -50,7 +50,7 @@ DOCUMENTS = {
     "class table": (CLASS_TABLE_SCHEMA, [synthetic_table().to_json(),
                                          {**synthetic_table().to_json(), "categories": None}]),
     "annotation": (ANNOTATION_SCHEMA, [
-        synth_scene(0).annotation.to_json(),
+        synth_scene(0).annotation,
         {"image_width": 40, "image_height": 30, "source": "kitti", "objects": [
             {"label": "rect", "polygon": [[2, 3.5], [14, 3.5], [14, 11]], "instance_id": 0,
              "occlusion": 3, "truncation": 0.25, "score": None},

@@ -10,8 +10,6 @@ import pytest
 from detseg.geom import BBox
 from detseg.net.model import ModelConfig
 from detseg.pipeline.annotations import (
-    AnnotationFile,
-    PolygonObject,
     boxes_from_polygons,
     load_annotation,
     load_ground_truth,
@@ -33,8 +31,14 @@ from detseg.pipeline.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from detseg.pipeline.synth import SceneSpec, make_dataset, synth_scene
 
 
+def polygon_object(label, polygon, instance_id, **optional):
+    """One entry of an annotation document's ``objects``."""
+    return {"label": label, "polygon": [list(vertex) for vertex in polygon], "instance_id": instance_id,
+            **optional}
+
+
 def annotation(objects):
-    return AnnotationFile(image_width=64, image_height=64, objects=tuple(objects))
+    return {"image_width": 64, "image_height": 64, "objects": list(objects)}
 
 
 class TestClassTable:
@@ -77,7 +81,7 @@ class TestClassTable:
 
 class TestBoxesFromPolygons:
     def test_triangle_bbox(self):
-        ann = annotation([PolygonObject("rect", ((0, 0), (4, 0), (0, 4)), 1)])
+        ann = annotation([polygon_object("rect", ((0, 0), (4, 0), (0, 4)), 1)])
         boxes = boxes_from_polygons(ann, synthetic_table())
         assert len(boxes) == 1
         assert boxes[0].bbox == BBox(0, 0, 4, 4)
@@ -86,39 +90,39 @@ class TestBoxesFromPolygons:
 
     def test_rectangle_is_fixed_point(self):
         polygon = ((2, 3), (10, 3), (10, 8), (2, 8))
-        ann = annotation([PolygonObject("ellipse", polygon, 2)])
+        ann = annotation([polygon_object("ellipse", polygon, 2)])
         boxes = boxes_from_polygons(ann, synthetic_table())
         assert boxes[0].bbox == BBox(2, 3, 10, 8)
 
     def test_vertex_permutation_invariance(self):
         base = ((1, 1), (9, 2), (5, 7), (3, 6))
         permuted = (base[2], base[0], base[3], base[1], base[0])  # plus duplicate
-        a = boxes_from_polygons(annotation([PolygonObject("rect", base, 1)]), synthetic_table())
-        b = boxes_from_polygons(annotation([PolygonObject("rect", permuted, 1)]), synthetic_table())
+        a = boxes_from_polygons(annotation([polygon_object("rect", base, 1)]), synthetic_table())
+        b = boxes_from_polygons(annotation([polygon_object("rect", permuted, 1)]), synthetic_table())
         assert a[0].bbox == b[0].bbox
 
     def test_degenerate_polygon_dropped(self):
         ann = annotation([
-            PolygonObject("rect", ((3, 3), (3, 3), (3, 3)), 1),
-            PolygonObject("rect", ((0, 0), (5, 0), (5, 5), (0, 5)), 2),
+            polygon_object("rect", ((3, 3), (3, 3), (3, 3)), 1),
+            polygon_object("rect", ((0, 0), (5, 0), (5, 5), (0, 5)), 2),
         ])
         boxes = boxes_from_polygons(ann, synthetic_table())
         assert len(boxes) == 1
         assert boxes[0].instance_id == 2
 
     def test_unknown_label_rejected(self):
-        ann = annotation([PolygonObject("spome", ((0, 0), (1, 1)), 1)])
+        ann = annotation([polygon_object("spome", ((0, 0), (1, 1)), 1)])
         with pytest.raises(ValueError, match="spome"):
             boxes_from_polygons(ann, synthetic_table())
 
     def test_non_detection_classes_skipped(self):
-        ann = annotation([PolygonObject("background", ((0, 0), (9, 9)), 1)])
+        ann = annotation([polygon_object("background", ((0, 0), (9, 9)), 1)])
         assert boxes_from_polygons(ann, synthetic_table()) == []
 
     def test_annotation_file_round_trip(self, tmp_path):
         ann = annotation([
-            PolygonObject("rect", ((0.5, 1.5), (8.0, 1.5), (8.0, 9.0), (0.5, 9.0)), 1,
-                          occlusion=2, truncation=0.25),
+            polygon_object("rect", ((0.5, 1.5), (8.0, 1.5), (8.0, 9.0), (0.5, 9.0)), 1,
+                           occlusion=2, truncation=0.25),
         ])
         path = os.path.join(tmp_path, "a.json")
         save_annotation(path, ann)
@@ -127,11 +131,11 @@ class TestBoxesFromPolygons:
 
     def test_failed_save_leaves_existing_file_intact(self, tmp_path):
         path = os.path.join(tmp_path, "a.json")
-        save_annotation(path, annotation([PolygonObject("rect", ((0.5, 1.5), (8.0, 9.0)), 1)]))
+        save_annotation(path, annotation([polygon_object("rect", ((0.5, 1.5), (8.0, 9.0)), 1)]))
         with open(path, "rb") as fh:
             before = fh.read()
         with pytest.raises(ValueError):
-            save_annotation(path, annotation([PolygonObject("rect", ((0.5, "x"), (8.0, 9.0)), 1)]))
+            save_annotation(path, annotation([polygon_object("rect", ((0.5, "x"), (8.0, 9.0)), 1)]))
         with open(path, "rb") as fh:
             assert fh.read() == before
         assert os.listdir(tmp_path) == ["a.json"]
@@ -143,12 +147,52 @@ class TestBoxesFromPolygons:
         with pytest.raises(ValueError):
             load_annotation(path)
 
-    def test_duplicate_instance_ids_rejected(self):
-        with pytest.raises(ValueError):
-            annotation([
-                PolygonObject("rect", ((0, 0), (1, 1)), 1),
-                PolygonObject("rect", ((2, 2), (3, 3)), 1),
-            ])
+    def test_duplicate_instance_ids_rejected(self, tmp_path):
+        ann = annotation([
+            polygon_object("rect", ((0, 0), (1, 1)), 1),
+            polygon_object("rect", ((2, 2), (3, 3)), 1),
+        ])
+        path = os.path.join(tmp_path, "a.json")
+        message = f"annotation {path}: instance ids must be unique, got [1, 1]"
+        with pytest.raises(ValueError) as info:
+            save_annotation(path, ann)
+        assert str(info.value) == message
+        assert os.listdir(tmp_path) == []
+        with open(path, "w") as fh:
+            json.dump(ann, fh)
+        with pytest.raises(ValueError) as info:
+            load_annotation(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("ann", [
+        annotation([polygon_object("rect", ((0, 0), (5, 5)), 1, occlusion=7)]),
+        annotation([polygon_object("rect", ((0, "x"), (5, 5)), 1)]),
+        annotation([polygon_object("rect", ((0, 0), (5, 5)), 1), polygon_object("rect", ((6, 6), (9, 9)), 1)]),
+    ], ids=["occlusion", "string-vertex", "duplicate-ids"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, ann):
+        path = os.path.join(tmp_path, "a.json")
+        save_annotation(path, annotation([polygon_object("rect", ((0.5, 1.5), (8.0, 9.0)), 1)]))
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(ValueError) as refused:
+            save_annotation(path, ann)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["a.json"]
+        with open(path, "w") as fh:
+            json.dump(ann, fh)
+        with pytest.raises(ValueError) as rejected:
+            load_annotation(path)
+        assert str(refused.value) == str(rejected.value)
+
+    def test_integer_coordinates_give_float_boxes(self, tmp_path):
+        path = os.path.join(tmp_path, "a.json")
+        with open(path, "w") as fh:
+            json.dump(annotation([polygon_object("rect", ((0, 1), (5, 1), (5, 7)), 3, truncation=1)]), fh)
+        _, gts = load_ground_truth(path, synthetic_table())
+        corners = (gts[0].bbox.x_min, gts[0].bbox.y_min, gts[0].bbox.x_max, gts[0].bbox.y_max)
+        assert corners == (0.0, 1.0, 5.0, 7.0)
+        assert [type(value) for value in (*corners, gts[0].truncation)] == [float] * 5
 
 
 class TestLoadGroundTruth:
@@ -156,10 +200,10 @@ class TestLoadGroundTruth:
         # a point, a horizontal segment, a box and a degenerate non-detection class
         path = os.path.join(tmp_path, "a.json")
         save_annotation(path, annotation([
-            PolygonObject("rect", ((3, 3), (3, 3)), 1),
-            PolygonObject("ellipse", ((1, 2), (9, 2)), 2),
-            PolygonObject("rect", ((0, 0), (5, 0), (5, 5), (0, 5)), 3),
-            PolygonObject("background", ((4, 4),), 4),
+            polygon_object("rect", ((3, 3), (3, 3)), 1),
+            polygon_object("ellipse", ((1, 2), (9, 2)), 2),
+            polygon_object("rect", ((0, 0), (5, 0), (5, 5), (0, 5)), 3),
+            polygon_object("background", ((4, 4),), 4),
         ]))
         with caplog.at_level("WARNING"):
             ann, gts = load_ground_truth(path, synthetic_table())
@@ -170,14 +214,14 @@ class TestLoadGroundTruth:
 
     def test_no_warning_without_degenerate_polygons(self, tmp_path, caplog):
         path = os.path.join(tmp_path, "a.json")
-        save_annotation(path, annotation([PolygonObject("rect", ((0, 0), (5, 5)), 1)]))
+        save_annotation(path, annotation([polygon_object("rect", ((0, 0), (5, 5)), 1)]))
         with caplog.at_level("WARNING"):
             load_ground_truth(path, synthetic_table())
         assert caplog.messages == []
 
     def test_unknown_label_names_the_file(self, tmp_path):
         path = os.path.join(tmp_path, "a.json")
-        save_annotation(path, annotation([PolygonObject("truck", ((0, 0), (5, 5)), 1)]))
+        save_annotation(path, annotation([polygon_object("truck", ((0, 0), (5, 5)), 1)]))
         with pytest.raises(ValueError) as info:
             load_ground_truth(path, synthetic_table())
         assert str(info.value) == (f"annotation {path}: unknown label 'truck' "
@@ -204,7 +248,7 @@ class TestSynthScenes:
         table = synthetic_table()
         for seed in range(5):
             sample = synth_scene(seed)
-            for obj, polygon in zip(sample.gts, sample.annotation.objects):
+            for obj, polygon in zip(sample.gts, sample.annotation["objects"]):
                 region = sample.instance_map == obj.instance_id
                 seg_id = table.names.index(table.detection[obj.class_id])
                 assert region.sum() > 0
@@ -218,7 +262,7 @@ class TestSynthScenes:
         # has integer corners
         for seed in range(20):
             sample = synth_scene(seed)
-            assert [g.instance_id for g in sample.gts] == [o.instance_id for o in sample.annotation.objects]
+            assert [g.instance_id for g in sample.gts] == [o["instance_id"] for o in sample.annotation["objects"]]
             for obj in sample.gts:
                 corners = obj.bbox.as_array()
                 assert np.array_equal(corners, np.round(corners))
