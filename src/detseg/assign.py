@@ -3,8 +3,9 @@
 Each anchor ends up in exactly one of three states: inactive (supervised
 background), don't-care (excluded from every loss), or active (supervised
 positive carrying class, regression delta and instance id). The rules are
-applied in a fixed precedence order; see :func:`assign_targets`. The result
-is one dense record with a row per anchor, :class:`AnchorTargetArrays`.
+applied in a fixed precedence order; see :func:`assign_targets`. The result,
+:class:`AnchorTargetArrays`, holds every anchor's rule code and a row of
+class, delta and instance id for each active anchor only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class AssignRule(IntEnum):
 # The objectness label of each rule, indexed by rule code (code 0 is unused).
 _LABEL_OF_RULE = np.array([BACKGROUND, BACKGROUND, IGNORE, BACKGROUND, FOREGROUND, IGNORE, FOREGROUND],
                           dtype=np.int64)
-_STATE_OF_LABEL = {BACKGROUND: "inactive", IGNORE: "dontcare", FOREGROUND: "active"}
+# The state name of each rule, as the CLI writes it.
+_STATE_OF_RULE = [{BACKGROUND: "inactive", IGNORE: "dontcare", FOREGROUND: "active"}[label]
+                  for label in _LABEL_OF_RULE.tolist()]
 
 # The codes of the rules that IoU thresholds select, in precedence order, as
 # int8 scalars: np.select then builds the int8 rule array without conversions.
@@ -74,20 +77,32 @@ class GroundTruthObject:
 
 @dataclass
 class AnchorTargetArrays:
-    """Dense per-anchor training targets, one row per anchor of the grid."""
+    """Training targets of one grid: every anchor's rule code, and a row per active (BEST or
+    FALLBACK) anchor, in the sorted order ``np.flatnonzero`` gives their indices."""
 
-    labels: np.ndarray         # (A,) FOREGROUND (active) / BACKGROUND (inactive) / IGNORE (don't-care)
-    class_targets: np.ndarray  # (A,) class id for active anchors, else -1
-    deltas: np.ndarray         # (A, 4) regression targets, zero when not active
-    active: np.ndarray         # (A,) bool
-    instance_ids: np.ndarray   # (A,) instance id for active anchors, else -1
+    rules: np.ndarray             # (A,) int8 AssignRule code of every anchor
+    active_index: np.ndarray      # (K,) int64 indices of the active anchors, ascending
+    active_classes: np.ndarray    # (K,) int64 class id of each active anchor
+    active_deltas: np.ndarray     # (K, 4) regression target of each active anchor
+    active_instances: np.ndarray  # (K,) int64 instance id of each active anchor
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.rules)
 
     def states(self) -> list[str]:
         """Per-anchor state names as written by the CLI: inactive, dontcare or active."""
-        return [_STATE_OF_LABEL[label] for label in self.labels.tolist()]
+        return [_STATE_OF_RULE[rule] for rule in self.rules.tolist()]
+
+    # Dense per-anchor views, built anew on each read; training, the summary and the CLI read none.
+    # The objectness label, the active mask, and the delta and instance id (zero and -1 off the active rows):
+    labels = property(lambda self: _LABEL_OF_RULE[self.rules])
+    active = property(lambda self: self._dense(np.zeros(len(self), dtype=bool), True))
+    deltas = property(lambda self: self._dense(np.zeros((len(self), 4)), self.active_deltas))
+    instance_ids = property(lambda self: self._dense(np.full(len(self), -1, dtype=np.int64), self.active_instances))
+
+    def _dense(self, background: np.ndarray, rows) -> np.ndarray:
+        background[self.active_index] = rows
+        return background
 
 
 # The IoU thresholds of the assignment rules (see :func:`assign_targets`).
@@ -234,32 +249,23 @@ def assign_targets_detailed(
     if len(set(instance_ids)) != len(instance_ids):
         raise ValueError(f"instance ids must be unique within an image, got {instance_ids}")
 
-    n_anchors = len(grid)
     gt_boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
     # Every rule but the default needs an IoU >= DONTCARE_IOU, so all other
     # anchors stay default. The live rows hold the same IoUs as on the whole
     # lattice wherever they reach DONTCARE_IOU, and ``live`` is sorted, so
     # argmax ties still go to the lowest anchor index.
     live, overlaps = _live_anchors(grid, gt_boxes)
-    rules = np.full(n_anchors, AssignRule.DEFAULT, dtype=np.int8)
-    labels = np.full(n_anchors, BACKGROUND, dtype=np.int64)
+    rules = np.full(len(grid), AssignRule.DEFAULT, dtype=np.int8)
     idx = owner = np.zeros(0, dtype=np.int64)
     if live.size:
         live_rules, assigned_gt = _apply_rules(overlaps, grid.outside[live])
         rules[live] = live_rules
-        labels[live] = _LABEL_OF_RULE[live_rules]
         hit = np.flatnonzero(assigned_gt >= 0)
         idx, owner = live[hit], assigned_gt[hit]
 
-    active = np.zeros(n_anchors, dtype=bool)
-    active[idx] = True
-    class_targets = np.full(n_anchors, -1, dtype=np.int64)
-    class_targets[idx] = np.array(class_ids, dtype=np.int64)[owner]
-    anchor_instances = np.full(n_anchors, -1, dtype=np.int64)
-    anchor_instances[idx] = np.array(instance_ids, dtype=np.int64)[owner]
-    deltas = np.zeros((n_anchors, 4), dtype=np.float64)
-    deltas[idx] = encode_array(grid.boxes[idx], gt_boxes[owner])
-    return AnchorTargetArrays(labels, class_targets, deltas, active, anchor_instances), rules
+    return AnchorTargetArrays(rules, idx, np.array(class_ids, dtype=np.int64)[owner],
+                              encode_array(grid.boxes[idx], gt_boxes[owner]),
+                              np.array(instance_ids, dtype=np.int64)[owner]), rules
 
 
 def assign_targets(
@@ -315,10 +321,13 @@ class TargetSummary:
 
 def summarize_targets(targets: AnchorTargetArrays) -> TargetSummary:
     """Count anchors per state and active anchors per class."""
-    classes, counts = np.unique(targets.class_targets[targets.active], return_counts=True)
+    # int8 comparisons: np.bincount would copy the codes to intp, and an IntEnum operand is ~3x slower
+    codes = (np.int8(AssignRule.BORDER), np.int8(AssignRule.BAND))
+    dontcare = sum(int(np.count_nonzero(targets.rules == code)) for code in codes)
+    classes, counts = np.unique(targets.active_classes, return_counts=True)
     return TargetSummary(
-        inactive=int(np.count_nonzero(targets.labels == BACKGROUND)),
-        dontcare=int(np.count_nonzero(targets.labels == IGNORE)),
-        active=int(np.count_nonzero(targets.active)),
+        inactive=len(targets) - dontcare - len(targets.active_index),
+        dontcare=dontcare,
+        active=len(targets.active_index),
         active_per_class=dict(zip(classes.tolist(), counts.tolist())),
     )

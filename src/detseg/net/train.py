@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..assign import AnchorTargetArrays, GroundTruthObject, assign_targets
+from ..assign import _LABEL_OF_RULE, AnchorTargetArrays, GroundTruthObject, assign_targets
 from ..geom import AnchorGrid
 from ..losses import (
     IGNORE,
@@ -44,7 +44,7 @@ class TrainSample:
 
 
 def prepare_targets(targets: AnchorTargetArrays) -> AnchorTargetArrays:
-    """Return the targets unchanged: :func:`assign_targets` already builds the dense record."""
+    """Return the targets unchanged: :func:`assign_targets` already builds the record training reads."""
     return targets
 
 
@@ -81,23 +81,25 @@ def objective(
     anchors = (templates // 2, grid_rows, grid_cols)
     # the segmentation head in the same row layout: a lattice of one-pixel cells of one template each
     pixels = (1, *outputs["seg_logits"].shape[1:])
-    active = targets.active
+    labels = _LABEL_OF_RULE[targets.rules]
     seg_targets = label_map.reshape(-1)
+    scored, labelled = np.flatnonzero(labels != IGNORE), np.flatnonzero(seg_targets != SEG_IGNORE)
+    active = targets.active_index
     # task: (head, its lattice, the rows counted, their targets, loss, fewest rows the loss averages)
     table = {
-        "objectness": ("objectness", anchors, targets.labels != IGNORE, targets.labels, focal_loss, 1),
-        "class": ("class_scores", anchors, active, targets.class_targets, cross_entropy, 1),
-        "box": ("box_deltas", anchors, active, targets.deltas, smooth_l1, 1),
-        "embedding": ("embeddings", anchors, active, targets.instance_ids, contrastive_loss, 2),
-        "segmentation": ("seg_logits", pixels, seg_targets != SEG_IGNORE, seg_targets, cross_entropy, 1),
+        "objectness": ("objectness", anchors, scored, labels[scored], focal_loss, 1),
+        "class": ("class_scores", anchors, active, targets.active_classes, cross_entropy, 1),
+        "box": ("box_deltas", anchors, active, targets.active_deltas, smooth_l1, 1),
+        "embedding": ("embeddings", anchors, active, targets.active_instances, contrastive_loss, 2),
+        "segmentation": ("seg_logits", pixels, labelled, seg_targets[labelled], cross_entropy, 1),
     }
 
     values: dict[str, float] = {}
     task_grads: dict[str, np.ndarray] = {}
     for task, (head, lattice, rows, task_targets, loss, fewest) in table.items():
-        if task in tasks and np.count_nonzero(rows) >= fewest:
+        if task in tasks and len(rows) >= fewest:
             head_rows = flatten_per_anchor(outputs[head], lattice[0])
-            values[task], compact = loss(head_rows[rows], task_targets[rows])
+            values[task], compact = loss(head_rows[rows], task_targets)
             # zeros_like keeps the memory layout of the head rows, on which the rounding of backward depends
             task_grads[task] = np.zeros_like(head_rows)
             task_grads[task][rows] = compact

@@ -294,9 +294,12 @@ def encode_oracle(anchor: BBox, gt: BBox) -> tuple[float, float, float, float]:
 
 
 def target_rows(targets) -> list[tuple]:
-    """The dense assignment record as per-anchor rows, comparable to :func:`assign_oracle_rows`."""
-    return list(zip(targets.states(), targets.class_targets.tolist(), targets.instance_ids.tolist(),
-                    map(tuple, targets.deltas.tolist())))
+    """Per-anchor rows of the record, comparable to :func:`assign_oracle_rows` (-1 ids, zero delta if not active)."""
+    rows = [(state, -1, -1, (0.0, 0.0, 0.0, 0.0)) for state in targets.states()]
+    for i, *row in zip(targets.active_index.tolist(), targets.active_classes.tolist(),
+                       targets.active_instances.tolist(), map(tuple, targets.active_deltas.tolist())):
+        rows[i] = (rows[i][0], *row)
+    return rows
 
 
 def random_assignment_scene(rng: np.random.Generator):

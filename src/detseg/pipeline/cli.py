@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -199,11 +200,13 @@ def cmd_assign(args) -> int:
     targets = assign_targets(grid, gts, w, h)
 
     lines = []
-    rows = zip(targets.states(), targets.class_targets.tolist(), targets.deltas.tolist(),
-               targets.instance_ids.tolist())
-    for i, (state, class_id, delta, instance_id) in enumerate(rows):
+    # the active rows come in anchor order, one per active state
+    active_rows = zip(targets.active_classes.tolist(), targets.active_deltas.tolist(),
+                      targets.active_instances.tolist())
+    for i, state in enumerate(targets.states()):
         record: dict = {"anchor_index": i, "state": state}
         if state == "active":
+            class_id, delta, instance_id = next(active_rows)
             record["class_id"] = class_id
             record["delta"] = dict(zip(("tx", "ty", "tw", "th"), delta))
             record["instance_id"] = instance_id
@@ -469,13 +472,16 @@ def cmd_eval_det(args) -> int:
             for c in sorted(curves)
         },
     }
-    # the curves go first, so a run that cannot write them leaves no report
+    # all curve paths are checked, then the curves written before the report: a failing run leaves neither
     if args.pr_curves:
+        csvs = {os.path.join(args.pr_curves, f"pr_{table.detection[c]}_{level.name}.csv"): curves[c][level.name]
+                for c in sorted(curves) for level in levels}
+        for path in csvs:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         os.makedirs(args.pr_curves, exist_ok=True)
-        for c in sorted(curves):
-            for level in levels:
-                _write_csv(os.path.join(args.pr_curves, f"pr_{table.detection[c]}_{level.name}.csv"),
-                           [("recall", "precision"), *curves[c][level.name].points])
+        for path, curve in csvs.items():
+            _write_csv(path, [("recall", "precision"), *curve.points])
     print(_write_json(args.output, report), end="")
     return 0
 

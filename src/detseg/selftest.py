@@ -208,7 +208,7 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
         while True:
             grid, gts, w, h = anchor_aligned_scene(rng)
             targets = assign_targets(grid, gts, w, h)
-            if len(np.unique(targets.instance_ids[targets.active])) >= 2:
+            if len(np.unique(targets.active_instances)) >= 2:
                 break
         t, rows, cols = len(grid.templates), grid.rows, grid.cols
         label_map = rng.integers(0, 3, size=(h, w))
@@ -220,8 +220,8 @@ def check_loss_gradients(instances: int = 3, seed: int = 0) -> list[tuple[str, f
                        "box_deltas": rng.standard_normal((4 * t, rows, cols)),
                        "embeddings": rng.standard_normal((2 * t, rows, cols)),
                        "seg_logits": rng.standard_normal((3, h, w))}
-            box = flatten_per_anchor(outputs["box_deltas"], t)[targets.active] - targets.deltas[targets.active]
-            emb = flatten_per_anchor(outputs["embeddings"], t)[targets.active]
+            box = flatten_per_anchor(outputs["box_deltas"], t)[targets.active_index] - targets.active_deltas
+            emb = flatten_per_anchor(outputs["embeddings"], t)[targets.active_index]
             d = np.sqrt(((emb[:, None] - emb[None]) ** 2).sum(-1))[np.triu_indices(len(emb), k=1)]
             if min(np.abs(np.abs(box) - 1.0).min(), d.min(), np.abs(d - MARGIN).min()) > _KINK_MARGIN:
                 break
@@ -417,47 +417,25 @@ def check_inference_path(seed: int = 0) -> tuple[bool, list[str]]:
 
 def run_selftest() -> tuple[bool, list[str]]:
     """Run every suite at reduced size; returns (all passed, report lines)."""
-    lines = []
-    ok = True
-
-    for name, err, passed in check_layer_gradients() + check_loss_gradients():
-        ok &= passed
-        lines.append(f"gradients {name}: max rel err {err:.2e} -> {'ok' if passed else 'FAIL'}")
-
-    scenes, mismatches, with_active = check_assignment()
-    ok &= mismatches == 0
-    lines.append(f"assignment oracle: {scenes} scenes ({with_active} with active anchors), "
-                 f"{mismatches} mismatches -> {'ok' if mismatches == 0 else 'FAIL'}")
-
-    scenes, mismatches, live = check_live_anchors()
-    ok &= mismatches == 0
-    lines.append(f"live anchors: {scenes} scenes ({live} live anchors), "
-                 f"{mismatches} mismatches -> {'ok' if mismatches == 0 else 'FAIL'}")
-
-    instances, nms_bad = check_nms()
-    ok &= nms_bad == 0
-    lines.append(f"nms oracle: {instances} instances, {nms_bad} mismatches -> "
-                 f"{'ok' if nms_bad == 0 else 'FAIL'}")
-
-    cases, depthwise_bad = check_depthwise()
-    ok &= depthwise_bad == 0
-    lines.append(f"depthwise oracle: {cases} cases, {depthwise_bad} mismatches -> "
-                 f"{'ok' if depthwise_bad == 0 else 'FAIL'}")
-
-    cases, conv_bad = check_transposed_conv()
-    ok &= conv_bad == 0
-    lines.append(f"transposed conv oracle: {cases} cases, {conv_bad} mismatches -> "
-                 f"{'ok' if conv_bad == 0 else 'FAIL'}")
-
+    # (what a suite found, whether it passed), one per report line
+    results = [(f"gradients {name}: max rel err {err:.2e}", passed)
+               for name, err, passed in check_layer_gradients() + check_loss_gradients()]
+    scenes, bad, with_active = check_assignment()
+    results.append((f"assignment oracle: {scenes} scenes ({with_active} with active anchors), {bad} mismatches",
+                    bad == 0))
+    scenes, bad, live = check_live_anchors()
+    results.append((f"live anchors: {scenes} scenes ({live} live anchors), {bad} mismatches", bad == 0))
+    instances, bad = check_nms()
+    results.append((f"nms oracle: {instances} instances, {bad} mismatches", bad == 0))
+    cases, bad = check_depthwise()
+    results.append((f"depthwise oracle: {cases} cases, {bad} mismatches", bad == 0))
+    cases, bad = check_transposed_conv()
+    results.append((f"transposed conv oracle: {cases} cases, {bad} mismatches", bad == 0))
     codec_err = check_codec()
-    codec_ok = codec_err <= 1e-9
-    ok &= codec_ok
-    lines.append(f"codec round trip: max rel err {codec_err:.2e} -> {'ok' if codec_ok else 'FAIL'}")
-
+    results.append((f"codec round trip: max rel err {codec_err:.2e}", codec_err <= 1e-9))
     heads_equal, cached = check_inference_path()
-    inference_ok = heads_equal and not cached
-    ok &= inference_ok
     heads = "match" if heads_equal else "DIFFER FROM"
-    lines.append(f"inference path: eval heads {heads} a frozen-BN training forward, "
-                 f"{len(cached)} layers keep a cache -> {'ok' if inference_ok else 'FAIL'}")
-    return ok, lines
+    results.append((f"inference path: eval heads {heads} a frozen-BN training forward, "
+                    f"{len(cached)} layers keep a cache", heads_equal and not cached))
+    lines = [f"{found} -> {'ok' if passed else 'FAIL'}" for found, passed in results]
+    return all(passed for _, passed in results), lines

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from detseg.oracles import (
     random_assignment_scene,
     target_rows,
 )
+from detseg.pipeline.synth import SceneSpec, synth_scene
 
 
 def gt(x0, y0, x1, y1, class_id=0, instance_id=0):
@@ -35,15 +37,21 @@ def single_cell_grid(width, height, template):
     return make_anchor_grid(width, height, 8, [template])
 
 
+def labels_of(targets):
+    """The objectness label of every anchor, from its rule code."""
+    return assign._LABEL_OF_RULE[targets.rules]
+
+
 class TestCornerCases:
     def test_identity_match_becomes_active(self):
         # one 8x8 anchor per cell; the gt equals the anchor at cell (0, 0)
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         targets = assign_targets(grid, [gt(0, 0, 8, 8)], 16, 16)
-        assert targets.labels[0] == FOREGROUND
-        assert targets.class_targets[0] == 0
-        assert targets.deltas[0] == pytest.approx(np.zeros(4), abs=1e-12)
-        assert np.all(targets.labels[1:] == BACKGROUND)
+        assert labels_of(targets)[0] == FOREGROUND
+        assert targets.active_index.tolist() == [0]
+        assert targets.active_classes.tolist() == [0]
+        assert targets.active_deltas[0] == pytest.approx(np.zeros(4), abs=1e-12)
+        assert np.all(labels_of(targets)[1:] == BACKGROUND)
 
     def test_small_object_adopts_best_anchor(self):
         # best IoU anywhere is ~0.4545 < 0.5, so the gt falls back to its
@@ -51,9 +59,9 @@ class TestCornerCases:
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         targets, rules = assign_targets_detailed(grid, [gt(3, 0, 11, 8)], 16, 16)
         assert iou(grid.box(0), BBox(3, 0, 11, 8)) == pytest.approx(40 / 88)
-        assert targets.labels[0] == FOREGROUND
+        assert labels_of(targets)[0] == FOREGROUND
         assert rules[0] == AssignRule.FALLBACK
-        assert np.all(targets.labels[1:] == BACKGROUND)
+        assert np.all(labels_of(targets)[1:] == BACKGROUND)
 
     def test_ambiguous_anchor_is_inactive(self):
         # the single anchor overlaps object A at 0.55 and object B at 0.45:
@@ -64,7 +72,7 @@ class TestCornerCases:
         assert iou(grid.box(0), objects[0].bbox) == pytest.approx(0.55)
         assert iou(grid.box(0), objects[1].bbox) == pytest.approx(0.45)
         targets, rules = assign_targets_detailed(grid, objects, 8, 8)
-        assert targets.labels[0] == BACKGROUND
+        assert labels_of(targets)[0] == BACKGROUND
         assert rules[0] == AssignRule.AMBIGUOUS
 
     def test_border_anchor_is_dont_care(self):
@@ -74,7 +82,7 @@ class TestCornerCases:
         assert grid.outside[0]
         assert iou(grid.box(0), obj.bbox) == pytest.approx(0.6)
         targets, rules = assign_targets_detailed(grid, [obj], 8, 8)
-        assert targets.labels[0] == IGNORE
+        assert labels_of(targets)[0] == IGNORE
         assert rules[0] == AssignRule.BORDER
 
     def test_band_anchor_is_dont_care(self):
@@ -94,7 +102,7 @@ class TestCornerCases:
         b2 = iou(probe, objects[1].bbox)
         assert 0.4 < b1 <= 0.5 and b2 < 0.4
         targets, rules = assign_targets_detailed(grid, objects, 32, 32)
-        assert targets.labels[probe_index] == IGNORE
+        assert labels_of(targets)[probe_index] == IGNORE
         assert rules[probe_index] == AssignRule.BAND
         # both objects found an active anchor, so no fallback touched the probe
         summary = summarize_targets(targets)
@@ -107,19 +115,18 @@ class TestMechanics:
         objects = [gt(8, 8, 16, 16, class_id=1, instance_id=5)]
         targets = assign_targets(grid, objects, 32, 32)
         assert len(targets) == len(grid)
-        active = np.flatnonzero(targets.active)
-        assert len(active) == 1
-        assert targets.class_targets[active[0]] == 1
-        assert targets.instance_ids[active[0]] == 5
+        assert len(targets.active_index) == 1
+        assert targets.active_classes[0] == 1
+        assert targets.active_instances[0] == 5
 
     def test_active_delta_decodes_to_gt(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             grid, gts, w, h = random_assignment_scene(rng)
             targets = assign_targets(grid, gts, w, h)
-            for i in np.flatnonzero(targets.active):
-                matched = next(g for g in gts if g.instance_id == targets.instance_ids[i])
-                back = decode(grid.box(i), targets.deltas[i])
+            for i, instance_id, delta in zip(targets.active_index, targets.active_instances, targets.active_deltas):
+                matched = next(g for g in gts if g.instance_id == instance_id)
+                back = decode(grid.box(i), delta)
                 assert back.as_array() == pytest.approx(matched.bbox.as_array(), abs=1e-6)
 
     def test_grid_image_mismatch_rejected(self):
@@ -136,24 +143,64 @@ class TestMechanics:
     def test_no_objects_all_inactive(self):
         grid = make_anchor_grid(16, 16, 8, [AnchorTemplate(1.0, 64)])
         targets = assign_targets(grid, [], 16, 16)
-        assert np.all(targets.labels == BACKGROUND)
-        assert not targets.active.any()
+        assert np.all(labels_of(targets) == BACKGROUND)
+        assert targets.active_index.size == 0
 
     def test_target_payload_consistency(self):
-        # class, instance id and delta are set exactly on the active rows
+        # class, instance id and delta come once for each active anchor, in anchor order
         rng = np.random.default_rng(23)
         for _ in range(50):
             grid, gts, w, h = anchor_aligned_scene(rng)
             targets = assign_targets(grid, gts, w, h)
-            n = len(grid)
-            assert targets.labels.shape == targets.class_targets.shape == (n,)
-            assert targets.active.shape == targets.instance_ids.shape == (n,)
-            assert targets.deltas.shape == (n, 4)
-            assert set(targets.labels.tolist()) <= {BACKGROUND, FOREGROUND, IGNORE}
-            assert np.array_equal(targets.active, targets.labels == FOREGROUND)
-            assert np.array_equal(targets.class_targets >= 0, targets.active)
-            assert np.array_equal(targets.instance_ids >= 0, targets.active)
-            assert np.all(targets.deltas[~targets.active] == 0.0)
+            n, k = len(grid), len(targets.active_index)
+            assert targets.rules.shape == (n,) and targets.rules.dtype == np.int8
+            assert targets.active_classes.shape == targets.active_instances.shape == (k,)
+            assert targets.active_deltas.shape == (k, 4)
+            assert set(labels_of(targets).tolist()) <= {BACKGROUND, FOREGROUND, IGNORE}
+            assert np.array_equal(targets.active_index, np.flatnonzero(labels_of(targets) == FOREGROUND))
+            assert np.all(targets.active_classes >= 0)
+            assert np.all(targets.active_instances >= 0)
+            assert np.all(np.isfinite(targets.active_deltas))
+
+    def test_dense_views_expand_the_active_rows(self):
+        # the per-anchor arrays the record builds on demand: the oracle's ids and
+        # deltas, -1 ids and zero deltas off the active anchors, and fresh arrays on each read
+        rng = np.random.default_rng(59)
+        for scene in (random_assignment_scene, anchor_aligned_scene):
+            for _ in range(100):
+                grid, gts, w, h = scene(rng)
+                targets = assign_targets(grid, gts, w, h)
+                n = len(grid)
+                labels, active = targets.labels, targets.active
+                deltas, instance_ids = targets.deltas, targets.instance_ids
+                assert labels.dtype == instance_ids.dtype == np.int64 and active.dtype == bool
+                assert labels.shape == active.shape == instance_ids.shape == (n,) and deltas.shape == (n, 4)
+                assert np.array_equal(active, labels == FOREGROUND)
+                assert np.array_equal(instance_ids >= 0, active)
+                assert np.all(deltas[~active] == 0.0)
+                states = {BACKGROUND: "inactive", IGNORE: "dontcare", FOREGROUND: "active"}
+                expected = [(state, instance_id, delta) for state, _, instance_id, delta
+                            in assign_oracle_rows(grid, gts, w, h)]
+                assert list(zip([states[label] for label in labels.tolist()], instance_ids.tolist(),
+                                map(tuple, deltas.tolist()))) == expected
+                assert targets.deltas is not deltas and targets.active is not active
+
+
+    def test_memory_stays_far_below_a_dense_record(self):
+        # 580,000 paper-table1 anchors at 640x400. A record with dense per-anchor
+        # rows (int64 label, class and instance id, a bool mask and four float64
+        # deltas) takes 57 bytes per anchor; this call peaks near 3.
+        grid = make_anchor_grid(640, 400, 8, anchor_preset("paper-table1"))
+        spec = SceneSpec(width=640, height=400, min_objects=8, max_objects=8, min_size=12, max_size=160)
+        gts = synth_scene((1, 8), spec).gts
+        tracemalloc.start()
+        try:
+            targets = assign_targets(grid, gts, 640, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(grid)
+        assert len(targets.active_index) > 500
 
 
 class TestRulePrecedence:
@@ -165,7 +212,7 @@ class TestRulePrecedence:
                 continue
             targets = assign_targets(grid, gts, w, h)
             m = iou_matrix(grid.boxes, np.stack([g.bbox.as_array() for g in gts]))
-            for i in np.flatnonzero(targets.active):
+            for i in targets.active_index:
                 row = np.sort(m[i])[::-1]
                 b1, b2 = row[0], row[1]
                 if b1 >= DONTCARE_IOU and b2 >= DONTCARE_IOU:
@@ -224,14 +271,15 @@ class TestSummarize:
             summary = summarize_targets(targets)
             assert summary.total == len(grid)
             # independent recount, one anchor at a time
-            labels = targets.labels.tolist()
+            labels = labels_of(targets).tolist()
             assert summary.active == labels.count(FOREGROUND)
             assert summary.dontcare == labels.count(IGNORE)
             assert summary.inactive == labels.count(BACKGROUND)
+            class_of = dict(zip(targets.active_index.tolist(), targets.active_classes.tolist()))
             per_class: dict[int, int] = {}
-            for label, class_id in zip(labels, targets.class_targets.tolist()):
+            for i, label in enumerate(labels):
                 if label == FOREGROUND:
-                    per_class[class_id] = per_class.get(class_id, 0) + 1
+                    per_class[class_of[i]] = per_class.get(class_of[i], 0) + 1
             assert summary.active_per_class == per_class
             assert sum(summary.active_per_class.values()) == summary.active
 

@@ -3,7 +3,11 @@
 ``perfbench/`` reads parts of detseg that product code alone would let a
 change reshape or drop: each head output's ``.data``, ``SceneSample``'s
 wrapped ``image`` and ``label_map``, ``train.prepare_targets``, the scalar
-``geom.encode``/``decode`` and every name its tracer wraps by ``getattr``.
+``geom.encode``/``decode``, the four dense per-anchor views of the
+assignment record (``labels``, ``active``, ``deltas`` and ``instance_ids``,
+which ``assign-paper`` checks its ops with), the ``(record, rules)`` pair
+that ``assign.assign_targets_detailed`` returns (its tracer counts the
+rules in ``result[1]``) and every name its tracer wraps by ``getattr``.
 Each workload is built here as the benchmark builds it and runs one batch
 untraced and one traced, so that breaking one of those surfaces fails the
 tests, not a benchmark run.

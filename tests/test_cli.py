@@ -1049,6 +1049,19 @@ class TestEvalDetCommand:
         assert not list(tmp_path.rglob("*.csv"))
 
 
+    def test_pr_curve_that_cannot_be_written_leaves_no_other_curve(self, capsys, tmp_path):
+        """The last curve of class "rect" is an existing directory: the run writes no curve at all."""
+        _, inputs = self.write_pr_inputs(tmp_path)
+        curves = tmp_path / "curves"
+        os.makedirs(curves / "pr_rect_hard.csv")
+        report_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "eval-det", *inputs, "--mode", "kitti", "--output", str(report_path),
+                             "--pr-curves", str(curves))
+        assert code == 1 and out == "" and not report_path.exists()
+        assert err == f"error: {curves / 'pr_rect_hard.csv'}: Is a directory\n"
+        assert os.listdir(curves) == ["pr_rect_hard.csv"] and not os.listdir(curves / "pr_rect_hard.csv")
+
+
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")

@@ -302,11 +302,13 @@ class TestEndToEndWithAssignment:
         obj = np.zeros((len(grid), 2))
         cls = np.zeros((len(grid), 2))
         emb = np.zeros((len(grid), 3))
+        deltas = np.zeros((len(grid), 4))
         obj[:, 0] = 4.0
-        active = np.flatnonzero(targets.active)
+        active = targets.active_index
         obj[active] = (0.0, 6.0)
-        cls[active, targets.class_targets[active]] = 5.0
-        outputs = build_outputs(grid, obj, cls, targets.deltas, emb)
+        cls[active, targets.active_classes] = 5.0
+        deltas[active] = targets.active_deltas
+        outputs = build_outputs(grid, obj, cls, deltas, emb)
         detections = nms(decode_detections(outputs, grid, 0.5), 0.5)
         assert len(detections) == 2
         for row, source in zip(np.argsort(detections.boxes[:, 0]), objects):

@@ -3,14 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from detseg.assign import GroundTruthObject, assign_targets
+from detseg.assign import (
+    _LABEL_OF_RULE,
+    AnchorTargetArrays,
+    AssignRule,
+    GroundTruthObject,
+    assign_targets,
+    summarize_targets,
+)
 from detseg.evaluation import pixel_accuracy
 from detseg.geom import AnchorTemplate, BBox, make_anchor_grid
 from detseg.losses import IGNORE, SEG_IGNORE, LrSchedule, TASK_NAMES, cross_entropy
 from detseg.net.model import DetSegModel, ModelConfig, flatten_per_anchor, unflatten_per_anchor
 from detseg.net.optim import AdamState, adam_step
 from detseg.net.train import TrainSample, objective, prepare_targets, train_toy
-from detseg.pipeline.synth import SceneSpec, synth_scene
+from detseg.pipeline.config import default_config_dict, run_config_from_dict
+from detseg.pipeline.synth import SceneSpec, make_dataset, synth_scene
 
 TINY = ModelConfig(
     num_classes=3, num_object_classes=2, embedding_dim=2, anchors_per_cell=2,
@@ -27,7 +35,7 @@ def tiny_sample(seed=0):
 
 
 class TestPrepareTargets:
-    def test_dense_arrays(self):
+    def test_rule_codes_and_active_rows(self):
         # two templates per cell on 16x8: the object is the 8x8 anchor of
         # cell 0 shifted by 0.8 (IoU 0.82, active); the 16x8 anchor of cell 0
         # crosses the border at IoU 0.5 (don't-care); both anchors of cell 1
@@ -37,12 +45,12 @@ class TestPrepareTargets:
         targets = assign_targets(grid, [obj], 16, 8)
         arrays = prepare_targets(targets)
         assert arrays is targets
-        assert arrays.labels.tolist() == [1, -1, 0, 0]
-        assert arrays.class_targets.tolist() == [1, -1, -1, -1]
-        assert arrays.active.tolist() == [True, False, False, False]
-        assert arrays.instance_ids.tolist() == [4, -1, -1, -1]
-        assert arrays.deltas[0] == pytest.approx([0.1, 0.0, 0.0, 0.0])
-        assert np.all(arrays.deltas[1:] == 0.0)
+        assert _LABEL_OF_RULE[arrays.rules].tolist() == [1, -1, 0, 0]
+        assert arrays.active_index.tolist() == [0]
+        assert arrays.active_classes.tolist() == [1]
+        assert arrays.active_instances.tolist() == [4]
+        assert arrays.active_deltas.shape == (1, 4)
+        assert arrays.active_deltas[0] == pytest.approx([0.1, 0.0, 0.0, 0.0])
 
 
 class TestTrainToy:
@@ -183,7 +191,7 @@ class TestObjective:
         sample = tiny_sample(3)
         grid = make_anchor_grid(40, 40, 8, TEMPLATES)
         targets = assign_targets(grid, sample.gts, 40, 40)
-        assert targets.active.sum() >= 2
+        assert len(targets.active_index) >= 2
         heads = random_heads(rng)
         s = rng.uniform(-0.5, 0.5, size=5)
         _, values, upstream, ds = objective(heads, targets, sample.label_map, s, tasks=("segmentation",))
@@ -196,7 +204,7 @@ class TestObjective:
         rng = np.random.default_rng(2)
         grid = make_anchor_grid(40, 40, 8, TEMPLATES)
         empty = assign_targets(grid, [], 40, 40)
-        targets = dataclasses.replace(empty, labels=np.full_like(empty.labels, IGNORE))
+        targets = dataclasses.replace(empty, rules=np.full_like(empty.rules, AssignRule.BAND))
         label_map = rng.integers(0, TINY.num_classes, size=(40, 40))
         _, values, upstream, ds = objective(random_heads(rng), targets, label_map, rng.uniform(-0.5, 0.5, size=5))
         assert list(values) == ["segmentation"]
@@ -209,7 +217,7 @@ class TestObjective:
         grid = make_anchor_grid(16, 8, 8, [AnchorTemplate(1.0, 64), AnchorTemplate(2.0, 128)])
         obj = GroundTruthObject(class_id=1, bbox=BBox(0.8, 0.0, 8.8, 8.0), instance_id=4)
         targets = assign_targets(grid, [obj], 16, 8)
-        assert targets.active.sum() == 1
+        assert len(targets.active_index) == 1
         heads = {name: rng.standard_normal((width, 1, 2)) for name, width in TINY.head_widths().items()}
         heads["seg_logits"] = rng.standard_normal((TINY.num_classes, 8, 16))
         label_map = rng.integers(0, TINY.num_classes, size=(8, 16))
@@ -219,12 +227,39 @@ class TestObjective:
         assert ds[3] == 0.0 and np.all(ds[[0, 1, 2, 4]] != 0.0)
 
 
+def test_training_and_summary_read_no_dense_view(monkeypatch):
+    # Training and the summary read the rule codes and the active rows only:
+    # with every dense per-anchor view refusing to be built, three steps on
+    # the README scenes and the summary of each still run.
+    def refuse(self):
+        raise AssertionError("a dense per-anchor view of the targets was read")
+
+    for name in ("labels", "active", "deltas", "instance_ids"):
+        monkeypatch.setattr(AnchorTargetArrays, name, property(refuse))
+    config = run_config_from_dict(default_config_dict())
+    samples = [TrainSample(image=s.image.data, label_map=s.label_map.data, gts=s.gts)
+               for s in make_dataset(config.seed, config.num_images, config.scene)]
+    h, w = samples[0].label_map.shape
+    grid = make_anchor_grid(w, h, 8, config.templates)
+    result = train_toy(samples, DetSegModel(config.model, seed=config.seed), grid,
+                       schedule=LrSchedule(max_iter=3), iterations=3)
+    assert result.iterations_run == 3
+    assert all(entry["box"] is not None and np.isfinite(entry["total"]) for entry in result.history)
+    for sample in samples:
+        summary = summarize_targets(assign_targets(grid, sample.gts, w, h))
+        assert summary.total == len(grid) and summary.active > 0
+    with pytest.raises(AssertionError, match="dense per-anchor view"):
+        assign_targets(grid, samples[0].gts, w, h).deltas
+
+
 def dontcare(targets, label_map):
-    return targets.labels == IGNORE
+    return _LABEL_OF_RULE[targets.rules] == IGNORE
 
 
 def inactive(targets, label_map):
-    return ~targets.active
+    rows = np.ones(len(targets), dtype=bool)
+    rows[targets.active_index] = False
+    return rows
 
 
 def unlabelled(targets, label_map):
