@@ -243,15 +243,11 @@ class _ConvGeometry:
         return (n, channels, self.in_h + self.pad_top + self.pad_bottom,
                 self.in_w + self.pad_left + self.pad_right)
 
-    def zeros(self, n: int, channels: int) -> np.ndarray:
-        """A zero array of the padded shape."""
-        return np.zeros(self.padded_shape(n, channels))
-
     def pad(self, x: np.ndarray) -> np.ndarray:
         """``x`` zero-padded to the padded shape; ``x`` itself when there is no padding."""
         if not (self.pad_top or self.pad_bottom or self.pad_left or self.pad_right):
             return x
-        xp = self.zeros(*x.shape[:2])
+        xp = np.zeros(self.padded_shape(*x.shape[:2]))
         self.unpad(xp)[...] = x
         return xp
 
@@ -303,10 +299,9 @@ class _ConvGeometry:
         strided kernel overlap, and then written into the padded array
         through the strided view of its residue. Each element is thus the
         same sum in the same order as when every tap is added into one
-        zero-filled padded array, bit for bit. With stride 1 the one plane is
-        the padded array itself. A 1x1 stride-1 kernel needs no scatter: the
-        result is then ``cols`` reshaped, as :meth:`im2col` returns its input
-        reshaped.
+        zero-filled padded array, bit for bit. A 1x1 stride-1 kernel needs no
+        scatter: the result is then ``cols`` reshaped, as :meth:`im2col`
+        returns its input reshaped.
         """
         n = cols.shape[0]
         k, d, s = self.kernel, self.dilation, self.stride
@@ -316,24 +311,18 @@ class _ConvGeometry:
             out[...] = cols.reshape(n, channels, self.out_h, self.out_w)
             return out
         cols6 = cols.reshape(n, channels, k, k, self.out_h, self.out_w)
-        if out is None:
-            xp = self.zeros(n, channels) if s == 1 else np.empty(self.padded_shape(n, channels))
-        else:
-            xp = out
-            if s == 1:
-                xp[...] = 0.0
+        xp = np.empty(self.padded_shape(n, channels)) if out is None else out
         offsets = [divmod(t * d, s) for t in range(k)]  # (offset in the plane, residue) of each tap row/column
         for ri in range(s):
             for rj in range(s):
                 view = xp[:, :, ri::s, rj::s]
-                plane = view if s == 1 else np.zeros(view.shape)
+                plane = np.zeros(view.shape)
                 for ki, (oi, r) in enumerate(offsets):
                     for kj, (oj, q) in enumerate(offsets):
                         if (r, q) == (ri, rj):
                             plane[:, :, oi:oi + self.out_h, oj:oj + self.out_w] += cols6[:, :, ki, kj]
-                if s > 1:
-                    view[...] = plane
-                    del plane  # so that the next plane is not made while this one is held
+                view[...] = plane
+                del plane  # so that the next plane is not made while this one is held
         return xp
 
 

@@ -15,8 +15,7 @@ import logging
 from ..assign import GroundTruthObject
 from ..geom import BBox
 from ..net.checkpoint import write_atomic
-from .classtable import ClassTable
-from .schema import check, load_json
+from .schema import check, load_document
 
 __all__ = ["ANNOTATION_SCHEMA", "load_annotation", "save_annotation", "boxes_from_polygons", "load_ground_truth"]
 
@@ -67,10 +66,7 @@ def _checked(document):
 
 def load_annotation(path: str) -> dict:
     """The checked annotation document at ``path``; every error names the file."""
-    try:
-        return _checked(load_json(path))
-    except ValueError as exc:
-        raise ValueError(f"annotation {path}: {exc}") from exc
+    return load_document(path, "annotation", _checked)
 
 
 def save_annotation(path: str, document: dict) -> None:
@@ -86,8 +82,8 @@ def save_annotation(path: str, document: dict) -> None:
     write_atomic(path, (json.dumps(document, indent=1) + "\n").encode("utf-8"))
 
 
-def boxes_from_polygons(document: dict, table: ClassTable) -> list[GroundTruthObject]:
-    """Extract detection ground truth from a checked annotation document.
+def boxes_from_polygons(document: dict, table: dict) -> list[GroundTruthObject]:
+    """Extract detection ground truth from a checked annotation document and class table.
 
     The box is the min/max of the vertex coordinates. Corners and
     truncation are floats, whether the file wrote them as JSON integers or
@@ -98,9 +94,9 @@ def boxes_from_polygons(document: dict, table: ClassTable) -> list[GroundTruthOb
     out: list[GroundTruthObject] = []
     for obj in document["objects"]:
         label = obj["label"]
-        if label not in table.names:
-            raise ValueError(f"unknown label {label!r} (known: {list(table.names)})")
-        if label not in table.detection:
+        if label not in table["names"]:
+            raise ValueError(f"unknown label {label!r} (known: {table['names']})")
+        if label not in table["detection"]:
             continue
         xs = [x for x, _ in obj["polygon"]]
         ys = [y for _, y in obj["polygon"]]
@@ -110,7 +106,7 @@ def boxes_from_polygons(document: dict, table: ClassTable) -> list[GroundTruthOb
         truncation = obj.get("truncation")
         out.append(
             GroundTruthObject(
-                class_id=table.detection.index(label),
+                class_id=table["detection"].index(label),
                 bbox=bbox,
                 instance_id=obj["instance_id"],
                 occlusion=obj.get("occlusion"),
@@ -120,7 +116,7 @@ def boxes_from_polygons(document: dict, table: ClassTable) -> list[GroundTruthOb
     return out
 
 
-def load_ground_truth(path: str, table: ClassTable) -> tuple[dict, list[GroundTruthObject]]:
+def load_ground_truth(path: str, table: dict) -> tuple[dict, list[GroundTruthObject]]:
     """The checked annotation document at ``path`` and its detection ground truth.
 
     Every error names the file, and so does the warning that counts the
@@ -131,7 +127,7 @@ def load_ground_truth(path: str, table: ClassTable) -> tuple[dict, list[GroundTr
         gts = boxes_from_polygons(document, table)
     except ValueError as exc:
         raise ValueError(f"annotation {path}: {exc}") from exc
-    dropped = sum(obj["label"] in table.detection for obj in document["objects"]) - len(gts)
+    dropped = sum(obj["label"] in table["detection"] for obj in document["objects"]) - len(gts)
     if dropped:
         log.warning("annotation %s: dropped %d degenerate (zero-area) polygon(s)", path, dropped)
     return document, gts

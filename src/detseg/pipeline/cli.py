@@ -40,10 +40,9 @@ from ..net.model import DOWNSAMPLE, DetSegModel
 from ..net.train import TrainSample, train_toy
 from ..post import decode_detections, detections_from_jsonl, detections_to_jsonl, nms
 from .annotations import load_ground_truth, save_annotation
-from .classtable import ClassTable, synthetic_table
 from .config import RunConfig, load_class_table, load_run_config, load_templates, run_config_from_dict
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
-from .synth import make_dataset
+from .synth import make_dataset, synthetic_table
 
 __all__ = ["main"]
 
@@ -110,7 +109,7 @@ def _load_templates(args) -> tuple:
     return load_templates(args.templates_file) if args.templates_file else anchor_preset(args.preset)
 
 
-def _load_class_table(path: Optional[str]) -> ClassTable:
+def _load_class_table(path: Optional[str]) -> dict:
     return synthetic_table() if path is None else load_class_table(path)
 
 
@@ -162,8 +161,7 @@ def cmd_anchors(args) -> int:
 
 def cmd_synth(args) -> int:
     config = load_run_config(args.config)
-    table = synthetic_table()
-    samples = make_dataset(config.seed, config.num_images, config.scene, table)
+    samples = make_dataset(config.seed, config.num_images, config.scene)
 
     out = args.output_dir
     for sub in ("images", "labels", "instances", "annotations"):
@@ -176,7 +174,7 @@ def cmd_synth(args) -> int:
         write_pgm(os.path.join(out, "labels", image_id + ".pgm"), sample.label_map.data)
         write_pgm(os.path.join(out, "instances", image_id + ".pgm"), sample.instance_map)
         save_annotation(os.path.join(out, "annotations", image_id + ".json"), sample.annotation)
-    _write_json(os.path.join(out, "class_table.json"), table.to_json())
+    _write_json(os.path.join(out, "class_table.json"), synthetic_table())
     manifest = {
         "seed": config.seed,
         "count": config.num_images,
@@ -227,14 +225,14 @@ def cmd_assign(args) -> int:
 
 # -- train-toy ----------------------------------------------------------------
 
-def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
+def _load_dataset(path: str, table: dict) -> list[TrainSample]:
     ann_dir = os.path.join(path, "annotations")
     img_dir = os.path.join(path, "images")
     label_dir = os.path.join(path, "labels")
     if not os.path.isdir(ann_dir) or not os.path.isdir(img_dir) or not os.path.isdir(label_dir):
         raise CliError(f"dataset dir {path} needs images/, labels/ and annotations/")
     samples = []
-    allowed = [*range(table.num_classes), SEG_IGNORE]
+    allowed = [*range(len(table["names"])), SEG_IGNORE]
     for image_path in _input_files(img_dir, ".ppm", "images"):
         image_id = _stem(image_path)
         image = read_ppm(image_path)
@@ -249,7 +247,7 @@ def _load_dataset(path: str, table: ClassTable) -> list[TrainSample]:
         unknown = np.setdiff1d(labels, allowed)
         if unknown.size:
             raise CliError(f"label map {label_path}: ids {unknown.tolist()} are neither classes of the "
-                           f"{table.num_classes}-class table nor {SEG_IGNORE}")
+                           f"{len(table['names'])}-class table nor {SEG_IGNORE}")
         ann_path = os.path.join(ann_dir, image_id + ".json")
         ann, gts = load_ground_truth(ann_path, table)
         if (ann["image_width"], ann["image_height"]) != (w, h):
@@ -269,13 +267,14 @@ def _build_samples(config: RunConfig, dataset: Optional[str]) -> list[TrainSampl
         table = synthetic_table()
         name = "in-memory synthetic dataset"
     model = config.model
-    if (model.num_classes, model.num_object_classes) != (table.num_classes, table.num_detection_classes):
-        raise CliError(f"{name}: its class table has {table.num_classes} classes and "
-                       f"{table.num_detection_classes} detection classes, but model.num_classes is "
-                       f"{model.num_classes} and model.num_object_classes is {model.num_object_classes}")
+    classes, detection = len(table["names"]), len(table["detection"])
+    if (model.num_classes, model.num_object_classes) != (classes, detection):
+        raise CliError(f"{name}: its class table has {classes} classes and {detection} detection classes, "
+                       f"but model.num_classes is {model.num_classes} and model.num_object_classes is "
+                       f"{model.num_object_classes}")
     if dataset:
         return _load_dataset(dataset, table)
-    scenes = make_dataset(config.seed, config.num_images, config.scene, table)
+    scenes = make_dataset(config.seed, config.num_images, config.scene)
     return [TrainSample(image=s.image.data, label_map=s.label_map.data, gts=s.gts) for s in scenes]
 
 
@@ -386,9 +385,10 @@ def cmd_eval_seg(args) -> int:
     table = _load_class_table(args.class_table)
     gt_files = _input_files(args.gt, ".pgm", "label maps")
 
-    n = table.num_classes
+    names = table["names"]
+    n = len(names)
     confusion = np.zeros((n, n), dtype=np.int64)
-    instanceable = table.instanceable_ids()
+    instanceable = tuple(c for c, name in enumerate(names) if name in table["instanceable"])
     stats: dict[int, list[tuple[int, int]]] = {c: [] for c in instanceable}
     for gt_path in gt_files:
         name = os.path.basename(gt_path)
@@ -412,7 +412,10 @@ def cmd_eval_seg(args) -> int:
     metrics = seg_metrics(
         confusion,
         instance_stats=stats if args.instances else None,
-        categories=table.category_ids(),
+        categories=None if table.get("categories") is None else {
+            category: tuple(names.index(member) for member in members)
+            for category, members in table["categories"].items()
+        },
     )
     report = {
         "per_class": {
@@ -420,7 +423,7 @@ def cmd_eval_seg(args) -> int:
                 "iou": metrics.iou.get(c),
                 "iiou": metrics.iiou.get(c) if c in metrics.iiou else None,
             }
-            for c, name in enumerate(table.names)
+            for c, name in enumerate(names)
         },
         "mean_iou": metrics.mean_iou,
         "mean_iiou": metrics.mean_iiou,
@@ -438,8 +441,9 @@ def cmd_eval_seg(args) -> int:
 
 def cmd_eval_det(args) -> int:
     table = _load_class_table(args.class_table)
+    detection = table["detection"]
     if args.pr_curves:
-        for name in table.detection:
+        for name in detection:
             if any(sep in name for sep in ("/", os.sep, "\0")):
                 raise CliError(f"--pr-curves: detection class {name!r} cannot be part of a file name: "
                                "it holds a path separator or NUL")
@@ -448,9 +452,8 @@ def cmd_eval_det(args) -> int:
             dets_by_image = detections_from_jsonl(fh.read())
         max_class = max((int(dets.class_ids.max()) for dets in dets_by_image.values() if len(dets)),
                         default=-1)
-        if max_class >= table.num_detection_classes:
-            raise ValueError(f"class id {max_class} exceeds the class table "
-                             f"({table.num_detection_classes} detection classes)")
+        if max_class >= len(detection):
+            raise ValueError(f"class id {max_class} exceeds the class table ({len(detection)} detection classes)")
     except ValueError as exc:
         raise CliError(f"detections {args.detections}: {exc}") from exc
 
@@ -462,19 +465,19 @@ def cmd_eval_det(args) -> int:
                        f"under {args.annotations}")
 
     levels = kitti_levels() if args.mode == "kitti" else cityscapes_adjusted_levels()
-    thresholds = {det_id: DEFAULT_IOU_THRESHOLDS.get(name, 0.5) for det_id, name in enumerate(table.detection)}
+    thresholds = {det_id: DEFAULT_IOU_THRESHOLDS.get(name, 0.5) for det_id, name in enumerate(detection)}
     curves = evaluate_detections(dets_by_image, gts_by_image, thresholds, levels)
 
     report = {
         "mode": args.mode,
         "ap": {
-            table.detection[c]: {level.name: curves[c][level.name].ap for level in levels}
+            detection[c]: {level.name: curves[c][level.name].ap for level in levels}
             for c in sorted(curves)
         },
     }
     # all curve paths are checked, then the curves written before the report: a failing run leaves neither
     if args.pr_curves:
-        csvs = {os.path.join(args.pr_curves, f"pr_{table.detection[c]}_{level.name}.csv"): curves[c][level.name]
+        csvs = {os.path.join(args.pr_curves, f"pr_{detection[c]}_{level.name}.csv"): curves[c][level.name]
                 for c in sorted(curves) for level in levels}
         for path in csvs:
             if os.path.isdir(path) and not os.path.islink(path):

@@ -4,7 +4,8 @@ Each is checked against a JSON schema, kept here as data, by the package's
 JSON document checker (:func:`.schema.check`, whose module lists the
 keywords it knows, its number types and its one-fault rule); a run config's
 ``anchors.templates`` is checked by the templates file's schema. A
-checkpoint's config is the run config it was trained with.
+checkpoint's config is the run config it was trained with. A class table is
+held as its checked JSON document (a dict), as an annotation is.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from dataclasses import dataclass
 from ..geom import AnchorTemplate, anchor_preset, preset_names, templates_from_json
 from ..losses import SEG_IGNORE, TASK_NAMES
 from ..net.model import DOWNSAMPLE, ModelConfig
-from .classtable import ClassTable
-from .schema import check, load_json
+from .schema import check, load_document
 from .synth import MAX_OBJECTS, SceneSpec
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "MODEL_SCHEMA", "TEMPLATES_SCHEMA",
            "MAX_ITERATIONS", "MAX_IMAGES", "load_run_config", "run_config_from_dict",
-           "default_config_dict", "load_templates", "CLASS_TABLE_SCHEMA", "load_class_table"]
+           "default_config_dict", "load_templates", "CLASS_TABLE_SCHEMA", "check_class_table",
+           "load_class_table"]
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 # Counts that set how long synth and train-toy run: without a bound, a config
@@ -120,8 +121,8 @@ CONFIG_SCHEMA = {
 
 _NAMES = {"type": "array", "items": {"type": "string"}}
 
-# What ``ClassTable.from_json`` reads; ``ClassTable`` itself checks that the
-# lists refer to each other consistently, which a schema cannot express.
+# The form of a class table; :func:`check_class_table` adds the rules that
+# relate its lists to each other, which a schema cannot express.
 CLASS_TABLE_SCHEMA = {
     "type": "object",
     "required": ["names", "instanceable", "detection"],
@@ -196,27 +197,55 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     """The run config in the JSON file at ``path``; every error names the file."""
-    try:
-        return run_config_from_dict(load_json(path))
-    except ValueError as exc:
-        raise ValueError(f"config {path}: {exc}") from exc
+    return load_document(path, "config", run_config_from_dict)
 
 
 def load_templates(path: str) -> tuple[AnchorTemplate, ...]:
     """The templates file at ``path``, a JSON array of ``{"ratio", "area"}``; every error names the file."""
-    try:
-        data = load_json(path)
+    def build(data):
         check(TEMPLATES_SCHEMA, data, "templates")
-    except ValueError as exc:
-        raise ValueError(f"templates file {path}: {exc}") from exc
-    return templates_from_json(data)
+        return templates_from_json(data)
+
+    return load_document(path, "templates file", build)
 
 
-def load_class_table(path: str) -> ClassTable:
-    """The class table file at ``path`` (docs/FORMATS.md); every error names the file."""
-    try:
-        data = load_json(path)
-        check(CLASS_TABLE_SCHEMA, data, "class table")
-        return ClassTable.from_json(data)
-    except ValueError as exc:
-        raise ValueError(f"class table {path}: {exc}") from exc
+def check_class_table(document) -> dict:
+    """``document`` if it is a valid class table (docs/FORMATS.md), else a ValueError for its first fault.
+
+    The schema comes first. Then the segmentation id of a class is its
+    position in ``names`` and the detection id of a detection class its
+    position in ``detection``, so both lists hold each name once; label maps
+    are 8-bit with ``SEG_IGNORE`` (255) for unlabelled pixels, so ``names``
+    holds at most 255 classes; detection classes are instanceable, since
+    boxes come from instances; and a category lists classes of the table,
+    each once, or its IoU would count a class twice.
+    """
+    check(CLASS_TABLE_SCHEMA, document, "class table")
+    names, instanceable, detection = document["names"], document["instanceable"], document["detection"]
+    if len(names) > SEG_IGNORE:
+        raise ValueError(f"at most {SEG_IGNORE} classes fit 8-bit label maps, got {len(names)}")
+    if len(set(names)) != len(names):
+        raise ValueError("class names must be unique")
+    if len(set(detection)) != len(detection):
+        raise ValueError("detection classes must be unique")
+    unknown = set(instanceable) - set(names)
+    if unknown:
+        raise ValueError(f"instanceable classes not in table: {sorted(unknown)}")
+    bad = [d for d in detection if d not in instanceable]
+    if bad:
+        raise ValueError(f"detection classes must be instanceable: {bad}")
+    categories = document.get("categories") or {}
+    for category, members in categories.items():
+        missing = [m for m in members if m not in names]
+        if missing:
+            raise ValueError(f"category {category!r} references unknown classes: {missing}")
+    for category, members in categories.items():
+        twice = next((m for i, m in enumerate(members) if m in members[:i]), None)
+        if twice is not None:
+            raise ValueError(f"category {category!r} lists {twice!r} twice")
+    return document
+
+
+def load_class_table(path: str) -> dict:
+    """The checked class table document at ``path``; every error names the file."""
+    return load_document(path, "class table", check_class_table)

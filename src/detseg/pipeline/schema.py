@@ -26,7 +26,7 @@ import json
 import operator
 import sys
 
-__all__ = ["is_number", "violations", "check", "load_json"]
+__all__ = ["is_number", "violations", "check", "load_json", "load_document"]
 
 
 def is_number(value) -> bool:
@@ -130,3 +130,11 @@ def load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON: {exc}") from exc
+
+
+def load_document(path: str, kind: str, build):
+    """``build`` applied to the JSON document at ``path``; a ValueError of either is prefixed ``<kind> <path>: ``."""
+    try:
+        return build(load_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{kind} {path}: {exc}") from exc

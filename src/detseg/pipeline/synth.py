@@ -6,23 +6,22 @@ construction. Shapes are drawn per class: "rect" classes render axis-aligned
 rectangles, everything else ellipses (with the four axis-extreme vertices in
 the polygon, so the polygon bounding box equals the true one). The boxes
 come from the polygons through :func:`boxes_from_polygons`, as they do for
-an annotation read from disk.
+an annotation read from disk. The scenes' classes are those of
+:func:`synthetic_table`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..assign import GroundTruthObject
 from ..net.tensor import Tensor
 from .annotations import boxes_from_polygons
-from .classtable import ClassTable, synthetic_table
 
-__all__ = ["GAP", "MAX_OBJECTS", "SceneSpec", "SceneSample", "synth_scene", "make_dataset"]
+__all__ = ["GAP", "MAX_OBJECTS", "SceneSpec", "SceneSample", "synthetic_table", "synth_scene", "make_dataset"]
 
 # The clear pixels between an object and the image border or another object.
 GAP = 2
@@ -43,6 +42,16 @@ _PALETTE = np.array([
     (0.10, 0.75, 0.75),
     (0.90, 0.30, 0.55),
 ])
+
+
+def synthetic_table() -> dict:
+    """The class table document of the synthetic scenes, as ``synth`` writes it."""
+    return {
+        "names": ["background", "rect", "ellipse"],
+        "instanceable": ["ellipse", "rect"],
+        "detection": ["rect", "ellipse"],
+        "categories": {"background": ["background"], "shape": ["rect", "ellipse"]},
+    }
 
 
 @dataclass(frozen=True)
@@ -110,11 +119,9 @@ def _place_boxes(rng: np.random.Generator, spec: SceneSpec, count: int) -> list[
     return placed
 
 
-def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable] = None) -> SceneSample:
+def synth_scene(seed, spec: SceneSpec = SceneSpec()) -> SceneSample:
     """Render one deterministic scene; ``seed`` may be an int or a sequence."""
-    table = table if table is not None else synthetic_table()
-    if not table.detection:
-        raise ValueError("class table has no detection classes")
+    table = synthetic_table()
     rng = np.random.default_rng(seed)
     h, w = spec.height, spec.width
 
@@ -130,7 +137,7 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
     objects: list[dict] = []
     for idx, (x0, y0, x1, y1) in enumerate(boxes):
         instance_id = idx + 1
-        name = table.detection[int(rng.integers(0, len(table.detection)))]
+        name = table["detection"][int(rng.integers(0, len(table["detection"])))]
         color = _PALETTE[idx % len(_PALETTE)] * rng.uniform(0.8, 1.0)
 
         if name == "rect":
@@ -146,7 +153,7 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
             polygon = [[cx + a * math.cos(t), cy + b * math.sin(t)] for t in angles]
 
         image[:, mask] = color[:, None]
-        labels[mask] = table.names.index(name)
+        labels[mask] = table["names"].index(name)
         instances[mask] = instance_id
         objects.append({"label": name, "polygon": polygon, "instance_id": instance_id})
 
@@ -160,7 +167,6 @@ def synth_scene(seed, spec: SceneSpec = SceneSpec(), table: Optional[ClassTable]
     )
 
 
-def make_dataset(seed: int, count: int, spec: SceneSpec = SceneSpec(),
-                 table: Optional[ClassTable] = None) -> list[SceneSample]:
+def make_dataset(seed: int, count: int, spec: SceneSpec = SceneSpec()) -> list[SceneSample]:
     """A list of independent scenes; scene ``i`` is seeded with (seed, i)."""
-    return [synth_scene((seed, i), spec, table) for i in range(count)]
+    return [synth_scene((seed, i), spec) for i in range(count)]

@@ -19,7 +19,6 @@ from detseg.geom import BBox, anchor_preset, iou, make_anchor_grid
 from detseg.losses import LrSchedule, poly_lr
 from detseg.net.model import DetSegModel, ModelConfig
 from detseg.net.train import TrainSample, train_toy
-from detseg.pipeline.classtable import synthetic_table
 from detseg.pipeline.config import default_config_dict
 from detseg.pipeline.synth import SceneSpec, make_dataset
 from detseg.post import decode_detections, nms
@@ -135,8 +134,7 @@ OVERFIT_FREEZE = 600
 
 
 def _overfit_setup():
-    table = synthetic_table()
-    scenes = make_dataset(OVERFIT_SEED, 5, SceneSpec(width=64, height=64), table)
+    scenes = make_dataset(OVERFIT_SEED, 5, SceneSpec(width=64, height=64))
     samples = [TrainSample(image=s.image.data, label_map=s.label_map.data, gts=s.gts)
                for s in scenes]
     grid = make_anchor_grid(64, 64, 8, anchor_preset("toy"))

@@ -20,16 +20,17 @@ from detseg.oracles import assign_oracle_rows
 from detseg.pipeline.annotations import boxes_from_polygons, load_annotation, load_ground_truth
 from detseg.pipeline import cli
 from detseg.pipeline.cli import main
-from detseg.pipeline.classtable import ClassTable, synthetic_table
 from detseg.pipeline.config import (
     MAX_IMAGES,
     MAX_ITERATIONS,
+    check_class_table,
     default_config_dict,
+    load_class_table,
     load_run_config,
     run_config_from_dict,
 )
 from detseg.pipeline.netpbm import read_pgm, write_pgm, write_ppm
-from detseg.pipeline.synth import MAX_OBJECTS, make_dataset
+from detseg.pipeline.synth import MAX_OBJECTS, make_dataset, synthetic_table
 from detseg.post import detections_from_jsonl
 
 
@@ -52,6 +53,17 @@ def annotation_with(**changes):
         else:
             target[key] = value
     return document
+
+
+# the class table ``synth`` writes, as its file holds it
+TABLE = {"names": ["background", "rect", "ellipse"], "instanceable": ["ellipse", "rect"],
+         "detection": ["rect", "ellipse"], "categories": {"background": ["background"], "shape": ["rect", "ellipse"]}}
+
+
+def table_with(**changes):
+    """``TABLE`` with keys changed, or removed by None."""
+    document = {**TABLE, **changes}
+    return {key: value for key, value in document.items() if value is not None}
 
 
 def write_json(path, data):
@@ -177,17 +189,37 @@ class TestAssignCommand:
         assert err.startswith("error:")
         assert not os.path.exists(os.path.join(tmp_path, "t.jsonl"))
 
-    @pytest.mark.parametrize("change, reason", [
-        ({"detection": 5}, "invalid class table at detection: 5 is not of type 'array'"),
-        ({"names": None}, "invalid class table at names: None is not of type 'array'"),
-        ({"categories": [1]}, "invalid class table at categories: [1] is not of type 'object', 'null'"),
-        ({"names": "abc"}, "invalid class table at names: 'abc' is not of type 'array'"),
-        ({"categories": {"a": 5}}, "invalid class table at categories/a: 5 is not of type 'array'"),
+    @pytest.mark.parametrize("document, reason", [
+        # the schema: each kind of fault
+        (table_with(detection=5), "invalid class table at detection: 5 is not of type 'array'"),
+        ({**TABLE, "names": None}, "invalid class table at names: None is not of type 'array'"),
+        (table_with(categories=[1]), "invalid class table at categories: [1] is not of type 'object', 'null'"),
+        (table_with(names="abc"), "invalid class table at names: 'abc' is not of type 'array'"),
+        (table_with(categories={"a": 5}), "invalid class table at categories/a: 5 is not of type 'array'"),
+        (table_with(categories={"a": [2]}), "invalid class table at categories/a/0: 2 is not of type 'string'"),
+        (table_with(names=[]), "invalid class table at names: [] should be non-empty"),
+        (table_with(instanceable=[None]), "invalid class table at instanceable/0: None is not of type 'string'"),
+        (table_with(names=None), "invalid class table at <root>: 'names' is a required property"),
+        (table_with(detection=None), "invalid class table at <root>: 'detection' is a required property"),
+        (table_with(colors=[]),
+         "invalid class table at <root>: Additional properties are not allowed ('colors' was unexpected)"),
+        (["background"], "invalid class table at <root>: ['background'] is not of type 'object'"),
+        # the rules that relate the lists, one by one and in the order they are checked
+        (table_with(names=[f"c{i}" for i in range(256)], detection=["c0", "c0"]),
+         "at most 255 classes fit 8-bit label maps, got 256"),
+        (table_with(names=["background", "rect", "rect"], detection=["rect", "rect"]), "class names must be unique"),
+        (table_with(detection=["rect", "rect"], instanceable=["truck"]), "detection classes must be unique"),
+        (table_with(instanceable=["truck", "rect", "ellipse", "bus"], detection=["background"]),
+         "instanceable classes not in table: ['bus', 'truck']"),
+        (table_with(detection=["rect", "background"], categories={"shape": ["car"]}),
+         "detection classes must be instanceable: ['background']"),
+        (table_with(categories={"shape": ["rect", "car", "bus"], "things": ["van"]}),
+         "category 'shape' references unknown classes: ['car', 'bus']"),
     ])
-    def test_malformed_class_table_is_one_error_line_naming_the_file(self, capsys, tmp_path, change, reason):
+    def test_malformed_class_table_is_one_error_line_naming_the_file(self, capsys, tmp_path, document, reason):
         ann_path = write_json(tmp_path / "ann.json",
                               {"image_width": 16, "image_height": 16, "objects": [ONE_RECT]})
-        table_path = write_json(tmp_path / "table.json", {**synthetic_table().to_json(), **change})
+        table_path = write_json(tmp_path / "table.json", document)
         out_path = os.path.join(tmp_path, "t.jsonl")
         code, out, err = run(capsys, "assign", "--annotation", ann_path, "--class-table", table_path,
                              "--preset", "toy", "--output", out_path)
@@ -770,8 +802,7 @@ class TestTrainToyCommand:
                                                  "max_size": 16})
         assert run(capsys, "synth", "--config", config, "--output-dir", data)[0] == 0
         if names is not None:
-            table = synthetic_table().to_json()
-            write_json(os.path.join(data, "class_table.json"), dict(table, names=names))
+            write_json(os.path.join(data, "class_table.json"), table_with(names=names))
         return data
 
     def train_on(self, capsys, tmp_path, data):
@@ -986,8 +1017,8 @@ class TestEvalDetCommand:
         The table is the synthetic one with its class "rect" named ``name``.
         Returns the table and the arguments that select the inputs.
         """
-        table = ClassTable(names=("background", name, "ellipse"), instanceable=frozenset({name, "ellipse"}),
-                           detection=(name, "ellipse"))
+        table = {"names": ["background", name, "ellipse"], "instanceable": [name, "ellipse"],
+                 "detection": [name, "ellipse"]}
         os.makedirs(tmp_path / "annotations")
         write_json(tmp_path / "annotations" / "000.json", {"image_width": 256, "image_height": 256, "objects": [
             {"label": name, "polygon": [[10, 10], [160, 10], [160, 170], [10, 170]], "instance_id": 1},
@@ -1002,7 +1033,7 @@ class TestEvalDetCommand:
             for image_id, class_id, score, (x0, y0, x1, y1) in rows:
                 fh.write(json.dumps({"image_id": image_id, "class": class_id, "score": score, "x_min": x0,
                                      "y_min": y0, "x_max": x1, "y_max": y1, "embedding": []}) + "\n")
-        table_path = write_json(tmp_path / "table.json", table.to_json())
+        table_path = write_json(tmp_path / "table.json", table)
         return table, ["--detections", str(tmp_path / "det.jsonl"), "--annotations", str(tmp_path / "annotations"),
                        "--class-table", table_path]
 
@@ -1020,9 +1051,9 @@ class TestEvalDetCommand:
                for image_id in ("000", "001")}
         curves = evaluate_detections(dets, gts, {0: 0.5, 1: 0.5}, levels)
         assert sorted(os.listdir(curves_dir)) == sorted(f"pr_{name}_{level.name}.csv"
-                                                        for name in table.detection for level in levels)
+                                                        for name in table["detection"] for level in levels)
         assert any(curves[c][level.name].points for c in (0, 1) for level in levels)
-        for c, name in enumerate(table.detection):
+        for c, name in enumerate(table["detection"]):
             for level in levels:
                 with open(curves_dir / f"pr_{name}_{level.name}.csv", newline="") as fh:
                     header, *rows = list(csv.reader(fh))
@@ -1060,6 +1091,87 @@ class TestEvalDetCommand:
         assert code == 1 and out == "" and not report_path.exists()
         assert err == f"error: {curves / 'pr_rect_hard.csv'}: Is a directory\n"
         assert os.listdir(curves) == ["pr_rect_hard.csv"] and not os.listdir(curves / "pr_rect_hard.csv")
+
+
+class TestClassTableFile:
+    """The class table file ``synth`` writes is the built-in table, and a category lists a class once."""
+
+    @staticmethod
+    def synth_run(capsys, tmp_path):
+        """A ``synth`` dataset, predicted label maps one pixel off its own, and detections near its boxes."""
+        data = os.path.join(tmp_path, "data")
+        config = write_config(tmp_path, dataset={"num_images": 3, "width": 48, "height": 32, "max_objects": 3,
+                                                 "min_size": 6, "max_size": 14})
+        assert run(capsys, "synth", "--config", config, "--output-dir", data)[0] == 0
+        pred = os.path.join(tmp_path, "pred")
+        os.makedirs(pred)
+        lines = []
+        for image_id in ("000", "001", "002"):
+            write_pgm(os.path.join(pred, image_id + ".pgm"),
+                      np.roll(read_pgm(os.path.join(data, "labels", image_id + ".pgm")), 1, axis=1))
+            annotation = load_annotation(os.path.join(data, "annotations", image_id + ".json"))
+            for k, obj in enumerate(annotation["objects"]):
+                xs, ys = [x for x, _ in obj["polygon"]], [y for _, y in obj["polygon"]]
+                lines.append(json.dumps({"image_id": image_id, "class": TABLE["detection"].index(obj["label"]),
+                                         "score": 0.9 - 0.1 * k, "x_min": min(xs) + k, "y_min": min(ys),
+                                         "x_max": max(xs), "y_max": max(ys) + 1, "embedding": []}))
+        detections = os.path.join(tmp_path, "det.jsonl")
+        with open(detections, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return data, pred, detections
+
+    @staticmethod
+    def outputs(directory):
+        """Every file under ``directory``, by its path relative to it, as bytes."""
+        found = {}
+        for root, _, names in os.walk(directory):
+            for name in names:
+                with open(os.path.join(root, name), "rb") as fh:
+                    found[os.path.relpath(os.path.join(root, name), directory)] = fh.read()
+        return found
+
+    def test_synth_writes_the_synthetic_table(self, capsys, tmp_path):
+        data, _, _ = self.synth_run(capsys, tmp_path)
+        loaded = load_class_table(os.path.join(data, "class_table.json"))
+        assert check_class_table(synthetic_table()) == loaded == TABLE
+        assert list(loaded) == list(synthetic_table())  # in the file's key order
+
+    def test_synth_table_gives_the_reports_of_the_built_in_table(self, capsys, tmp_path):
+        data, pred, detections = self.synth_run(capsys, tmp_path)
+        runs = {}
+        for tag, flag in (("built-in", []), ("file", ["--class-table", os.path.join(data, "class_table.json")])):
+            out = os.path.join(tmp_path, tag)
+            stdout = []
+            for mode in ("kitti", "cityscapes-adjusted"):
+                code, text, err = run(capsys, "eval-det", "--detections", detections, "--annotations",
+                                      os.path.join(data, "annotations"), "--mode", mode, *flag,
+                                      "--output", os.path.join(out, f"det_{mode}.json"),
+                                      "--pr-curves", os.path.join(out, f"pr_{mode}"))
+                assert code == 0 and err == ""
+                stdout.append(text)
+            code, text, err = run(capsys, "eval-seg", "--pred", pred, "--gt", os.path.join(data, "labels"),
+                                  "--instances", os.path.join(data, "instances"), *flag,
+                                  "--output", os.path.join(out, "seg.json"))
+            assert code == 0 and err == ""
+            runs[tag] = (stdout + [text], self.outputs(out))
+        assert runs["file"] == runs["built-in"]
+        levels = len(kitti_levels()) + len(cityscapes_adjusted_levels())
+        assert len(runs["file"][1]) == 2 * levels + 3  # a PR curve per detection class and level, 3 reports
+        report = json.loads(runs["file"][1]["seg.json"])
+        assert 0 < report["categories"]["shape"]["iou"] < 1
+
+    def test_category_listing_a_class_twice_is_one_error_line(self, capsys, tmp_path):
+        # counted twice, the class's row and column of the confusion matrix
+        # would weigh twice in the category's IoU
+        data, pred, _ = self.synth_run(capsys, tmp_path)
+        table_path = write_json(tmp_path / "table.json",
+                                table_with(categories={"shape": ["rect", "rect", "ellipse"]}))
+        report_path = os.path.join(tmp_path, "seg.json")
+        code, out, err = run(capsys, "eval-seg", "--pred", pred, "--gt", os.path.join(data, "labels"),
+                             "--instances", os.path.join(data, "instances"), "--class-table", table_path,
+                             "--output", report_path)
+        assert code == 1 and out == "" and not os.path.exists(report_path)
+        assert err == f"error: class table {table_path}: category 'shape' lists 'rect' twice\n"
 
 
 class TestSelftestCommand:

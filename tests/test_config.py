@@ -17,10 +17,9 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import extend
 
 from detseg.pipeline.annotations import ANNOTATION_SCHEMA
-from detseg.pipeline.classtable import synthetic_table
 from detseg.pipeline.config import CLASS_TABLE_SCHEMA, CONFIG_SCHEMA, TEMPLATES_SCHEMA, default_config_dict
 from detseg.pipeline.schema import check, is_number, violations
-from detseg.pipeline.synth import synth_scene
+from detseg.pipeline.synth import synth_scene, synthetic_table
 
 # jsonschema with the checker's number types
 Reference = extend(Draft202012Validator, type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many({
@@ -47,8 +46,7 @@ FULL_CONFIG = {
 DOCUMENTS = {
     "config": (CONFIG_SCHEMA, [default_config_dict(), FULL_CONFIG]),
     "templates": (TEMPLATES_SCHEMA, [[{"ratio": 1.0, "area": 64}, {"ratio": 2, "area": 1e-3}]]),
-    "class table": (CLASS_TABLE_SCHEMA, [synthetic_table().to_json(),
-                                         {**synthetic_table().to_json(), "categories": None}]),
+    "class table": (CLASS_TABLE_SCHEMA, [synthetic_table(), {**synthetic_table(), "categories": None}]),
     "annotation": (ANNOTATION_SCHEMA, [
         synth_scene(0).annotation,
         {"image_width": 40, "image_height": 30, "source": "kitti", "objects": [

@@ -1,9 +1,11 @@
 """Every JSON example in docs/FORMATS.md and README.md parses with the reader it documents,
-every constant they quote as ``detseg.<module>.<NAME> = <value>`` has that value, and the
-quoted error line for a bad annotation file is the one ``assign`` prints.
+every constant they quote as ``detseg.<module>.<NAME> = <value>`` has that value, every
+module or name they quote as ``detseg.<module>[.<name>]`` exists, and the quoted error line
+for a bad annotation file is the one ``assign`` prints.
 
-An example that drifts from its format (a renamed key, a removed setting),
-or a quoted constant that drifts from the code, fails here, not in a reader's hands.
+An example that drifts from its format (a renamed key, a removed setting), a quoted
+constant that drifts from the code, or a quoted module or name that the code no longer
+has, fails here, not in a reader's hands.
 """
 
 import ast
@@ -119,3 +121,37 @@ def test_quoted_constant_has_its_value(document, name, quoted):
     module, attribute = name.rsplit(".", 1)
     value, expected = getattr(importlib.import_module(module), attribute), ast.literal_eval(quoted)
     assert (type(value), value) == (type(expected), expected)
+
+
+def name_mentions():
+    """(document, qualified name) for every backticked ``detseg.<module>[.<name>]``, once per document."""
+    return sorted({(document, name)
+                   for document in ("docs/FORMATS.md", "README.md")
+                   for name in re.findall(r"`(detseg(?:\.\w+)+)[^`]*`", read(document))})
+
+
+MENTIONS = name_mentions()
+
+
+def test_mentions_include_modules_and_names():
+    assert {("README.md", "detseg.pipeline.schema"), ("README.md", "detseg.pipeline.cli.main"),
+            ("docs/FORMATS.md", "detseg.pipeline.config.CLASS_TABLE_SCHEMA")} <= set(MENTIONS)
+
+
+@pytest.mark.parametrize("document, name", MENTIONS, ids=[f"{document}-{name}" for document, name in MENTIONS])
+def test_quoted_name_resolves(document, name):
+    """The longest prefix of ``name`` that is a module imports, and the rest are attributes down from it."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if not f"{module}.".startswith(f"{exc.name}."):  # a module that is there failed to import
+                raise
+            continue
+        for attribute in parts[split:]:
+            assert hasattr(target, attribute), f"{document}: {name} has no {attribute!r}"
+            target = getattr(target, attribute)
+        return
+    pytest.fail(f"{document}: {name} names no module")

@@ -15,12 +15,12 @@ from detseg.pipeline.annotations import (
     load_ground_truth,
     save_annotation,
 )
-from detseg.pipeline.classtable import ClassTable, synthetic_table
 from detseg.pipeline.config import (
     CLASS_TABLE_SCHEMA,
     CONFIG_SCHEMA,
     MODEL_SCHEMA,
     TEMPLATES_SCHEMA,
+    check_class_table,
     default_config_dict,
     load_class_table,
     load_run_config,
@@ -28,7 +28,7 @@ from detseg.pipeline.config import (
     run_config_from_dict,
 )
 from detseg.pipeline.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
-from detseg.pipeline.synth import SceneSpec, make_dataset, synth_scene
+from detseg.pipeline.synth import SceneSpec, make_dataset, synth_scene, synthetic_table
 
 
 def polygon_object(label, polygon, instance_id, **optional):
@@ -44,38 +44,33 @@ def annotation(objects):
 class TestClassTable:
     def test_synthetic_defaults(self):
         table = synthetic_table()
-        assert table.num_classes == 3
-        assert table.names == ("background", "rect", "ellipse")
-        assert table.detection == ("rect", "ellipse")
-        assert table.instanceable_ids() == (1, 2)
-        assert table.category_ids() == {"background": (0,), "shape": (1, 2)}
+        assert check_class_table(table) is table
+        assert table["names"] == ["background", "rect", "ellipse"]
+        assert table["detection"] == ["rect", "ellipse"]
+        assert table["categories"] == {"background": ["background"], "shape": ["rect", "ellipse"]}
 
     def test_at_most_255_classes(self):
         # 8-bit label maps hold ids 0-254 and 255 for unlabelled pixels
-        names = tuple(f"c{i}" for i in range(256))
-        assert ClassTable(names=names[:255], instanceable=frozenset(), detection=()).num_classes == 255
+        names = [f"c{i}" for i in range(256)]
+        check_class_table({"names": names[:255], "instanceable": [], "detection": []})
         with pytest.raises(ValueError, match=r"^at most 255 classes fit 8-bit label maps, got 256$"):
-            ClassTable(names=names, instanceable=frozenset(), detection=())
+            check_class_table({"names": names, "instanceable": [], "detection": []})
 
     def test_detection_must_be_instanceable(self):
-        with pytest.raises(ValueError):
-            ClassTable(names=("a", "b"), instanceable=frozenset({"b"}), detection=("a",))
+        with pytest.raises(ValueError, match=r"^detection classes must be instanceable: \['a'\]$"):
+            check_class_table({"names": ["a", "b"], "instanceable": ["b"], "detection": ["a"]})
 
     def test_detection_classes_must_be_unique(self):
         # two detection ids of one name would share one key in eval-det's report
         with pytest.raises(ValueError, match="detection classes must be unique"):
-            ClassTable(names=("a", "b"), instanceable=frozenset({"b"}), detection=("b", "b"))
+            check_class_table({"names": ["a", "b"], "instanceable": ["b"], "detection": ["b", "b"]})
 
-    def test_json_round_trip(self):
-        table = synthetic_table()
-        assert ClassTable.from_json(table.to_json()) == table
-
-    def test_load_class_table_reads_what_to_json_writes(self, tmp_path):
-        for table in (synthetic_table(), ClassTable(names=("a", "b"), instanceable=frozenset({"b"}),
-                                                    detection=("b",))):
+    def test_load_class_table_reads_the_document_written(self, tmp_path):
+        for table in (synthetic_table(), {"names": ["a", "b"], "instanceable": ["b"], "detection": ["b"]},
+                      {**synthetic_table(), "categories": None}):
             path = os.path.join(tmp_path, "table.json")
             with open(path, "w") as fh:
-                json.dump(table.to_json(), fh)
+                json.dump(table, fh)
             assert load_class_table(path) == table
 
 
@@ -250,7 +245,7 @@ class TestSynthScenes:
             sample = synth_scene(seed)
             for obj, polygon in zip(sample.gts, sample.annotation["objects"]):
                 region = sample.instance_map == obj.instance_id
-                seg_id = table.names.index(table.detection[obj.class_id])
+                seg_id = table["names"].index(table["detection"][obj.class_id])
                 assert region.sum() > 0
                 assert np.all(sample.label_map.data[region] == seg_id)
             total_fg = sum((sample.instance_map == g.instance_id).sum() for g in sample.gts)
