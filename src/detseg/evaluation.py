@@ -158,8 +158,8 @@ def seg_metrics(
 
     ``IoU_c = TP / (TP + FP + FN)``; ``iIoU_c`` replaces TP and FN by their
     instance-weighted counterparts. ``categories`` maps a category name to
-    the class ids it merges; category scores are computed on the merged
-    confusion matrix and the pooled instances of those classes.
+    the class ids it merges, each at most once; category scores are computed
+    on the merged confusion matrix and the pooled instances of those classes.
     """
     confusion = np.asarray(confusion, dtype=np.float64)
     n = confusion.shape[0]
@@ -181,6 +181,9 @@ def seg_metrics(
     if categories is not None:
         ids_of = {name: np.asarray(list(ids), dtype=np.int64) for name, ids in categories.items()}
         for name, ids in ids_of.items():
+            # np.ix_ would repeat a repeated id's row and column, counting its pixels twice
+            if len(set(ids.tolist())) != len(ids):
+                raise ValueError(f"category {name!r} lists a class id more than once: {ids.tolist()}")
             merged_tp = confusion[np.ix_(ids, ids)].sum()
             cat_fp = confusion[:, ids].sum() - confusion[np.ix_(ids, ids)].sum()
             cat_fn = confusion[ids, :].sum() - confusion[np.ix_(ids, ids)].sum()

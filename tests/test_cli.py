@@ -11,7 +11,14 @@ import pytest
 
 import detseg
 from detseg.assign import AssignRule, GroundTruthObject, assign_targets_detailed
-from detseg.evaluation import cityscapes_adjusted_levels, evaluate_detections, kitti_levels
+from detseg.evaluation import (
+    cityscapes_adjusted_levels,
+    collect_instance_stats,
+    evaluate_detections,
+    kitti_levels,
+    seg_confusion,
+    seg_metrics,
+)
 from detseg.geom import BBox, anchor_preset, make_anchor_grid
 from detseg.net import layers
 from detseg.net.checkpoint import load_checkpoint, save_checkpoint
@@ -1093,7 +1100,7 @@ class TestEvalDetCommand:
         assert os.listdir(curves) == ["pr_rect_hard.csv"] and not os.listdir(curves / "pr_rect_hard.csv")
 
 
-class TestClassTableFile:
+class TestTableFile:
     """The class table file ``synth`` writes is the built-in table, and a category lists a class once."""
 
     @staticmethod
@@ -1157,7 +1164,28 @@ class TestClassTableFile:
         assert runs["file"] == runs["built-in"]
         levels = len(kitti_levels()) + len(cityscapes_adjusted_levels())
         assert len(runs["file"][1]) == 2 * levels + 3  # a PR curve per detection class and level, 3 reports
+        # the seg report against scores computed here from the same maps, with
+        # the table's ids written out: 0 background, 1 rect and 2 ellipse, of
+        # which rect and ellipse are instanceable and make up ``shape``
+        confusion = np.zeros((3, 3), dtype=np.int64)
+        stats = {1: [], 2: []}
+        for image_id in ("000", "001", "002"):
+            gt_map = read_pgm(os.path.join(data, "labels", image_id + ".pgm"))
+            pred_map = read_pgm(os.path.join(pred, image_id + ".pgm"))
+            confusion += seg_confusion(pred_map, gt_map, 3)
+            instances = read_pgm(os.path.join(data, "instances", image_id + ".pgm"))
+            for c, pairs in collect_instance_stats(pred_map, gt_map, instances, (1, 2)).items():
+                stats[c].extend(pairs)
+        expected = seg_metrics(confusion, stats, categories={"background": (0,), "shape": (1, 2)})
         report = json.loads(runs["file"][1]["seg.json"])
+        assert report["per_class"] == {name: {"iou": expected.iou[c], "iiou": expected.iiou.get(c)}
+                                       for c, name in enumerate(("background", "rect", "ellipse"))}
+        assert report["per_class"]["background"]["iiou"] is None
+        assert None not in (report["per_class"]["rect"]["iiou"], report["per_class"]["ellipse"]["iiou"])
+        assert report["categories"] == {name: {"iou": expected.category_iou[name],
+                                               "iiou": expected.category_iiou[name]}
+                                        for name in ("background", "shape")}
+        assert (report["mean_iou"], report["mean_iiou"]) == (expected.mean_iou, expected.mean_iiou)
         assert 0 < report["categories"]["shape"]["iou"] < 1
 
     def test_category_listing_a_class_twice_is_one_error_line(self, capsys, tmp_path):

@@ -114,6 +114,12 @@ class TestSegMetrics:
         assert metrics.category_iou["c"] == pytest.approx(1.0)
         assert metrics.iou[0] == pytest.approx(8 / 13)
 
+    def test_category_repeating_a_class_id_is_refused(self):
+        # counted twice, class 1's row and column would lift the IoU above 1
+        confusion = np.array([[50, 5, 5], [4, 30, 6], [3, 2, 20]])
+        with pytest.raises(ValueError, match=r"^category 's' lists a class id more than once: \[1, 1, 2\]$"):
+            seg_metrics(confusion, categories={"s": (1, 1, 2)})
+
     def test_collect_instance_stats(self):
         gt_map = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 2]], dtype=np.uint8)
         instances = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 2]], dtype=np.uint8)

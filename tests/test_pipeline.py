@@ -41,7 +41,7 @@ def annotation(objects):
     return {"image_width": 64, "image_height": 64, "objects": list(objects)}
 
 
-class TestClassTable:
+class TestTableDocument:
     def test_synthetic_defaults(self):
         table = synthetic_table()
         assert check_class_table(table) is table
