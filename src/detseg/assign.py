@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,13 +58,13 @@ _THRESHOLD_RULES = np.array([AssignRule.BORDER, AssignRule.AMBIGUOUS, AssignRule
 
 @dataclass(frozen=True)
 class GroundTruthObject:
-    """One annotated object: detection class, box, and per-image instance id."""
+    """One annotated object: detection class, box, per-image instance id, KITTI occlusion and truncation."""
 
     class_id: int
     bbox: BBox
     instance_id: int
-    occlusion: Optional[int] = None
-    truncation: Optional[float] = None
+    occlusion: int = 0
+    truncation: float = 0.0
 
     def __post_init__(self) -> None:
         if self.class_id < 0:

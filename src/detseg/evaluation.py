@@ -11,7 +11,8 @@ interpolated average precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "DifficultyLevel",
     "cityscapes_adjusted_levels",
     "kitti_levels",
-    "MatchResult",
     "match_detections",
     "PRCurve",
     "average_precision",
@@ -120,8 +120,8 @@ class SegMetrics:
     iiou: dict[int, Optional[float]]
     mean_iou: Optional[float]
     mean_iiou: Optional[float]
-    category_iou: dict[str, Optional[float]] = field(default_factory=dict)
-    category_iiou: dict[str, Optional[float]] = field(default_factory=dict)
+    category_iou: dict[str, Optional[float]]
+    category_iiou: dict[str, Optional[float]]
 
 
 def _iou_from_counts(tp: float, fp: float, fn: float) -> Optional[float]:
@@ -185,8 +185,8 @@ def seg_metrics(
             if len(set(ids.tolist())) != len(ids):
                 raise ValueError(f"category {name!r} lists a class id more than once: {ids.tolist()}")
             merged_tp = confusion[np.ix_(ids, ids)].sum()
-            cat_fp = confusion[:, ids].sum() - confusion[np.ix_(ids, ids)].sum()
-            cat_fn = confusion[ids, :].sum() - confusion[np.ix_(ids, ids)].sum()
+            cat_fp = confusion[:, ids].sum() - merged_tp
+            cat_fn = confusion[ids, :].sum() - merged_tp
             category_iou[name] = _iou_from_counts(merged_tp, cat_fp, cat_fn)
             if instance_stats is not None:
                 pooled = [pair for c in ids.tolist() for pair in instance_stats.get(c, [])]
@@ -207,29 +207,19 @@ class DifficultyLevel:
     """Filter deciding which ground truths count toward recall.
 
     Filtered-out objects become don't-care: detections matching only them
-    are neither true nor false positives.
+    are neither true nor false positives. The defaults of the limits admit
+    every object.
     """
 
     name: str
     min_height: float
-    min_width: Optional[float] = None
-    max_occlusion: Optional[int] = None
-    max_truncation: Optional[float] = None
+    min_width: float = 0.0
+    max_occlusion: float = math.inf
+    max_truncation: float = math.inf
 
     def counts(self, gt: GroundTruthObject) -> bool:
-        if gt.bbox.height < self.min_height:
-            return False
-        if self.min_width is not None and gt.bbox.width < self.min_width:
-            return False
-        if self.max_occlusion is not None:
-            occlusion = 0 if gt.occlusion is None else gt.occlusion
-            if occlusion > self.max_occlusion:
-                return False
-        if self.max_truncation is not None:
-            truncation = 0.0 if gt.truncation is None else gt.truncation
-            if truncation > self.max_truncation:
-                return False
-        return True
+        return (gt.bbox.height >= self.min_height and gt.bbox.width >= self.min_width
+                and gt.occlusion <= self.max_occlusion and gt.truncation <= self.max_truncation)
 
 
 def cityscapes_adjusted_levels() -> tuple[DifficultyLevel, ...]:
@@ -253,20 +243,16 @@ def kitti_levels() -> tuple[DifficultyLevel, ...]:
 TP, FP, IGNORED = "tp", "fp", "ignored"
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    flags: np.ndarray           # "tp" / "fp" / "ignored", aligned with the input rows
-    counted: dict[int, int]     # per class, ground truths passing the level
-
-
 def match_detections(
     dets: Detections,
     gts: Sequence[GroundTruthObject],
     iou_thresholds: Mapping[int, float],
     level: DifficultyLevel,
-) -> MatchResult:
+) -> tuple[np.ndarray, dict[int, int]]:
     """Greedily match one image's detections against its ground truths.
 
+    Returns a flag per detection row ("tp" / "fp" / "ignored") and, per
+    class, the number of ground truths passing the level.
     ``iou_thresholds`` maps every class id of the detections and ground
     truths to its matching threshold. Detections are processed per class in descending score order. Each may
     claim at most one still-unmatched counted ground truth (highest IoU at or
@@ -285,14 +271,14 @@ def match_detections(
         det_idx = np.flatnonzero(dets.class_ids == class_id)
         det_idx = det_idx[np.argsort(-dets.scores[det_idx], kind="stable")]
         of_class = gt_classes == class_id
-        counted = int(np.count_nonzero(of_class & gt_counts))
-        counted_totals[class_id] = counted
+        counted_columns = np.flatnonzero(of_class & gt_counts)
+        counted = counted_totals[class_id] = len(counted_columns)
         if not det_idx.size:
             continue
 
         threshold = iou_thresholds[class_id]
         # counted ground truths first, then the don't-care ones
-        columns = np.concatenate([np.flatnonzero(of_class & gt_counts), np.flatnonzero(of_class & ~gt_counts)])
+        columns = np.concatenate([counted_columns, np.flatnonzero(of_class & ~gt_counts)])
         overlaps = iou_matrix(dets.boxes[det_idx], gt_boxes[columns])
         near = overlaps >= threshold
         contested = near[:, :counted].any(axis=1)
@@ -305,7 +291,7 @@ def match_detections(
             if candidates[best] >= threshold:
                 matched[best] = True
                 flags[det_idx[row]] = TP
-    return MatchResult(flags=flags, counted=counted_totals)
+    return flags, counted_totals
 
 
 @dataclass(frozen=True)
@@ -355,26 +341,24 @@ def evaluate_detections(
     levels: Sequence[DifficultyLevel],
 ) -> dict[int, dict[str, PRCurve]]:
     """Match per image, pool the flags, and compute one PR curve per
-    (class, difficulty level)."""
-    image_ids = sorted(set(dets_by_image) | set(gts_by_image))
-    class_ids = sorted(
-        {c for dets in dets_by_image.values() for c in dets.class_ids.tolist()}
-        | {g.class_id for gts in gts_by_image.values() for g in gts}
-    )
+    (class, difficulty level).
+
+    The pooled rows of a class are its detections image by image, in image
+    id order, and in record order within an image.
+    """
+    empty = Detections.empty()
+    images = [(dets_by_image.get(image_id, empty), gts_by_image.get(image_id, []))
+              for image_id in sorted(set(dets_by_image) | set(gts_by_image))]
+    # the empty record's arrays give each concatenation an operand when there is no image
+    pooled_classes = np.concatenate([empty.class_ids, *(dets.class_ids for dets, _ in images)])
+    pooled_scores = np.concatenate([empty.scores, *(dets.scores for dets, _ in images)])
+    class_ids = sorted(set(pooled_classes.tolist()) | {g.class_id for _, gts in images for g in gts})
+    rows_of = {c: pooled_classes == c for c in class_ids}
     out: dict[int, dict[str, PRCurve]] = {c: {} for c in class_ids}
     for level in levels:
-        flags: dict[int, list[np.ndarray]] = {c: [np.zeros(0, dtype=str)] for c in class_ids}
-        scores: dict[int, list[np.ndarray]] = {c: [np.zeros(0)] for c in class_ids}
-        counts = dict.fromkeys(class_ids, 0)
-        for image_id in image_ids:
-            dets = dets_by_image.get(image_id, Detections.empty())
-            result = match_detections(dets, gts_by_image.get(image_id, []), iou_thresholds, level)
-            for c in class_ids:
-                rows = dets.class_ids == c
-                flags[c].append(result.flags[rows])
-                scores[c].append(dets.scores[rows])
-                counts[c] += result.counted.get(c, 0)
+        matches = [match_detections(dets, gts, iou_thresholds, level) for dets, gts in images]
+        pooled_flags = np.concatenate([np.zeros(0, dtype="<U7"), *(flags for flags, _ in matches)])
         for c in class_ids:
-            out[c][level.name] = average_precision(np.concatenate(flags[c]), np.concatenate(scores[c]),
-                                                   counts[c])
+            out[c][level.name] = average_precision(pooled_flags[rows_of[c]], pooled_scores[rows_of[c]],
+                                                   sum(counted.get(c, 0) for _, counted in matches))
     return out

@@ -99,7 +99,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     (length,) = struct.unpack_from("<Q", data, take(8))
     try:
         config = json.loads(data[take(length):pos].decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError or nesting too deep
         raise ValueError(f"checkpoint {path}: malformed config JSON: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
     for _ in range(struct.unpack_from("<Q", data, take(8))[0]):

@@ -87,9 +87,9 @@ def boxes_from_polygons(document: dict, table: dict) -> list[GroundTruthObject]:
 
     The box is the min/max of the vertex coordinates. Corners and
     truncation are floats, whether the file wrote them as JSON integers or
-    not. Labels must exist in the class table; labels that are not
-    detection classes are skipped. Boxes of zero width or height are
-    dropped.
+    not, and an absent occlusion or truncation is 0. Labels must exist in
+    the class table; labels that are not detection classes are skipped.
+    Boxes of zero width or height are dropped.
     """
     out: list[GroundTruthObject] = []
     for obj in document["objects"]:
@@ -103,14 +103,13 @@ def boxes_from_polygons(document: dict, table: dict) -> list[GroundTruthObject]:
         bbox = BBox(float(min(xs)), float(min(ys)), float(max(xs)), float(max(ys)))
         if bbox.area <= 0:
             continue
-        truncation = obj.get("truncation")
         out.append(
             GroundTruthObject(
                 class_id=table["detection"].index(label),
                 bbox=bbox,
                 instance_id=obj["instance_id"],
-                occlusion=obj.get("occlusion"),
-                truncation=None if truncation is None else float(truncation),
+                occlusion=obj.get("occlusion", 0),
+                truncation=float(obj.get("truncation", 0.0)),
             )
         )
     return out

@@ -418,19 +418,12 @@ def cmd_eval_seg(args) -> int:
         },
     )
     report = {
-        "per_class": {
-            name: {
-                "iou": metrics.iou.get(c),
-                "iiou": metrics.iiou.get(c) if c in metrics.iiou else None,
-            }
-            for c, name in enumerate(names)
-        },
+        "per_class": {name: {"iou": metrics.iou[c], "iiou": metrics.iiou.get(c)}
+                      for c, name in enumerate(names)},
         "mean_iou": metrics.mean_iou,
         "mean_iiou": metrics.mean_iiou,
-        "categories": {
-            name: {"iou": metrics.category_iou.get(name), "iiou": metrics.category_iiou.get(name)}
-            for name in (metrics.category_iou or {})
-        },
+        "categories": {name: {"iou": iou, "iiou": metrics.category_iiou.get(name)}
+                       for name, iou in metrics.category_iou.items()},
         "images": len(gt_files),
     }
     print(_write_json(args.output, report), end="")

@@ -124,11 +124,11 @@ def check(schema: dict, data, document: str) -> None:
 
 
 def load_json(path: str):
-    """The JSON document in the file at ``path``; malformed JSON is a ValueError."""
+    """The JSON document in the file at ``path``; malformed or too deeply nested JSON is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed JSON: {exc}") from exc
 
 

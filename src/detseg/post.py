@@ -213,17 +213,19 @@ def _parse_row(record) -> tuple:
 def detections_from_jsonl(text: str) -> dict[str, Detections]:
     """Parse the JSON-lines detection format into one record per image id.
 
-    Rows keep their file order. Every line is validated; the first bad one
-    is reported with its line number. The rows of one image must share an
-    embedding length.
+    Records end at line feeds only: JSON strings may hold U+2028, U+2029
+    and U+0085 raw, which ``str.splitlines`` would break at. Rows keep their
+    file order. Every line is validated, a line nested too deep for the
+    decoder included; the first bad one is reported with its line number.
+    The rows of one image must share an embedding length.
     """
     rows: dict[str, list] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
             image_id, *row = _parse_row(json.loads(line))
-        except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed detection on line {lineno}: {exc}") from exc
         per_image = rows.setdefault(image_id, [])
         if per_image and len(row[3]) != len(per_image[0][3]):

@@ -455,6 +455,17 @@ class TestDetectCommand:
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
         assert "objectness has non-finite values" in done.stderr
 
+    def test_non_finite_segmentation_output_rejected(self, capsys, tmp_path):
+        # finite weights, large enough that the last 1x1 segmentation convolution overflows
+        checkpoint, image = write_checkpoint(
+            tmp_path, edit=lambda tensors: tensors["seg_head.12.weight"].fill(1e308))
+        out_path, seg_dir = os.path.join(tmp_path, "dets.jsonl"), os.path.join(tmp_path, "seg")
+        code, out, err = run(capsys, "detect", "--checkpoint", checkpoint, "--images", image,
+                             "--output", out_path, "--seg-output", seg_dir)
+        assert code == 1 and out == ""
+        assert err == f"error: image {image}: seg_logits has non-finite values\n"
+        assert not os.path.exists(out_path) and not os.path.exists(seg_dir)
+
     def test_buffer_shape_mismatch_rejected_at_load(self, capsys, tmp_path):
         checkpoint, image = write_checkpoint(
             tmp_path, edit=lambda tensors: tensors.update({"backbone.1.bn1.running_var": np.ones(1)}))
@@ -820,6 +831,13 @@ class TestTrainToyCommand:
         assert code == 1 and out == "" and not os.path.exists(out_dir)
         return err
 
+    @pytest.mark.parametrize("missing", ["images", "labels", "annotations"])
+    def test_dataset_dir_needs_its_three_subdirectories(self, capsys, tmp_path, missing):
+        data = self.synth_dataset(capsys, tmp_path)
+        os.rename(os.path.join(data, missing), os.path.join(tmp_path, missing))
+        err = self.train_on(capsys, tmp_path, data)
+        assert err == f"error: dataset dir {data} needs images/, labels/ and annotations/\n"
+
     def test_label_map_size_must_match_its_image(self, capsys, tmp_path):
         data = self.synth_dataset(capsys, tmp_path)
         labels = os.path.join(data, "labels", "000.pgm")
@@ -954,6 +972,37 @@ class TestEvalSegCommand:
         assert err == f"error: label map {faulty_path}: {reason} ids outside [0, 3)\n"
 
 
+    @staticmethod
+    def eval_seg_with_instances(capsys, tmp_path, labels, instances):
+        """eval-seg of a perfect prediction of the 4x4 ``labels`` with its ``instances``; the report or stderr."""
+        dirs = {name: os.path.join(tmp_path, name) for name in ("gt", "pred", "instances")}
+        for name, array in (("gt", labels), ("pred", labels), ("instances", instances)):
+            os.makedirs(dirs[name])
+            write_pgm(os.path.join(dirs[name], "a.pgm"), np.array(array, dtype=np.uint8))
+        report_path = os.path.join(tmp_path, "report.json")
+        code, out, err = run(capsys, "eval-seg", "--pred", dirs["pred"], "--gt", dirs["gt"],
+                             "--instances", dirs["instances"], "--output", report_path)
+        if code:
+            assert code == 1 and out == "" and not os.path.exists(report_path)
+            return err.replace(os.path.join(dirs["gt"], "a.pgm"), "<gt>")
+        with open(report_path) as fh:
+            return json.load(fh)
+
+    def test_instance_spanning_two_classes_names_the_ground_truth(self, capsys, tmp_path):
+        labels = [[1, 1, 2, 2], [1, 1, 2, 2], [0, 0, 0, 0], [0, 0, 0, 0]]
+        instances = [[1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+        err = self.eval_seg_with_instances(capsys, tmp_path, labels, instances)
+        assert err == "error: label map <gt>: instance 1 spans multiple classes: [1, 2]\n"
+
+    def test_instance_of_a_class_that_is_not_instanceable_is_skipped(self, capsys, tmp_path):
+        # instance 2 covers background, which the synthetic table does not list as instanceable
+        labels = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        instances = [[1, 1, 2, 2], [1, 1, 2, 2], [0, 0, 0, 0], [0, 0, 0, 0]]
+        report = self.eval_seg_with_instances(capsys, tmp_path, labels, instances)
+        assert {name: scores["iiou"] for name, scores in report["per_class"].items()} == \
+            {"background": None, "rect": 1.0, "ellipse": None}
+
+
 class TestEvalDetCommand:
     def test_degenerate_polygon_is_one_warning_line(self, capsys, caplog, tmp_path):
         os.makedirs(tmp_path / "annotations")
@@ -975,8 +1024,8 @@ class TestEvalDetCommand:
         assert "dropped 1 degenerate" in caplog.text
 
     @staticmethod
-    def eval_det_on(capsys, tmp_path, detection=None, objects=(ONE_RECT,)):
-        """eval-det of one detection line against the annotation of ``objects``, which must fail.
+    def eval_det_on(capsys, tmp_path, detection=None, objects=(ONE_RECT,), lines_before=()):
+        """eval-det of ``lines_before`` and one detection line against the annotation of ``objects``, which must fail.
 
         Returns the annotation's path, the detection file's and stderr.
         """
@@ -985,6 +1034,7 @@ class TestEvalDetCommand:
                                 {"image_width": 16, "image_height": 16, "objects": list(objects)})
         detections = str(tmp_path / "det.jsonl")
         with open(detections, "w") as fh:
+            fh.writelines(line + "\n" for line in lines_before)
             fh.write(json.dumps({"image_id": "000", "class": 0, "score": 0.9, "x_min": 1, "y_min": 1,
                                  "x_max": 10, "y_max": 10, "embedding": [], **(detection or {})}) + "\n")
         report_path = str(tmp_path / "report.json")
@@ -1016,6 +1066,18 @@ class TestEvalDetCommand:
         assert code == 1 and out == "" and not os.path.exists(report_path)
         assert err == (f"error: detections {detections}: malformed detection on line 1: "
                        "score must be a number in [0, 1], got 2.0\n")
+
+    @pytest.mark.parametrize("bad, reason", [
+        ({"score": 2.0}, "score must be a number in [0, 1], got 2.0"),
+        ({"embedding": [0.5, float("nan")]}, "embedding values must be finite"),
+    ])
+    def test_bad_line_after_blank_lines_is_named_by_its_line_in_the_file(self, capsys, tmp_path, bad, reason):
+        good = {"image_id": "000", "class": 0, "score": 0.9, "x_min": 1, "y_min": 1, "x_max": 10, "y_max": 10,
+                "embedding": [0.5, 0.5]}
+        # the blank lines 2 and 3 are skipped but counted
+        _, detections, err = self.eval_det_on(capsys, tmp_path, dict(good, **bad),
+                                              lines_before=[json.dumps(good), "", "  \t", json.dumps(good)])
+        assert err == f"error: detections {detections}: malformed detection on line 5: {reason}\n"
 
     @staticmethod
     def write_pr_inputs(tmp_path, name="rect"):
@@ -1262,6 +1324,65 @@ class TestInputErrorsNameTheirFile:
         code, stdout, err = run(capsys, command, *argv)
         assert code == 1 and stdout == "" and not os.path.exists(out)
         assert err == f"error: no {expected} under {empty}\n"
+
+
+# JSON nested far deeper than the decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def with_deep_config(checkpoint):
+    """Replace the config JSON of the checkpoint file with ``DEEP_JSON``."""
+    with open(checkpoint, "rb") as fh:
+        data = fh.read()
+    (length,) = struct.unpack_from("<Q", data, 8)  # after the magic and the version
+    with open(checkpoint, "wb") as fh:
+        fh.write(data[:8] + struct.pack("<Q", len(DEEP_JSON)) + DEEP_JSON.encode() + data[16 + length:])
+
+
+class TestDeeplyNestedJson:
+    """JSON too deep for the decoder is malformed JSON, and the error names the file, and the line for JSONL."""
+
+    @pytest.mark.parametrize("kind", ["config", "templates file", "class table", "annotation", "detections",
+                                      "checkpoint"])
+    def test_is_one_error_line_naming_the_file(self, capsys, tmp_path, kind):
+        deep = os.path.join(tmp_path, "deep.json")
+        with open(deep, "w") as fh:
+            fh.write(DEEP_JSON)
+        out = os.path.join(tmp_path, "out")
+        annotations = os.path.join(tmp_path, "annotations")
+        os.makedirs(annotations)
+        write_json(os.path.join(annotations, "000.json"), annotation_with())
+        detections = os.path.join(tmp_path, "det.jsonl")
+        with open(detections, "w") as fh:
+            fh.write(json.dumps({"image_id": "000", "class": 0, "score": 0.9, "x_min": 1, "y_min": 1,
+                                 "x_max": 10, "y_max": 10}) + "\n")
+        prefix = f"{kind} {deep}: malformed JSON: "
+        if kind == "config":
+            argv = ["synth", "--config", deep, "--output-dir", out]
+        elif kind == "templates file":
+            argv = ["anchors", "--image", "16x16", "--templates-file", deep, "--dump", out]
+        elif kind == "class table":
+            argv = ["assign", "--annotation", os.path.join(annotations, "000.json"), "--class-table", deep,
+                    "--output", out]
+        elif kind == "annotation":
+            deep = os.path.join(annotations, "000.json")
+            with open(deep, "w") as fh:
+                fh.write(DEEP_JSON)
+            argv = ["eval-det", "--detections", detections, "--annotations", annotations, "--output", out]
+            prefix = f"annotation {deep}: malformed JSON: "
+        elif kind == "detections":
+            with open(detections, "a") as fh:
+                fh.write(DEEP_JSON + "\n")
+            argv = ["eval-det", "--detections", detections, "--annotations", annotations, "--output", out]
+            prefix = f"detections {detections}: malformed detection on line 2: "
+        else:
+            checkpoint, image = write_checkpoint(tmp_path)
+            with_deep_config(checkpoint)
+            argv = ["detect", "--checkpoint", checkpoint, "--images", image, "--output", out]
+            prefix = f"checkpoint {checkpoint}: malformed config JSON: "
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1 and stdout == "" and not os.path.exists(out)
+        assert err.startswith(f"error: {prefix}maximum recursion depth exceeded") and err.count("\n") == 1, err
 
 
 class TestErrorShape:

@@ -19,7 +19,7 @@ from detseg.oracles import eleven_point_ap, match_oracle, pr_points_oracle
 from detseg.post import Detections
 
 
-def gt(x0, y0, x1, y1, class_id=0, instance_id=0, occlusion=None, truncation=None):
+def gt(x0, y0, x1, y1, class_id=0, instance_id=0, occlusion=0, truncation=0.0):
     return GroundTruthObject(class_id=class_id, bbox=BBox(x0, y0, x1, y1),
                              instance_id=instance_id, occlusion=occlusion, truncation=truncation)
 
@@ -158,8 +158,8 @@ class TestDifficultyLevels:
         assert hard.counts(gt(0, 0, 30, 30, occlusion=2, truncation=0.5))
 
     def test_missing_annotations_count_as_clear(self):
-        easy = kitti_levels()[0]
-        assert easy.counts(gt(0, 0, 30, 45, occlusion=None, truncation=None))
+        unlabelled = GroundTruthObject(class_id=0, bbox=BBox(0, 0, 30, 45), instance_id=0)
+        assert all(level.counts(unlabelled) for level in kitti_levels())
 
     def test_counted_sets_nest_across_levels(self):
         rng = np.random.default_rng(1)
@@ -180,39 +180,39 @@ class TestMatching:
     def test_all_true_positives(self):
         gts = [gt(0, 0, 20, 20), gt(40, 40, 60, 60)]
         dets = [det(0, 0, 20, 20, score=0.9), det(40, 40, 60, 60, score=0.8)]
-        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
-        assert result.flags.tolist() == ["tp", "tp"]
-        assert result.counted == {0: 2}
+        flags, counted = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
+        assert flags.tolist() == ["tp", "tp"]
+        assert counted == {0: 2}
 
     def test_dont_care_matches_are_ignored(self):
         # the only overlap is with a gt below the size threshold
         gts = [gt(0, 0, 8, 8)]
         dets = [det(0, 0, 8, 8)]
-        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
-        assert result.flags.tolist() == ["ignored"]
-        assert result.counted == {0: 0}
+        flags, counted = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
+        assert flags.tolist() == ["ignored"]
+        assert counted == {0: 0}
 
     def test_duplicate_detection_is_fp(self):
         gts = [gt(0, 0, 20, 20)]
         dets = [det(0, 0, 20, 20, score=0.9), det(1, 1, 21, 21, score=0.8)]
-        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
-        assert sorted(result.flags.tolist()) == ["fp", "tp"]
-        assert result.flags[0] == "tp"  # higher score wins the gt
+        flags, _ = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
+        assert sorted(flags.tolist()) == ["fp", "tp"]
+        assert flags[0] == "tp"  # higher score wins the gt
 
     def test_class_specific_thresholds(self):
         gts = [gt(0, 0, 20, 20, class_id=0), gt(0, 0, 20, 20, class_id=1)]
         overlapping = BBox(0, 5, 20, 25)  # IoU 15/25 = 0.6 with both
         dets = [det(0, 5, 20, 25, class_id=0), det(0, 5, 20, 25, class_id=1)]
-        result = match_detections(dets_of(dets), gts, {0: 0.7, 1: 0.5}, self.LEVEL)
-        assert result.flags.tolist() == ["fp", "tp"]
+        flags, _ = match_detections(dets_of(dets), gts, {0: 0.7, 1: 0.5}, self.LEVEL)
+        assert flags.tolist() == ["fp", "tp"]
 
     def test_iou_tie_goes_to_first_ground_truth(self):
         # the first detection overlaps both gts at 2/3; taking the first one
         # leaves the second detection without a gt above 0.5
         gts = [gt(0, 0, 10, 10), gt(4, 0, 14, 10, instance_id=1)]
         dets = [det(2, 0, 12, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
-        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
-        assert result.flags.tolist() == ["tp", "fp"]
+        flags, _ = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
+        assert flags.tolist() == ["tp", "fp"]
         rows = [(c, score, box) for box, c, score in dets]
         assert match_oracle(rows, gts, {0: 0.5}, self.LEVEL.counts) == ["tp", "fp"]
 
@@ -236,15 +236,15 @@ class TestMatching:
                     x1, y1 = x0 + int(rng.integers(1, 20)), y0 + int(rng.integers(1, 20))
                 rows.append(det(x0, y0, x1, y1, class_id=int(rng.integers(0, 2)),
                                 score=int(rng.integers(0, 5)) / 4))
-            result = match_detections(dets_of(rows), gts, thresholds, self.LEVEL)
+            flags, _ = match_detections(dets_of(rows), gts, thresholds, self.LEVEL)
             oracle_rows = [(c, score, box) for box, c, score in rows]
-            assert result.flags.tolist() == match_oracle(oracle_rows, gts, thresholds, self.LEVEL.counts)
+            assert flags.tolist() == match_oracle(oracle_rows, gts, thresholds, self.LEVEL.counts)
 
     def test_score_order_decides_assignment(self):
         gts = [gt(0, 0, 20, 20)]
         dets = [det(2, 2, 22, 22, score=0.5), det(0, 0, 20, 20, score=0.9)]
-        result = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
-        assert result.flags.tolist() == ["fp", "tp"]
+        flags, _ = match_detections(dets_of(dets), gts, {0: 0.5, 1: 0.5}, self.LEVEL)
+        assert flags.tolist() == ["fp", "tp"]
 
 
 class TestAveragePrecision:
@@ -364,3 +364,64 @@ class TestEvaluateDetections:
                                      {0: 0.5, 1: 0.5}, cityscapes_adjusted_levels())
         for level in ("easy", "moderate", "hard"):
             assert curves[0][level].ap == pytest.approx(1.0)
+
+    def test_matches_oracles_at_kitti_levels(self):
+        # the KITTI table, written out: level -> (min height, max occlusion, max truncation);
+        # an object without occlusion or truncation counts as 0 for it
+        table = {"easy": (40, 0, 0.15), "moderate": (25, 1, 0.30), "hard": (25, 2, 0.50)}
+        heights = [20, 24.5, 25, 25.5, 39, 40, 41, 60]
+        occlusions = [None, 0, 1, 2, 3]
+        truncations = [None, 0.0, 0.15, 0.2, 0.3, 0.31, 0.5, 0.6, 1.0]
+        thresholds = {0: 0.7, 1: 0.5}
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            gts_by_image, labels_by_image, dets_by_image = {}, {}, {}
+            for image_id in (f"{k:02d}" for k in range(int(rng.integers(1, 5)))):
+                gts, labels = [], []
+                for k in range(int(rng.integers(0, 6))):
+                    x, y = (int(v) for v in rng.integers(0, 60, size=2))
+                    box = (x, y, x + int(rng.integers(8, 40)), y + heights[int(rng.integers(len(heights)))])
+                    label = {"occlusion": occlusions[int(rng.integers(len(occlusions)))],
+                             "truncation": truncations[int(rng.integers(len(truncations)))]}
+                    label = {key: value for key, value in label.items() if value is not None}
+                    gts.append(GroundTruthObject(class_id=int(rng.integers(0, 2)), bbox=BBox(*box),
+                                                 instance_id=k, **label))
+                    labels.append(label)
+                rows = []
+                for _ in range(int(rng.integers(0, 12))):
+                    if gts and rng.random() < 0.7:
+                        source = gts[int(rng.integers(len(gts)))]
+                        x0, y0, x1, y1 = (v + int(rng.integers(-3, 4)) for v in source.bbox.as_array().tolist())
+                        class_id = source.class_id if rng.random() < 0.8 else 1 - source.class_id
+                    else:
+                        x0, y0 = (int(v) for v in rng.integers(0, 80, size=2))
+                        x1, y1 = x0 + int(rng.integers(1, 40)), y0 + int(rng.integers(1, 40))
+                        class_id = int(rng.integers(0, 2))
+                    # few score values, so ties across images decide the pooled order
+                    rows.append(det(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1), class_id=class_id,
+                                    score=int(rng.integers(1, 5)) / 4))
+                gts_by_image[image_id], labels_by_image[image_id] = gts, labels
+                if rows or rng.random() < 0.5:
+                    dets_by_image[image_id] = rows
+            curves = evaluate_detections({k: dets_of(v) for k, v in dets_by_image.items()}, gts_by_image,
+                                         thresholds, kitti_levels())
+            for name, (min_height, max_occlusion, max_truncation) in table.items():
+                for class_id in (0, 1):
+                    flags, scores, counted = [], [], 0
+                    for image_id in sorted(gts_by_image):
+                        gts, labels = gts_by_image[image_id], labels_by_image[image_id]
+                        clear = {id(g) for g, label in zip(gts, labels)
+                                 if g.bbox.height >= min_height and label.get("occlusion", 0) <= max_occlusion
+                                 and label.get("truncation", 0.0) <= max_truncation}
+                        rows = [(c, score, box) for box, c, score in dets_by_image.get(image_id, [])]
+                        image_flags = match_oracle(rows, gts, thresholds, lambda g: id(g) in clear)
+                        flags += [f for f, (c, _, _) in zip(image_flags, rows) if c == class_id]
+                        scores += [score for c, score, _ in rows if c == class_id]
+                        counted += sum(g.class_id == class_id and id(g) in clear for g in gts)
+                    curve = curves[class_id][name]
+                    if counted == 0:
+                        assert curve.points == [] and curve.ap is None
+                        continue
+                    points = pr_points_oracle(flags, scores, counted)
+                    assert curve.points == points
+                    assert curve.ap == eleven_point_ap([r for r, _ in points], [p for _, p in points])

@@ -285,6 +285,21 @@ class TestJsonl:
             detections_from_jsonl(text)
         assert info.match(message)
 
+    @pytest.mark.parametrize("boundary", ["\u2028", "\u2029", "\u0085"])
+    def test_raw_unicode_line_boundary_stays_in_its_string(self, boundary):
+        # JSON allows these raw in strings, and json.dumps(ensure_ascii=False) writes them so
+        row = {"image_id": f"a{boundary}b", "class": 1, "score": 0.5, "x_min": 0.0, "y_min": 0.0,
+               "x_max": 10.0, "y_max": 10.0, "embedding": [0.0]}
+        parsed = detections_from_jsonl(json.dumps(row, ensure_ascii=False) + "\r\n\n")
+        assert list(parsed) == [f"a{boundary}b"]
+        assert parsed[f"a{boundary}b"].class_ids.tolist() == [1]
+
+    def test_line_nested_too_deep_is_a_malformed_line(self):
+        good = json.dumps({"image_id": "x", "class": 0, "score": 0.5, "x_min": 0.0, "y_min": 0.0,
+                           "x_max": 10.0, "y_max": 10.0})
+        with pytest.raises(ValueError, match="^malformed detection on line 2: maximum recursion depth"):
+            detections_from_jsonl(good + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+
     def test_empty_text(self):
         assert detections_from_jsonl("") == {}
         assert detections_to_jsonl([]) == ""
