@@ -96,25 +96,34 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def iou_pairs(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """IoU of float64 ``(..., 4)`` box arrays that broadcast against each other.
-
-    One value per broadcast pair; 0.0 where the union has zero area.
-    """
-    iw = np.minimum(a[..., 2], g[..., 2]) - np.maximum(a[..., 0], g[..., 0])
-    ih = np.minimum(a[..., 3], g[..., 3]) - np.maximum(a[..., 1], g[..., 1])
+def _iou(ax0, ay0, ax1, ay1, gx0, gy0, gx1, gy1) -> np.ndarray:
+    """IoU from broadcasting coordinate arrays; 0.0 where the union has zero area."""
+    iw = np.minimum(ax1, gx1) - np.maximum(ax0, gx0)
+    ih = np.minimum(ay1, gy1) - np.maximum(ay0, gy0)
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_g = (gx1 - gx0) * (gy1 - gy0)
     union = area_a + area_g - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
 
 
+def iou_pairs(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """IoU of float64 ``(..., 4)`` box arrays that broadcast against each other.
+
+    One value per broadcast pair; 0.0 where the union has zero area.
+    """
+    return _iou(*(a[..., k] for k in range(4)), *(g[..., k] for k in range(4)))
+
+
 def iou_matrix(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pairwise IoU matrix of float64 (N, 4) and (M, 4) box arrays, shape (N, M)."""
-    return iou_pairs(a[:, None], g[None])
+    """Pairwise IoU matrix of float64 (N, 4) and (M, 4) box arrays, shape (N, M).
+
+    Reads each coordinate from a contiguous copy, an (N, 1) and an (M,)
+    column, rather than from strided box rows.
+    """
+    return _iou(*np.ascontiguousarray(a.T)[:, :, None], *np.ascontiguousarray(g.T))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, NoReturn
 
 import numpy as np
 
@@ -210,6 +212,92 @@ def _parse_row(record) -> tuple:
     return image_id, class_id, score, box, embedding
 
 
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _raise_first_fault(lines: list[str]) -> NoReturn:
+    """Raise the message of the first bad line, checking the lines one at a time in file order."""
+    lengths: dict[str, int] = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            image_id, *_, embedding = _parse_row(json.loads(line))
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"malformed detection on line {lineno}: {exc}") from exc
+        first = lengths.setdefault(image_id, len(embedding))
+        if len(embedding) != first:
+            raise ValueError(f"malformed detection on line {lineno}: embedding length {len(embedding)} "
+                             f"differs from {first} in earlier rows of image {image_id!r}")
+    raise AssertionError("the column checks refused rows that every row rule accepts")
+
+
+def _records_by_column(lines: list[str]) -> dict[str, Detections] | None:
+    """The records of valid lines, or None when a column breaks one of :func:`_parse_row`'s rules.
+
+    Each line is decoded once and its fields go straight into one list per
+    field; the rules are then checked a column at a time. Each list is
+    dropped as soon as its array is built.
+    """
+    images: dict = {}
+    image_of_row, class_ids, scores, x_min, y_min, x_max, y_max, embeddings = ([] for _ in range(8))
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record, end = _DECODE(line)
+        except ValueError:
+            end = -1
+        if end != len(line):
+            # surrounding whitespace, or a fault that json.loads words
+            record = json.loads(line)
+        image_of_row.append(images.setdefault(record["image_id"], len(images)))
+        class_ids.append(record["class"])
+        scores.append(record["score"])
+        x_min.append(record["x_min"])
+        y_min.append(record["y_min"])
+        x_max.append(record["x_max"])
+        y_max.append(record["y_max"])
+        embeddings.append(record.get("embedding", []))
+    # the keys of `images` carry every id's type: no JSON value but a string equals a string
+    corner_types = {*map(type, chain(x_min, y_min, x_max, y_max))}
+    if not ({*map(type, images)} <= {str} and {*map(type, class_ids)} <= {int}
+            and {*map(type, scores)} | corner_types <= _NUMBER_TYPES and {*map(type, embeddings)} <= {list}
+            and {*map(type, chain.from_iterable(embeddings))} <= _NUMBER_TYPES):
+        return None
+    # float64 rounds integers beyond 2**53, so integer corners are ordered as the JSON values
+    if int in corner_types and not (all(map(operator.le, x_min, x_max)) and all(map(operator.le, y_min, y_max))):
+        return None
+    n = len(image_of_row)
+    image_of_row = np.array(image_of_row, dtype=np.intp)
+    class_ids = np.array(class_ids, dtype=np.int64)  # OverflowError beyond int64
+    scores = np.array(scores, dtype=np.float64)
+    corners = np.array([x_min, y_min, x_max, y_max], dtype=np.float64)
+    del x_min, y_min, x_max, y_max
+    lengths = np.fromiter(map(len, embeddings), dtype=np.intp, count=n)
+    flat = np.fromiter(chain.from_iterable(embeddings), dtype=np.float64, count=int(lengths.sum()))
+    del embeddings
+    if not ((class_ids >= 0).all() and ((scores >= 0.0) & (scores <= 1.0)).all()
+            and np.isfinite(corners).all() and np.isfinite(flat).all()
+            and (corners[0] <= corners[2]).all() and (corners[1] <= corners[3]).all()):
+        return None
+
+    order = np.argsort(image_of_row, kind="stable")
+    same_image = image_of_row[order[1:]] == image_of_row[order[:-1]]
+    if (lengths[order[1:]] != lengths[order[:-1]])[same_image].any():
+        return None
+    offsets = np.cumsum(lengths) - lengths
+    return {
+        image_id: Detections(
+            boxes=corners.T[rows],
+            class_ids=class_ids[rows],
+            scores=scores[rows],
+            embeddings=flat[offsets[rows, None] + np.arange(lengths[rows[0]])],
+        )
+        for image_id, rows in zip(images, np.split(order, np.flatnonzero(~same_image) + 1))
+    }
+
+
 def detections_from_jsonl(text: str) -> dict[str, Detections]:
     """Parse the JSON-lines detection format into one record per image id.
 
@@ -217,28 +305,15 @@ def detections_from_jsonl(text: str) -> dict[str, Detections]:
     and U+0085 raw, which ``str.splitlines`` would break at. Rows keep their
     file order. Every line is validated, a line nested too deep for the
     decoder included; the first bad one is reported with its line number.
-    The rows of one image must share an embedding length.
+    The rows of one image must share an embedding length. Valid text is read
+    by column; any fault sends the lines through :func:`_parse_row` one at a
+    time, which words the first one.
     """
-    rows: dict[str, list] = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            image_id, *row = _parse_row(json.loads(line))
-        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"malformed detection on line {lineno}: {exc}") from exc
-        per_image = rows.setdefault(image_id, [])
-        if per_image and len(row[3]) != len(per_image[0][3]):
-            raise ValueError(f"malformed detection on line {lineno}: embedding length {len(row[3])} "
-                             f"differs from {len(per_image[0][3])} in earlier rows of image {image_id!r}")
-        per_image.append(row)
-    out = {}
-    for image_id, image_rows in rows.items():
-        class_ids, scores, boxes, embeddings = zip(*image_rows)
-        out[image_id] = Detections(
-            boxes=np.array(boxes, dtype=np.float64),
-            class_ids=np.array(class_ids, dtype=np.int64),
-            scores=np.array(scores, dtype=np.float64),
-            embeddings=np.array(embeddings, dtype=np.float64),
-        )
-    return out
+    lines = text.split("\n")
+    try:
+        records = _records_by_column(lines)
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError):
+        records = None
+    if records is None:
+        _raise_first_fault(lines)
+    return records

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from detseg import post
 from detseg.assign import GroundTruthObject, assign_targets
 from detseg.geom import AnchorTemplate, BBox, anchor_preset, encode, iou, iou_matrix, make_anchor_grid
 from detseg.net.model import unflatten_per_anchor
@@ -10,6 +12,7 @@ from detseg.oracles import dense_nms_instance, detection_rows, nms_oracle, spars
 from detseg.post import (
     NMS_BLOCK,
     Detections,
+    _parse_row,
     decode_detections,
     detections_from_jsonl,
     detections_to_jsonl,
@@ -112,6 +115,30 @@ def record(boxes, class_ids, scores, embeddings=None):
         embeddings = np.zeros((len(boxes), 0))
     return Detections(boxes, np.asarray(class_ids, dtype=np.int64), np.asarray(scores, dtype=np.float64),
                       np.asarray(embeddings, dtype=np.float64))
+
+
+# one bad field of a detection row, and a word of the message it gives
+BAD_FIELDS = [
+    ("class", -1, "non-negative integer"),
+    ("class", True, "non-negative integer"),
+    ("class", 1.5, "non-negative integer"),
+    ("class", 2 ** 63, "non-negative integer"),
+    ("class", 10 ** 23, "non-negative integer"),
+    ("x_max", float("inf"), "finite"),
+    ("y_min", float("nan"), "finite"),
+    ("score", 1.5, r"\[0, 1\]"),
+    ("x_min", 20.0, "out of order"),
+    ("embedding", [1.0], "embedding length"),
+    ("image_id", 0, "image_id must be a string"),
+    ("score", True, r"score must be a number in \[0, 1\]"),
+    ("score", "0.5", r"score must be a number in \[0, 1\]"),
+    ("x_min", "1", "box coordinates must be finite numbers"),
+    ("y_max", False, "box coordinates must be finite numbers"),
+    ("x_max", 10 ** 400, "int too large"),
+    ("embedding", ["0.5", 0.0], "embedding must be a list of numbers"),
+    ("embedding", [True, 0.0], "embedding must be a list of numbers"),
+    ("embedding", "ab", "embedding must be a list of numbers"),
+]
 
 
 def check_same_rows(actual, expected):
@@ -255,27 +282,7 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 1"):
             detections_from_jsonl('{"image_id": "x"}\n')
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("class", -1, "non-negative integer"),
-        ("class", True, "non-negative integer"),
-        ("class", 1.5, "non-negative integer"),
-        ("class", 2 ** 63, "non-negative integer"),
-        ("class", 10 ** 23, "non-negative integer"),
-        ("x_max", float("inf"), "finite"),
-        ("y_min", float("nan"), "finite"),
-        ("score", 1.5, r"\[0, 1\]"),
-        ("x_min", 20.0, "out of order"),
-        ("embedding", [1.0], "embedding length"),
-        ("image_id", 0, "image_id must be a string"),
-        ("score", True, r"score must be a number in \[0, 1\]"),
-        ("score", "0.5", r"score must be a number in \[0, 1\]"),
-        ("x_min", "1", "box coordinates must be finite numbers"),
-        ("y_max", False, "box coordinates must be finite numbers"),
-        ("x_max", 10 ** 400, "int too large"),
-        ("embedding", ["0.5", 0.0], "embedding must be a list of numbers"),
-        ("embedding", [True, 0.0], "embedding must be a list of numbers"),
-        ("embedding", "ab", "embedding must be a list of numbers"),
-    ])
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
     def test_bad_row_rejected_with_line_number(self, field, value, message):
         good = {"image_id": "x", "class": 0, "score": 0.5, "x_min": 0.0, "y_min": 0.0,
                 "x_max": 10.0, "y_max": 10.0, "embedding": [0.0, 0.0]}
@@ -304,6 +311,244 @@ class TestJsonl:
         assert detections_from_jsonl("") == {}
         assert detections_to_jsonl([]) == ""
         assert detections_to_jsonl([("a", Detections.empty(3))]) == ""
+
+    # the documented leniencies of docs/FORMATS.md "Detections"
+
+    ROW = {"image_id": "x", "class": 1, "score": 0.5, "x_min": 0.0, "y_min": 1.0, "x_max": 10.0,
+           "y_max": 11.0, "embedding": [0.25, -1.0]}
+
+    def test_whitespace_around_a_record_is_ignored(self):
+        line = json.dumps(self.ROW)
+        plain = detections_from_jsonl(line + "\n" + line + "\n")["x"]
+        padded = detections_from_jsonl(" \t" + line + "\r\n" + line + " \r\n")["x"]
+        check_same_records({"x": padded}, {"x": plain})
+
+    def test_keys_beyond_the_documented_ones_are_ignored(self):
+        extra = dict(self.ROW, note="kept by nobody", x_center=[5, {"a": None}])
+        check_same_records(detections_from_jsonl(json.dumps(extra)),
+                           detections_from_jsonl(json.dumps(self.ROW)))
+
+    def test_absent_embedding_reads_as_empty(self):
+        row = {k: v for k, v in self.ROW.items() if k != "embedding"}
+        dets = detections_from_jsonl(json.dumps(row) + "\n" + json.dumps(dict(row, embedding=[])))["x"]
+        assert dets.embeddings.shape == (2, 0)
+        assert dets.embeddings.dtype == np.float64
+
+    def test_first_fault_by_line_number_is_reported(self):
+        good = json.dumps(self.ROW)
+        faults = {"score": json.dumps(dict(self.ROW, score=2.0)),
+                  "ragged": json.dumps(dict(self.ROW, embedding=[0.0])),
+                  "decode": good[:-1]}
+        for first in faults:
+            rest = [text for name, text in faults.items() if name != first]
+            text = "\n".join([good, faults[first], good, *rest, good])
+            with pytest.raises(ValueError, match="^malformed detection on line 2: "):
+                detections_from_jsonl(text)
+
+
+def check_same_records(actual, expected):
+    """The same image ids in the same order, and the same array bytes, dtypes and layouts."""
+    assert list(actual) == list(expected)
+    for image_id, dets in expected.items():
+        for field in ("boxes", "class_ids", "scores", "embeddings"):
+            a, e = getattr(actual[image_id], field), getattr(dets, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (e.dtype, e.shape, e.tobytes()), (image_id, field)
+            assert a.flags.c_contiguous, (image_id, field)
+
+
+def reference_read(text):
+    """The per-line reader: one ``json.loads`` and one ``_parse_row`` per line, records built at the end."""
+    rows = {}
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            image_id, *row = _parse_row(json.loads(line))
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"malformed detection on line {lineno}: {exc}") from exc
+        per_image = rows.setdefault(image_id, [])
+        if per_image and len(row[3]) != len(per_image[0][3]):
+            raise ValueError(f"malformed detection on line {lineno}: embedding length {len(row[3])} "
+                             f"differs from {len(per_image[0][3])} in earlier rows of image {image_id!r}")
+        per_image.append(row)
+    out = {}
+    for image_id, image_rows in rows.items():
+        class_ids, scores, boxes, embeddings = zip(*image_rows)
+        out[image_id] = Detections(
+            boxes=np.array(boxes, dtype=np.float64),
+            class_ids=np.array(class_ids, dtype=np.int64),
+            scores=np.array(scores, dtype=np.float64),
+            embeddings=np.array(embeddings, dtype=np.float64),
+        )
+    return out
+
+
+def corpus_rows(rng):
+    """Rows of a valid file: 2-4 images whose rows interleave, each with its own embedding length."""
+    images = [f"im{k}" for k in range(rng.integers(2, 5))]
+    widths = {image_id: int(rng.integers(0, 4)) for image_id in images}
+    rows = []
+    for _ in range(rng.integers(4, 12)):
+        image_id = images[rng.integers(len(images))]
+        x0, y0 = rng.uniform(-5.0, 50.0, 2).tolist()
+        x1, y1 = x0 + rng.uniform(0.0, 20.0), y0 + rng.uniform(0.0, 20.0)
+        if rng.random() < 0.2:  # integer corners, as a writer other than detect may give
+            x0, y0, x1, y1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
+        row = {"image_id": image_id, "class": int(rng.integers(0, 5)),
+               "score": [0, 1, -0.0, float(rng.uniform())][rng.integers(4)],
+               "x_min": x0, "y_min": y0, "x_max": x1, "y_max": y1,
+               "embedding": rng.normal(size=widths[image_id]).tolist()}
+        if not widths[image_id] and rng.random() < 0.5:
+            del row["embedding"]
+        rows.append(row)
+    return rows
+
+
+def corpus_file(mutate, rng):
+    """One corpus file, after one mutation of its rows or lines (None leaves it valid)."""
+    rows = corpus_rows(rng)
+    return lay_out([json.dumps(row) for row in rows] if mutate is None else mutate(rows, rng), rng)
+
+
+def lay_out(lines, rng):
+    """The lines as one file, with blank lines and whitespace around some records."""
+    out = []
+    for line in lines:
+        if rng.random() < 0.15:
+            out.append(["", " ", "\t\r"][rng.integers(3)])
+        out.append(["", " ", "\t"][rng.integers(3)] + line + ["", "\r", " \r", "  "][rng.integers(4)])
+    return "\n".join(out) + ["", "\n", "\n\n"][rng.integers(3)]
+
+
+def one_row(mutate):
+    """A mutation of one random row's object."""
+    def apply(rows, rng):
+        mutate(rows[rng.integers(len(rows))], rng)
+        return [json.dumps(row) for row in rows]
+    return apply
+
+
+def set_field(field, value):
+    def mutate(row, rng):
+        row[field] = value
+    return one_row(mutate)
+
+
+def drop_field(field):
+    return one_row(lambda row, rng: row.pop(field, None))
+
+
+def set_embedding_entry(value):
+    def mutate(row, rng):
+        row["embedding"] = [value, *row.get("embedding", [])[1:]] or [value]
+    return one_row(mutate)
+
+
+def replace_line(text):
+    def apply(rows, rng):
+        lines = [json.dumps(row) for row in rows]
+        lines[rng.integers(len(lines))] = text
+        return lines
+    return apply
+
+
+def edit_line(edit):
+    def apply(rows, rng):
+        lines = [json.dumps(row) for row in rows]
+        k = rng.integers(len(lines))
+        lines[k] = edit(lines[k])
+        return lines
+    return apply
+
+
+def field_fault_then_decode_fault(rows, rng):
+    first, later = sorted(rng.choice(len(rows), size=2, replace=False).tolist())
+    rows[first]["score"] = 2.0
+    lines = [json.dumps(row) for row in rows]
+    lines[later] = lines[later][:-1]
+    return lines
+
+
+def ragged(row, rng):
+    row["embedding"] = [*row.get("embedding", []), 0.5]
+
+
+# one mutation per corpus file; None leaves the file valid
+MUTATIONS = [
+    None,
+    *(set_field(field, value) for field, value, _ in BAD_FIELDS),
+    *(replace_line(text) for text in ("[]", "1", '"x"', "null", "true", "{}", "{", "[" * 100_000 + "]" * 100_000)),
+    *(drop_field(field) for field in ("image_id", "class", "score", "x_min", "y_min", "x_max", "y_max")),
+    *(set_field(field, value) for field, value in (("note", [1, {"a": None}]), ("embedding", []))),
+    *(set_field(field, value) for value in (float("nan"), float("inf"), -float("inf"), 10 ** 400)
+      for field in ("class", "score", "x_min", "y_max")),
+    *(set_embedding_entry(value) for value in (float("nan"), float("inf"), 10 ** 400, True, None)),
+    *(set_field("image_id", value) for value in (None, [1], {"a": 1}, 1.0)),
+    *(set_field("class", value) for value in (-(2 ** 63), -(2 ** 63) - 1, 2 ** 63 - 1, 10 ** 400)),
+    *(set_field("score", value) for value in (10 ** 300, -1, 1.0000000000000002, -5e-324)),
+    *(set_field("embedding", value) for value in ([[0.0]], None, {}, "")),
+    one_row(ragged),
+    one_row(lambda row, rng: row.update(x_min=2 ** 53 + 1, x_max=float(2 ** 53))),
+    one_row(lambda row, rng: row.update(y_min=float(2 ** 53), y_max=2 ** 53 + 1)),
+    one_row(lambda row, rng: row.update(x_min=-(2 ** 60), x_max=-(2 ** 60) - 1)),
+    set_field("embedding", "[" * 100_000),
+    edit_line(lambda line: line + " x"),
+    edit_line(lambda line: line[:-1]),
+    edit_line(lambda line: "\ufeff" + line),
+    edit_line(lambda line: line[:-1] + ', "class": 1}'),
+    edit_line(lambda line: line[:-1] + ', "score": "0.5"}'),
+    edit_line(lambda line: '{"embedding": ' + "[" * 5_000 + "]" * 5_000 + ", " + line[1:]),
+    field_fault_then_decode_fault,
+]
+
+
+class TestColumnReader:
+    """``detections_from_jsonl`` reads by column; the per-line reader is its reference."""
+
+    @pytest.mark.parametrize("mutation", range(len(MUTATIONS)))
+    def test_matches_the_per_line_reader(self, mutation):
+        rng = np.random.default_rng(mutation)
+        for _ in range(4):
+            text = corpus_file(MUTATIONS[mutation], rng)
+            try:
+                expected = reference_read(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    detections_from_jsonl(text)
+                assert str(info.value) == str(exc)
+            else:
+                check_same_records(detections_from_jsonl(text), expected)
+
+    def test_the_corpus_holds_valid_and_invalid_files(self):
+        valid = []
+        for mutation, mutate in enumerate(MUTATIONS):
+            try:
+                reference_read(corpus_file(mutate, np.random.default_rng(mutation)))
+                valid.append(True)
+            except ValueError:
+                valid.append(False)
+        assert valid.count(True) >= 5 and valid.count(False) >= 60
+
+    def test_valid_input_takes_the_column_path(self, monkeypatch):
+        calls = []
+
+        def counted(record):
+            calls.append(record)
+            return _parse_row(record)
+
+        monkeypatch.setattr(post, "_parse_row", counted)
+        rng = np.random.default_rng(7)
+        items = [(f"{k:03d}", record(rng.uniform(0.0, 1.0, (4, 4)).cumsum(axis=1), [0, 1, 0, 1],
+                                     rng.uniform(0.0, 1.0, 4), rng.normal(size=(4, 3))))
+                 for k in range(3)]
+        parsed = detections_from_jsonl(detections_to_jsonl(items))
+        assert list(parsed) == ["000", "001", "002"]
+        assert calls == []
+        lines = detections_to_jsonl(items[:1]).split("\n")
+        lines[1] = lines[1].replace('"score": ', '"score": 9')
+        with pytest.raises(ValueError, match="^malformed detection on line 2: score"):
+            detections_from_jsonl("\n".join(lines))
+        assert len(calls) == 2
 
 
 class TestEndToEndWithAssignment:
